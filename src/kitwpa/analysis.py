@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -257,10 +256,8 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
 
     i_star = brentq(lambda i: peak_at(i) - target_peak_db, lo, hi,
                     xtol=1e-8, rtol=1e-12)
-    profile, metrics = cache[i_star] if i_star in cache else (None, None)
-    if profile is None:
-        peak_at(i_star)
-        profile, metrics = cache[i_star]
+    peak_at(i_star)
+    profile, metrics = cache[i_star]
     residual = abs(metrics.peak_gain_db - target_peak_db)
     if residual > tol_db:
         raise NumericError(
@@ -315,12 +312,10 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
           dispersion_grid: FrequencyGrid = DEFAULT_GRID,
           options: IntegrationOptions | None = None,
           dip_exclusion_width_hz: float | None = None,
-          metric_names: tuple = ("peak_gain_db", "double_sided_bw_3db_hz"),
-          threads: int = 1) -> SweepResult:
-    """Evaluate the gain pipeline across one axis.
-
-    Points are independent and may run concurrently; results are assembled
-    in axis order.  A failing point is recorded and the sweep continues.
+          metric_names: tuple = ("peak_gain_db", "double_sided_bw_3db_hz")
+          ) -> SweepResult:
+    """Evaluate the gain pipeline across one axis, point by point in axis
+    order.  A failing point is recorded and the sweep continues.
     """
     known = ({"pump_frequency", "pump_power", "i_star"}
              | (_DESIGN_FIELDS & {f for f in dir(design)})
@@ -338,20 +333,11 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
 
     results: list = [None] * len(values)
     failures = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {i: pool.submit(run_point, v) for i, v in enumerate(values)}
-            for i, fut in futs.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # record and continue
-                    failures.append((i, str(exc)))
-    else:
-        for i, v in enumerate(values):
-            try:
-                results[i] = run_point(v)
-            except Exception as exc:
-                failures.append((i, str(exc)))
+    for i, v in enumerate(values):
+        try:
+            results[i] = run_point(v)
+        except Exception as exc:  # record and continue
+            failures.append((i, str(exc)))
 
     metrics = {
         name: tuple(

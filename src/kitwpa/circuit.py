@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 __all__ = [
     "NonlinearInductorSpec",
@@ -166,61 +167,89 @@ Element = SeriesInductor | ShuntCapacitor | ShuntResonator
 
 @dataclass(frozen=True)
 class PeriodAnnotation:
-    """The first ``repeats`` x ``elements_per_period`` elements of the network
-    are ``repeats`` identical copies of its first ``elements_per_period``."""
+    """Shape of a network's periodic structure (a read-only summary)."""
 
     elements_per_period: int
     cells_per_period: int
     repeats: int
 
 
+def _cells(elements) -> int:
+    return sum(1 for e in elements if isinstance(e, SeriesInductor))
+
+
 @dataclass(frozen=True)
 class LadderNetwork:
-    """Ordered chain of two-port elements representing a full device."""
+    """A full device as one period of two-port elements, repeated.
 
-    elements: tuple
-    total_cells: int
-    periods: PeriodAnnotation | None = None
+    The element chain is ``period`` repeated ``repeats`` times, followed by
+    ``tail``: a proper prefix of the period (the cells of an incomplete last
+    period).  A device that does not repeat is its whole chain, once.
+    """
+
+    period: tuple
+    repeats: int = 1
+    tail: tuple = ()
 
     def __post_init__(self):
-        n_l = sum(1 for e in self.elements if isinstance(e, SeriesInductor))
-        if n_l != self.total_cells:
-            raise ValueError(
-                f"total_cells={self.total_cells} but network has {n_l} series inductors"
-            )
-        # alternation: no two series inductors without a shunt between them
+        if not self.period:
+            raise ValueError("network period is empty")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if (len(self.tail) >= len(self.period)
+                or self.tail != self.period[: len(self.tail)]):
+            raise ValueError("tail must be a proper prefix of the period")
+        # alternation: no two series inductors without a shunt between them,
+        # including across the seam where one period meets the next
+        seam = self.period[:1] if self.repeats > 1 or self.tail else ()
         prev_was_l = False
-        for e in self.elements:
-            if isinstance(e, SeriesInductor):
-                if prev_was_l:
-                    raise ValueError("series inductor not followed by a shunt group")
-                prev_was_l = True
-            else:
-                prev_was_l = False
-        if self.periods is not None:
-            p = self.periods
-            if p.elements_per_period * p.repeats > len(self.elements):
-                raise ValueError("period annotation exceeds element count")
+        for e in self.period + seam:
+            is_l = isinstance(e, SeriesInductor)
+            if is_l and prev_was_l:
+                raise ValueError("series inductor not followed by a shunt group")
+            prev_was_l = is_l
+
+    @property
+    def cells_per_period(self) -> int:
+        return _cells(self.period)
+
+    @property
+    def total_cells(self) -> int:
+        return self.repeats * self.cells_per_period + _cells(self.tail)
+
+    @property
+    def elements(self) -> tuple:
+        """The explicit element chain (built on each access)."""
+        return self.period * self.repeats + self.tail
+
+    @property
+    def periods(self) -> PeriodAnnotation:
+        return PeriodAnnotation(elements_per_period=len(self.period),
+                                cells_per_period=self.cells_per_period,
+                                repeats=self.repeats)
 
     @property
     def i_star(self) -> float:
         """Common nonlinearity scale of the series inductors."""
-        vals = {e.i_star for e in self.elements if isinstance(e, SeriesInductor)}
+        vals = {e.i_star for e in self.period if isinstance(e, SeriesInductor)}
         if len(vals) != 1:
             raise ValueError("network has no unique i_star")
         return vals.pop()
 
     def total_inductance(self) -> float:
-        # fsum: correctly rounded, so N identical inductors sum to exactly N * l0
-        return math.fsum(e.l0 for e in self.elements if isinstance(e, SeriesInductor))
+        # exact rational sum, rounded once: N identical inductors give
+        # exactly N * l0, as a correctly rounded sum over the chain would
+        def exact(elements):
+            return sum(Fraction(e.l0) for e in elements
+                       if isinstance(e, SeriesInductor))
+        return float(self.repeats * exact(self.period) + exact(self.tail))
 
     def has_resonators(self) -> bool:
-        return any(isinstance(e, ShuntResonator) for e in self.elements)
+        return any(isinstance(e, ShuntResonator) for e in self.period)
 
-    def period_elements(self) -> tuple:
-        if self.periods is None:
-            raise ValueError("network carries no period annotation")
-        return self.elements[: self.periods.elements_per_period]
+    def one_period(self) -> "LadderNetwork":
+        """The period on its own, as a network of one repeat."""
+        return LadderNetwork(self.period)
 
 
 # --------------------------------------------------------------------------
@@ -263,11 +292,12 @@ def _cell_elements(cell: UnitCellSpec, c_override: float | None = None) -> list:
 
 
 def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
-    """Expand a fishbone spec into its explicit element chain.
+    """Expand a fishbone spec into its periodic element chain.
 
     Supercells i = 0, 1, 2, ... end with the loaded cells; every third one
-    (i % 3 == 2) carries ``loaded_cells_every_third`` of them.  The element
-    sequence is periodic with period three supercells.
+    (i % 3 == 2) carries ``loaded_cells_every_third`` of them.  The period
+    is three supercells; leftover supercells form the tail.  With fewer than
+    three supercells the whole chain is one period, repeated once.
     """
     c_loaded = spec.base_cell.shunt_capacitance / spec.capacitance_reduction_factor
 
@@ -280,28 +310,16 @@ def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
             out += _cell_elements(spec.base_cell, c_loaded)
         return out
 
-    triple = supercell(0) + supercell(1) + supercell(2)
+    triple = tuple(supercell(0) + supercell(1) + supercell(2))
     n_triples, leftover = divmod(spec.num_periods, 3)
-    elements = triple * n_triples
-    for i in range(leftover):
-        elements += supercell(i)
-
-    periods = None
-    if n_triples >= 1:
-        periods = PeriodAnnotation(
-            elements_per_period=len(triple),
-            cells_per_period=3 * spec.cells_per_period,
-            repeats=n_triples,
-        )
-    return LadderNetwork(
-        elements=tuple(elements),
-        total_cells=spec.num_periods * spec.cells_per_period,
-        periods=periods,
-    )
+    tail = triple[: leftover * 2 * spec.cells_per_period]
+    if n_triples == 0:
+        return LadderNetwork(tail)
+    return LadderNetwork(triple, n_triples, tail)
 
 
 def expand_leaf(spec: LeafSpec) -> LadderNetwork:
-    """Expand a leaf spec into its explicit element chain.
+    """Expand a leaf spec into its periodic element chain, one block a period.
 
     Each block period starts with two resonator-pair shunts attached to the
     shunt nodes of cell 1 and cell 1 + pair_separation_cells; a pair at one
@@ -324,54 +342,70 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
         if i in pair_cells:
             block.append(pair)
 
-    periods = PeriodAnnotation(
-        elements_per_period=len(block),
-        cells_per_period=spec.cells_per_block_period,
-        repeats=spec.num_blocks,
-    )
-    return LadderNetwork(
-        elements=tuple(block) * spec.num_blocks,
-        total_cells=spec.num_blocks * spec.cells_per_block_period,
-        periods=periods,
-    )
+    return LadderNetwork(tuple(block), spec.num_blocks)
 
 
 def uniform_line(cell: UnitCellSpec, n_cells: int) -> LadderNetwork:
     """Uniform ladder of n identical cells (no loading, no resonators)."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    one = _cell_elements(cell)
-    return LadderNetwork(
-        elements=tuple(one) * n_cells,
-        total_cells=n_cells,
-        periods=PeriodAnnotation(elements_per_period=2, cells_per_period=1, repeats=n_cells),
-    )
+    return LadderNetwork(tuple(_cell_elements(cell)), n_cells)
 
 
 def bare_ladder(network: LadderNetwork) -> LadderNetwork:
     """The same chain with resonator shunts removed (propagation background)."""
-    elements = tuple(e for e in network.elements if not isinstance(e, ShuntResonator))
-    return LadderNetwork(elements=elements, total_cells=network.total_cells)
+    def strip(elements):
+        return tuple(e for e in elements if not isinstance(e, ShuntResonator))
+    return LadderNetwork(strip(network.period), network.repeats,
+                         strip(network.tail))
 
 
 # --------------------------------------------------------------------------
 # netlist serialization
+
+def _netlist_line(e) -> str:
+    if isinstance(e, SeriesInductor):
+        return f"L {e.l0:.17g} {e.i_star:.17g}"
+    if isinstance(e, ShuntCapacitor):
+        return f"C {e.c:.17g}"
+    if isinstance(e, ShuntResonator):
+        return f"RES {e.f_r:.17g} {e.q:.17g} {e.multiplicity:d}"
+    raise TypeError(f"unknown element {e!r}")
+
+
+def _parse_element(line: str):
+    parts = line.split()
+    if parts[0] == "L" and len(parts) == 3:
+        return SeriesInductor(float(parts[1]), float(parts[2]))
+    if parts[0] == "C" and len(parts) == 2:
+        return ShuntCapacitor(float(parts[1]))
+    if parts[0] == "RES" and len(parts) == 4:
+        return ShuntResonator(float(parts[1]), float(parts[2]), int(parts[3]))
+    raise ValueError("unrecognized element line")
+
+
+def _shortest_period(seq) -> int:
+    """Smallest p with seq[i] == seq[i + p] wherever both exist: the length
+    minus the longest proper border, from the KMP prefix function."""
+    border = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = border[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        border[i] = k
+    return len(seq) - k
+
 
 def write_netlist(network: LadderNetwork, path) -> None:
     """Write the element chain as line-oriented text, one element per line.
 
     Values are printed with %.17g so a read-back reproduces them exactly.
     """
-    lines = [NETLIST_HEADER]
-    for e in network.elements:
-        if isinstance(e, SeriesInductor):
-            lines.append(f"L {e.l0:.17g} {e.i_star:.17g}")
-        elif isinstance(e, ShuntCapacitor):
-            lines.append(f"C {e.c:.17g}")
-        elif isinstance(e, ShuntResonator):
-            lines.append(f"RES {e.f_r:.17g} {e.q:.17g} {e.multiplicity:d}")
-        else:
-            raise TypeError(f"unknown element {e!r}")
+    period = [_netlist_line(e) for e in network.period]
+    lines = ([NETLIST_HEADER] + period * network.repeats
+             + period[: len(network.tail)])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -379,41 +413,40 @@ def write_netlist(network: LadderNetwork, path) -> None:
 def read_netlist(path) -> LadderNetwork:
     """Parse a netlist file back into a LadderNetwork.
 
-    The period annotation is not part of the format, so cascades of networks
-    loaded this way fall back to element-by-element evaluation.
+    The format lists every element; the period is recovered as the shortest
+    one the chain has.  A netlist written from a design whose period is its
+    shortest (every preset's is) reads back to the design's own period,
+    repeat count and tail.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0].strip() != NETLIST_HEADER:
         raise ValueError(f"{path}: missing netlist header '{NETLIST_HEADER}'")
-    elements = []
+    parsed: dict = {}   # line text -> element
+    ids: dict = {}      # element -> small integer, for the period search
+    elements, seq = [], []
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        try:
-            if parts[0] == "L" and len(parts) == 3:
-                elements.append(SeriesInductor(float(parts[1]), float(parts[2])))
-            elif parts[0] == "C" and len(parts) == 2:
-                elements.append(ShuntCapacitor(float(parts[1])))
-            elif parts[0] == "RES" and len(parts) == 4:
-                elements.append(
-                    ShuntResonator(float(parts[1]), float(parts[2]), int(parts[3]))
-                )
-            else:
-                raise ValueError("unrecognized element line")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}: {line!r}") from None
-    n_cells = sum(1 for e in elements if isinstance(e, SeriesInductor))
-    return LadderNetwork(elements=tuple(elements), total_cells=n_cells)
+        if line not in parsed:
+            try:
+                parsed[line] = _parse_element(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}: {line!r}") from None
+        elements.append(parsed[line])
+        seq.append(ids.setdefault(parsed[line], len(ids)))
+    if not elements:
+        raise ValueError(f"{path}: netlist has no elements")
+    p = _shortest_period(seq)
+    period = tuple(elements[:p])
+    return LadderNetwork(period, len(seq) // p, period[: len(seq) % p])
 
 
 def with_i_star(network: LadderNetwork, i_star: float) -> LadderNetwork:
     """Copy of the network with every series inductor's i_star replaced."""
-    elements = tuple(
+    period = tuple(
         replace(e, i_star=i_star) if isinstance(e, SeriesInductor) else e
-        for e in network.elements
+        for e in network.period
     )
-    return LadderNetwork(elements=elements, total_cells=network.total_cells,
-                         periods=network.periods)
+    return LadderNetwork(period, network.repeats, period[: len(network.tail)])

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: from the config)")
         p.add_argument("--format", choices=("csv", "touchstone", "all"),
                        default=None, help="restrict emitted file formats")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent sweep evaluations")
         p.add_argument("--seed-level-db", type=float, default=None,
                        help="signal seed level relative to the pump")
         p.add_argument("--strict", dest="strict", action="store_true",
@@ -65,8 +63,7 @@ def main(argv=None) -> int:
         if args.seed_level_db is not None:
             config = replace(config, integrator=replace(
                 config.integrator, seed_level_db=args.seed_level_db))
-        manifest = run(args.subcommand, config, out_dir=args.out,
-                       threads=args.threads)
+        manifest = run(args.subcommand, config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,20 +115,10 @@ def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
 def device_dispersion(network: LadderNetwork, grid: FrequencyGrid = DEFAULT_GRID,
                       bias_current: float = 0.0,
                       loss_tangent: float = 0.0) -> DispersionCurve:
-    """Bloch curve of the network's repeating period.
-
-    The network must carry a period annotation (all expanded designs do).
-    """
-    if network.periods is None:
-        raise ValueError("network has no period annotation; cannot take a Bloch period")
-    p = network.periods
-    period = LadderNetwork(
-        elements=network.elements[: p.elements_per_period],
-        total_cells=p.cells_per_period,
-    )
-    f = grid.frequencies()
-    m = network_matrix(period, f, bias_current, loss_tangent)
-    return bloch_dispersion(m, grid, p.cells_per_period,
+    """Bloch curve of the network's period."""
+    m = network_matrix(network.one_period(), grid.frequencies(),
+                       bias_current, loss_tangent)
+    return bloch_dispersion(m, grid, network.cells_per_period,
                             lossless=(loss_tangent == 0.0))
 
 
@@ -236,7 +226,7 @@ def resonator_phase_shift(block: LadderNetwork, f, z_ref: float = 50.0):
     """
     if not block.has_resonators():
         raise ValueError("block contains no resonators")
-    f_r = min(e.f_r for e in block.elements if hasattr(e, "f_r"))
+    f_r = min(e.f_r for e in block.period if hasattr(e, "f_r"))
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     if np.any(f_arr >= f_r):
         raise ValueError(

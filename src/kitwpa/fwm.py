@@ -14,12 +14,12 @@ phase, insertion magnitude) to every mode at its position along the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .circuit import LadderNetwork, bare_ladder
+from .circuit import LadderNetwork, SeriesInductor, ShuntCapacitor, bare_ladder
 from .dispersion import DispersionCurve, uniform_cell_dispersion
 from .errors import NumericError
 from .twoport import FrequencyGrid, network_matrix, to_s_parameters
@@ -275,21 +275,9 @@ class HarmonicScan:
         return float(self.p_third[-1] / self.pump_power)
 
 
-def _block_positions(network: LadderNetwork) -> list:
-    p = network.periods
-    if p is None:
-        raise NumericError(
-            "resonator-embedded network carries no period annotation; "
-            "cannot place phase-shifter blocks"
-        )
-    return [b * p.cells_per_period for b in range(p.repeats)]
-
-
 def _block_response(network: LadderNetwork, f: np.ndarray, z0: float):
     """Complex per-block correction s21(block) / s21(equal bare ladder)."""
-    p = network.periods
-    block = LadderNetwork(elements=network.elements[: p.elements_per_period],
-                          total_cells=p.cells_per_period)
+    block = network.one_period()
     f = np.atleast_1d(f)
     loaded = to_s_parameters(network_matrix(block, f), f, z0).s21
     plain = to_s_parameters(network_matrix(bare_ladder(block), f), f, z0).s21
@@ -302,9 +290,8 @@ def _block_response(network: LadderNetwork, f: np.ndarray, z0: float):
 
 def _smooth_background(network: LadderNetwork) -> tuple | None:
     """Unique (L, C) of the uniform base cells; None if cells differ."""
-    from .circuit import SeriesInductor, ShuntCapacitor
-    l0 = {e.l0 for e in network.elements if isinstance(e, SeriesInductor)}
-    cs = {e.c for e in network.elements if isinstance(e, ShuntCapacitor)}
+    l0 = {e.l0 for e in network.period if isinstance(e, SeriesInductor)}
+    cs = {e.c for e in network.period if isinstance(e, ShuntCapacitor)}
     if len(l0) == 1 and len(cs) == 1:
         return (l0.pop(), cs.pop())
     return None
@@ -354,41 +341,30 @@ class _Propagator:
             )
         return sol
 
-    def run(self, y0):
-        y = y0.copy()
-        z = 0.0
-        for zb in self.blocks:
-            if zb > z:
-                y = self._segment(z, zb, y).y[:, -1]
-                z = zb
-            y = self._apply_block(y)
-        if self.total_cells > z:
-            y = self._segment(z, self.total_cells, y).y[:, -1]
-        return y
-
-    def run_sampled(self, y0, n_samples):
-        """Trajectory sampled on ~n_samples points along z."""
+    def run(self, y0, n_samples=None):
+        """Integrate over the whole line, applying each block correction at
+        its position.  Returns the output state; with ``n_samples``, the
+        trajectory (z, y) sampled on about that many points instead."""
         y = y0.copy()
         z = 0.0
         zs, ys = [], []
-        bounds = [b for b in self.blocks if b > 0] + [self.total_cells]
-        for zb in self.blocks:
-            if zb == 0.0:
+        stops = self.blocks + [self.total_cells]
+        for i, z1 in enumerate(stops):
+            if z1 > z:
+                t_eval = None
+                if n_samples is not None:
+                    pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
+                    t_eval = np.linspace(z, z1, pts)
+                sol = self._segment(z, z1, y, t_eval)
+                if n_samples is not None:
+                    zs.append(sol.t)
+                    ys.append(sol.y)
+                y = sol.y[:, -1].copy()
+                z = z1
+            if i < len(self.blocks):
                 y = self._apply_block(y)
-        segs = []
-        start = 0.0
-        for b in sorted(set(bounds)):
-            segs.append((start, b))
-            start = b
-        for (z0, z1) in segs:
-            pts = max(2, int(round(n_samples * (z1 - z0) / self.total_cells)))
-            t_eval = np.linspace(z0, z1, pts)
-            sol = self._segment(z0, z1, y, t_eval=t_eval)
-            zs.append(sol.t)
-            ys.append(sol.y)
-            y = sol.y[:, -1].copy()
-            if z1 in self.blocks:
-                y = self._apply_block(y)
+        if n_samples is None:
+            return y
         return np.concatenate(zs), np.concatenate(ys, axis=1)
 
 
@@ -411,7 +387,7 @@ def _prepare(network, dispersion, pump, f_s, options, stopband_curve):
     has_res = network.has_resonators()
 
     if has_res:
-        base = _smooth_background(bare_ladder(network))
+        base = _smooth_background(network)
         if base is None:
             raise NumericError("resonator design must have uniform base cells")
         l0, c0 = base
@@ -444,7 +420,8 @@ def _prepare(network, dispersion, pump, f_s, options, stopband_curve):
     )
 
     if has_res:
-        blocks = [float(b) for b in _block_positions(network)]
+        blocks = [float(b * network.cells_per_period)
+                  for b in range(network.repeats)]
         fac_p = _block_response(network, np.array([f_p]), options.z0)[0]
         fac_s = _block_response(network, f_s, options.z0) if f_s.size else np.array([])
         fac_i = _block_response(network, f_i, options.z0) if f_i.size else np.array([])
@@ -535,11 +512,7 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                         n_samples: int = 1024) -> HarmonicScan:
     """Pump and third-harmonic powers along the line (no signal injected)."""
     options = options or IntegrationOptions()
-    if not options.include_third_harmonic:
-        options = IntegrationOptions(
-            undepleted=options.undepleted, include_third_harmonic=True,
-            seed_level_db=options.seed_level_db, rtol=options.rtol,
-            atol=options.atol, z0=options.z0)
+    options = replace(options, include_third_harmonic=True)
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("harmonic scan requires a nonzero pump")
@@ -553,7 +526,7 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     prop = _Propagator(n, gammas, dk, dk3, alphas, float(network.total_cells),
                        blocks, block_factors, options.undepleted, True,
                        options.rtol, options.atol)
-    z, y = prop.run_sampled(y0, n_samples)
+    z, y = prop.run(y0, n_samples)
     return HarmonicScan(
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,

@@ -44,7 +44,10 @@ SUBCOMMANDS = ("design", "dispersion", "linear", "gain", "harmonics",
 def _expand(config: RunConfig):
     from .analysis import expand_design
     if config.design_kind == "netlist":
-        return read_netlist(config.design)
+        try:
+            return read_netlist(config.design)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return expand_design(config.design)
 
 
@@ -91,16 +94,24 @@ class _Emitter:
         return path
 
 
+def _has_bloch_period(config, network) -> bool:
+    # a spec declares its period; the period recovered from a netlist only
+    # counts when it repeats
+    return config.design_kind != "netlist" or network.repeats > 1
+
+
+def _bloch_curve(config, network):
+    _require(_has_bloch_period(config, network),
+             "netlist has no repeating period (its shortest period occurs "
+             "only once); Bloch dispersion is unavailable")
+    return device_dispersion(network, config.frequency_grid)
+
+
 def _dispersion_products(config, network, emit: _Emitter, need_bloch: bool):
-    grid = config.frequency_grid
     curve = None
-    if network.periods is not None:
-        curve = device_dispersion(network, grid)
-    elif need_bloch:
-        raise ConfigError(
-            "design has no repeating period (raw netlist?); Bloch dispersion "
-            "is unavailable")
-    f = grid.frequencies()
+    if need_bloch or _has_bloch_period(config, network):
+        curve = _bloch_curve(config, network)
+    f = config.frequency_grid.frequencies()
     sp = to_s_parameters(network_matrix(network, f), f)
     if curve is not None:
         rows = sparams_to_csv_rows(sp, curve.phase_per_period,
@@ -133,8 +144,7 @@ def _operating_point(config, network, curve) -> OperatingPoint:
     )
 
 
-def run(subcommand: str, config: RunConfig, out_dir=None,
-        threads: int = 1) -> dict:
+def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     """Execute one subcommand; returns the manifest document."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -168,7 +178,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None,
             emit.add(path)
 
     elif subcommand == "gain":
-        curve = device_dispersion(network, config.frequency_grid)
+        curve = _bloch_curve(config, network)
         stopbands = find_stopbands(curve)
         profile = integrate_gain(network, curve, config.pump,
                                  config.signal_grid, config.integrator,
@@ -185,7 +195,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None,
         _require(config.integrator.include_third_harmonic,
                  "'harmonics' requires analysis.integrator."
                  "include_third_harmonic: true")
-        curve = device_dispersion(network, config.frequency_grid)
+        curve = _bloch_curve(config, network)
         scan = third_harmonic_scan(network, curve, config.pump,
                                    config.integrator, stopband_curve=curve)
         emit.write_lines("harmonics.csv", harmonic_scan_csv_rows(scan))
@@ -199,8 +209,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None,
             config.design, config.pump,
             SweepAxis(config.sweep.parameter, config.sweep.values),
             config.signal_grid, config.frequency_grid, config.integrator,
-            dip_exclusion_width_hz=config.dip_exclusion_width_hz,
-            threads=threads)
+            dip_exclusion_width_hz=config.dip_exclusion_width_hz)
         emit.write_lines("sweep.csv", sweep_csv_rows(result))
         if result.failures:
             emit.write_lines("sweep_failures.txt", [

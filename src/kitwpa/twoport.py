@@ -174,39 +174,29 @@ def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
     return result
 
 
-def _chain_of(elements, f, bias_current, loss_tangent) -> TwoPortMatrix:
-    out = identity_matrix(len(f))
-    i = 0
-    while i < len(elements):
-        e = elements[i]
-        # collapse runs of identical elements into powers
-        j = i
-        while j < len(elements) and elements[j] == e:
-            j += 1
-        m = element_matrix(e, f, bias_current, loss_tangent)
-        out = out @ (m if j - i == 1 else matrix_power(m, j - i))
-        i = j
-    return out
-
-
 def network_matrix(network: LadderNetwork, f: np.ndarray,
                    bias_current: float = 0.0,
                    loss_tangent: float = 0.0) -> TwoPortMatrix:
     """Chain matrix of a full ladder network over frequencies f.
 
-    Uses the network's period annotation to raise the repeating block to an
-    integer power; unannotated networks are evaluated element by element.
+    The period is cascaded element by element and raised to the repeat
+    count; the tail, a prefix of the period, is the period's partial product
+    at the tail's length.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    if network.periods is None:
-        return _chain_of(network.elements, f, bias_current, loss_tangent)
-    p = network.periods
-    head = network.elements[: p.elements_per_period]
-    tail = network.elements[p.elements_per_period * p.repeats:]
-    period = _chain_of(head, f, bias_current, loss_tangent)
-    out = matrix_power(period, p.repeats)
-    if tail:
-        out = out @ _chain_of(tail, f, bias_current, loss_tangent)
+    out = identity_matrix(len(f))
+    tail_matrix = None
+    for i, e in enumerate(network.period):
+        if i == len(network.tail):
+            tail_matrix = out
+        out = out @ element_matrix(e, f, bias_current, loss_tangent)
+    # a single repeat stays the plain chain: matrix_power would multiply it
+    # by the identity, which can flip the sign of zero imaginary parts that
+    # the Bloch branch choice depends on
+    if network.repeats > 1:
+        out = matrix_power(out, network.repeats)
+    if network.tail:
+        out = out @ tail_matrix
     return out
 
 

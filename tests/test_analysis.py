@@ -206,15 +206,6 @@ class TestSweep:
         assert rows[0].startswith("i_star,peak_gain_db")
         assert len(rows) == 3
 
-    def test_threaded_sweep_matches_serial(self):
-        grid = np.linspace(5.9e9, 6.5e9, 21)
-        axis = SweepAxis("pump_power", (50e-6, 100e-6, 150e-6))
-        a = sweep(SMALL_FISHBONE, (6.22e9, 100e-6), axis, grid, DISP_GRID,
-                  threads=1)
-        b = sweep(SMALL_FISHBONE, (6.22e9, 100e-6), axis, grid, DISP_GRID,
-                  threads=3)
-        assert a.metrics == b.metrics
-
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             sweep(SMALL_FISHBONE, (6.22e9, 100e-6),

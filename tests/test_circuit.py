@@ -206,15 +206,25 @@ class TestLeafExpansion:
 class TestLadderNetwork:
     def test_alternation_violation_rejected(self):
         ind = SeriesInductor(50e-12, 10e-3)
+        cap = ShuntCapacitor(20e-15)
         with pytest.raises(ValueError):
-            LadderNetwork(elements=(ind, ind), total_cells=2)
+            LadderNetwork((ind, ind))
+        # two inductors meet across the seam between repeats
+        with pytest.raises(ValueError):
+            LadderNetwork((ind, cap, ind), repeats=2)
+        assert LadderNetwork((ind, cap, ind)).total_cells == 2
 
-    def test_total_cells_mismatch_rejected(self):
+    def test_tail_not_prefix_rejected(self):
+        ind, cap = SeriesInductor(50e-12, 10e-3), ShuntCapacitor(20e-15)
+        with pytest.raises(ValueError, match="prefix"):
+            LadderNetwork((ind, cap), repeats=2, tail=(cap,))
+        with pytest.raises(ValueError, match="prefix"):
+            LadderNetwork((ind, cap), repeats=2, tail=(ind, cap))
         with pytest.raises(ValueError):
-            LadderNetwork(
-                elements=(SeriesInductor(50e-12, 10e-3), ShuntCapacitor(20e-15)),
-                total_cells=2,
-            )
+            LadderNetwork((ind, cap), repeats=0)
+        net = LadderNetwork((ind, cap), repeats=3, tail=(ind,))
+        assert net.total_cells == 4
+        assert net.elements == (ind, cap) * 3 + (ind,)
 
     def test_uniform_line_annotation(self):
         net = uniform_line(fishbone_cell(), 100)
@@ -232,6 +242,26 @@ class TestLadderNetwork:
         net = uniform_line(fishbone_cell(), 10)
         assert with_i_star(net, 22e-3).i_star == 22e-3
 
+    def test_with_i_star_keeps_structure(self):
+        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=8))
+        out = with_i_star(net, 22e-3)
+        assert (len(out.period), out.repeats, len(out.tail)) == (132, 2, 88)
+        assert out.periods == net.periods
+        assert {e.i_star for e in out.elements if isinstance(e, SeriesInductor)} \
+            == {22e-3}
+
+    def test_fishbone_preset_stores_one_period_and_tail(self):
+        # 1136 supercells of 22 cells: 378 three-supercell periods (132
+        # elements) and a two-supercell tail (88), not 49 984 elements
+        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=1136))
+        assert (len(net.period), net.repeats, len(net.tail)) == (132, 378, 88)
+        assert len(net.elements) == 49_984
+        assert net.total_cells == 1136 * 22
+
+    def test_short_fishbone_is_its_chain_once(self):
+        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=2))
+        assert (len(net.period), net.repeats, net.tail) == (88, 1, ())
+
 
 class TestNetlistRoundTrip:
     def test_round_trip_exact(self, tmp_path):
@@ -245,6 +275,35 @@ class TestNetlistRoundTrip:
         back = read_netlist(p)
         assert back.elements == net.elements
         assert back.total_cells == net.total_cells
+        assert back == net   # same period, repeats and tail
+
+    def test_design_structure_recovered(self, tmp_path):
+        p = tmp_path / "device.net"
+        for net in (
+            expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=47)),
+            expand_leaf(LeafSpec(base_cell=leaf_cell(), num_blocks=3)),
+            # a single period reads back as an aperiodic chain: the same thing
+            expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=3)),
+        ):
+            write_netlist(net, p)
+            assert read_netlist(p) == net   # equal period, repeats and tail
+
+    def test_shortest_period_of_hand_written_netlist(self, tmp_path):
+        p = tmp_path / "hand.net"
+        p.write_text("# ki-twpa netlist v1\n"
+                     + "L 5e-11 1e-2\nC 2e-14\n" * 4 + "L 5.0e-11 0.01\n")
+        net = read_netlist(p)
+        assert (len(net.period), net.repeats, len(net.tail)) == (2, 4, 1)
+        p.write_text("# ki-twpa netlist v1\nL 5e-11 1e-2\nC 2e-14\n"
+                     "L 5e-11 1e-2\nC 4e-15\n")
+        net = read_netlist(p)
+        assert (len(net.period), net.repeats, net.tail) == (4, 1, ())
+
+    def test_empty_netlist_rejected(self, tmp_path):
+        p = tmp_path / "empty.net"
+        p.write_text("# ki-twpa netlist v1\n# no elements\n")
+        with pytest.raises(ValueError, match="no elements"):
+            read_netlist(p)
 
     def test_round_trip_awkward_floats(self, tmp_path):
         cell = UnitCellSpec(NonlinearInductorSpec(1 / 3 * 1e-12, math.pi * 1e-3),

@@ -36,6 +36,12 @@ output:
 """
 
 
+def netlist_cfg(netlist, text=SMALL_FISHBONE_CFG):
+    """Config text with the design replaced by a netlist file."""
+    analysis = text[text.index("analysis:"):]
+    return f"design:\n  netlist: {netlist}\n{analysis}"
+
+
 class TestLoadConfig:
     def test_fishbone_paper_preset(self):
         cfg = load_config(PRESETS / "fishbone-paper.cfg")
@@ -198,8 +204,9 @@ class TestRunner:
         assert len(rows) == 3 and rows[0].startswith("pump_power")
 
     def test_netlist_design_through_linear(self, tmp_path):
+        # one supercell: the netlist's shortest period is the whole chain
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
-            "num_periods: 45", "num_periods: 2")))
+            "num_periods: 45", "num_periods: 1")))
         run("design", cfg, out_dir=tmp_path / "made")
         cfg2 = load_config(write_cfg(tmp_path, """
 design:
@@ -207,12 +214,39 @@ design:
 analysis:
   frequency_grid: {start_hz: 1.0e9, stop_hz: 10.0e9, points: 51}
 """, "net.cfg"))
-        # a raw netlist has no period annotation: Bloch analysis is rejected,
-        # but the element-by-element linear cascade still works
+        # a period that occurs only once is no Bloch period: dispersion is
+        # rejected, while the linear cascade works with zero Bloch columns
         with pytest.raises(ConfigError, match="Bloch"):
             run("dispersion", cfg2, out_dir=tmp_path / "out2")
         run("linear", cfg2, out_dir=tmp_path / "out3")
         assert (tmp_path / "out3" / "sparams.s2p").exists()
+        data = np.loadtxt(tmp_path / "out3" / "dispersion.csv", delimiter=",",
+                          skiprows=1)
+        assert not data[:, 5:].any()
+
+    @pytest.mark.parametrize("design", [
+        "  fishbone:\n    l_henries: 50.0e-12\n    c_farads: 20.0e-15\n"
+        "    i_star_amperes: 10.0e-3\n    num_periods: 47\n",
+        "  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
+        "    i_star_amperes: 11.5e-3\n    num_blocks: 3\n",
+    ], ids=["fishbone", "leaf"])
+    def test_design_netlist_matches_spec_outputs(self, tmp_path, design):
+        grid = ("analysis:\n  frequency_grid: "
+                "{start_hz: 0.1e9, stop_hz: 20.0e9, points: 801}\n")
+        spec = load_config(write_cfg(tmp_path, "design:\n" + design + grid))
+        run("design", spec, out_dir=tmp_path / "made")
+        net = load_config(write_cfg(
+            tmp_path, "design:\n  netlist: made/device.net\n" + grid, "net.cfg"))
+        for sub in ("linear", "dispersion"):
+            a = run(sub, spec, out_dir=tmp_path / f"spec-{sub}")
+            b = run(sub, net, out_dir=tmp_path / f"net-{sub}")
+            assert a["files"] == b["files"]   # names and sha256 digests
+
+    def test_malformed_netlist_is_config_error(self, tmp_path):
+        (tmp_path / "bad.net").write_text("# ki-twpa netlist v1\nL 5e-11\n")
+        cfg = load_config(write_cfg(tmp_path, "design:\n  netlist: bad.net\n"))
+        with pytest.raises(ConfigError, match="bad.net:2"):
+            run("design", cfg, out_dir=tmp_path / "out")
 
 
 class TestCli:
@@ -241,6 +275,26 @@ class TestCli:
         rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "stopband" in capsys.readouterr().err
+
+    def test_cli_gain_on_design_netlist_exit_zero(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "points: 41", "points: 11"))
+        assert main(["design", "--config", str(p),
+                     "--out", str(tmp_path / "made")]) == 0
+        netcfg = write_cfg(tmp_path, netlist_cfg("made/device.net", p.read_text()),
+                           "net.cfg")
+        rc = main(["gain", "--config", str(netcfg), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "gain.csv" in capsys.readouterr().out
+
+    def test_cli_gain_on_aperiodic_netlist_exit_2(self, tmp_path, capsys):
+        (tmp_path / "hand.net").write_text(
+            "# ki-twpa netlist v1\nL 5e-11 1e-2\nC 2e-14\n"
+            "L 5e-11 1e-2\nC 4e-15\n")
+        netcfg = write_cfg(tmp_path, netlist_cfg("hand.net"), "net.cfg")
+        rc = main(["gain", "--config", str(netcfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "repeating period" in capsys.readouterr().err
 
     def test_cli_seed_level_override(self, tmp_path):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(

@@ -114,14 +114,14 @@ class TestCascade:
         assert np.angle(sp.s21[0]) == pytest.approx(expected, rel=3e-2)
 
     def test_network_matrix_power_path_matches_flat(self):
-        net = uniform_line(CELL, 40)
-        flat = net.__class__(elements=net.elements, total_cells=net.total_cells,
-                             periods=None)
         f = np.linspace(1e9, 30e9, 11)
-        m1 = network_matrix(net, f)
-        m2 = network_matrix(flat, f)
-        assert np.allclose(m1.a, m2.a, rtol=1e-10)
-        assert np.allclose(m1.b, m2.b, rtol=1e-10)
+        # a plain power, and a power followed by a two-supercell tail
+        for net in (uniform_line(CELL, 40),
+                    expand_fishbone(FishboneSpec(base_cell=CELL, num_periods=8))):
+            m1 = network_matrix(net, f)
+            m2 = cascade(element_matrix(e, f) for e in net.elements)
+            for x, y in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d)):
+                assert np.allclose(x, y, rtol=1e-10, atol=1e-12 * np.abs(y).max())
 
 
 class TestSParameters:
