@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
+# with_i_star and integrate_gain are not called in this module; they are
+# imported into it because bench/tracing.py rebinds them here to record spans
 from .circuit import (
     FishboneSpec,
     LeafSpec,
     expand_fishbone,
     expand_leaf,
-    with_i_star,
+    with_i_star,  # noqa: F401
 )
 from .dispersion import (
     DEFAULT_GRID,
@@ -29,8 +31,14 @@ from .dispersion import (
     find_stopbands,
     StopbandReport,
 )
-from .errors import NumericError
-from .fwm import GainProfile, IntegrationOptions, integrate_gain
+from .errors import KitwpaError, NumericError
+from .fwm import (
+    GainProfile,
+    IntegrationOptions,
+    integrate_gain,  # noqa: F401
+    prepare_line,
+    solve_gain,
+)
 
 __all__ = [
     "GainMetrics",
@@ -166,6 +174,44 @@ def design_with_istar(design, i_star: float):
         cell, inductor=replace(cell.inductor, i_star=i_star)))
 
 
+class _GainPipeline:
+    """Expand, analyze, pump and summarize designs, one point at a time.
+
+    It keeps the last device (network, Bloch curve, stopbands) and the last
+    pumped line, and reuses them for the next point when they are the same:
+    the device when the design differs at most in I*, the line when the pump
+    frequency is unchanged as well.  Nothing linear depends on I* (a series
+    inductor at zero bias is l0 * (1 + 0) whatever its I*), so a reused
+    device or line gives the numbers a fresh one would.
+    """
+
+    def __init__(self, signal_grid, dispersion_grid, options,
+                 dip_exclusion_width_hz):
+        self.signal_grid = signal_grid
+        self.dispersion_grid = dispersion_grid
+        self.options = options
+        self.dip_exclusion_width_hz = dip_exclusion_width_hz
+        self._device = None   # (design at unit I*, network, curve, stopbands)
+        self._line = None     # PumpedLine of that device
+
+    def __call__(self, design, pump: tuple):
+        f_p, p_p = pump
+        key = design_with_istar(design, 1.0)
+        if self._device is None or self._device[0] != key:
+            network = expand_design(design)
+            curve = device_dispersion(network, self.dispersion_grid)
+            self._device = (key, network, curve, find_stopbands(curve))
+            self._line = None
+        _, network, curve, stopbands = self._device
+        if self._line is None or self._line.pump_frequency != f_p:
+            self._line = prepare_line(network, curve, f_p, self.signal_grid,
+                                      self.options, stopband_curve=curve)
+        profile = solve_gain(self._line, design.base_cell.inductor.i_star, p_p)
+        metrics = gain_metrics(profile, stopbands,
+                               dip_exclusion_width_hz=self.dip_exclusion_width_hz)
+        return profile, metrics, stopbands
+
+
 def simulate_gain(design, pump: tuple, signal_grid,
                   dispersion_grid: FrequencyGrid = DEFAULT_GRID,
                   options: IntegrationOptions | None = None,
@@ -177,14 +223,9 @@ def simulate_gain(design, pump: tuple, signal_grid,
     designs the coupled-mode engine falls back to the bare-ladder background
     internally and treats the blocks as lumped phase shifters.
     """
-    network = expand_design(design)
-    curve = device_dispersion(network, dispersion_grid)
-    stopbands = find_stopbands(curve)
-    profile = integrate_gain(network, curve, pump, signal_grid,
-                             options=options, stopband_curve=curve)
-    metrics = gain_metrics(profile, stopbands,
-                           dip_exclusion_width_hz=dip_exclusion_width_hz)
-    return profile, metrics, stopbands
+    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
+                             dip_exclusion_width_hz)
+    return pipeline(design, pump)
 
 
 @dataclass(frozen=True)
@@ -230,13 +271,14 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
             f"calibration bracket [{bracket[0]:g}, {bracket[1]:g}] A collapsed "
             f"after the overflow clip at {i_min_cap:g} A")
 
+    # one linear setup serves every probe: nothing in it depends on I*
+    line = prepare_line(network, curve, f_p, signal_grid, options,
+                        stopband_curve=curve)
     cache: dict = {}
 
     def peak_at(i_star: float) -> float:
         if i_star not in cache:
-            net = with_i_star(network, i_star)
-            profile = integrate_gain(net, curve, pump, signal_grid,
-                                     options=options, stopband_curve=curve)
+            profile = solve_gain(line, i_star, p_p)
             with warnings.catch_warnings():
                 # bracketing probes far from the target trip the low-profile
                 # bandwidth warning; only the peak matters here
@@ -281,7 +323,7 @@ class SweepResult:
     parameter: str
     values: tuple
     metrics: dict          # metric name -> tuple of values (nan on failure)
-    failures: tuple        # (index, message)
+    failures: tuple        # (index, exception class name, message)
 
 
 _DESIGN_FIELDS = {
@@ -293,6 +335,17 @@ _RESONATOR_FIELDS = {"resonant_frequency", "loaded_q", "pairs_per_block",
                      "pair_separation_cells"}
 
 
+def _with_field(spec, name, value):
+    """Copy of spec with one field replaced.  Sweep values arrive as floats
+    from a config; an integer field takes only integral ones, as ints."""
+    declared = {f.name: f.type for f in fields(spec)}[name]
+    if declared in (int, "int"):
+        if value != int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return replace(spec, **{name: value})
+
+
 def _apply_parameter(design, pump, name, value):
     if name == "pump_frequency":
         return design, (value, pump[1])
@@ -301,10 +354,10 @@ def _apply_parameter(design, pump, name, value):
     if name == "i_star":
         return design_with_istar(design, value), pump
     if name in _DESIGN_FIELDS and hasattr(design, name):
-        return replace(design, **{name: value}), pump
+        return _with_field(design, name, value), pump
     if name in _RESONATOR_FIELDS and hasattr(design, "resonator"):
-        return replace(design, resonator=replace(design.resonator,
-                                                 **{name: value})), pump
+        return replace(design, resonator=_with_field(design.resonator,
+                                                     name, value)), pump
     raise ValueError(f"unknown sweep parameter {name!r}")
 
 
@@ -315,7 +368,17 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
           metric_names: tuple = ("peak_gain_db", "double_sided_bw_3db_hz")
           ) -> SweepResult:
     """Evaluate the gain pipeline across one axis, point by point in axis
-    order.  A failing point is recorded and the sweep continues.
+    order.  A point that fails with a toolkit, value or arithmetic error is
+    recorded with its exception class and the sweep continues; any other
+    exception propagates.
+
+    Consecutive points share what does not change between them: the
+    expanded network, its Bloch curve and stopbands when the design differs
+    at most in I* (``pump_power``, ``i_star`` and ``pump_frequency`` axes),
+    and the prepared pumped line when the pump frequency is also the same
+    (``pump_power`` and ``i_star`` axes).  A design-field axis rebuilds both
+    at every point.  Shared or not, each point's numbers are those of
+    simulate_gain at that point.
     """
     known = ({"pump_frequency", "pump_power", "i_star"}
              | (_DESIGN_FIELDS & {f for f in dir(design)})
@@ -323,21 +386,17 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     if axis.parameter not in known:
         raise ValueError(f"unknown sweep parameter {axis.parameter!r}")
     values = list(axis.values)
-
-    def run_point(value):
-        d, p = _apply_parameter(design, pump, axis.parameter, value)
-        _, metrics, _ = simulate_gain(
-            d, p, signal_grid, dispersion_grid, options,
-            dip_exclusion_width_hz=dip_exclusion_width_hz)
-        return metrics
+    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
+                             dip_exclusion_width_hz)
 
     results: list = [None] * len(values)
     failures = []
     for i, v in enumerate(values):
         try:
-            results[i] = run_point(v)
-        except Exception as exc:  # record and continue
-            failures.append((i, str(exc)))
+            d, p = _apply_parameter(design, pump, axis.parameter, v)
+            _, results[i], _ = pipeline(d, p)
+        except (KitwpaError, ValueError, ArithmeticError) as exc:
+            failures.append((i, type(exc).__name__, str(exc)))
 
     metrics = {
         name: tuple(

@@ -291,13 +291,33 @@ def _cell_elements(cell: UnitCellSpec, c_override: float | None = None) -> list:
     return [SeriesInductor(cell.inductor.l0, cell.inductor.i_star), ShuntCapacitor(c)]
 
 
+def _primitive(unit: tuple, repeats: int, tail: tuple = ()) -> LadderNetwork:
+    """The chain ``unit * repeats + tail`` stored with its shortest period,
+    the period read_netlist recovers from the same chain.
+
+    Two copies of the unit and the tail suffice to find it.  A chain at
+    least twice the unit long with a period p <= len(unit) also has the
+    period gcd(p, len(unit)) (Fine and Wilf), so its shortest period divides
+    the unit; a divisor of the unit that is a period of two copies is a
+    period of any number of them.
+    """
+    probe = unit * min(repeats, 2) + tail
+    p = _shortest_period(probe)
+    total = len(unit) * repeats + len(tail)
+    period = probe[:p]
+    return LadderNetwork(period, total // p, period[: total % p])
+
+
 def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
     """Expand a fishbone spec into its periodic element chain.
 
     Supercells i = 0, 1, 2, ... end with the loaded cells; every third one
-    (i % 3 == 2) carries ``loaded_cells_every_third`` of them.  The period
-    is three supercells; leftover supercells form the tail.  With fewer than
-    three supercells the whole chain is one period, repeated once.
+    (i % 3 == 2) carries ``loaded_cells_every_third`` of them, so the chain
+    repeats every three supercells.  The stored period is the chain's
+    shortest: three supercells, or fewer when the loading repeats sooner
+    (one supercell when every supercell is loaded alike, one cell when none
+    is loaded).  With fewer than three supercells the chain is reduced the
+    same way.
     """
     c_loaded = spec.base_cell.shunt_capacitance / spec.capacitance_reduction_factor
 
@@ -314,8 +334,8 @@ def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
     n_triples, leftover = divmod(spec.num_periods, 3)
     tail = triple[: leftover * 2 * spec.cells_per_period]
     if n_triples == 0:
-        return LadderNetwork(tail)
-    return LadderNetwork(triple, n_triples, tail)
+        return _primitive(tail, 1)
+    return _primitive(triple, n_triples, tail)
 
 
 def expand_leaf(spec: LeafSpec) -> LadderNetwork:
@@ -324,7 +344,8 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
     Each block period starts with two resonator-pair shunts attached to the
     shunt nodes of cell 1 and cell 1 + pair_separation_cells; a pair at one
     node is a single shunt of doubled admittance.  With pairs_per_block = 0
-    the result is a uniform ladder.
+    the result is a uniform ladder, stored with one cell as its period; in
+    general the stored period is the chain's shortest.
     """
     res = spec.resonator
     pair = ShuntResonator(res.resonant_frequency, res.loaded_q, multiplicity=2)
@@ -342,7 +363,7 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
         if i in pair_cells:
             block.append(pair)
 
-    return LadderNetwork(tuple(block), spec.num_blocks)
+    return _primitive(tuple(block), spec.num_blocks)
 
 
 def uniform_line(cell: UnitCellSpec, n_cells: int) -> LadderNetwork:

@@ -13,6 +13,7 @@ phase, insertion magnitude) to every mode at its position along the line.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,9 @@ __all__ = [
     "coupled_mode_rhs",
     "propagate_modes",
     "analytic_gain_undepleted",
+    "PumpedLine",
+    "prepare_line",
+    "solve_gain",
     "integrate_gain",
     "third_harmonic_scan",
     "gain_profile_csv_rows",
@@ -120,62 +124,21 @@ class ModeState:
         return 3.0 * self.f_p
 
 
-def _rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al, a3_al,
-         undepleted, thg):
-    """Flat complex RHS for n independent pump/signal/idler(/third) systems."""
-    ap = y[0 * n:1 * n]
-    as_ = y[1 * n:2 * n]
-    ai = y[2 * n:3 * n]
-    a3 = y[3 * n:4 * n] if thg else None
-
-    pp = ap.real**2 + ap.imag**2
-    ps = as_.real**2 + as_.imag**2
-    pi_ = ai.real**2 + ai.imag**2
-    p3 = (a3.real**2 + a3.imag**2) if thg else 0.0
-
-    e = np.exp(-1j * dk * z)
-    if undepleted:
-        dap = (1j * gp * pp - ap_al) * ap
-        das = 1j * gs * (2.0 * pp * as_ + ap * ap * np.conj(ai) * e) - as_al * as_
-        dai = 1j * gi * (2.0 * pp * ai + ap * ap * np.conj(as_) * e) - ai_al * ai
-        if thg:
-            e3 = np.exp(-1j * dk3 * z)
-            da3 = (1j * g3 * (2.0 * pp) - a3_al) * a3 \
-                + 1j * (g3 / 3.0) * ap**3 * e3
-            return np.concatenate([dap, das, dai, da3])
-        return np.concatenate([dap, das, dai])
-
-    dap = 1j * gp * ((pp + 2.0 * ps + 2.0 * pi_ + 2.0 * p3) * ap
-                     + 2.0 * as_ * ai * np.conj(ap) * np.conj(e)) - ap_al * ap
-    das = 1j * gs * ((ps + 2.0 * pp + 2.0 * pi_ + 2.0 * p3) * as_
-                     + ap * ap * np.conj(ai) * e) - as_al * as_
-    dai = 1j * gi * ((pi_ + 2.0 * pp + 2.0 * ps + 2.0 * p3) * ai
-                     + ap * ap * np.conj(as_) * e) - ai_al * ai
-    if thg:
-        e3 = np.exp(-1j * dk3 * z)
-        dap = dap + 1j * gp * np.conj(ap)**2 * a3 * np.conj(e3)
-        da3 = 1j * g3 * ((p3 + 2.0 * pp + 2.0 * ps + 2.0 * pi_) * a3
-                         + ap**3 * e3 / 3.0) - a3_al * a3
-        return np.concatenate([dap, das, dai, da3])
-    return np.concatenate([dap, das, dai])
-
-
 def coupled_mode_rhs(z: float, state: ModeState, gamma: KerrCoefficient,
                      mismatch: PhaseMismatch, include_third_harmonic: bool = False,
                      delta_k_3: float = 0.0,
                      attenuation=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     """Derivative [da_p, da_s, da_i, da_3]/dz of a single mode system."""
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
-    gp = gamma.gamma
+    gammas = (gamma.gamma, gamma.at(f_s, f_p), gamma.at(f_i, f_p),
+              gamma.at(3 * f_p, f_p))
     y = np.array([state.a_p, state.a_s, state.a_i, state.a_3], dtype=complex)
-    y = y.reshape(4, 1) if include_third_harmonic else y[:3].reshape(3, 1)
-    out = _rhs(
-        z, y.ravel(), 1,
-        gp, gamma.at(f_s, f_p), gamma.at(f_i, f_p), gamma.at(3 * f_p, f_p),
-        np.array([mismatch.delta_k_linear]), np.array([delta_k_3]),
-        attenuation[0], attenuation[1], attenuation[2], attenuation[3],
-        undepleted=False, thg=include_third_harmonic,
-    )
+    y = y if include_third_harmonic else y[:3]
+    prop = _Propagator(
+        1, gammas, np.array([mismatch.delta_k_linear]), np.array([delta_k_3]),
+        attenuation,
+        IntegrationOptions(include_third_harmonic=include_third_harmonic))
+    out = prop._rhs(z, y)
     if include_third_harmonic:
         return out
     return np.concatenate([out, [0.0 + 0.0j]])
@@ -202,8 +165,7 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
     prop = _Propagator(
         1, gammas, np.array([mismatch.delta_k_linear]), delta_k_3,
         tuple(np.atleast_1d(a).astype(float) for a in attenuation),
-        float(length), [], (1.0, np.ones(1), np.ones(1), 1.0),
-        options.undepleted, thg, options.rtol, options.atol)
+        options, float(length))
     y = prop.run(y0)
     return ModeState(
         a_p=complex(y[0]), a_s=complex(y[1]), a_i=complex(y[2]),
@@ -298,28 +260,86 @@ def _smooth_background(network: LadderNetwork) -> tuple | None:
 
 
 class _Propagator:
-    """Piecewise ensemble integration with lumped block corrections."""
+    """Piecewise ensemble integration with lumped block corrections.
 
-    def __init__(self, n, gammas, dk, dk3, alphas, total_cells, blocks,
-                 block_factors, undepleted, thg, rtol, atol):
+    The state stacks n independent systems as one flat complex vector,
+    [pump | signals | idlers (| third harmonics)], n entries each.
+    """
+
+    def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
+                 blocks=(), block_factors=None):
+        gp, gs, gi, g3 = gammas
         self.n = n
-        self.gammas = gammas
-        self.dk = dk
-        self.dk3 = dk3
+        # factors of the RHS that do not change along the line, formed once;
+        # each is the leading sub-expression of its term (1j * g * ...,
+        # -1j * dk * z), so forming it here changes no rounding
+        self.jgp, self.jgs, self.jgi, self.jg3 = 1j * gp, 1j * gs, 1j * gi, 1j * g3
+        self.jg3_third = 1j * (g3 / 3.0)
+        self.mjdk = -1j * dk
+        self.mjdk3 = -1j * dk3
         self.alphas = alphas
         self.total_cells = total_cells
         self.blocks = blocks
         self.block_factors = block_factors  # (fp_fac, fs_fac, fi_fac, f3_fac)
-        self.undepleted = undepleted
-        self.thg = thg
-        self.rtol = rtol
-        self.atol = atol
+        self.undepleted = options.undepleted
+        self.thg = options.include_third_harmonic
+        self.rtol = options.rtol
+        self.atol = options.atol
 
     def _rhs(self, z, y):
-        gp, gs, gi, g3 = self.gammas
+        n = self.n
         ap_al, as_al, ai_al, a3_al = self.alphas
-        return _rhs(z, y, self.n, gp, gs, gi, g3, self.dk, self.dk3,
-                    ap_al, as_al, ai_al, a3_al, self.undepleted, self.thg)
+        ap = y[0 * n:1 * n]
+        as_ = y[1 * n:2 * n]
+        ai = y[2 * n:3 * n]
+        out = np.empty_like(y)
+        dap, das, dai = out[0 * n:1 * n], out[1 * n:2 * n], out[2 * n:3 * n]
+
+        pp = ap.real**2 + ap.imag**2
+        pp2 = 2.0 * pp
+        apap = ap * ap
+        e = np.exp(self.mjdk * z)
+        if self.thg:
+            a3 = y[3 * n:4 * n]
+            da3 = out[3 * n:4 * n]
+            e3 = np.exp(self.mjdk3 * z)
+
+        if self.undepleted:
+            np.multiply(self.jgp * pp - ap_al, ap, out=dap)
+            np.subtract(self.jgs * (pp2 * as_ + apap * np.conj(ai) * e),
+                        as_al * as_, out=das)
+            np.subtract(self.jgi * (pp2 * ai + apap * np.conj(as_) * e),
+                        ai_al * ai, out=dai)
+            if self.thg:
+                np.add((self.jg3 * pp2 - a3_al) * a3,
+                       self.jg3_third * ap**3 * e3, out=da3)
+            return out
+
+        ps = as_.real**2 + as_.imag**2
+        pi_ = ai.real**2 + ai.imag**2
+        ps2 = 2.0 * ps
+        pi2 = 2.0 * pi_
+        # cross-phase sums; the third harmonic's 2*p3 is added last
+        sp = pp + ps2 + pi2
+        ss = ps + pp2 + pi2
+        si = pi_ + pp2 + ps2
+        if self.thg:
+            p3 = a3.real**2 + a3.imag**2
+            p32 = 2.0 * p3
+            sp += p32
+            ss += p32
+            si += p32
+        np.subtract(self.jgp * (sp * ap + 2.0 * as_ * ai * np.conj(ap) * np.conj(e)),
+                    ap_al * ap, out=dap)
+        np.subtract(self.jgs * (ss * as_ + apap * np.conj(ai) * e),
+                    as_al * as_, out=das)
+        np.subtract(self.jgi * (si * ai + apap * np.conj(as_) * e),
+                    ai_al * ai, out=dai)
+        if self.thg:
+            dap += self.jgp * np.conj(ap)**2 * a3 * np.conj(e3)
+            np.subtract(self.jg3 * ((p3 + pp2 + ps2 + pi2) * a3 + ap**3 * e3 / 3.0),
+                        a3_al * a3, out=da3)
+        return out
 
     def _apply_block(self, y):
         n = self.n
@@ -348,7 +368,7 @@ class _Propagator:
         y = y0.copy()
         z = 0.0
         zs, ys = [], []
-        stops = self.blocks + [self.total_cells]
+        stops = [*self.blocks, self.total_cells]
         for i, z1 in enumerate(stops):
             if z1 > z:
                 t_eval = None
@@ -363,18 +383,75 @@ class _Propagator:
                 z = z1
             if i < len(self.blocks):
                 y = self._apply_block(y)
+        # each solver is a reference cycle (its RHS closure holds it), so its
+        # stage arrays wait for the cyclic collector; free them now
+        gc.collect(1)
         if n_samples is None:
             return y
         return np.concatenate(zs), np.concatenate(ys, axis=1)
 
 
-def _prepare(network, dispersion, pump, f_s, options, stopband_curve):
-    """Common setup shared by gain integration and the harmonic scan."""
-    f_p, p_p = pump
+@dataclass(frozen=True)
+class PumpedLine:
+    """The linear part of a device pumped at one frequency.
+
+    Everything the coupled-mode solve needs that depends only on the network
+    at zero bias, the dispersion, the pump frequency, the signal grid and
+    the options.  None of it depends on I* (a series inductor at zero bias
+    is l0 * (1 + 0) whatever its I*) or on the pump power, so one line
+    serves every operating point at its pump frequency; see solve_gain.
+    """
+
+    pump_frequency: float
+    signal_frequencies: np.ndarray   # the grid without the pump point
+    k_pump: float                    # rad/cell
+    delta_k: np.ndarray              # k_s + k_i - 2 k_p, rad/cell
+    delta_k_3: float                 # k(3 f_p) - 3 k_p; 0 without the harmonic
+    alphas: tuple                    # nepers/cell: pump, signals, idlers, third
+    in_stopband: np.ndarray          # signal or idler inside a stopband
+    total_cells: float
+    blocks: tuple                    # cell positions of the block corrections
+    block_factors: tuple | None      # pump, signals, idlers, third; None: no blocks
+    options: IntegrationOptions
+
+    def _propagator(self, gamma: KerrCoefficient) -> _Propagator:
+        f_p, f_s = self.pump_frequency, self.signal_frequencies
+        f_i = 2.0 * f_p - f_s
+        gammas = (gamma.gamma,
+                  gamma.gamma * f_s / f_p,
+                  gamma.gamma * f_i / f_p,
+                  3.0 * gamma.gamma)
+        return _Propagator(f_s.size, gammas, self.delta_k, self.delta_k_3,
+                           self.alphas, self.options, self.total_cells,
+                           self.blocks, self.block_factors)
+
+
+def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
+                 pump_frequency: float, signal_grid,
+                 options: IntegrationOptions | None = None,
+                 stopband_curve: DispersionCurve | None = None) -> PumpedLine:
+    """The linear setup of integrate_gain for one pump frequency.
+
+    The arguments mean what they mean for integrate_gain; any signal point
+    at the pump frequency is dropped.  Raises NumericError for a pump inside
+    a stopband, a resonator design without uniform base cells, or a third
+    harmonic beyond the dispersion grid.
+    """
+    options = options or IntegrationOptions()
+    f_p = pump_frequency
     if f_p <= 0:
         raise ValueError("pump frequency must be positive")
-    if p_p < 0:
-        raise ValueError("pump power must be >= 0")
+    if isinstance(signal_grid, FrequencyGrid):
+        f_s = signal_grid.frequencies()
+    else:
+        f_s = np.asarray(signal_grid, dtype=float)
+    keep = np.abs(f_s - f_p) > 1e-9 * f_p
+    f_s = f_s[keep]
+    if np.any(f_s <= 0) or np.any(f_s >= 2 * f_p):
+        raise ValueError("signal frequencies must lie in (0, 2*f_p)")
+    if f_s.size == 0:
+        raise ValueError("signal grid is empty after excluding the pump")
+
     flag_curve = stopband_curve if stopband_curve is not None else dispersion
     if bool(flag_curve.stopband_at(f_p)[0]):
         raise NumericError(
@@ -402,10 +479,7 @@ def _prepare(network, dispersion, pump, f_s, options, stopband_curve):
             f"but the third harmonic needs {f_3 / 1e9:.2f} GHz; extend the grid"
         )
 
-    i_star = network.i_star
     k_p = float(k_curve.k_cell(f_p))
-    gamma = kerr_coefficient(k_p, i_star, options.z0)
-
     f_i = 2.0 * f_p - f_s
     k_s = k_curve.k_cell(f_s)
     k_i = k_curve.k_cell(f_i)
@@ -420,24 +494,68 @@ def _prepare(network, dispersion, pump, f_s, options, stopband_curve):
     )
 
     if has_res:
-        blocks = [float(b * network.cells_per_period)
-                  for b in range(network.repeats)]
-        fac_p = _block_response(network, np.array([f_p]), options.z0)[0]
-        fac_s = _block_response(network, f_s, options.z0) if f_s.size else np.array([])
-        fac_i = _block_response(network, f_i, options.z0) if f_i.size else np.array([])
-        fac_3 = _block_response(network, np.array([f_3]), options.z0)[0] if thg else 1.0
-        block_factors = (fac_p, fac_s, fac_i, fac_3)
+        blocks = tuple(float(b * network.cells_per_period)
+                       for b in range(network.repeats))
+        # one cascade of the block serves every mode frequency
+        n = f_s.size
+        fac = _block_response(
+            network, np.concatenate([[f_p], f_s, f_i, [f_3] if thg else []]),
+            options.z0)
+        block_factors = (fac[0], fac[1:n + 1], fac[n + 1:2 * n + 1],
+                         fac[2 * n + 1] if thg else 1.0)
     else:
-        blocks = []
+        blocks = ()
         block_factors = None
 
-    gammas = (gamma.gamma,
-              gamma.gamma * f_s / f_p,
-              gamma.gamma * f_i / f_p,
-              3.0 * gamma.gamma)
     stop_flags = (np.asarray(flag_curve.stopband_at(f_s))
                   | np.asarray(flag_curve.stopband_at(f_i)))
-    return gamma, gammas, dk, dk3, alphas, blocks, block_factors, stop_flags
+    return PumpedLine(
+        pump_frequency=f_p, signal_frequencies=f_s, k_pump=k_p, delta_k=dk,
+        delta_k_3=dk3, alphas=alphas, in_stopband=stop_flags,
+        total_cells=float(network.total_cells), blocks=blocks,
+        block_factors=block_factors, options=options)
+
+
+def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfile:
+    """Signal gain profile of a prepared line at one operating point.
+
+    ``integrate_gain(network, ...)`` is ``solve_gain(prepare_line(network,
+    ...), network.i_star, pump_power)``.  The profile's arrays are its own.
+    """
+    p_p = pump_power
+    if p_p < 0:
+        raise ValueError("pump power must be >= 0")
+    options = line.options
+    gamma = kerr_coefficient(line.k_pump, i_star, options.z0)
+    f_s, dk = line.signal_frequencies, line.delta_k
+    n = f_s.size
+    if p_p == 0.0:
+        return GainProfile(f_s.copy(), np.zeros(n), line.pump_frequency, 0.0,
+                           dk.copy(), dk.copy(), line.in_stopband.copy(), i_star)
+
+    seed_p = p_p * 10.0 ** (options.seed_level_db / 10.0)
+    seed_amp = math.sqrt(seed_p)
+    y0 = np.concatenate([
+        np.full(n, math.sqrt(p_p), dtype=complex),
+        np.full(n, seed_amp, dtype=complex),
+        np.zeros(n, dtype=complex),
+    ] + ([np.zeros(n, dtype=complex)] if options.include_third_harmonic else []))
+
+    y = line._propagator(gamma).run(y0)
+    amp = np.abs(y[n:2 * n])
+    with np.errstate(divide="ignore"):
+        gain_db = 20.0 * np.log10(np.maximum(amp / seed_amp, 1e-300))
+    gain_db = np.maximum(gain_db, GAIN_FLOOR_DB)
+    return GainProfile(
+        frequencies=f_s.copy(),
+        gain_db=gain_db,
+        pump_frequency=line.pump_frequency,
+        pump_power=p_p,
+        delta_k_linear=dk.copy(),
+        delta_k_total=dk + 2.0 * gamma.gamma * p_p,
+        in_stopband=line.in_stopband.copy(),
+        i_star=i_star,
+    )
 
 
 def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
@@ -455,55 +573,10 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     Gain is 20*log10 |a_s(L)/a_s(0)| with Bloch attenuation folded in; a
     zero-power pump short-circuits to an identically zero profile.
     """
-    options = options or IntegrationOptions()
     f_p, p_p = pump
-    if isinstance(signal_grid, FrequencyGrid):
-        f_s = signal_grid.frequencies()
-    else:
-        f_s = np.asarray(signal_grid, dtype=float)
-    keep = np.abs(f_s - f_p) > 1e-9 * f_p
-    f_s = f_s[keep]
-    if np.any(f_s <= 0) or np.any(f_s >= 2 * f_p):
-        raise ValueError("signal frequencies must lie in (0, 2*f_p)")
-    if f_s.size == 0:
-        raise ValueError("signal grid is empty after excluding the pump")
-
-    gamma, gammas, dk, dk3, alphas, blocks, block_factors, stop_flags = _prepare(
-        network, dispersion, pump, f_s, options, stopband_curve)
-
-    n = f_s.size
-    if p_p == 0.0:
-        return GainProfile(f_s, np.zeros(n), f_p, 0.0, dk, dk.copy(),
-                           stop_flags, network.i_star)
-
-    seed_p = p_p * 10.0 ** (options.seed_level_db / 10.0)
-    seed_amp = math.sqrt(seed_p)
-    y0 = np.concatenate([
-        np.full(n, math.sqrt(p_p), dtype=complex),
-        np.full(n, seed_amp, dtype=complex),
-        np.zeros(n, dtype=complex),
-    ] + ([np.zeros(n, dtype=complex)] if options.include_third_harmonic else []))
-
-    if block_factors is None:
-        block_factors = (1.0, np.ones(n), np.ones(n), 1.0)
-    prop = _Propagator(n, gammas, dk, dk3, alphas, float(network.total_cells),
-                       blocks, block_factors, options.undepleted,
-                       options.include_third_harmonic, options.rtol, options.atol)
-    y = prop.run(y0)
-    amp = np.abs(y[n:2 * n])
-    with np.errstate(divide="ignore"):
-        gain_db = 20.0 * np.log10(np.maximum(amp / seed_amp, 1e-300))
-    gain_db = np.maximum(gain_db, GAIN_FLOOR_DB)
-    return GainProfile(
-        frequencies=f_s,
-        gain_db=gain_db,
-        pump_frequency=f_p,
-        pump_power=p_p,
-        delta_k_linear=dk,
-        delta_k_total=dk + 2.0 * gamma.gamma * p_p,
-        in_stopband=stop_flags,
-        i_star=network.i_star,
-    )
+    line = prepare_line(network, dispersion, f_p, signal_grid, options,
+                        stopband_curve)
+    return solve_gain(line, network.i_star, p_p)
 
 
 def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
@@ -516,17 +589,12 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("harmonic scan requires a nonzero pump")
-    f_s = np.array([f_p / 2.0])  # placeholder mode, seeded with zero power
-    gamma, gammas, dk, dk3, alphas, blocks, block_factors, _ = _prepare(
-        network, dispersion, pump, f_s, options, stopband_curve)
-    n = 1
+    # one placeholder signal mode, seeded with zero power
+    line = prepare_line(network, dispersion, f_p, np.array([f_p / 2.0]),
+                        options, stopband_curve)
+    gamma = kerr_coefficient(line.k_pump, network.i_star, options.z0)
     y0 = np.array([math.sqrt(p_p), 0.0, 0.0, 0.0], dtype=complex)
-    if block_factors is None:
-        block_factors = (1.0, np.ones(n), np.ones(n), 1.0)
-    prop = _Propagator(n, gammas, dk, dk3, alphas, float(network.total_cells),
-                       blocks, block_factors, options.undepleted, True,
-                       options.rtol, options.atol)
-    z, y = prop.run(y0, n_samples)
+    z, y = line._propagator(gamma).run(y0, n_samples)
     return HarmonicScan(
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,

@@ -213,7 +213,8 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.write_lines("sweep.csv", sweep_csv_rows(result))
         if result.failures:
             emit.write_lines("sweep_failures.txt", [
-                f"index {i}: {msg}" for i, msg in result.failures])
+                f"index {i}: {kind}: {msg}"
+                for i, kind, msg in result.failures])
 
     elif subcommand == "calibrate":
         _require(config.calibration is not None,

@@ -15,7 +15,9 @@ from kitwpa.analysis import (
 )
 from kitwpa.circuit import (
     FishboneSpec,
+    LeafSpec,
     NonlinearInductorSpec,
+    ResonatorSpec,
     UnitCellSpec,
 )
 from kitwpa.dispersion import FrequencyGrid
@@ -25,6 +27,11 @@ from kitwpa.fwm import GainProfile
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
 SMALL_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=90)
 DISP_GRID = FrequencyGrid(0.1e9, 26e9, 8001)
+PARITY_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=30)
+PARITY_LEAF = LeafSpec(
+    base_cell=UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15),
+    cells_per_block_period=60, resonator=ResonatorSpec(6.2e9, 70.0),
+    num_blocks=3)
 
 
 def synthetic_profile(f, gain_db, f_p=6e9, p_p=100e-6):
@@ -124,6 +131,18 @@ class TestCalibration:
         assert res.residual_db < 0.1
         assert res.metrics.peak_gain_db == pytest.approx(6.0, abs=0.1)
         assert 1e-3 < res.i_star < 100e-3
+        # the probes share one linear setup; the result is still exactly
+        # the gain of the design at the returned I*
+        from kitwpa.analysis import design_with_istar, expand_design
+        from kitwpa.dispersion import device_dispersion
+        from kitwpa.fwm import integrate_gain
+        net = expand_design(design_with_istar(SMALL_FISHBONE, res.i_star))
+        curve = device_dispersion(net, DISP_GRID)
+        direct = integrate_gain(net, curve, (6.22e9, 100e-6), grid,
+                                stopband_curve=curve)
+        assert np.array_equal(res.profile.gain_db, direct.gain_db)
+        assert np.array_equal(res.profile.delta_k_total, direct.delta_k_total)
+        assert res.profile.i_star == direct.i_star
 
     def test_calibration_deterministic(self):
         grid = np.linspace(5.7e9, 6.7e9, 41)
@@ -193,7 +212,8 @@ class TestSweep:
         grid = np.linspace(4.8e9, 7.8e9, 61)
         res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
                     SweepAxis("pump_frequency", fps), grid, DISP_GRID)
-        assert len(res.failures) == 1 and res.failures[0][0] == 3
+        assert len(res.failures) == 1 and res.failures[0][:2] == (3, "NumericError")
+        assert "stopband" in res.failures[0][2]
         g = np.array(res.metrics["peak_gain_db"][:3])
         # peak gain grows as the pump approaches the stopband from below
         assert g[2] == np.nanmax(g)
@@ -205,6 +225,77 @@ class TestSweep:
         rows = sweep_csv_rows(res)
         assert rows[0].startswith("i_star,peak_gain_db")
         assert len(rows) == 3
+
+    def test_programming_error_propagates(self):
+        # a TypeError is a bug, not a failing operating point
+        with pytest.raises(TypeError):
+            sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
+                  SweepAxis("num_periods", (90, None)),
+                  np.linspace(5.7e9, 6.7e9, 11), DISP_GRID)
+
+    def test_integer_field_takes_integral_floats(self):
+        # a config gives every sweep value as a float
+        grid = np.linspace(5.7e9, 6.7e9, 11)
+        res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
+                    SweepAxis("num_periods", (np.float64(90.0), 90.5)),
+                    grid, DISP_GRID)
+        _, direct, _ = simulate_gain(SMALL_FISHBONE, (6.22e9, 100e-6), grid,
+                                     DISP_GRID)
+        assert res.metrics["peak_gain_db"][0] == direct.peak_gain_db
+        assert res.failures == (
+            (1, "ValueError", "num_periods must be an integer, got 90.5"),)
+
+    @pytest.mark.parametrize("design, pump, axis, rebuilds", [
+        (PARITY_FISHBONE, (6.22e9, 100e-6),
+         SweepAxis("pump_power", (60e-6, 100e-6, 60e-6)), (1, 1)),
+        (PARITY_FISHBONE, (6.22e9, 100e-6),
+         SweepAxis("i_star", (9e-3, 12e-3)), (1, 1)),
+        (PARITY_FISHBONE, (6.22e9, 100e-6),
+         SweepAxis("pump_frequency", (6.0e9, 6.22e9)), (1, 2)),
+        (PARITY_FISHBONE, (6.22e9, 100e-6),
+         SweepAxis("num_periods", (30, 33)), (2, 2)),
+        (PARITY_LEAF, (5.92e9, 60e-6),
+         SweepAxis("pump_power", (40e-6, 60e-6)), (1, 1)),
+        (PARITY_LEAF, (5.92e9, 60e-6),
+         SweepAxis("i_star", (9e-3, 12e-3)), (1, 1)),
+        (PARITY_LEAF, (5.92e9, 60e-6),
+         SweepAxis("pump_frequency", (5.85e9, 5.92e9)), (1, 2)),
+        (PARITY_LEAF, (5.92e9, 60e-6),
+         SweepAxis("num_blocks", (3, 4)), (2, 2)),
+    ], ids=[f"{d}-{a}" for d in ("fishbone", "leaf")
+            for a in ("pump_power", "i_star", "pump_frequency", "design_field")])
+    def test_shared_points_equal_fresh_points(self, monkeypatch, design, pump,
+                                              axis, rebuilds):
+        # points that share the expanded device or the pumped line give the
+        # numbers of a fresh simulate_gain, bit for bit
+        import kitwpa.analysis as analysis
+        from kitwpa.analysis import _apply_parameter
+
+        calls = {"expand": 0, "prepare": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        names = ("peak_gain_db", "peak_frequency_hz",
+                 "double_sided_bw_3db_hz", "ripple_db")
+        grid = np.linspace(pump[0] - 0.6e9, pump[0] + 0.6e9, 13)
+        disp = FrequencyGrid(0.1e9, 26e9, 2001)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "expand_design",
+                      counting("expand", analysis.expand_design))
+            m.setattr(analysis, "prepare_line",
+                      counting("prepare", analysis.prepare_line))
+            res = sweep(design, pump, axis, grid, disp, metric_names=names)
+        assert (calls["expand"], calls["prepare"]) == rebuilds
+        assert not res.failures
+        for i, v in enumerate(axis.values):
+            d, p = _apply_parameter(design, pump, axis.parameter, v)
+            _, fresh, _ = simulate_gain(d, p, grid, disp)
+            for name in names:
+                assert res.metrics[name][i] == getattr(fresh, name)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):

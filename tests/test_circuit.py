@@ -194,6 +194,7 @@ class TestLeafExpansion:
         net = expand_leaf(spec)
         assert not net.has_resonators()
         assert net.total_cells == 340
+        assert (len(net.period), net.repeats) == (2, 340)
 
     def test_electrical_length_70_wavelengths(self):
         # phase per cell at 6 GHz ~ omega*sqrt(LC) = 0.219 rad
@@ -259,8 +260,23 @@ class TestLadderNetwork:
         assert net.total_cells == 1136 * 22
 
     def test_short_fishbone_is_its_chain_once(self):
+        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=1))
+        assert (len(net.period), net.repeats, net.tail) == (44, 1, ())
+        # two supercells loaded alike: one supercell is the period
         net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=2))
-        assert (len(net.period), net.repeats, net.tail) == (88, 1, ())
+        assert (len(net.period), net.repeats, net.tail) == (44, 2, ())
+
+    @pytest.mark.parametrize("loaded, every_third, num_periods, shape", [
+        (2, 2, 45, (44, 45, 0)),     # every supercell alike: one supercell
+        (0, 0, 7, (2, 154, 0)),      # unloaded: one cell
+    ])
+    def test_fishbone_period_is_shortest(self, loaded, every_third,
+                                         num_periods, shape):
+        net = expand_fishbone(FishboneSpec(
+            base_cell=fishbone_cell(), loaded_cells=loaded,
+            loaded_cells_every_third=every_third, num_periods=num_periods))
+        assert (len(net.period), net.repeats, len(net.tail)) == shape
+        assert net.total_cells == 22 * num_periods
 
 
 class TestNetlistRoundTrip:

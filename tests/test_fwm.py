@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -249,6 +250,93 @@ class TestCoupledModeRhs:
         assert d[3] != 0.0   # pump alone feeds the harmonic
         d0 = coupled_mode_rhs(0.0, s, gamma, PhaseMismatch(0.0, 0.0))
         assert d0[3] == 0.0  # channel disabled
+
+
+def reference_rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al,
+                  a3_al, undepleted, thg):
+    """The coupled-mode RHS written out term by term, as the propagator's
+    RHS must evaluate it (same operations, same order)."""
+    ap = y[0 * n:1 * n]
+    as_ = y[1 * n:2 * n]
+    ai = y[2 * n:3 * n]
+    a3 = y[3 * n:4 * n] if thg else None
+
+    pp = ap.real**2 + ap.imag**2
+    ps = as_.real**2 + as_.imag**2
+    pi_ = ai.real**2 + ai.imag**2
+    p3 = (a3.real**2 + a3.imag**2) if thg else 0.0
+
+    e = np.exp(-1j * dk * z)
+    if undepleted:
+        dap = (1j * gp * pp - ap_al) * ap
+        das = 1j * gs * (2.0 * pp * as_ + ap * ap * np.conj(ai) * e) - as_al * as_
+        dai = 1j * gi * (2.0 * pp * ai + ap * ap * np.conj(as_) * e) - ai_al * ai
+        if thg:
+            e3 = np.exp(-1j * dk3 * z)
+            da3 = (1j * g3 * (2.0 * pp) - a3_al) * a3 \
+                + 1j * (g3 / 3.0) * ap**3 * e3
+            return np.concatenate([dap, das, dai, da3])
+        return np.concatenate([dap, das, dai])
+
+    dap = 1j * gp * ((pp + 2.0 * ps + 2.0 * pi_ + 2.0 * p3) * ap
+                     + 2.0 * as_ * ai * np.conj(ap) * np.conj(e)) - ap_al * ap
+    das = 1j * gs * ((ps + 2.0 * pp + 2.0 * pi_ + 2.0 * p3) * as_
+                     + ap * ap * np.conj(ai) * e) - as_al * as_
+    dai = 1j * gi * ((pi_ + 2.0 * pp + 2.0 * ps + 2.0 * p3) * ai
+                     + ap * ap * np.conj(as_) * e) - ai_al * ai
+    if thg:
+        e3 = np.exp(-1j * dk3 * z)
+        dap = dap + 1j * gp * np.conj(ap)**2 * a3 * np.conj(e3)
+        da3 = 1j * g3 * ((p3 + 2.0 * pp + 2.0 * ps + 2.0 * pi_) * a3
+                         + ap**3 * e3 / 3.0) - a3_al * a3
+        return np.concatenate([dap, das, dai, da3])
+    return np.concatenate([dap, das, dai])
+
+
+class TestPropagatorRhs:
+    @pytest.mark.parametrize("undepleted", [False, True])
+    @pytest.mark.parametrize("thg", [False, True])
+    def test_matches_reference_bit_for_bit(self, undepleted, thg):
+        from kitwpa.fwm import _Propagator
+
+        rng = np.random.default_rng(3)
+        n = 57
+        f_s = np.sort(rng.uniform(4e9, 8e9, n))
+        g = 1e3 * rng.uniform(0.5, 2.0)
+        gammas = (g, g * f_s / 6e9, g * (12e9 - f_s) / 6e9, 3.0 * g)
+        dk = rng.normal(0.0, 1e-3, n)
+        dk3 = float(rng.normal(0.0, 1e-2))
+        alphas = (float(rng.uniform(0, 1e-5)), rng.uniform(0, 1e-5, n),
+                  rng.uniform(0, 1e-5, n), float(rng.uniform(0, 1e-4)))
+        prop = _Propagator(n, gammas, dk, dk3, alphas,
+                           IntegrationOptions(undepleted=undepleted,
+                                              include_third_harmonic=thg))
+        modes = 4 if thg else 3
+        for _ in range(20):
+            y = (rng.normal(0, 1e-2, modes * n)
+                 + 1j * rng.normal(0, 1e-2, modes * n))
+            z = float(rng.uniform(0, 5000))
+            want = reference_rhs(z, y, n, *gammas, dk, dk3, *alphas,
+                                 undepleted, thg)
+            got = prop._rhs(z, y)
+            assert np.array_equal(got.view(float), want.view(float))
+
+    def test_solver_garbage_freed_without_the_collector(self, small_fishbone):
+        # an RK45 solver is a reference cycle; the propagator frees each one
+        # itself rather than leave its stage arrays to the cyclic collector
+        from scipy.integrate import RK45
+
+        net, curve = small_fishbone
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            integrate_gain(net, curve, (6.22e9, 100e-6), np.array([6.0e9]))
+            left = [o for o in gc.get_objects() if isinstance(o, RK45)]
+        finally:
+            if enabled:
+                gc.enable()
+        assert left == []
 
 
 class TestPhaseMismatch:

@@ -197,11 +197,13 @@ class TestRunner:
         cfg_text = SMALL_FISHBONE_CFG.replace(
             "  integrator: {rtol: 1.0e-8}",
             "  integrator: {rtol: 1.0e-8}\n"
-            "  sweep: {parameter: pump_power, values: [5.0e-5, 1.0e-4]}")
+            "  sweep: {parameter: pump_power, values: [5.0e-5, 1.0e-4, -1.0e-4]}")
         cfg = load_config(write_cfg(tmp_path, cfg_text))
         run("sweep", cfg, out_dir=tmp_path / "out")
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 3 and rows[0].startswith("pump_power")
+        assert len(rows) == 4 and rows[0].startswith("pump_power")
+        failures = (tmp_path / "out" / "sweep_failures.txt").read_text()
+        assert failures == "index 2: ValueError: pump power must be >= 0\n"
 
     def test_netlist_design_through_linear(self, tmp_path):
         # one supercell: the netlist's shortest period is the whole chain
@@ -229,7 +231,14 @@ analysis:
         "    i_star_amperes: 10.0e-3\n    num_periods: 47\n",
         "  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
         "    i_star_amperes: 11.5e-3\n    num_blocks: 3\n",
-    ], ids=["fishbone", "leaf"])
+        # degenerate loadings whose period is shorter than the nominal one
+        "  fishbone:\n    l_henries: 50.0e-12\n    c_farads: 20.0e-15\n"
+        "    i_star_amperes: 10.0e-3\n    num_periods: 45\n"
+        "    loaded_cells: 2\n    loaded_cells_every_third: 2\n",
+        "  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
+        "    i_star_amperes: 11.5e-3\n    num_blocks: 2\n"
+        "    pairs_per_block: 0\n",
+    ], ids=["fishbone", "leaf", "fishbone-loaded-alike", "leaf-no-pairs"])
     def test_design_netlist_matches_spec_outputs(self, tmp_path, design):
         grid = ("analysis:\n  frequency_grid: "
                 "{start_hz: 0.1e9, stop_hz: 20.0e9, points: 801}\n")
