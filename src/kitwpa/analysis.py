@@ -75,6 +75,9 @@ def _smooth(f: np.ndarray, g: np.ndarray, window_hz: float) -> np.ndarray:
     n = max(1, int(round(window_hz / df)))
     if n % 2 == 0:
         n += 1
+    # np.convolve's "same" output is as long as the longer input, so keep the
+    # kernel within the profile: the largest odd length that fits
+    n = min(n, g.size - 1 + g.size % 2)
     if n == 1:
         return g.copy()
     kernel = np.ones(n)

@@ -226,14 +226,16 @@ def load_config(path, strict: bool = True) -> RunConfig:
         signal_grid = _parse_grid(analysis.child("signal_grid"))
         integ = analysis.child("integrator")
         if integ is not None:
+            # a field the section leaves out keeps its IntegrationOptions default
             integrator = IntegrationOptions(
-                undepleted=integ.bool_("undepleted", False),
-                include_third_harmonic=integ.bool_("include_third_harmonic",
-                                                   False),
-                seed_level_db=integ.float_("seed_level_db", -60.0),
-                rtol=integ.float_("rtol", 1e-8),
-                atol=integ.float_("atol", 1e-14),
-                z0=integ.float_("z0_ohms", 50.0),
+                undepleted=integ.bool_("undepleted", integrator.undepleted),
+                include_third_harmonic=integ.bool_(
+                    "include_third_harmonic", integrator.include_third_harmonic),
+                seed_level_db=integ.float_("seed_level_db",
+                                           integrator.seed_level_db),
+                rtol=integ.float_("rtol", integrator.rtol),
+                atol=integ.float_("atol", integrator.atol),
+                z0=integ.float_("z0_ohms", integrator.z0),
             )
             integ.require_consumed(strict)
         cal = analysis.child("calibration")

@@ -213,6 +213,15 @@ def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> StopbandRe
     return StopbandReport(bands=tuple(bands))
 
 
+def s21_over_bare(block: LadderNetwork, f, z_ref: float = 50.0) -> np.ndarray:
+    """s21 of a block over s21 of the equal-length ladder with its
+    resonators removed, at each frequency of ``f``."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    loaded = to_s_parameters(network_matrix(block, f), f, z_ref).s21
+    plain = to_s_parameters(network_matrix(bare_ladder(block), f), f, z_ref).s21
+    return loaded / plain
+
+
 def resonator_phase_shift(block: LadderNetwork, f, z_ref: float = 50.0):
     """Extra pump phase and insertion loss of one resonator block.
 
@@ -233,12 +242,10 @@ def resonator_phase_shift(block: LadderNetwork, f, z_ref: float = 50.0):
             f"phase shifter operated at or above resonance ({f_r:.4g} Hz); "
             "outside the operating region"
         )
-    loaded = to_s_parameters(network_matrix(block, f_arr), f_arr, z_ref)
-    plain = to_s_parameters(network_matrix(bare_ladder(block), f_arr), f_arr, z_ref)
-    dphi = np.angle(loaded.s21) - np.angle(plain.s21)
-    dphi = (dphi + np.pi) % TWO_PI - np.pi
+    ratio = s21_over_bare(block, f_arr, z_ref)
+    dphi = (np.angle(ratio) + np.pi) % TWO_PI - np.pi
     shift = -dphi  # extra delay counted positive
-    loss_db = -20.0 * np.log10(np.abs(loaded.s21) / np.abs(plain.s21))
+    loss_db = -20.0 * np.log10(np.abs(ratio))
     if np.isscalar(f) or np.asarray(f).ndim == 0:
         return float(shift[0]), float(loss_db[0])
     return shift, loss_db

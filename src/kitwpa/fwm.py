@@ -20,10 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .circuit import LadderNetwork, SeriesInductor, ShuntCapacitor, bare_ladder
-from .dispersion import DispersionCurve, uniform_cell_dispersion
+from .circuit import LadderNetwork, SeriesInductor, ShuntCapacitor
+from .dispersion import DispersionCurve, s21_over_bare, uniform_cell_dispersion
 from .errors import NumericError
-from .twoport import FrequencyGrid, network_matrix, to_s_parameters
+# network_matrix is not called in this module; it is imported into it because
+# bench/tracing.py rebinds it here to record spans
+from .twoport import FrequencyGrid, network_matrix  # noqa: F401
 
 __all__ = [
     "KerrCoefficient",
@@ -204,7 +206,7 @@ class IntegrationOptions:
     undepleted: bool = False
     include_third_harmonic: bool = False
     seed_level_db: float = -60.0   # signal seed relative to the pump
-    rtol: float = 1e-8
+    rtol: float = 1e-9
     atol: float = 1e-14
     z0: float = 50.0               # line impedance for the power-current map
 
@@ -235,19 +237,6 @@ class HarmonicScan:
     def conversion_efficiency(self) -> float:
         """|a_3(L)|^2 / P_p at the output."""
         return float(self.p_third[-1] / self.pump_power)
-
-
-def _block_response(network: LadderNetwork, f: np.ndarray, z0: float):
-    """Complex per-block correction s21(block) / s21(equal bare ladder)."""
-    block = network.one_period()
-    f = np.atleast_1d(f)
-    loaded = to_s_parameters(network_matrix(block, f), f, z0).s21
-    plain = to_s_parameters(network_matrix(bare_ladder(block), f), f, z0).s21
-    ratio = loaded / plain
-    mag = np.abs(ratio)
-    # physics phasor convention: extra delay appears as a positive phase
-    theta = -np.angle(ratio)
-    return mag * np.exp(1j * theta)
 
 
 def _smooth_background(network: LadderNetwork) -> tuple | None:
@@ -351,34 +340,41 @@ class _Propagator:
             y[3 * n:4 * n] *= f3_fac
         return y
 
-    def _segment(self, z0, z1, y, t_eval=None):
-        sol = solve_ivp(self._rhs, (z0, z1), y, method="RK45",
-                        rtol=self.rtol, atol=self.atol, t_eval=t_eval)
-        if not sol.success:
-            raise NumericError(
-                f"coupled-mode integration failed on z in [{z0:g}, {z1:g}] "
-                f"cells: {sol.message}"
-            )
-        return sol
-
     def run(self, y0, n_samples=None):
         """Integrate over the whole line, applying each block correction at
         its position.  Returns the output state; with ``n_samples``, the
-        trajectory (z, y) sampled on about that many points instead."""
+        trajectory (z, y) sampled on about that many points instead.
+
+        Each segment between blocks starts from the step size the previous
+        one had reached: a block correction is a jump in the amplitudes, not
+        in the smoothness of the RHS, and error control still rejects a
+        carried step that is too large."""
         y = y0.copy()
         z = 0.0
+        h = None
         zs, ys = [], []
         stops = [*self.blocks, self.total_cells]
         for i, z1 in enumerate(stops):
             if z1 > z:
-                t_eval = None
+                sol = solve_ivp(self._rhs, (z, z1), y, method="DOP853",
+                                rtol=self.rtol, atol=self.atol,
+                                first_step=None if h is None else min(h, z1 - z),
+                                dense_output=n_samples is not None)
+                if not sol.success:
+                    raise NumericError(
+                        f"coupled-mode integration failed on z in [{z:g}, "
+                        f"{z1:g}] cells: {sol.message}"
+                    )
+                steps = np.diff(sol.t)
+                # the last step may be clipped at z1; carry the one before it
+                if steps.size > 1:
+                    h = steps[-2]
+                elif h is None:
+                    h = steps[-1]
                 if n_samples is not None:
                     pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
-                    t_eval = np.linspace(z, z1, pts)
-                sol = self._segment(z, z1, y, t_eval)
-                if n_samples is not None:
-                    zs.append(sol.t)
-                    ys.append(sol.y)
+                    zs.append(np.linspace(z, z1, pts))
+                    ys.append(sol.sol(zs[-1]))
                 y = sol.y[:, -1].copy()
                 z = z1
             if i < len(self.blocks):
@@ -496,11 +492,14 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
     if has_res:
         blocks = tuple(float(b * network.cells_per_period)
                        for b in range(network.repeats))
-        # one cascade of the block serves every mode frequency
+        # one cascade of the block serves every mode frequency; the factor
+        # is the conjugate of s21(block) / s21(bare ladder) because the
+        # amplitudes use the physics phasor convention, where extra delay
+        # is a positive phase
         n = f_s.size
-        fac = _block_response(
-            network, np.concatenate([[f_p], f_s, f_i, [f_3] if thg else []]),
-            options.z0)
+        fac = np.conj(s21_over_bare(
+            network.one_period(),
+            np.concatenate([[f_p], f_s, f_i, [f_3] if thg else []]), options.z0))
         block_factors = (fac[0], fac[1:n + 1], fac[n + 1:2 * n + 1],
                          fac[2 * n + 1] if thg else 1.0)
     else:

@@ -3,6 +3,7 @@ import pytest
 
 from kitwpa.analysis import (
     GainMetrics,
+    _smooth,
     OperatingPoint,
     SweepAxis,
     calibrate_istar,
@@ -84,6 +85,15 @@ class TestGainMetrics:
         g = 15.0 + 1.0 * np.sin(2 * np.pi * f / 20e6)
         m = gain_metrics(synthetic_profile(f, g))
         assert m.ripple_db == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("points", [2, 3, 100, 101])
+    def test_smooth_keeps_profile_length(self, points):
+        # a 100 MHz window over a 50 MHz grid is longer than the profile
+        f = np.linspace(6.0e9, 6.05e9, points)
+        g = np.linspace(1.0, 2.0, points)
+        smooth = _smooth(f, g, 100e6)
+        assert smooth.shape == g.shape
+        assert np.all((smooth >= 1.0) & (smooth <= 2.0))
 
     def test_smoothing_window_override(self):
         f = np.linspace(5e9, 7e9, 2001)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -321,22 +322,25 @@ class TestPropagatorRhs:
             got = prop._rhs(z, y)
             assert np.array_equal(got.view(float), want.view(float))
 
-    def test_solver_garbage_freed_without_the_collector(self, small_fishbone):
-        # an RK45 solver is a reference cycle; the propagator frees each one
-        # itself rather than leave its stage arrays to the cyclic collector
-        from scipy.integrate import RK45
+    def test_solver_garbage_freed_without_the_collector(self, small_fishbone,
+                                                        small_leaf):
+        # a scipy ODE solver is a reference cycle; the propagator frees each
+        # one itself rather than leave its stage arrays to the cyclic
+        # collector, also when a line is solved in several segments (leaf)
+        from scipy.integrate import OdeSolver
 
-        net, curve = small_fishbone
-        gc.collect()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            integrate_gain(net, curve, (6.22e9, 100e-6), np.array([6.0e9]))
-            left = [o for o in gc.get_objects() if isinstance(o, RK45)]
-        finally:
-            if enabled:
-                gc.enable()
-        assert left == []
+        for (net, curve), pump in ((small_fishbone, PUMPS["small_fishbone"]),
+                                   (small_leaf, PUMPS["small_leaf"])):
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                integrate_gain(net, curve, pump, np.array([pump[0] - 0.22e9]))
+                left = [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+            finally:
+                if enabled:
+                    gc.enable()
+            assert left == []
 
 
 class TestPhaseMismatch:
@@ -377,6 +381,76 @@ def small_fishbone():
     net = expand_fishbone(FishboneSpec(base_cell=FISH_CELL, num_periods=90))
     grid = FrequencyGrid(0.1e9, 26e9, 8001)
     return net, device_dispersion(net, grid)
+
+
+@pytest.fixture(scope="module")
+def small_leaf():
+    # 4 resonator blocks of 340 cells: the line is solved in 4 segments
+    net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, cells_per_block_period=340,
+                               resonator=ResonatorSpec(6.2e9, 70.0),
+                               num_blocks=4))
+    grid = FrequencyGrid(0.1e9, 20e9, 3001)
+    return net, device_dispersion(net, grid)
+
+
+# a pump (frequency, power) in a passband of each small device
+PUMPS = {"small_fishbone": (6.22e9, 100e-6), "small_leaf": (5.92e9, 60e-6)}
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("device", ["small_fishbone", "small_leaf"])
+    def test_default_tolerance_within_error_budget(self, request, device):
+        # the default options stay within 1e-6 dB of a tight-tolerance run
+        net, curve = request.getfixturevalue(device)
+        pump = PUMPS[device]
+        f = np.linspace(pump[0] - 1.7e9, pump[0] + 1.5e9, 41)
+        got = integrate_gain(net, curve, pump, f, stopband_curve=curve)
+        ref = integrate_gain(net, curve, pump, f, IntegrationOptions(rtol=1e-12),
+                             stopband_curve=curve)
+        assert np.max(got.gain_db) > 1.0
+        assert np.max(np.abs(got.gain_db - ref.gain_db)) < 1e-6
+
+    def test_step_size_carried_across_blocks(self, small_fishbone, monkeypatch):
+        # blocks whose corrections are exactly 1 only cut the line into
+        # segments: each segment must pick up the step size the previous one
+        # reached instead of searching for it again
+        import kitwpa.fwm as fwm
+
+        net, curve = small_fishbone
+        f_p, p_p = PUMPS["small_fishbone"]
+        f = np.linspace(5.0e9, 7.4e9, 41)
+        line = fwm.prepare_line(net, curve, f_p, f, stopband_curve=curve)
+        cells = line.total_cells
+        blocked = dataclasses.replace(
+            line, blocks=tuple(b * cells / 8 for b in range(8)),
+            block_factors=(1.0, np.ones(f.size), np.ones(f.size), 1.0))
+
+        solve_ivp = fwm.solve_ivp
+
+        def solve(line, restart=False):
+            """Gain, RHS evaluations and segments of one solve; ``restart``
+            drops the carried step, so each segment searches afresh."""
+            nfev = []
+
+            def counting(*args, **kwargs):
+                if restart:
+                    kwargs["first_step"] = None
+                sol = solve_ivp(*args, **kwargs)
+                nfev.append(sol.nfev)
+                return sol
+
+            monkeypatch.setattr(fwm, "solve_ivp", counting)
+            gain = fwm.solve_gain(line, net.i_star, p_p).gain_db
+            return gain, sum(nfev), len(nfev)
+
+        whole, _, segments = solve(line)
+        assert segments == 1
+        carried, carried_evals, segments = solve(blocked)
+        assert segments == 8
+        _, restarted_evals, _ = solve(blocked, restart=True)
+        assert np.max(np.abs(carried - whole)) < 1e-7
+        # measured 237 carried against 496 restarted
+        assert carried_evals < 0.6 * restarted_evals
 
 
 class TestIntegrateGain:

@@ -7,6 +7,7 @@ from kitwpa.circuit import FishboneSpec, LeafSpec
 from kitwpa.cli import main
 from kitwpa.config import load_config
 from kitwpa.errors import ConfigError
+from kitwpa.fwm import IntegrationOptions
 from kitwpa.runner import run
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
@@ -106,6 +107,20 @@ design:
 """)
         cfg = load_config(p)
         assert cfg.design.base_cell.inductor.l0 == 50e-12
+
+    def test_integrator_defaults_are_the_options_defaults(self, tmp_path):
+        design = """
+design:
+  fishbone: {l_henries: 5e-11, c_farads: 2e-14, i_star_amperes: 1e-2,
+             num_periods: 3}
+"""
+        bare = load_config(write_cfg(tmp_path, design, "bare.cfg"))
+        assert bare.integrator == IntegrationOptions()
+        # a section that sets one field leaves the others at their defaults
+        partial = load_config(write_cfg(
+            tmp_path, design + "analysis:\n  integrator: {undepleted: false}\n",
+            "partial.cfg"))
+        assert partial.integrator == IntegrationOptions()
 
     def test_netlist_variant_requires_existing_file(self, tmp_path):
         p = write_cfg(tmp_path, "design:\n  netlist: missing.net\n")
@@ -304,6 +319,18 @@ class TestCli:
         rc = main(["gain", "--config", str(netcfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "repeating period" in capsys.readouterr().err
+
+    def test_cli_gain_on_grid_narrower_than_smoothing_window(self, tmp_path):
+        # 100 points over 50 MHz: the 100 MHz smoothing window would span 199
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "signal_grid: {start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}",
+            "signal_grid: {start_hz: 6.0e9, stop_hz: 6.05e9, points: 100}"))
+        with pytest.warns(UserWarning, match="3 dB"):
+            rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        lines = (tmp_path / "o" / "metrics.txt").read_text().splitlines()
+        values = [float(line.partition("=")[2]) for line in lines]
+        assert len(values) > 0 and np.all(np.isfinite(values))
 
     def test_cli_seed_level_override(self, tmp_path):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
