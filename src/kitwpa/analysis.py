@@ -39,6 +39,7 @@ from .fwm import (
     prepare_line,
     solve_gain,
 )
+from .twoport import report_lines, table_lines
 
 __all__ = [
     "GainMetrics",
@@ -412,12 +413,8 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
 
 
 def sweep_csv_rows(result: SweepResult):
-    names = list(result.metrics)
-    rows = [",".join([result.parameter] + names)]
-    for i, v in enumerate(result.values):
-        vals = [f"{result.metrics[n][i]:.12e}" for n in names]
-        rows.append(",".join([f"{v:.12e}"] + vals))
-    return rows
+    return table_lines(",".join([result.parameter, *result.metrics]),
+                       [result.values, *result.metrics.values()])
 
 
 # --------------------------------------------------------------------------
@@ -500,6 +497,5 @@ def metrics_report_rows(metrics: GainMetrics, op: OperatingPoint | None = None):
             ("electrical_length_wavelengths", op.electrical_length_wavelengths),
             ("nonlinearity_level", op.nonlinearity_level),
         ]
-    text = [f"{k} = {v:.12e}" for k, v in kv]
-    csv = [",".join(k for k, _ in kv), ",".join(f"{v:.12e}" for _, v in kv)]
-    return text, csv
+    csv = table_lines(",".join(k for k, _ in kv), [[v] for _, v in kv])
+    return report_lines(kv), csv

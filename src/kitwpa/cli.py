@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory "
                        "(default: from the config)")
-        p.add_argument("--format", choices=("csv", "touchstone", "all"),
-                       default=None, help="restrict emitted file formats")
         p.add_argument("--seed-level-db", type=float, default=None,
                        help="signal seed level relative to the pump")
         p.add_argument("--strict", dest="strict", action="store_true",
@@ -56,10 +54,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, strict=args.strict)
-        if args.format is not None:
-            formats = (("csv", "touchstone", "netlist") if args.format == "all"
-                       else (args.format, "netlist"))
-            config = replace(config, formats=formats)
         if args.seed_level_db is not None:
             config = replace(config, integrator=replace(
                 config.integrator, seed_level_db=args.seed_level_db))

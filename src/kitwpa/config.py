@@ -120,18 +120,20 @@ class RunConfig:
     sweep: SweepSpec | None
     dip_exclusion_width_hz: float | None
     output_directory: str
-    formats: tuple
     raw: dict = field(repr=False, default_factory=dict)
 
 
 def _parse_grid(sec: _Section, default=None) -> FrequencyGrid:
     if sec is None:
         return default
-    grid = FrequencyGrid(
-        start=sec.float_("start_hz", required=True),
-        stop=sec.float_("stop_hz", required=True),
-        points=sec.int_("points", required=True),
-    )
+    try:
+        grid = FrequencyGrid(
+            start=sec.float_("start_hz", required=True),
+            stop=sec.float_("stop_hz", required=True),
+            points=sec.int_("points", required=True),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{sec.path}: {exc}") from None
     sec.require_consumed(strict=True)
     return grid
 
@@ -266,21 +268,8 @@ def load_config(path, strict: bool = True) -> RunConfig:
 
     output = root.child("output")
     out_dir = "."
-    formats = ("csv", "touchstone", "netlist")
     if output is not None:
         out_dir = output.get("directory", ".")
-        fmts = output.get("formats", ["all"])
-        if isinstance(fmts, str):
-            fmts = [fmts]
-        if "all" in fmts:
-            formats = ("csv", "touchstone", "netlist")
-        else:
-            bad = set(fmts) - {"csv", "touchstone", "netlist"}
-            if bad:
-                raise ConfigError(
-                    f"output.formats: unknown format(s) {sorted(bad)!r}")
-            formats = tuple(fmts)
-        output.get("precision")  # accepted for compatibility; always 12
         output.require_consumed(strict)
 
     root.require_consumed(strict)
@@ -288,8 +277,7 @@ def load_config(path, strict: bool = True) -> RunConfig:
         design=design, design_kind=kind, frequency_grid=freq_grid, pump=pump,
         signal_grid=signal_grid, integrator=integrator,
         calibration=calibration, sweep=sweep_spec,
-        dip_exclusion_width_hz=dip_width, output_directory=out_dir,
-        formats=formats, raw=raw,
+        dip_exclusion_width_hz=dip_width, output_directory=out_dir, raw=raw,
     )
 
 
@@ -320,6 +308,5 @@ def effective_config(config: RunConfig) -> dict:
                    "values": list(config.sweep.values)}),
         "dip_exclusion_width_hz": config.dip_exclusion_width_hz,
         "output_directory": config.output_directory,
-        "formats": list(config.formats),
     }
     return doc

@@ -25,7 +25,7 @@ from .dispersion import DispersionCurve, s21_over_bare, uniform_cell_dispersion
 from .errors import NumericError
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
-from .twoport import FrequencyGrid, network_matrix  # noqa: F401
+from .twoport import FrequencyGrid, network_matrix, table_lines  # noqa: F401
 
 __all__ = [
     "KerrCoefficient",
@@ -609,22 +609,13 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
 # CSV emission
 
 def gain_profile_csv_rows(profile: GainProfile):
-    rows = ["freq_hz,gain_db,delta_k_linear,delta_k_total,in_stopband"]
-    for i in range(profile.frequencies.size):
-        rows.append(
-            f"{profile.frequencies[i]:.12e},{profile.gain_db[i]:.12e},"
-            f"{profile.delta_k_linear[i]:.12e},{profile.delta_k_total[i]:.12e},"
-            f"{int(profile.in_stopband[i])}"
-        )
-    return rows
+    return table_lines(
+        "freq_hz,gain_db,delta_k_linear,delta_k_total,in_stopband",
+        [profile.frequencies, profile.gain_db, profile.delta_k_linear,
+         profile.delta_k_total, profile.in_stopband])
 
 
 def harmonic_scan_csv_rows(scan: HarmonicScan):
-    rows = ["z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w"]
-    for i in range(scan.z_cells.size):
-        rows.append(
-            f"{scan.z_cells[i]:.12e},{scan.p_pump[i]:.12e},"
-            f"{scan.p_signal[i]:.12e},{scan.p_idler[i]:.12e},"
-            f"{scan.p_third[i]:.12e}"
-        )
-    return rows
+    return table_lines(
+        "z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w",
+        [scan.z_cells, scan.p_pump, scan.p_signal, scan.p_idler, scan.p_third])

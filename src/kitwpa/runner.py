@@ -13,6 +13,8 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     OperatingPoint,
@@ -33,7 +35,8 @@ from .fwm import (
     integrate_gain,
     third_harmonic_scan,
 )
-from .twoport import network_matrix, sparams_to_csv_rows, to_s_parameters, write_touchstone
+from .twoport import (network_matrix, report_lines, sparams_to_csv_rows,
+                      table_lines, to_s_parameters, write_touchstone)
 
 __all__ = ["run", "SUBCOMMANDS"]
 
@@ -124,11 +127,11 @@ def _dispersion_products(config, network, emit: _Emitter, need_bloch: bool):
 
 
 def _stopband_rows(report):
-    rows = ["f_low_hz,f_high_hz,center_hz,max_attenuation_per_period_nepers"]
-    for b in report:
-        rows.append(f"{b.f_low:.12e},{b.f_high:.12e},{b.center:.12e},"
-                    f"{b.max_attenuation_per_period:.12e}")
-    return rows
+    return table_lines(
+        "f_low_hz,f_high_hz,center_hz,max_attenuation_per_period_nepers",
+        [[b.f_low for b in report], [b.f_high for b in report],
+         [b.center for b in report],
+         [b.max_attenuation_per_period for b in report]])
 
 
 def _operating_point(config, network, curve) -> OperatingPoint:
@@ -151,7 +154,6 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     t0 = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(config.output_directory)
     emit = _Emitter(out)
-    network = _expand(config)
 
     needs_pump = subcommand in ("gain", "harmonics", "sweep", "calibrate")
     if needs_pump:
@@ -160,6 +162,20 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     if subcommand in ("gain", "sweep", "calibrate"):
         _require(config.signal_grid is not None,
                  f"'{subcommand}' requires an analysis.signal_grid section")
+    if subcommand in ("gain", "calibrate"):
+        # the signal range prepare_line and the length gain_metrics need,
+        # checked before any solve; a sweep records such points as failures
+        f_p = config.pump[0]
+        _require(f_p > 0 and config.signal_grid.stop < 2 * f_p,
+                 f"analysis.signal_grid: signal frequencies must lie in "
+                 f"(0, 2*f_p) = (0, {2 * f_p:g}) Hz")
+        f_s = config.signal_grid.frequencies()
+        _require(np.count_nonzero(np.abs(f_s - f_p) > 1e-9 * f_p) >= 3,
+                 "analysis.signal_grid: metrics need at least 3 points "
+                 "besides the pump frequency")
+    # sweep and calibrate expand the design themselves
+    network = (None if subcommand in ("sweep", "calibrate")
+               else _expand(config))
 
     if subcommand == "design":
         path = out / "device.net"
@@ -172,10 +188,9 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
 
     elif subcommand == "linear":
         curve, sp = _dispersion_products(config, network, emit, need_bloch=False)
-        if "touchstone" in config.formats:
-            path = out / "sparams.s2p"
-            write_touchstone(sp, path)
-            emit.add(path)
+        path = out / "sparams.s2p"
+        write_touchstone(sp, path)
+        emit.add(path)
 
     elif subcommand == "gain":
         curve = _bloch_curve(config, network)
@@ -228,13 +243,13 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
             dip_exclusion_width_hz=config.dip_exclusion_width_hz,
             bracket=(cal.bracket_low, cal.bracket_high),
             tol_db=cal.tolerance_db)
-        emit.write_lines("calibration.txt", [
-            f"i_star_amperes = {result.i_star:.12e}",
-            f"residual_db = {result.residual_db:.12e}",
-            f"target_peak_db = {result.target_peak_db:.12e}",
-            f"pump_frequency_hz = {result.pump_frequency:.12e}",
-            f"pump_power_w = {result.pump_power:.12e}",
-        ])
+        emit.write_lines("calibration.txt", report_lines([
+            ("i_star_amperes", result.i_star),
+            ("residual_db", result.residual_db),
+            ("target_peak_db", result.target_peak_db),
+            ("pump_frequency_hz", result.pump_frequency),
+            ("pump_power_w", result.pump_power),
+        ]))
         emit.write_lines("gain.csv", gain_profile_csv_rows(result.profile))
         text, csv = metrics_report_rows(result.metrics)
         emit.write_lines("metrics.txt", text)

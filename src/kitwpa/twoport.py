@@ -32,6 +32,8 @@ __all__ = [
     "matrix_power",
     "network_matrix",
     "to_s_parameters",
+    "table_lines",
+    "report_lines",
     "write_touchstone",
     "read_touchstone",
     "sparams_to_csv_rows",
@@ -114,7 +116,7 @@ def resonator_elements(f_r: float, q: float) -> tuple[float, float]:
     return l_r, 1.0 / (w0 * w0 * l_r)
 
 
-def element_admittance(element, f: np.ndarray, bias_current: float = 0.0,
+def element_admittance(element, f: np.ndarray,
                        loss_tangent: float = 0.0) -> np.ndarray:
     """Shunt admittance of a shunt element, in siemens."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
@@ -145,7 +147,7 @@ def element_matrix(element, f: np.ndarray, bias_current: float = 0.0,
         l_eff = element.l0 * (1.0 + (bias_current / element.i_star) ** 2)
         return series_impedance_matrix(1j * 2.0 * np.pi * f * l_eff)
     return shunt_admittance_matrix(
-        element_admittance(element, f, bias_current, loss_tangent)
+        element_admittance(element, f, loss_tangent)
     )
 
 
@@ -232,15 +234,30 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
 # --------------------------------------------------------------------------
 # Touchstone / CSV emission
 
+def table_lines(header: str, columns, sep: str = ",") -> list:
+    """Lines of a data table: the header, then one row per column index.
+
+    Boolean columns print as 0/1 and every other column as %.12e, integers
+    included, so identical data always gives identical bytes.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = sep.join("%d" if c.dtype == bool else "%.12e" for c in columns)
+    return [header] + [row % values
+                       for values in zip(*(c.tolist() for c in columns))]
+
+
+def report_lines(pairs) -> list:
+    """``key = value`` lines of a text report, values as %.12e."""
+    return ["%s = %.12e" % (key, value) for key, value in pairs]
+
+
 def write_touchstone(sp: SParameterSet, path) -> None:
     """Two-port Touchstone file, real/imaginary format, frequency in Hz."""
-    lines = [f"# HZ S RI R {sp.reference_impedance:g}"]
-    for i, f in enumerate(sp.frequencies):
-        vals = (sp.s11[i], sp.s21[i], sp.s12[i], sp.s22[i])
-        row = f"{f:.12e}"
-        for v in vals:
-            row += f" {v.real:.12e} {v.imag:.12e}"
-        lines.append(row)
+    columns = [sp.frequencies]
+    for s in (sp.s11, sp.s21, sp.s12, sp.s22):
+        columns += [s.real, s.imag]
+    lines = table_lines(f"# HZ S RI R {sp.reference_impedance:g}", columns,
+                        sep=" ")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -276,13 +293,7 @@ def sparams_to_csv_rows(sp: SParameterSet, bloch_phase=None, bloch_atten=None,
     bloch_phase = zeros if bloch_phase is None else bloch_phase
     bloch_atten = zeros if bloch_atten is None else bloch_atten
     in_stopband = np.zeros(n, dtype=bool) if in_stopband is None else in_stopband
-    header = ("freq_hz,s11_re,s11_im,s21_re,s21_im,"
-              "bloch_phase,bloch_atten,in_stopband")
-    rows = [header]
-    for i in range(n):
-        rows.append(
-            f"{sp.frequencies[i]:.12e},{sp.s11[i].real:.12e},{sp.s11[i].imag:.12e},"
-            f"{sp.s21[i].real:.12e},{sp.s21[i].imag:.12e},"
-            f"{bloch_phase[i]:.12e},{bloch_atten[i]:.12e},{int(in_stopband[i])}"
-        )
-    return rows
+    return table_lines(
+        "freq_hz,s11_re,s11_im,s21_re,s21_im,bloch_phase,bloch_atten,in_stopband",
+        [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag,
+         bloch_phase, bloch_atten, in_stopband])

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from kitwpa.config import load_config
 from kitwpa.errors import ConfigError
 from kitwpa.fwm import IntegrationOptions
 from kitwpa.runner import run
+from kitwpa.twoport import read_touchstone
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
@@ -33,7 +35,6 @@ analysis:
   integrator: {rtol: 1.0e-8}
 output:
   directory: out
-  formats: [all]
 """
 
 
@@ -63,6 +64,37 @@ class TestLoadConfig:
         assert d.cells_per_block_period == 340
         assert d.resonator.resonant_frequency == 6e9
         assert d.resonator.loaded_q == 70
+
+    @pytest.mark.parametrize("preset", sorted(p.name for p in PRESETS.glob("*.cfg")))
+    def test_every_preset_loads_strictly(self, preset):
+        cfg = load_config(PRESETS / preset, strict=True)
+        assert cfg.pump is not None and cfg.signal_grid is not None
+
+    @pytest.mark.parametrize("key", ["formats: [all]", "precision: 12"])
+    def test_removed_output_keys_rejected_in_strict_mode(self, tmp_path, key):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG + f"  {key}\n")
+        with pytest.raises(ConfigError, match=key.split(":")[0]):
+            load_config(p)
+        assert load_config(p, strict=False).output_directory == "out"
+
+    @pytest.mark.parametrize("section", ["signal_grid", "frequency_grid"])
+    @pytest.mark.parametrize("grid, message", [
+        ("{start_hz: 6.0e9, stop_hz: 6.05e9, points: 1}", "points must be >= 2"),
+        ("{start_hz: 6.0e9, stop_hz: 6.0e9, points: 11}", "stop must exceed start"),
+        ("{start_hz: 7.0e9, stop_hz: 6.0e9, points: 11}", "stop must exceed start"),
+        ("{start_hz: 0.0, stop_hz: 6.0e9, points: 11}", "start must be positive"),
+        ("{start_hz: -1.0e9, stop_hz: 6.0e9, points: 11}", "start must be positive"),
+    ], ids=["one-point", "stop-at-start", "stop-below-start", "start-zero",
+            "start-negative"])
+    def test_malformed_grid_is_config_error(self, tmp_path, section, grid,
+                                            message):
+        old = {"signal_grid": "{start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}",
+               "frequency_grid": "{start_hz: 0.1e9, stop_hz: 26.0e9, "
+                                 "points: 4001}"}[section]
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            f"{section}: {old}", f"{section}: {grid}"))
+        with pytest.raises(ConfigError, match=f"analysis.{section}: {message}"):
+            load_config(p)
 
     def test_missing_design_section(self, tmp_path):
         p = write_cfg(tmp_path, "analysis: {}\n")
@@ -160,6 +192,45 @@ class TestRunner:
         assert sp.frequencies.size == 201
         power = np.abs(sp.s11) ** 2 + np.abs(sp.s21) ** 2
         assert np.max(np.abs(power - 1)) < 1e-6  # lossless, 1e-12-relative file
+
+    def test_linear_writes_touchstone_without_output_section(self, tmp_path):
+        text = SMALL_FISHBONE_CFG.replace("points: 4001", "points: 51")
+        text = text[:text.index("output:")]
+        cfg = load_config(write_cfg(tmp_path, text))
+        manifest = run("linear", cfg, out_dir=tmp_path / "out")
+        assert [f["name"] for f in manifest["files"]] == [
+            "dispersion.csv", "sparams.s2p"]
+        assert read_touchstone(tmp_path / "out" / "sparams.s2p").s21.size == 51
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
+    def test_sweep_and_calibrate_expand_the_design_once(self, tmp_path,
+                                                       monkeypatch, subcommand):
+        from kitwpa import analysis
+        calls = []
+        expand = analysis.expand_design
+        monkeypatch.setattr(analysis, "expand_design",
+                            lambda d: calls.append(d) or expand(d))
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "points: 41", "points: 11").replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n"
+            "  sweep: {parameter: pump_power, values: [1.0e-4]}\n"
+            "  calibration: {target_peak_db: 3.0, tolerance_db: 0.5}")))
+        run(subcommand, cfg, out_dir=tmp_path / "out")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
+    def test_sweep_and_calibrate_refuse_a_netlist(self, tmp_path, subcommand):
+        (tmp_path / "hand.net").write_text(
+            "# ki-twpa netlist v1\nL 5e-11 1e-2\nC 2e-14\n")
+        cfg = load_config(write_cfg(tmp_path, netlist_cfg("hand.net").replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n"
+            "  sweep: {parameter: pump_power, values: [1.0e-4]}\n"
+            "  calibration: {target_peak_db: 3.0}"), "net.cfg"))
+        with pytest.raises(ConfigError, match=f"'{subcommand}' needs a "
+                           "parametric design, not a raw netlist"):
+            run(subcommand, cfg, out_dir=tmp_path / "out")
 
     def test_gain_run_and_manifest_digests(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
@@ -331,6 +402,36 @@ class TestCli:
         lines = (tmp_path / "o" / "metrics.txt").read_text().splitlines()
         values = [float(line.partition("=")[2]) for line in lines]
         assert len(values) > 0 and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("subcommand", ["gain", "calibrate"])
+    @pytest.mark.parametrize("grid, message", [
+        # the pump at 6.22 GHz is dropped, leaving one signal point
+        ("{start_hz: 6.0e9, stop_hz: 6.22e9, points: 2}", "at least 3 points"),
+        ("{start_hz: 4.0e9, stop_hz: 13.0e9, points: 50}", r"\(0, 2\*f_p\)"),
+    ], ids=["one-point-besides-pump", "beyond-twice-pump"])
+    def test_cli_signal_grid_outside_pump_range_exit_2(
+            self, tmp_path, capsys, monkeypatch, subcommand, grid, message):
+        import kitwpa.runner
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the signal grid was checked")
+        monkeypatch.setattr(kitwpa.runner, "integrate_gain", no_solve)
+        monkeypatch.setattr(kitwpa.runner, "calibrate_istar", no_solve)
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "signal_grid: {start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}",
+            f"signal_grid: {grid}\n  calibration: {{target_peak_db: 3.0}}"))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "analysis.signal_grid" in err
+        assert re.search(message, err)
+
+    def test_cli_format_flag_removed(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["linear", "--config", str(p), "--format", "all"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_cli_seed_level_override(self, tmp_path):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(

@@ -19,6 +19,8 @@ from kitwpa.twoport import (
     matrix_power,
     network_matrix,
     read_touchstone,
+    report_lines,
+    table_lines,
     to_s_parameters,
     write_touchstone,
 )
@@ -219,3 +221,51 @@ class TestTouchstone:
         p.write_text("# GHZ S MA R 50\n1 0 0 0 0 0 0 0 0\n")
         with pytest.raises(ValueError):
             read_touchstone(p)
+
+
+def reference_table_lines(header, columns, sep=","):
+    """The per-row f-string formula the data files were written with before
+    table_lines: index each column, 0/1 for a bool column, else .12e."""
+    n = len(columns[0])
+    lines = [header]
+    for i in range(n):
+        lines.append(sep.join(
+            f"{int(c[i])}" if np.asarray(c).dtype == bool else f"{c[i]:.12e}"
+            for c in columns))
+    return lines
+
+
+class TestTableLines:
+    SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0,
+               6.22e9, -2.5e-13]
+
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_matches_per_row_formula(self, sep):
+        rng = np.random.default_rng(5)
+        n = len(self.SPECIAL)
+        columns = [
+            np.array(self.SPECIAL),                          # numpy floats
+            list(self.SPECIAL[::-1]),                        # Python floats
+            rng.normal(0, 1e9, n) * 10.0 ** rng.integers(-300, 290, n),
+            (rng.normal(size=n) + 1j * rng.normal(size=n)).imag,
+            rng.random(n) > 0.5,                             # bool column
+            np.arange(-5, n - 5),                            # int column
+            [int(v) for v in range(n)],                      # Python ints
+        ]
+        got = table_lines("h", columns, sep=sep)
+        assert got == reference_table_lines("h", columns, sep=sep)
+        assert len(got) == n + 1
+
+    def test_int_column_prints_as_float_and_bool_as_digit(self):
+        lines = table_lines("a b", [[3], np.array([True])], sep=" ")
+        assert lines == ["a b", "3.000000000000e+00 1"]
+
+    def test_zero_rows_gives_header_alone(self):
+        assert table_lines("x,y", [[], np.zeros(0, dtype=bool)]) == ["x,y"]
+        assert table_lines("x,y", [[], []]) == reference_table_lines(
+            "x,y", [[], []])
+
+    def test_report_lines(self):
+        assert report_lines([("a", 1), ("b", -0.0), ("c", np.float64(np.nan))]) \
+            == ["a = 1.000000000000e+00", "b = -0.000000000000e+00", "c = nan"]
