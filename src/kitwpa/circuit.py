@@ -118,8 +118,9 @@ class ResonatorSpec:
             raise ValueError("resonant_frequency must be positive")
         if self.loaded_q <= 0:
             raise ValueError("loaded_q must be positive")
-        if self.pairs_per_block < 0:
-            raise ValueError("pairs_per_block must be >= 0")
+        if not 0 <= self.pairs_per_block <= 2:
+            raise ValueError(
+                f"pairs_per_block must be 0, 1 or 2, got {self.pairs_per_block}")
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,6 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
         pair_cells.append(0)
     if res.pairs_per_block >= 2:
         pair_cells.append(res.pair_separation_cells)
-    if res.pairs_per_block > 2:
-        raise ValueError("at most two resonator pairs per block are supported")
 
     block = []
     for i in range(spec.cells_per_block_period):

@@ -164,8 +164,19 @@ def _parse_design(sec: _Section, base_dir: Path, strict: bool):
         sec.require_consumed(strict)
         return path, kind
     sub = sec.child(kind, required=True)
+    try:
+        design = _parse_spec(kind, sub)
+    except ValueError as exc:
+        # a value the spec rejects: its message names the field
+        raise ConfigError(f"{sub.path}: {exc}") from None
+    sub.require_consumed(strict)
+    sec.require_consumed(strict)
+    return design, kind
+
+
+def _parse_spec(kind: str, sub: _Section):
     if kind == "fishbone":
-        design = FishboneSpec(
+        return FishboneSpec(
             base_cell=_parse_cell(sub),
             cells_per_period=sub.int_("cells_per_period", 22),
             loaded_cells=sub.int_("loaded_cells", 2),
@@ -175,21 +186,17 @@ def _parse_design(sec: _Section, base_dir: Path, strict: bool):
             num_periods=sub.int_("num_periods", required=True),
             physical_cell_length=sub.float_("physical_cell_length_meters", 8e-6),
         )
-    else:
-        design = LeafSpec(
-            base_cell=_parse_cell(sub),
-            cells_per_block_period=sub.int_("cells_per_block_period", 340),
-            resonator=ResonatorSpec(
-                resonant_frequency=sub.float_("resonant_frequency_hz", 6e9),
-                loaded_q=sub.float_("loaded_q", 70.0),
-                pairs_per_block=sub.int_("pairs_per_block", 2),
-                pair_separation_cells=sub.int_("pair_separation_cells", 6),
-            ),
-            num_blocks=sub.int_("num_blocks", required=True),
-        )
-    sub.require_consumed(strict)
-    sec.require_consumed(strict)
-    return design, kind
+    return LeafSpec(
+        base_cell=_parse_cell(sub),
+        cells_per_block_period=sub.int_("cells_per_block_period", 340),
+        resonator=ResonatorSpec(
+            resonant_frequency=sub.float_("resonant_frequency_hz", 6e9),
+            loaded_q=sub.float_("loaded_q", 70.0),
+            pairs_per_block=sub.int_("pairs_per_block", 2),
+            pair_separation_cells=sub.int_("pair_separation_cells", 6),
+        ),
+        num_blocks=sub.int_("num_blocks", required=True),
+    )
 
 
 def load_config(path, strict: bool = True) -> RunConfig:

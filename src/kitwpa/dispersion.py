@@ -41,23 +41,37 @@ TWO_PI = 2.0 * np.pi
 def _unfold_bloch_phase(folded: np.ndarray) -> np.ndarray:
     """Reconstruct the monotone unwrapped phase from its [0, pi] fold.
 
-    Walks the grid keeping a branch index and fold parity; each output value
-    is exactly 2*pi*m +/- folded[i] on the chosen branch, so no error
-    accumulates away from band edges.
+    Walks the grid keeping a branch index m and fold parity; each output
+    value is exactly 2*pi*m +/- folded[i] on the chosen branch, so no error
+    accumulates away from band edges.  Of the two candidates on the current
+    branch, the one that does not step back is taken; when both or neither
+    do, the nearer one, the first on a tie.
     """
-    out = np.empty_like(folded)
-    out[0] = folded[0]
+    values = folded.tolist()
+    prev = values[0]
+    out = [prev]
     m, descending = 0, False
-    for i in range(1, folded.size):
-        tf = folded[i]
-        if not descending:
-            cands = ((TWO_PI * m + tf, m, False), (TWO_PI * (m + 1) - tf, m, True))
+    for tf in values[1:]:
+        if descending:
+            first = TWO_PI * (m + 1) - tf
+            second = TWO_PI * (m + 1) + tf
         else:
-            cands = ((TWO_PI * (m + 1) - tf, m, True), (TWO_PI * (m + 1) + tf, m + 1, False))
-        ok = [c for c in cands if c[0] >= out[i - 1] - 1e-9]
-        val, m, descending = min(ok or cands, key=lambda c: abs(c[0] - out[i - 1]))
-        out[i] = val
-    return out
+            first = TWO_PI * m + tf
+            second = TWO_PI * (m + 1) - tf
+        floor = prev - 1e-9
+        if (first >= floor) != (second >= floor):
+            take_second = second >= floor
+        else:
+            take_second = abs(second - prev) < abs(first - prev)
+        if take_second:
+            prev = second
+            if descending:
+                m += 1
+            descending = not descending
+        else:
+            prev = first
+        out.append(prev)
+    return np.array(out)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .circuit import read_netlist, write_netlist
 from .config import RunConfig, effective_config
-from .dispersion import device_dispersion, find_stopbands
+from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
 from .errors import ConfigError
 from .fwm import (
     gain_profile_csv_rows,
@@ -35,8 +35,12 @@ from .fwm import (
     integrate_gain,
     third_harmonic_scan,
 )
-from .twoport import (network_matrix, report_lines, sparams_to_csv_rows,
-                      table_lines, to_s_parameters, write_touchstone)
+# network_matrix is not called in this module; it is imported into it because
+# bench/tracing.py rebinds it here to record spans
+from .twoport import network_matrix  # noqa: F401
+from .twoport import (cascade_periods, report_lines, sparams_to_csv_rows,
+                      table_lines, to_s_parameters, walk_period,
+                      write_touchstone)
 
 __all__ = ["run", "SUBCOMMANDS"]
 
@@ -103,19 +107,27 @@ def _has_bloch_period(config, network) -> bool:
     return config.design_kind != "netlist" or network.repeats > 1
 
 
-def _bloch_curve(config, network):
+def _require_bloch_period(config, network):
     _require(_has_bloch_period(config, network),
              "netlist has no repeating period (its shortest period occurs "
              "only once); Bloch dispersion is unavailable")
+
+
+def _bloch_curve(config, network):
+    _require_bloch_period(config, network)
     return device_dispersion(network, config.frequency_grid)
 
 
 def _dispersion_products(config, network, emit: _Emitter, need_bloch: bool):
+    grid = config.frequency_grid
+    f = grid.frequencies()
+    # one walk of the period gives the Bloch curve and the full cascade
+    period, tail = walk_period(network, f)
     curve = None
     if need_bloch or _has_bloch_period(config, network):
-        curve = _bloch_curve(config, network)
-    f = config.frequency_grid.frequencies()
-    sp = to_s_parameters(network_matrix(network, f), f)
+        _require_bloch_period(config, network)
+        curve = bloch_dispersion(period, grid, network.cells_per_period)
+    sp = to_s_parameters(cascade_periods(period, network.repeats, tail), f)
     if curve is not None:
         rows = sparams_to_csv_rows(sp, curve.phase_per_period,
                                    curve.attenuation_per_period,

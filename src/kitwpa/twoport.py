@@ -1,7 +1,8 @@
 """Chain (ABCD) two-port algebra and S-parameter conversion.
 
-Matrices are held as four complex arrays over a frequency grid, so every
-operation is vectorized; a single frequency is just a length-1 grid.  The
+Matrices are held as four complex arrays over a frequency grid, with a
+power-of-two exponent per frequency for long cascades, so every operation
+is vectorized; a single frequency is just a length-1 grid.  The
 engineering phasor convention exp(+j*omega*t) is used throughout, so a
 matched line has arg(s21) = -beta*l.
 """
@@ -30,6 +31,8 @@ __all__ = [
     "element_admittance",
     "cascade",
     "matrix_power",
+    "walk_period",
+    "cascade_periods",
     "network_matrix",
     "to_s_parameters",
     "table_lines",
@@ -68,12 +71,18 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class TwoPortMatrix:
-    """Chain matrix [[a, b], [c, d]]; entries are complex arrays over a grid."""
+    """Chain matrix [[a, b], [c, d]] * 2**exponent; entries are complex
+    arrays over a grid, exponent an integer per frequency (or 0).
+
+    Long cascades carry their scale in the exponent so the entries neither
+    overflow nor underflow; scaling by a power of two is exact.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    exponent: np.ndarray | int = 0
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
         return TwoPortMatrix(
@@ -81,13 +90,22 @@ class TwoPortMatrix:
             b=self.a * other.b + self.b * other.d,
             c=self.c * other.a + self.d * other.c,
             d=self.c * other.b + self.d * other.d,
+            exponent=self.exponent + other.exponent,
         )
 
     def det(self) -> np.ndarray:
-        return self.a * self.d - self.b * self.c
+        return _ldexp(self.a * self.d - self.b * self.c, 2 * self.exponent)
 
     def trace_half(self) -> np.ndarray:
-        return 0.5 * (self.a + self.d)
+        return _ldexp(0.5 * (self.a + self.d), self.exponent)
+
+
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
+    """x * 2**e for complex x, exact: both parts are scaled by ldexp."""
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, e)
+    out.imag = np.ldexp(x.imag, e)
+    return out
 
 
 def identity_matrix(n: int) -> TwoPortMatrix:
@@ -133,6 +151,24 @@ def element_admittance(element, f: np.ndarray,
     raise TypeError(f"not a shunt element: {element!r}")
 
 
+def _positive(f) -> np.ndarray:
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    if np.any(f <= 0):
+        raise ValueError("frequencies must be positive")
+    return f
+
+
+def _element_term(element, f: np.ndarray, bias_current: float,
+                  loss_tangent: float) -> tuple:
+    """(True, series impedance) of a series inductor, (False, shunt
+    admittance) of a shunt element."""
+    if isinstance(element, SeriesInductor):
+        l_eff = element.l0 * (1.0 + (bias_current / element.i_star) ** 2)
+        return True, 1j * 2.0 * np.pi * f * l_eff
+    y = np.asarray(element_admittance(element, f, loss_tangent), dtype=complex)
+    return False, y
+
+
 def element_matrix(element, f: np.ndarray, bias_current: float = 0.0,
                    loss_tangent: float = 0.0) -> TwoPortMatrix:
     """Chain matrix of a single element at frequencies f.
@@ -140,15 +176,11 @@ def element_matrix(element, f: np.ndarray, bias_current: float = 0.0,
     A series inductor is evaluated at L(bias_current); loss_tangent applies
     to shunt capacitors only (inductors are lossless).
     """
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(f <= 0):
-        raise ValueError("frequencies must be positive")
-    if isinstance(element, SeriesInductor):
-        l_eff = element.l0 * (1.0 + (bias_current / element.i_star) ** 2)
-        return series_impedance_matrix(1j * 2.0 * np.pi * f * l_eff)
-    return shunt_admittance_matrix(
-        element_admittance(element, f, loss_tangent)
-    )
+    series, term = _element_term(element, _positive(f), bias_current,
+                                 loss_tangent)
+    if series:
+        return series_impedance_matrix(term)
+    return shunt_admittance_matrix(term)
 
 
 def cascade(matrices) -> TwoPortMatrix:
@@ -162,44 +194,95 @@ def cascade(matrices) -> TwoPortMatrix:
     return out
 
 
+_EXPONENT_LIMIT = 64   # a power's entries are rescaled past 2**+-64
+
+
+def _normalized(m: TwoPortMatrix) -> TwoPortMatrix:
+    """m with each frequency whose largest entry has left 2**+-_EXPONENT_LIMIT
+    rescaled by a power of two to a largest entry in [0.5, 1)."""
+    parts = [np.abs(x) for v in (m.a, m.b, m.c, m.d) for x in (v.real, v.imag)]
+    _, top = np.frexp(np.maximum.reduce(parts))
+    shift = np.where(np.abs(top) > _EXPONENT_LIMIT, top, 0)
+    if not shift.any():
+        return m
+    return TwoPortMatrix(_ldexp(m.a, -shift), _ldexp(m.b, -shift),
+                         _ldexp(m.c, -shift), _ldexp(m.d, -shift),
+                         m.exponent + shift)
+
+
 def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
-    """m @ m @ ... (n times) by binary exponentiation."""
+    """m @ m @ ... (n times) by binary exponentiation.
+
+    Every product is renormalized into the exponent, so any power is finite
+    where the true one is; each frequency not rescaled gets the bytes of
+    the unscaled products.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     result = identity_matrix(len(np.atleast_1d(m.a)))
     base = m
     while n:
         if n & 1:
-            result = result @ base
-        base = base @ base
+            result = _normalized(result @ base)
         n >>= 1
+        if n:
+            base = _normalized(base @ base)
     return result
+
+
+def walk_period(network: LadderNetwork, f: np.ndarray,
+                bias_current: float = 0.0, loss_tangent: float = 0.0) -> tuple:
+    """(period, tail): the chain matrix of the network's period over
+    frequencies f, and that of the tail (None when there is none).
+
+    Each distinct element's impedance or admittance is evaluated once.  The
+    walk multiplies element by element without forming element matrices: a
+    series z adds a*z to b and c*z to d, a shunt y adds b*y to a and d*y to
+    c.  That drops only the products by an element's exact ones and zeros.
+    Starting from the identity, no entry ever holds a -0 part (a sum is -0
+    only when both addends are), and for such entries x*1 + y*0 == x, so the
+    result has the bytes of the full 2x2 product, signed zeros included.
+    The tail, a prefix of the period, is the partial product at its length.
+    """
+    f = _positive(f)
+    terms: dict = {}
+    for e in network.period:
+        if e not in terms:
+            terms[e] = _element_term(e, f, bias_current, loss_tangent)
+    a, b, c, d = (np.ones(len(f), complex), np.zeros(len(f), complex),
+                  np.zeros(len(f), complex), np.ones(len(f), complex))
+    tmp = np.empty(len(f), complex)
+    tail = None
+    for i, e in enumerate(network.period):
+        if i == len(network.tail) and network.tail:
+            tail = TwoPortMatrix(a.copy(), b.copy(), c.copy(), d.copy())
+        series, term = terms[e]
+        if series:
+            b += np.multiply(a, term, out=tmp)
+            d += np.multiply(c, term, out=tmp)
+        else:
+            a += np.multiply(b, term, out=tmp)
+            c += np.multiply(d, term, out=tmp)
+    return TwoPortMatrix(a, b, c, d), tail
+
+
+def cascade_periods(period: TwoPortMatrix, repeats: int,
+                    tail: TwoPortMatrix | None = None) -> TwoPortMatrix:
+    """Chain matrix of ``repeats`` periods followed by the tail."""
+    # a single repeat stays the plain chain: matrix_power would multiply it
+    # by the identity, which can flip the sign of zero imaginary parts that
+    # the Bloch branch choice depends on
+    out = matrix_power(period, repeats) if repeats > 1 else period
+    return out if tail is None else out @ tail
 
 
 def network_matrix(network: LadderNetwork, f: np.ndarray,
                    bias_current: float = 0.0,
                    loss_tangent: float = 0.0) -> TwoPortMatrix:
-    """Chain matrix of a full ladder network over frequencies f.
-
-    The period is cascaded element by element and raised to the repeat
-    count; the tail, a prefix of the period, is the period's partial product
-    at the tail's length.
-    """
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    out = identity_matrix(len(f))
-    tail_matrix = None
-    for i, e in enumerate(network.period):
-        if i == len(network.tail):
-            tail_matrix = out
-        out = out @ element_matrix(e, f, bias_current, loss_tangent)
-    # a single repeat stays the plain chain: matrix_power would multiply it
-    # by the identity, which can flip the sign of zero imaginary parts that
-    # the Bloch branch choice depends on
-    if network.repeats > 1:
-        out = matrix_power(out, network.repeats)
-    if network.tail:
-        out = out @ tail_matrix
-    return out
+    """Chain matrix of a full ladder network over frequencies f: its
+    period, raised to the repeat count, then its tail."""
+    period, tail = walk_period(network, f, bias_current, loss_tangent)
+    return cascade_periods(period, network.repeats, tail)
 
 
 @dataclass(frozen=True)
@@ -220,13 +303,20 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
     if z_ref <= 0:
         raise ValueError("z_ref must be positive")
     f = np.atleast_1d(np.asarray(f, dtype=float))
+    # the entries' common scale 2**exponent cancels from the ratios s11 and
+    # s22; s21 and s12 are scaled by it afterwards, exactly
     den = m.a + m.b / z_ref + m.c * z_ref + m.d
-    if np.any(np.abs(den) < 1e-300):
-        raise ArithmeticError("singular ABCD-to-S denominator (pathological network)")
-    det = m.det()
+    with np.errstate(over="ignore"):
+        if np.any(np.ldexp(np.abs(den), m.exponent) < 1e-300):
+            raise ArithmeticError(
+                "singular ABCD-to-S denominator (pathological network)")
+        s21 = _ldexp(2.0 / den, -m.exponent)
+        # det is 1 for every ladder, but formed from the entries it carries
+        # their rounding; where a deep stopband scales that noise past the
+        # float range, s12 takes the reciprocal value s21
+        s12 = _ldexp(2.0 * (m.a * m.d - m.b * m.c) / den, m.exponent)
+    s12 = np.where(np.isfinite(s12), s12, s21)
     s11 = (m.a + m.b / z_ref - m.c * z_ref - m.d) / den
-    s21 = 2.0 / den
-    s12 = 2.0 * det / den
     s22 = (-m.a + m.b / z_ref - m.c * z_ref + m.d) / den
     return SParameterSet(f, s11, s21, s12, s22, z_ref)
 

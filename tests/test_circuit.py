@@ -106,6 +106,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FishboneSpec(base_cell=fishbone_cell(), loaded_cells=22)
 
+    @pytest.mark.parametrize("pairs", [-1, 3])
+    def test_rejects_pairs_per_block_outside_0_to_2(self, pairs):
+        with pytest.raises(ValueError, match="pairs_per_block"):
+            ResonatorSpec(pairs_per_block=pairs)
+
     def test_rejects_separation_beyond_block(self):
         res = ResonatorSpec(pair_separation_cells=400)
         with pytest.raises(ValueError):

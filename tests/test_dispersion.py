@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,18 @@ from kitwpa.circuit import (
     expand_leaf,
     uniform_line,
 )
+from kitwpa.analysis import expand_design
+from kitwpa.config import load_config
 from kitwpa.dispersion import (
+    TWO_PI,
     FrequencyGrid,
+    _unfold_bloch_phase,
     device_dispersion,
     find_stopbands,
     resonator_phase_shift,
     uniform_cell_dispersion,
 )
-from kitwpa.twoport import network_matrix, to_s_parameters
+from kitwpa.twoport import network_matrix, to_s_parameters, walk_period
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
 LEAF_CELL = UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15)
@@ -69,6 +75,55 @@ class TestUniformLadder:
         closed = uniform_cell_dispersion(50e-12, 20e-15, grid)
         assert np.allclose(numeric.phase_per_period, closed.phase_per_period,
                            atol=1e-9)
+
+
+def reference_unfold(folded):
+    """The unfold loop as first written: per-step candidate tuples and
+    min(key=...), kept as the reference for the scalar walk."""
+    out = np.empty_like(folded)
+    out[0] = folded[0]
+    m, descending = 0, False
+    for i in range(1, folded.size):
+        tf = folded[i]
+        if not descending:
+            cands = ((TWO_PI * m + tf, m, False), (TWO_PI * (m + 1) - tf, m, True))
+        else:
+            cands = ((TWO_PI * (m + 1) - tf, m, True), (TWO_PI * (m + 1) + tf, m + 1, False))
+        ok = [c for c in cands if c[0] >= out[i - 1] - 1e-9]
+        val, m, descending = min(ok or cands, key=lambda c: abs(c[0] - out[i - 1]))
+        out[i] = val
+    return out
+
+
+class TestUnfold:
+    PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
+
+    def assert_matches_reference(self, folded):
+        got = _unfold_bloch_phase(folded)
+        assert got.dtype == np.float64 and got.shape == folded.shape
+        assert np.array_equal(got.view(np.uint64),
+                              reference_unfold(folded).view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["fishbone-paper", "leaf-paper-gain",
+                                      "leaf-paper"])
+    def test_preset_folds(self, name):
+        cfg = load_config(self.PRESETS / f"{name}.cfg")
+        net = expand_design(cfg.design)
+        for grid in (cfg.frequency_grid, FrequencyGrid(1e9, 26e9, 3001)):
+            period, _ = walk_period(net, grid.frequencies())
+            self.assert_matches_reference(
+                np.arccosh(period.trace_half()).imag)
+
+    def test_random_and_special_folds(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            self.assert_matches_reference(rng.uniform(0.0, np.pi, 500))
+        # a folded sine, values on both sides of zero, ties and NaNs
+        x = np.linspace(0.0, 40.0, 2001)
+        self.assert_matches_reference(np.arccos(np.cos(x)))
+        self.assert_matches_reference(np.array(
+            [0.0, -0.0, 1e-12, -1e-3, np.pi, np.pi, 0.0, np.nan, 1.0, np.pi / 2,
+             np.nan, np.nan, 3.0, 0.5, -0.0, np.pi]))
 
 
 class TestBlochProperties:

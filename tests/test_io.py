@@ -219,6 +219,24 @@ class TestRunner:
         run(subcommand, cfg, out_dir=tmp_path / "out")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("subcommand", ["dispersion", "linear"])
+    def test_dispersion_and_linear_walk_the_period_once(self, tmp_path,
+                                                        monkeypatch, subcommand):
+        # one walk gives the Bloch curve and the full cascade
+        from kitwpa import analysis, dispersion, fwm, runner, twoport
+        calls = []
+        walk = twoport.walk_period
+
+        def spy(network, *args, **kwargs):
+            calls.append(network)
+            return walk(network, *args, **kwargs)
+        for module in (twoport, runner, dispersion, fwm, analysis):
+            if hasattr(module, "walk_period"):
+                monkeypatch.setattr(module, "walk_period", spy)
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
+        run(subcommand, cfg, out_dir=tmp_path / "out")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
     def test_sweep_and_calibrate_refuse_a_netlist(self, tmp_path, subcommand):
         (tmp_path / "hand.net").write_text(
@@ -358,6 +376,14 @@ class TestCli:
         rc = main(["gain", "--config", str(p)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_cli_more_than_two_resonator_pairs_exit_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "design:\n  leaf:\n    l_henries: 290.0e-12\n"
+                      "    c_farads: 116.0e-15\n    i_star_amperes: 11.5e-3\n"
+                      "    num_blocks: 2\n    pairs_per_block: 3\n")
+        rc = main(["linear", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "pairs_per_block" in capsys.readouterr().err
 
     def test_cli_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["gain", "--config", str(tmp_path / "nope.cfg")])

@@ -1,18 +1,26 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kitwpa.analysis import expand_design
 from kitwpa.circuit import (
+    LadderNetwork,
     NonlinearInductorSpec,
     SeriesInductor,
     ShuntCapacitor,
     ShuntResonator,
     UnitCellSpec,
+    bare_ladder,
     expand_fishbone,
     FishboneSpec,
     uniform_line,
 )
+from kitwpa.config import load_config
 from kitwpa.twoport import (
     FrequencyGrid,
+    TwoPortMatrix,
     cascade,
     element_matrix,
     identity_matrix,
@@ -20,12 +28,30 @@ from kitwpa.twoport import (
     network_matrix,
     read_touchstone,
     report_lines,
+    sparams_to_csv_rows,
     table_lines,
     to_s_parameters,
+    walk_period,
     write_touchstone,
 )
 
 CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
+PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
+PRESET_NAMES = ("fishbone-paper", "leaf-paper-gain", "leaf-paper")
+
+
+def preset(name):
+    """(network, frequencies) of a shipped preset."""
+    cfg = load_config(PRESETS / f"{name}.cfg")
+    return expand_design(cfg.design), cfg.frequency_grid.frequencies()
+
+
+def assert_bitwise_equal(m, ref):
+    """All four entries equal bit for bit, signed zeros included."""
+    for name in "abcd":
+        x, y = getattr(m, name), getattr(ref, name)
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
 
 
 class TestElementMatrices:
@@ -124,6 +150,102 @@ class TestCascade:
             m2 = cascade(element_matrix(e, f) for e in net.elements)
             for x, y in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d)):
                 assert np.allclose(x, y, rtol=1e-10, atol=1e-12 * np.abs(y).max())
+
+
+class TestPeriodWalk:
+    """The walk's rank-one updates against the full 2x2 product of the
+    element matrices, compared bit for bit: the Bloch branch choice depends
+    on the signs of zero parts, which allclose cannot see."""
+
+    CONDITIONS = ({}, {"loss_tangent": 1e-3}, {"bias_current": 3e-3})
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_element_cascade_bitwise(self, name):
+        net, f = preset(name)
+        chains = {"period": net.period, "bare": bare_ladder(net).period}
+        if net.tail:
+            chains["tail"] = net.tail
+        for kw in self.CONDITIONS:
+            # one matrix per distinct element keeps the reference quick
+            mats = {e: element_matrix(e, f, **kw) for e in set(net.period)}
+            for chain in chains.values():
+                ref = cascade(mats[e] for e in chain)
+                got = network_matrix(LadderNetwork(chain), f, **kw)
+                assert np.all(got.exponent == 0)
+                assert_bitwise_equal(got, ref)
+            # the tail the walk snapshots on its way through the period
+            _, tail = walk_period(net, f, **kw)
+            if net.tail:
+                assert_bitwise_equal(tail, cascade(mats[e] for e in net.tail))
+            else:
+                assert tail is None
+
+    def test_rejects_nonpositive_frequency(self):
+        with pytest.raises(ValueError):
+            walk_period(uniform_line(CELL, 2), np.array([1e9, 0.0]))
+
+
+def reference_matrix_power(m, n):
+    """Binary exponentiation without rescaling, as matrix_power was before
+    it carried an exponent."""
+    result = identity_matrix(len(m.a))
+    base = m
+    while n:
+        if n & 1:
+            result = result @ base
+        base = base @ base
+        n >>= 1
+    return result
+
+
+class TestLongCascades:
+    """A power's scale is carried as a per-frequency exponent, so no cascade
+    overflows; wherever the unscaled product was finite, the emitted text is
+    the same."""
+
+    @pytest.mark.parametrize("name, factor", [
+        ("fishbone-paper", 4), ("fishbone-paper", 8), ("leaf-paper", 60)])
+    def test_finite_and_unitary(self, name, factor):
+        net, f = preset(name)
+        long = LadderNetwork(net.period, net.repeats * factor, net.tail)
+        m = network_matrix(long, f)
+        assert np.max(m.exponent) > 1024    # beyond the float range unscaled
+        sp = to_s_parameters(m, f)
+        for s in (sp.s11, sp.s21, sp.s12, sp.s22):
+            assert np.all(np.isfinite(s))
+        power = np.abs(sp.s11) ** 2 + np.abs(sp.s21) ** 2
+        assert np.max(np.abs(power - 1.0)) < 1e-9
+
+    def test_rows_unchanged_where_the_unscaled_cascade_was_finite(self):
+        net, f = preset("fishbone-paper")
+        period, tail = walk_period(net, f)
+        repeats = net.repeats * 4
+        with np.errstate(all="ignore"):
+            m = reference_matrix_power(period, repeats) @ tail
+            den = m.a + m.b / 50.0 + m.c * 50.0 + m.d
+            s11 = (m.a + m.b / 50.0 - m.c * 50.0 - m.d) / den
+            s21 = 2.0 / den
+        finite = np.isfinite(s11) & np.isfinite(s21)
+        assert 0 < np.count_nonzero(~finite) < f.size
+        sp = to_s_parameters(network_matrix(
+            LadderNetwork(net.period, repeats, net.tail), f), f)
+        got = sparams_to_csv_rows(sp)[1:]
+        ref = sparams_to_csv_rows(replace(sp, s11=s11, s21=s21))[1:]
+        assert [g for g, ok in zip(got, finite) if ok] == \
+            [r for r, ok in zip(ref, finite) if ok]
+
+    def test_exponent_scales_determinant_and_trace(self):
+        f = np.linspace(1e9, 10e9, 3)
+        m = element_matrix(SeriesInductor(50e-12, 10e-3), f) \
+            @ element_matrix(ShuntCapacitor(20e-15), f)
+        e = np.array([0, 70, -70])
+        scaled = TwoPortMatrix(m.a * 2.0 ** -e, m.b * 2.0 ** -e,
+                               m.c * 2.0 ** -e, m.d * 2.0 ** -e, e)
+        assert np.array_equal(scaled.det(), m.det())
+        assert np.array_equal(scaled.trace_half(), m.trace_half())
+        sp, ref = to_s_parameters(scaled, f), to_s_parameters(m, f)
+        for name in ("s11", "s21", "s12", "s22"):
+            assert np.array_equal(getattr(sp, name), getattr(ref, name))
 
 
 class TestSParameters:
