@@ -43,6 +43,7 @@ from .twoport import report_lines, table_lines
 
 __all__ = [
     "GainMetrics",
+    "CalibrationSpec",
     "CalibrationResult",
     "SweepAxis",
     "SweepResult",
@@ -233,6 +234,14 @@ def simulate_gain(design, pump: tuple, signal_grid,
 
 
 @dataclass(frozen=True)
+class CalibrationSpec:
+    target_peak_db: float
+    tolerance_db: float = 0.1
+    bracket_low: float = 1e-3
+    bracket_high: float = 100e-3
+
+
+@dataclass(frozen=True)
 class CalibrationResult:
     i_star: float
     residual_db: float
@@ -247,8 +256,10 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
                     dispersion_grid: FrequencyGrid = DEFAULT_GRID,
                     options: IntegrationOptions | None = None,
                     dip_exclusion_width_hz: float | None = None,
-                    bracket: tuple = (1e-3, 100e-3),
-                    tol_db: float = 0.1) -> CalibrationResult:
+                    bracket: tuple = (CalibrationSpec.bracket_low,
+                                      CalibrationSpec.bracket_high),
+                    tol_db: float = CalibrationSpec.tolerance_db
+                    ) -> CalibrationResult:
     """Root-find the nonlinearity scale so the smoothed peak gain hits the
     target.
 
@@ -318,7 +329,7 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
 
 @dataclass(frozen=True)
 class SweepAxis:
-    parameter: str   # pump_frequency | pump_power | i_star | a design field
+    parameter: str   # one of _sweep_parameters(design)
     values: tuple
 
 
@@ -330,20 +341,24 @@ class SweepResult:
     failures: tuple        # (index, exception class name, message)
 
 
-_DESIGN_FIELDS = {
-    "cells_per_period", "loaded_cells", "loaded_cells_every_third",
-    "capacitance_reduction_factor", "num_periods", "cells_per_block_period",
-    "num_blocks",
-}
-_RESONATOR_FIELDS = {"resonant_frequency", "loaded_q", "pairs_per_block",
-                     "pair_separation_cells"}
+def _scalar_fields(spec) -> dict:
+    """{name: declared type} of the int and float fields of a spec."""
+    return {f.name: f.type for f in fields(spec) if f.type in ("int", "float")}
+
+
+def _sweep_parameters(design) -> set:
+    """The pump's frequency and power, I*, and every scalar field of the
+    design spec and of its resonator."""
+    names = {"pump_frequency", "pump_power", "i_star", *_scalar_fields(design)}
+    if isinstance(design, LeafSpec):
+        names.update(_scalar_fields(design.resonator))
+    return names
 
 
 def _with_field(spec, name, value):
     """Copy of spec with one field replaced.  Sweep values arrive as floats
     from a config; an integer field takes only integral ones, as ints."""
-    declared = {f.name: f.type for f in fields(spec)}[name]
-    if declared in (int, "int"):
+    if _scalar_fields(spec)[name] == "int":
         if value != int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
@@ -351,18 +366,17 @@ def _with_field(spec, name, value):
 
 
 def _apply_parameter(design, pump, name, value):
+    """(design, pump) with one of _sweep_parameters(design) set to value."""
     if name == "pump_frequency":
         return design, (value, pump[1])
     if name == "pump_power":
         return design, (pump[0], value)
     if name == "i_star":
         return design_with_istar(design, value), pump
-    if name in _DESIGN_FIELDS and hasattr(design, name):
+    if name in _scalar_fields(design):
         return _with_field(design, name, value), pump
-    if name in _RESONATOR_FIELDS and hasattr(design, "resonator"):
-        return replace(design, resonator=_with_field(design.resonator,
-                                                     name, value)), pump
-    raise ValueError(f"unknown sweep parameter {name!r}")
+    return replace(design, resonator=_with_field(design.resonator,
+                                                 name, value)), pump
 
 
 def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
@@ -384,10 +398,7 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     at every point.  Shared or not, each point's numbers are those of
     simulate_gain at that point.
     """
-    known = ({"pump_frequency", "pump_power", "i_star"}
-             | (_DESIGN_FIELDS & {f for f in dir(design)})
-             | (_RESONATOR_FIELDS if hasattr(design, "resonator") else set()))
-    if axis.parameter not in known:
+    if axis.parameter not in _sweep_parameters(design):
         raise ValueError(f"unknown sweep parameter {axis.parameter!r}")
     values = list(axis.values)
     pipeline = _GainPipeline(signal_grid, dispersion_grid, options,

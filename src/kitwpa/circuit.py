@@ -87,7 +87,6 @@ class FishboneSpec:
     loaded_cells_every_third: int = 4
     capacitance_reduction_factor: float = 5.0
     num_periods: int = 1
-    physical_cell_length: float = 8e-6
 
     def __post_init__(self):
         if self.num_periods < 1:

@@ -43,10 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: from the config)")
         p.add_argument("--seed-level-db", type=float, default=None,
                        help="signal seed level relative to the pump")
-        p.add_argument("--strict", dest="strict", action="store_true",
-                       default=True, help="reject unknown config keys (default)")
         p.add_argument("--no-strict", dest="strict", action="store_false",
-                       help="ignore unknown config keys")
+                       help="ignore unknown config keys (rejected by default)")
     return parser
 
 

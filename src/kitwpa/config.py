@@ -8,11 +8,13 @@ since plain YAML treats bare exponents as strings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
+from .analysis import CalibrationSpec, SweepAxis
 from .circuit import (
     FishboneSpec,
     LeafSpec,
@@ -48,6 +50,14 @@ def _as_bool(value, path: str) -> bool:
     raise ConfigError(f"{path}: expected true/false, got {value!r}")
 
 
+_CONVERT = {"int": _as_int, "float": _as_float, "bool": _as_bool}
+# config keys that carry their unit; every other field is its own key
+_KEYS = {"resonant_frequency": "resonant_frequency_hz",
+         "bracket_low": "bracket_low_amperes",
+         "bracket_high": "bracket_high_amperes",
+         "z0": "z0_ohms"}
+
+
 class _Section:
     """Mapping wrapper that tracks key consumption for strict validation."""
 
@@ -81,31 +91,25 @@ class _Section:
             raise ConfigError(
                 f"{self.path}: unknown key(s) {sorted(unknown)!r}")
 
-    def float_(self, key, default=None, required=False):
-        v = self.get(key, default, required)
+    def float_(self, key, required=False):
+        v = self.get(key, required=required)
         return None if v is None else _as_float(v, f"{self.path}.{key}")
 
-    def int_(self, key, default=None, required=False):
-        v = self.get(key, default, required)
+    def int_(self, key, required=False):
+        v = self.get(key, required=required)
         return None if v is None else _as_int(v, f"{self.path}.{key}")
 
-    def bool_(self, key, default=None):
-        v = self.get(key, default)
-        return default if v is None else _as_bool(v, f"{self.path}.{key}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    parameter: str
-    values: tuple
-
-
-@dataclass(frozen=True)
-class CalibrationSpec:
-    target_peak_db: float
-    tolerance_db: float = 0.1
-    bracket_low: float = 1e-3
-    bracket_high: float = 100e-3
+    def fields_of(self, cls, required=()) -> dict:
+        """Keyword arguments for cls from the keys this section sets: each
+        int, float or bool field of cls, read under its config key.  A field
+        the section leaves out keeps the default cls declares."""
+        kwargs = {}
+        for f in fields(cls):
+            key = _KEYS.get(f.name, f.name)
+            if f.type in _CONVERT and (key in self.data or f.name in required):
+                kwargs[f.name] = _CONVERT[f.type](
+                    self.get(key, required=True), f"{self.path}.{key}")
+        return kwargs
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class RunConfig:
     signal_grid: FrequencyGrid | None
     integrator: IntegrationOptions
     calibration: CalibrationSpec | None
-    sweep: SweepSpec | None
+    sweep: SweepAxis | None
     dip_exclusion_width_hz: float | None
     output_directory: str
     raw: dict = field(repr=False, default_factory=dict)
@@ -176,27 +180,35 @@ def _parse_design(sec: _Section, base_dir: Path, strict: bool):
 
 def _parse_spec(kind: str, sub: _Section):
     if kind == "fishbone":
-        return FishboneSpec(
-            base_cell=_parse_cell(sub),
-            cells_per_period=sub.int_("cells_per_period", 22),
-            loaded_cells=sub.int_("loaded_cells", 2),
-            loaded_cells_every_third=sub.int_("loaded_cells_every_third", 4),
-            capacitance_reduction_factor=sub.float_(
-                "capacitance_reduction_factor", 5.0),
-            num_periods=sub.int_("num_periods", required=True),
-            physical_cell_length=sub.float_("physical_cell_length_meters", 8e-6),
-        )
-    return LeafSpec(
-        base_cell=_parse_cell(sub),
-        cells_per_block_period=sub.int_("cells_per_block_period", 340),
-        resonator=ResonatorSpec(
-            resonant_frequency=sub.float_("resonant_frequency_hz", 6e9),
-            loaded_q=sub.float_("loaded_q", 70.0),
-            pairs_per_block=sub.int_("pairs_per_block", 2),
-            pair_separation_cells=sub.int_("pair_separation_cells", 6),
-        ),
-        num_blocks=sub.int_("num_blocks", required=True),
-    )
+        return FishboneSpec(_parse_cell(sub), **sub.fields_of(
+            FishboneSpec, required=("num_periods",)))
+    return LeafSpec(_parse_cell(sub),
+                    resonator=ResonatorSpec(**sub.fields_of(ResonatorSpec)),
+                    **sub.fields_of(LeafSpec, required=("num_blocks",)))
+
+
+def _parse_options(sec: _Section | None, cls, strict: bool, required=()):
+    """cls from the keys the section sets, or None without the section."""
+    if sec is None:
+        return None
+    options = cls(**sec.fields_of(cls, required))
+    sec.require_consumed(strict)
+    return options
+
+
+def _parse_sweep(sec: _Section | None, strict: bool) -> SweepAxis | None:
+    if sec is None:
+        return None
+    parameter = sec.get("parameter", required=True)
+    if "values" in sec:
+        values = tuple(_as_float(v, f"{sec.path}.values")
+                       for v in sec.get("values"))
+    else:
+        values = tuple(np.linspace(sec.float_("start", required=True),
+                                   sec.float_("stop", required=True),
+                                   sec.int_("points", required=True)))
+    sec.require_consumed(strict)
+    return SweepAxis(parameter, values)
 
 
 def load_config(path, strict: bool = True) -> RunConfig:
@@ -217,75 +229,35 @@ def load_config(path, strict: bool = True) -> RunConfig:
         raise ConfigError(f"{path.name}: missing required section 'design'")
     design, kind = _parse_design(design_sec, path.parent, strict)
 
-    analysis = root.child("analysis")
+    # a missing analysis or output section is an empty one
+    analysis = root.child("analysis") or _Section({}, "analysis")
     pump = None
-    signal_grid = None
-    integrator = IntegrationOptions()
-    calibration = None
-    sweep_spec = None
-    dip_width = None
-    freq_grid = DEFAULT_GRID
-    if analysis is not None:
-        freq_grid = _parse_grid(analysis.child("frequency_grid"), DEFAULT_GRID)
-        pump_sec = analysis.child("pump")
-        if pump_sec is not None:
-            pump = (pump_sec.float_("frequency_hz", required=True),
-                    pump_sec.float_("power_watts", required=True))
-            pump_sec.require_consumed(strict)
-        signal_grid = _parse_grid(analysis.child("signal_grid"))
-        integ = analysis.child("integrator")
-        if integ is not None:
-            # a field the section leaves out keeps its IntegrationOptions default
-            integrator = IntegrationOptions(
-                undepleted=integ.bool_("undepleted", integrator.undepleted),
-                include_third_harmonic=integ.bool_(
-                    "include_third_harmonic", integrator.include_third_harmonic),
-                seed_level_db=integ.float_("seed_level_db",
-                                           integrator.seed_level_db),
-                rtol=integ.float_("rtol", integrator.rtol),
-                atol=integ.float_("atol", integrator.atol),
-                z0=integ.float_("z0_ohms", integrator.z0),
-            )
-            integ.require_consumed(strict)
-        cal = analysis.child("calibration")
-        if cal is not None:
-            calibration = CalibrationSpec(
-                target_peak_db=cal.float_("target_peak_db", required=True),
-                tolerance_db=cal.float_("tolerance_db", 0.1),
-                bracket_low=cal.float_("bracket_low_amperes", 1e-3),
-                bracket_high=cal.float_("bracket_high_amperes", 100e-3),
-            )
-            cal.require_consumed(strict)
-        sw = analysis.child("sweep")
-        if sw is not None:
-            parameter = sw.get("parameter", required=True)
-            if "values" in sw:
-                values = tuple(_as_float(v, f"{sw.path}.values")
-                               for v in sw.get("values"))
-            else:
-                import numpy as np
-                values = tuple(np.linspace(
-                    sw.float_("start", required=True),
-                    sw.float_("stop", required=True),
-                    sw.int_("points", required=True)))
-            sweep_spec = SweepSpec(parameter=parameter, values=values)
-            sw.require_consumed(strict)
-        dip_width = analysis.float_("dip_exclusion_width_hz")
-        analysis.require_consumed(strict)
-
-    output = root.child("output")
-    out_dir = "."
-    if output is not None:
-        out_dir = output.get("directory", ".")
-        output.require_consumed(strict)
-
-    root.require_consumed(strict)
-    return RunConfig(
-        design=design, design_kind=kind, frequency_grid=freq_grid, pump=pump,
-        signal_grid=signal_grid, integrator=integrator,
-        calibration=calibration, sweep=sweep_spec,
-        dip_exclusion_width_hz=dip_width, output_directory=out_dir, raw=raw,
+    pump_sec = analysis.child("pump")
+    if pump_sec is not None:
+        pump = (pump_sec.float_("frequency_hz", required=True),
+                pump_sec.float_("power_watts", required=True))
+        pump_sec.require_consumed(strict)
+    output = root.child("output") or _Section({}, "output")
+    config = RunConfig(
+        design=design, design_kind=kind,
+        frequency_grid=_parse_grid(analysis.child("frequency_grid"),
+                                   DEFAULT_GRID),
+        pump=pump,
+        signal_grid=_parse_grid(analysis.child("signal_grid")),
+        integrator=(_parse_options(analysis.child("integrator"),
+                                   IntegrationOptions, strict)
+                    or IntegrationOptions()),
+        calibration=_parse_options(analysis.child("calibration"),
+                                   CalibrationSpec, strict,
+                                   required=("target_peak_db",)),
+        sweep=_parse_sweep(analysis.child("sweep"), strict),
+        dip_exclusion_width_hz=analysis.float_("dip_exclusion_width_hz"),
+        output_directory=output.get("directory", "."),
+        raw=raw,
     )
+    for sec in (analysis, output, root):
+        sec.require_consumed(strict)
+    return config
 
 
 def effective_config(config: RunConfig) -> dict:
@@ -293,14 +265,10 @@ def effective_config(config: RunConfig) -> dict:
 
     Echoed into the run manifest so a result documents exactly what ran.
     """
-    from dataclasses import asdict
-
     def clean(obj):
-        if obj is None:
-            return None
-        return {k: v for k, v in asdict(obj).items()}
+        return None if obj is None else asdict(obj)
 
-    doc = {
+    return {
         "design_kind": config.design_kind,
         "design": (str(config.design) if config.design_kind == "netlist"
                    else clean(config.design)),
@@ -310,10 +278,7 @@ def effective_config(config: RunConfig) -> dict:
         "signal_grid": clean(config.signal_grid),
         "integrator": clean(config.integrator),
         "calibration": clean(config.calibration),
-        "sweep": (None if config.sweep is None else
-                  {"parameter": config.sweep.parameter,
-                   "values": list(config.sweep.values)}),
+        "sweep": clean(config.sweep),
         "dip_exclusion_width_hz": config.dip_exclusion_width_hz,
         "output_directory": config.output_directory,
     }
-    return doc

@@ -185,12 +185,6 @@ class StopbandReport:
     def widest(self) -> Stopband:
         return max(self.bands, key=lambda b: b.width)
 
-    def band_containing(self, f: float) -> Stopband | None:
-        for b in self.bands:
-            if b.f_low <= f <= b.f_high:
-                return b
-        return None
-
     def bands_in(self, f_low: float, f_high: float) -> list:
         return [b for b in self.bands if f_low <= b.center <= f_high]
 

@@ -40,6 +40,7 @@ __all__ = [
     "propagate_modes",
     "analytic_gain_undepleted",
     "PumpedLine",
+    "signal_frequencies",
     "prepare_line",
     "solve_gain",
     "integrate_gain",
@@ -422,6 +423,26 @@ class PumpedLine:
                            self.blocks, self.block_factors)
 
 
+def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
+    """The signal grid without the pump point (any point within 1e-9·f_p).
+
+    Raises ValueError unless the pump frequency is positive and every other
+    signal lies in (0, 2·f_p).
+    """
+    f_p = pump_frequency
+    if f_p <= 0:
+        raise ValueError("pump frequency must be positive")
+    if isinstance(signal_grid, FrequencyGrid):
+        f_s = signal_grid.frequencies()
+    else:
+        f_s = np.asarray(signal_grid, dtype=float)
+    f_s = f_s[np.abs(f_s - f_p) > 1e-9 * f_p]
+    if np.any(f_s <= 0) or np.any(f_s >= 2 * f_p):
+        raise ValueError(f"signal frequencies must lie in (0, 2*f_p) = "
+                         f"(0, {2 * f_p:g}) Hz")
+    return f_s
+
+
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
                  pump_frequency: float, signal_grid,
                  options: IntegrationOptions | None = None,
@@ -431,20 +452,12 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
     The arguments mean what they mean for integrate_gain; any signal point
     at the pump frequency is dropped.  Raises NumericError for a pump inside
     a stopband, a resonator design without uniform base cells, or a third
-    harmonic beyond the dispersion grid.
+    harmonic beyond the dispersion grid, and ValueError for a signal grid
+    signal_frequencies refuses or leaves empty.
     """
     options = options or IntegrationOptions()
     f_p = pump_frequency
-    if f_p <= 0:
-        raise ValueError("pump frequency must be positive")
-    if isinstance(signal_grid, FrequencyGrid):
-        f_s = signal_grid.frequencies()
-    else:
-        f_s = np.asarray(signal_grid, dtype=float)
-    keep = np.abs(f_s - f_p) > 1e-9 * f_p
-    f_s = f_s[keep]
-    if np.any(f_s <= 0) or np.any(f_s >= 2 * f_p):
-        raise ValueError("signal frequencies must lie in (0, 2*f_p)")
+    f_s = signal_frequencies(signal_grid, f_p)
     if f_s.size == 0:
         raise ValueError("signal grid is empty after excluding the pump")
 

@@ -13,8 +13,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     OperatingPoint,
@@ -22,7 +20,6 @@ from .analysis import (
     gain_metrics,
     metrics_report_rows,
     sweep,
-    SweepAxis,
     sweep_csv_rows,
 )
 from .circuit import read_netlist, write_netlist
@@ -33,6 +30,7 @@ from .fwm import (
     gain_profile_csv_rows,
     harmonic_scan_csv_rows,
     integrate_gain,
+    signal_frequencies,
     third_harmonic_scan,
 )
 # network_matrix is not called in this module; it is imported into it because
@@ -175,16 +173,15 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         _require(config.signal_grid is not None,
                  f"'{subcommand}' requires an analysis.signal_grid section")
     if subcommand in ("gain", "calibrate"):
-        # the signal range prepare_line and the length gain_metrics need,
-        # checked before any solve; a sweep records such points as failures
-        f_p = config.pump[0]
-        _require(f_p > 0 and config.signal_grid.stop < 2 * f_p,
-                 f"analysis.signal_grid: signal frequencies must lie in "
-                 f"(0, 2*f_p) = (0, {2 * f_p:g}) Hz")
-        f_s = config.signal_grid.frequencies()
-        _require(np.count_nonzero(np.abs(f_s - f_p) > 1e-9 * f_p) >= 3,
-                 "analysis.signal_grid: metrics need at least 3 points "
-                 "besides the pump frequency")
+        # the signal grid prepare_line accepts, with the length gain_metrics
+        # needs, checked before any solve; a sweep records such points as
+        # failures
+        try:
+            f_s = signal_frequencies(config.signal_grid, config.pump[0])
+        except ValueError as exc:
+            raise ConfigError(f"analysis.signal_grid: {exc}") from None
+        _require(f_s.size >= 3, "analysis.signal_grid: metrics need at least "
+                 "3 points besides the pump frequency")
     # sweep and calibrate expand the design themselves
     network = (None if subcommand in ("sweep", "calibrate")
                else _expand(config))
@@ -233,8 +230,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         _require(config.design_kind != "netlist",
                  "'sweep' needs a parametric design, not a raw netlist")
         result = sweep(
-            config.design, config.pump,
-            SweepAxis(config.sweep.parameter, config.sweep.values),
+            config.design, config.pump, config.sweep,
             config.signal_grid, config.frequency_grid, config.integrator,
             dip_exclusion_width_hz=config.dip_exclusion_width_hz)
         emit.write_lines("sweep.csv", sweep_csv_rows(result))

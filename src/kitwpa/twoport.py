@@ -299,26 +299,25 @@ class SParameterSet:
 
 def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
                     z_ref: float = 50.0) -> SParameterSet:
-    """Convert a chain matrix to S-parameters at a real reference impedance."""
+    """Convert a chain matrix to S-parameters at a real reference impedance.
+
+    The two-port is taken as reciprocal, as every series/shunt ladder is:
+    S12 is S21.
+    """
     if z_ref <= 0:
         raise ValueError("z_ref must be positive")
     f = np.atleast_1d(np.asarray(f, dtype=float))
     # the entries' common scale 2**exponent cancels from the ratios s11 and
-    # s22; s21 and s12 are scaled by it afterwards, exactly
+    # s22; s21 is scaled by it afterwards, exactly
     den = m.a + m.b / z_ref + m.c * z_ref + m.d
     with np.errstate(over="ignore"):
         if np.any(np.ldexp(np.abs(den), m.exponent) < 1e-300):
             raise ArithmeticError(
                 "singular ABCD-to-S denominator (pathological network)")
         s21 = _ldexp(2.0 / den, -m.exponent)
-        # det is 1 for every ladder, but formed from the entries it carries
-        # their rounding; where a deep stopband scales that noise past the
-        # float range, s12 takes the reciprocal value s21
-        s12 = _ldexp(2.0 * (m.a * m.d - m.b * m.c) / den, m.exponent)
-    s12 = np.where(np.isfinite(s12), s12, s21)
     s11 = (m.a + m.b / z_ref - m.c * z_ref - m.d) / den
     s22 = (-m.a + m.b / z_ref - m.c * z_ref + m.d) / den
-    return SParameterSet(f, s11, s21, s12, s22, z_ref)
+    return SParameterSet(f, s11, s21, s21, s22, z_ref)
 
 
 # --------------------------------------------------------------------------

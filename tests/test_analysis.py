@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,32 @@ class TestSweep:
             _, fresh, _ = simulate_gain(d, p, grid, disp)
             for name in names:
                 assert res.metrics[name][i] == getattr(fresh, name)
+
+    @pytest.mark.parametrize("design", [SMALL_FISHBONE, PARITY_LEAF],
+                             ids=["fishbone", "leaf"])
+    def test_accepts_the_pump_i_star_and_the_spec_scalar_fields(self, design):
+        def scalars(spec):
+            return {f.name for f in fields(spec)
+                    if not is_dataclass(getattr(spec, f.name))}
+
+        expected = {"pump_frequency", "pump_power", "i_star"} | scalars(design)
+        if isinstance(design, LeafSpec):
+            expected |= scalars(design.resonator)
+        names = expected | {f.name for spec in (FishboneSpec, LeafSpec,
+                                                ResonatorSpec, UnitCellSpec,
+                                                NonlinearInductorSpec)
+                            for f in fields(spec)}
+        accepted = set()
+        for name in names:
+            try:
+                # an empty axis checks the parameter and solves nothing
+                sweep(design, (6.22e9, 100e-6), SweepAxis(name, ()),
+                      np.linspace(5.7e9, 6.7e9, 11), DISP_GRID)
+            except ValueError as exc:
+                assert "unknown sweep parameter" in str(exc)
+            else:
+                accepted.add(name)
+        assert accepted == expected
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):

@@ -1,10 +1,18 @@
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kitwpa.circuit import FishboneSpec, LeafSpec
+from kitwpa.analysis import CalibrationSpec, calibrate_istar
+from kitwpa.circuit import (
+    FishboneSpec,
+    LeafSpec,
+    NonlinearInductorSpec,
+    ResonatorSpec,
+    UnitCellSpec,
+)
 from kitwpa.cli import main
 from kitwpa.config import load_config
 from kitwpa.errors import ConfigError
@@ -153,6 +161,56 @@ design:
             tmp_path, design + "analysis:\n  integrator: {undepleted: false}\n",
             "partial.cfg"))
         assert partial.integrator == IntegrationOptions()
+
+    def test_design_defaults_are_the_spec_defaults(self, tmp_path):
+        cell = "{l_henries: 5e-11, c_farads: 2e-14, i_star_amperes: 1e-2"
+        base = UnitCellSpec(NonlinearInductorSpec(5e-11, 1e-2), 2e-14)
+
+        def design(text, name):
+            return load_config(write_cfg(
+                tmp_path, f"design:\n  {text}}}\n", name)).design
+
+        assert design(f"fishbone: {cell}, num_periods: 3", "f.cfg") == \
+            FishboneSpec(base, num_periods=3)
+        assert design(f"leaf: {cell}, num_blocks: 2", "l.cfg") == \
+            LeafSpec(base, num_blocks=2)
+        # a section that sets one field leaves the others at their defaults
+        assert design(f"fishbone: {cell}, num_periods: 3, loaded_cells: 3",
+                      "fp.cfg") == FishboneSpec(base, loaded_cells=3,
+                                                num_periods=3)
+        assert design(f"leaf: {cell}, num_blocks: 2, loaded_q: 50",
+                      "lp.cfg") == LeafSpec(
+            base, resonator=ResonatorSpec(loaded_q=50.0), num_blocks=2)
+
+    def test_calibration_defaults_are_the_spec_defaults(self, tmp_path):
+        design = """
+design:
+  fishbone: {l_henries: 5e-11, c_farads: 2e-14, i_star_amperes: 1e-2,
+             num_periods: 3}
+analysis:
+"""
+        bare = load_config(write_cfg(
+            tmp_path, design + "  calibration: {target_peak_db: 15.0}\n",
+            "bare.cfg"))
+        assert bare.calibration == CalibrationSpec(15.0)
+        partial = load_config(write_cfg(
+            tmp_path, design + "  calibration: {target_peak_db: 15.0, "
+            "tolerance_db: 0.5}\n", "partial.cfg"))
+        assert partial.calibration == CalibrationSpec(15.0, tolerance_db=0.5)
+        defaults = inspect.signature(calibrate_istar).parameters
+        spec = CalibrationSpec(15.0)
+        assert defaults["bracket"].default == (spec.bracket_low,
+                                               spec.bracket_high)
+        assert defaults["tol_db"].default == spec.tolerance_db
+
+    def test_removed_design_key_rejected_in_strict_mode(self, tmp_path):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "num_periods: 45\n",
+            "num_periods: 45\n    physical_cell_length_meters: 8.0e-6\n"))
+        with pytest.raises(ConfigError, match="physical_cell_length_meters"):
+            load_config(p)
+        assert main(["design", "--config", str(p), "--out",
+                     str(tmp_path / "o"), "--no-strict"]) == 0
 
     def test_netlist_variant_requires_existing_file(self, tmp_path):
         p = write_cfg(tmp_path, "design:\n  netlist: missing.net\n")
@@ -454,10 +512,11 @@ class TestCli:
 
     def test_cli_format_flag_removed(self, tmp_path, capsys):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG)
-        with pytest.raises(SystemExit) as exc:
-            main(["linear", "--config", str(p), "--format", "all"])
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        for flag in (["--format", "all"], ["--strict"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["linear", "--config", str(p), *flag])
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
     def test_cli_seed_level_override(self, tmp_path):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(

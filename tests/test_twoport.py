@@ -216,6 +216,17 @@ class TestLongCascades:
         power = np.abs(sp.s11) ** 2 + np.abs(sp.s21) ** 2
         assert np.max(np.abs(power - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("name, factor", [
+        *((name, 1) for name in PRESET_NAMES), ("fishbone-paper", 4)])
+    def test_s12_is_s21_and_passive(self, name, factor):
+        # a ladder is reciprocal; S12 formed from its rounded determinant
+        # would be noise of any size in a deep stopband
+        net, f = preset(name)
+        long = LadderNetwork(net.period, net.repeats * factor, net.tail)
+        sp = to_s_parameters(network_matrix(long, f), f)
+        assert np.array_equal(sp.s12, sp.s21)
+        assert np.max(np.abs(sp.s12)) <= 1.0 + 1e-9
+
     def test_rows_unchanged_where_the_unscaled_cascade_was_finite(self):
         net, f = preset("fishbone-paper")
         period, tail = walk_period(net, f)
