@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import load_config
@@ -41,21 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory "
                        "(default: from the config)")
-        p.add_argument("--seed-level-db", type=float, default=None,
-                       help="signal seed level relative to the pump")
-        p.add_argument("--no-strict", dest="strict", action="store_false",
-                       help="ignore unknown config keys (rejected by default)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, strict=args.strict)
-        if args.seed_level_db is not None:
-            config = replace(config, integrator=replace(
-                config.integrator, seed_level_db=args.seed_level_db))
-        manifest = run(args.subcommand, config, out_dir=args.out)
+        manifest = run(args.subcommand, load_config(args.config),
+                       out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,7 @@ since plain YAML treats bare exponents as strings).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -52,14 +53,20 @@ def _as_bool(value, path: str) -> bool:
 
 _CONVERT = {"int": _as_int, "float": _as_float, "bool": _as_bool}
 # config keys that carry their unit; every other field is its own key
-_KEYS = {"resonant_frequency": "resonant_frequency_hz",
+_KEYS = {"l0": "l_henries",
+         "i_star": "i_star_amperes",
+         "shunt_capacitance": "c_farads",
+         "resonant_frequency": "resonant_frequency_hz",
          "bracket_low": "bracket_low_amperes",
          "bracket_high": "bracket_high_amperes",
-         "z0": "z0_ohms"}
+         "z0": "z0_ohms",
+         "start": "start_hz",
+         "stop": "stop_hz"}
 
 
 class _Section:
-    """Mapping wrapper that tracks key consumption for strict validation."""
+    """Mapping wrapper that records the keys read and the child sections
+    returned, so unknown keys are found once the whole document is read."""
 
     def __init__(self, data: dict, path: str):
         if not isinstance(data, dict):
@@ -67,6 +74,7 @@ class _Section:
         self.data = data
         self.path = path
         self.seen: set = set()
+        self.children: list = []
 
     def __contains__(self, key):
         return key in self.data
@@ -83,11 +91,16 @@ class _Section:
         raw = self.get(key, required=required)
         if raw is None:
             return None
-        return _Section(raw, f"{self.path}.{key}")
+        sec = _Section(raw, f"{self.path}.{key}")
+        self.children.append(sec)
+        return sec
 
-    def require_consumed(self, strict: bool):
+    def require_consumed(self):
+        """Fail on the first key no parser read, children before parents."""
+        for sec in self.children:
+            sec.require_consumed()
         unknown = set(self.data) - self.seen
-        if unknown and strict:
+        if unknown:
             raise ConfigError(
                 f"{self.path}: unknown key(s) {sorted(unknown)!r}")
 
@@ -127,33 +140,10 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _parse_grid(sec: _Section, default=None) -> FrequencyGrid:
-    if sec is None:
-        return default
-    try:
-        grid = FrequencyGrid(
-            start=sec.float_("start_hz", required=True),
-            stop=sec.float_("stop_hz", required=True),
-            points=sec.int_("points", required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{sec.path}: {exc}") from None
-    sec.require_consumed(strict=True)
-    return grid
+_GRID_FIELDS = ("start", "stop", "points")
 
 
-def _parse_cell(sec: _Section) -> UnitCellSpec:
-    cell = UnitCellSpec(
-        inductor=NonlinearInductorSpec(
-            l0=sec.float_("l_henries", required=True),
-            i_star=sec.float_("i_star_amperes", required=True),
-        ),
-        shunt_capacitance=sec.float_("c_farads", required=True),
-    )
-    return cell
-
-
-def _parse_design(sec: _Section, base_dir: Path, strict: bool):
+def _parse_design(sec: _Section, base_dir: Path):
     variants = [k for k in ("fishbone", "leaf", "netlist") if k in sec.data]
     if len(variants) != 1:
         raise ConfigError(
@@ -165,38 +155,32 @@ def _parse_design(sec: _Section, base_dir: Path, strict: bool):
         path = (base_dir / rel).resolve()
         if not path.exists():
             raise ConfigError(f"{sec.path}.netlist: file not found: {path}")
-        sec.require_consumed(strict)
         return path, kind
     sub = sec.child(kind, required=True)
-    try:
-        design = _parse_spec(kind, sub)
-    except ValueError as exc:
-        # a value the spec rejects: its message names the field
-        raise ConfigError(f"{sub.path}: {exc}") from None
-    sub.require_consumed(strict)
-    sec.require_consumed(strict)
-    return design, kind
-
-
-def _parse_spec(kind: str, sub: _Section):
+    cell = _parse_options(sub, UnitCellSpec, required=("shunt_capacitance",),
+                          inductor=_parse_options(sub, NonlinearInductorSpec,
+                                                  required=("l0", "i_star")))
     if kind == "fishbone":
-        return FishboneSpec(_parse_cell(sub), **sub.fields_of(
-            FishboneSpec, required=("num_periods",)))
-    return LeafSpec(_parse_cell(sub),
-                    resonator=ResonatorSpec(**sub.fields_of(ResonatorSpec)),
-                    **sub.fields_of(LeafSpec, required=("num_blocks",)))
+        return _parse_options(sub, FishboneSpec, required=("num_periods",),
+                              base_cell=cell), kind
+    return _parse_options(sub, LeafSpec, required=("num_blocks",),
+                          base_cell=cell,
+                          resonator=_parse_options(sub, ResonatorSpec)), kind
 
 
-def _parse_options(sec: _Section | None, cls, strict: bool, required=()):
-    """cls from the keys the section sets, or None without the section."""
+def _parse_options(sec: _Section | None, cls, required=(), **nested):
+    """cls from the keys the section sets (plus the nested specs given), or
+    None without the section.  A value cls rejects is a ConfigError whose
+    message names the field."""
     if sec is None:
         return None
-    options = cls(**sec.fields_of(cls, required))
-    sec.require_consumed(strict)
-    return options
+    try:
+        return cls(**sec.fields_of(cls, required), **nested)
+    except ValueError as exc:
+        raise ConfigError(f"{sec.path}: {exc}") from None
 
 
-def _parse_sweep(sec: _Section | None, strict: bool) -> SweepAxis | None:
+def _parse_sweep(sec: _Section | None) -> SweepAxis | None:
     if sec is None:
         return None
     parameter = sec.get("parameter", required=True)
@@ -207,11 +191,21 @@ def _parse_sweep(sec: _Section | None, strict: bool) -> SweepAxis | None:
         values = tuple(np.linspace(sec.float_("start", required=True),
                                    sec.float_("stop", required=True),
                                    sec.int_("points", required=True)))
-    sec.require_consumed(strict)
     return SweepAxis(parameter, values)
 
 
-def load_config(path, strict: bool = True) -> RunConfig:
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+def _float_vs_zero(sec: _Section, key: str, op: str, required=False):
+    """sec's number at key, which must be `op` 0 (op is ">" or ">=")."""
+    value = sec.float_(key, required=required)
+    if value is not None and not _COMPARE[op](value, 0.0):
+        raise ConfigError(f"{sec.path}.{key}: must be {op} 0, got {value}")
+    return value
+
+
+def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
     if not path.exists():
@@ -227,36 +221,37 @@ def load_config(path, strict: bool = True) -> RunConfig:
     design_sec = root.child("design")
     if design_sec is None:
         raise ConfigError(f"{path.name}: missing required section 'design'")
-    design, kind = _parse_design(design_sec, path.parent, strict)
+    design, kind = _parse_design(design_sec, path.parent)
 
     # a missing analysis or output section is an empty one
     analysis = root.child("analysis") or _Section({}, "analysis")
     pump = None
     pump_sec = analysis.child("pump")
     if pump_sec is not None:
-        pump = (pump_sec.float_("frequency_hz", required=True),
-                pump_sec.float_("power_watts", required=True))
-        pump_sec.require_consumed(strict)
+        pump = (_float_vs_zero(pump_sec, "frequency_hz", ">", required=True),
+                _float_vs_zero(pump_sec, "power_watts", ">=", required=True))
     output = root.child("output") or _Section({}, "output")
     config = RunConfig(
         design=design, design_kind=kind,
-        frequency_grid=_parse_grid(analysis.child("frequency_grid"),
-                                   DEFAULT_GRID),
+        frequency_grid=(_parse_options(analysis.child("frequency_grid"),
+                                       FrequencyGrid, required=_GRID_FIELDS)
+                        or DEFAULT_GRID),
         pump=pump,
-        signal_grid=_parse_grid(analysis.child("signal_grid")),
+        signal_grid=_parse_options(analysis.child("signal_grid"),
+                                   FrequencyGrid, required=_GRID_FIELDS),
         integrator=(_parse_options(analysis.child("integrator"),
-                                   IntegrationOptions, strict)
+                                   IntegrationOptions)
                     or IntegrationOptions()),
         calibration=_parse_options(analysis.child("calibration"),
-                                   CalibrationSpec, strict,
+                                   CalibrationSpec,
                                    required=("target_peak_db",)),
-        sweep=_parse_sweep(analysis.child("sweep"), strict),
-        dip_exclusion_width_hz=analysis.float_("dip_exclusion_width_hz"),
+        sweep=_parse_sweep(analysis.child("sweep")),
+        dip_exclusion_width_hz=_float_vs_zero(
+            analysis, "dip_exclusion_width_hz", ">"),
         output_directory=output.get("directory", "."),
         raw=raw,
     )
-    for sec in (analysis, output, root):
-        sec.require_consumed(strict)
+    root.require_consumed()
     return config
 
 

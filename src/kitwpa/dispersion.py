@@ -136,17 +136,14 @@ def device_dispersion(network: LadderNetwork, grid: FrequencyGrid = DEFAULT_GRID
                             lossless=(loss_tangent == 0.0))
 
 
-def uniform_cell_dispersion(l0: float, c: float, grid: FrequencyGrid,
-                            bias_current: float = 0.0,
-                            i_star: float = float("inf")) -> DispersionCurve:
+def uniform_cell_dispersion(l0: float, c: float,
+                            grid: FrequencyGrid) -> DispersionCurve:
     """Closed-form Bloch curve of the uniform LC ladder, one cell per period.
 
     k = 2*asin(pi*f*sqrt(LC)) below cutoff; evanescent above with the phase
     pinned at pi.  Used as the smooth propagation background for designs
     whose discrete phase shifters are applied as lumped corrections.
     """
-    if np.isfinite(i_star):
-        l0 = l0 * (1.0 + (bias_current / i_star) ** 2)
     f = grid.frequencies()
     x = np.pi * f * np.sqrt(l0 * c)
     phase = np.where(x < 1.0, 2.0 * np.arcsin(np.minimum(x, 1.0)), np.pi)

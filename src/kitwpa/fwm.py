@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 GAIN_FLOOR_DB = -300.0
+# signal seed power relative to the pump; IntegrationOptions(undepleted=True)
+# gives the seed-free small-signal gain
+SEED_LEVEL_DB = -60.0
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,6 @@ def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
 class IntegrationOptions:
     undepleted: bool = False
     include_third_harmonic: bool = False
-    seed_level_db: float = -60.0   # signal seed relative to the pump
     rtol: float = 1e-9
     atol: float = 1e-14
     z0: float = 50.0               # line impedance for the power-current map
@@ -545,7 +547,7 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
         return GainProfile(f_s.copy(), np.zeros(n), line.pump_frequency, 0.0,
                            dk.copy(), dk.copy(), line.in_stopband.copy(), i_star)
 
-    seed_p = p_p * 10.0 ** (options.seed_level_db / 10.0)
+    seed_p = p_p * 10.0 ** (SEED_LEVEL_DB / 10.0)
     seed_amp = math.sqrt(seed_p)
     y0 = np.concatenate([
         np.full(n, math.sqrt(p_p), dtype=complex),

@@ -169,6 +169,9 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     if needs_pump:
         _require(config.pump is not None,
                  f"'{subcommand}' requires an analysis.pump section")
+    if subcommand in ("harmonics", "calibrate"):
+        _require(config.pump[1] > 0, f"'{subcommand}' requires a positive "
+                 "analysis.pump.power_watts")
     if subcommand in ("gain", "sweep", "calibrate"):
         _require(config.signal_grid is not None,
                  f"'{subcommand}' requires an analysis.signal_grid section")
@@ -216,9 +219,6 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.write_lines("metrics.csv", csv)
 
     elif subcommand == "harmonics":
-        _require(config.integrator.include_third_harmonic,
-                 "'harmonics' requires analysis.integrator."
-                 "include_third_harmonic: true")
         curve = _bloch_curve(config, network)
         scan = third_harmonic_scan(network, curve, config.pump,
                                    config.integrator, stopband_curve=curve)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kitwpa.fwm
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
@@ -480,13 +481,13 @@ class TestIntegrateGain:
         assert np.all(prof.gain_db > 0.5)
         assert prof.gain_db[0] == pytest.approx(prof.gain_db[1], abs=0.5)
 
-    def test_seed_level_does_not_change_gain(self, small_fishbone):
+    def test_seed_level_does_not_change_gain(self, small_fishbone,
+                                             monkeypatch):
         net, curve = small_fishbone
         f = np.array([6.0e9])
-        a = integrate_gain(net, curve, (6.22e9, 100e-6), f,
-                           IntegrationOptions(seed_level_db=-60))
-        b = integrate_gain(net, curve, (6.22e9, 100e-6), f,
-                           IntegrationOptions(seed_level_db=-80))
+        a = integrate_gain(net, curve, (6.22e9, 100e-6), f)
+        monkeypatch.setattr(kitwpa.fwm, "SEED_LEVEL_DB", -80.0)
+        b = integrate_gain(net, curve, (6.22e9, 100e-6), f)
         assert a.gain_db[0] == pytest.approx(b.gain_db[0], abs=1e-3)
 
     def test_convergence_in_tolerance(self, small_fishbone):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from kitwpa.analysis import CalibrationSpec, calibrate_istar
 from kitwpa.circuit import (
@@ -20,7 +21,8 @@ from kitwpa.fwm import IntegrationOptions
 from kitwpa.runner import run
 from kitwpa.twoport import read_touchstone
 
-PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = ROOT / "src" / "kitwpa" / "presets"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -75,7 +77,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("preset", sorted(p.name for p in PRESETS.glob("*.cfg")))
     def test_every_preset_loads_strictly(self, preset):
-        cfg = load_config(PRESETS / preset, strict=True)
+        cfg = load_config(PRESETS / preset)
         assert cfg.pump is not None and cfg.signal_grid is not None
 
     @pytest.mark.parametrize("key", ["formats: [all]", "precision: 12"])
@@ -83,7 +85,50 @@ class TestLoadConfig:
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG + f"  {key}\n")
         with pytest.raises(ConfigError, match=key.split(":")[0]):
             load_config(p)
-        assert load_config(p, strict=False).output_directory == "out"
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        section = readme[readme.index("## Configuration format"):]
+        example = section[section.index("```yaml\n") + 8:section.index("```\n")]
+        cfg = load_config(write_cfg(tmp_path, example))
+        assert isinstance(cfg.design, FishboneSpec)
+        assert cfg.integrator == IntegrationOptions()
+
+    @pytest.mark.parametrize("variant, section", [
+        ("fishbone", ""), ("fishbone", "design"),
+        ("fishbone", "design.fishbone"), ("leaf", "design.leaf"),
+        ("fishbone", "analysis"), ("fishbone", "analysis.frequency_grid"),
+        ("fishbone", "analysis.signal_grid"), ("fishbone", "analysis.pump"),
+        ("fishbone", "analysis.integrator"),
+        ("fishbone", "analysis.calibration"), ("fishbone", "analysis.sweep"),
+        ("fishbone", "output"), ("netlist", "design"),
+    ], ids=lambda v: v or "root")
+    def test_unknown_key_in_any_section_is_named(self, tmp_path, variant,
+                                                 section):
+        doc = yaml.safe_load(SMALL_FISHBONE_CFG)
+        doc["analysis"].update(
+            calibration={"target_peak_db": 3.0},
+            sweep={"parameter": "pump_power", "values": [5e-5, 1e-4]},
+            dip_exclusion_width_hz=1e8)
+        cell = doc["design"].pop("fishbone")
+        if variant == "netlist":
+            (tmp_path / "device.net").write_text("")
+            doc["design"]["netlist"] = "device.net"
+        elif variant == "leaf":
+            del cell["num_periods"]
+            doc["design"]["leaf"] = {**cell, "num_blocks": 1}
+        else:
+            doc["design"]["fishbone"] = cell
+        load_config(write_cfg(tmp_path, yaml.safe_dump(doc), "ok.cfg"))
+        target = doc
+        for key in filter(None, section.split(".")):
+            target = target[key]
+        target["bogus_key"] = 1
+        p = write_cfg(tmp_path, yaml.safe_dump(doc))
+        path = ".".join(filter(None, ["run.cfg", section]))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: unknown key(s) ['bogus_key']")):
+            load_config(p)
 
     @pytest.mark.parametrize("section", ["signal_grid", "frequency_grid"])
     @pytest.mark.parametrize("grid, message", [
@@ -132,8 +177,6 @@ design:
 """)
         with pytest.raises(ConfigError, match="cells_per_periud"):
             load_config(p)
-        cfg = load_config(p, strict=False)
-        assert cfg.design.cells_per_period == 22  # default kept
 
     def test_number_strings_coerced(self, tmp_path):
         # bare exponents are strings in YAML; they must still parse
@@ -209,8 +252,6 @@ analysis:
             "num_periods: 45\n    physical_cell_length_meters: 8.0e-6\n"))
         with pytest.raises(ConfigError, match="physical_cell_length_meters"):
             load_config(p)
-        assert main(["design", "--config", str(p), "--out",
-                     str(tmp_path / "o"), "--no-strict"]) == 0
 
     def test_netlist_variant_requires_existing_file(self, tmp_path):
         p = write_cfg(tmp_path, "design:\n  netlist: missing.net\n")
@@ -332,10 +373,17 @@ class TestRunner:
         assert d1 == d2
         assert m1["config_digest"] == m2["config_digest"]
 
-    def test_harmonics_requires_flag(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
-        with pytest.raises(ConfigError, match="include_third_harmonic"):
-            run("harmonics", cfg, out_dir=tmp_path / "out")
+    def test_harmonics_needs_no_flag(self, tmp_path):
+        text = SMALL_FISHBONE_CFG.replace("frequency_hz: 6.22e9",
+                                          "frequency_hz: 7.7e9")
+        for name, flag in (("without", "false"), ("with", "true")):
+            cfg = load_config(write_cfg(tmp_path, text.replace(
+                "integrator: {rtol: 1.0e-8}",
+                "integrator: {rtol: 1.0e-8, include_third_harmonic: "
+                f"{flag}}}"), f"{name}.cfg"))
+            run("harmonics", cfg, out_dir=tmp_path / name)
+        assert (tmp_path / "without" / "harmonics.csv").read_bytes() == \
+            (tmp_path / "with" / "harmonics.csv").read_bytes()
 
     def test_harmonics_runs_with_flag(self, tmp_path):
         text = SMALL_FISHBONE_CFG.replace(
@@ -512,18 +560,12 @@ class TestCli:
 
     def test_cli_format_flag_removed(self, tmp_path, capsys):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG)
-        for flag in (["--format", "all"], ["--strict"]):
+        for flag in (["--format", "all"], ["--strict"], ["--no-strict"],
+                     ["--seed-level-db", "-70"]):
             with pytest.raises(SystemExit) as exc:
                 main(["linear", "--config", str(p), *flag])
             assert exc.value.code == 2
             assert flag[0] in capsys.readouterr().err
-
-    def test_cli_seed_level_override(self, tmp_path):
-        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
-            "points: 41", "points: 11"))
-        rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o"),
-                   "--seed-level-db", "-70"])
-        assert rc == 0
 
     def test_cli_io_error_exit_4(self, tmp_path, capsys):
         # output directory path occupied by a regular file
@@ -539,13 +581,44 @@ class TestCli:
         manifest = run("design", cfg, out_dir=tmp_path / "out")
         eff = manifest["effective_config"]
         assert eff["design"]["cells_per_period"] == 22  # default filled in
-        assert eff["integrator"]["seed_level_db"] == -60.0
+        assert eff["integrator"]["atol"] == 1e-14
         assert eff["pump"]["frequency_hz"] == 6.22e9
 
-    def test_cli_no_strict_allows_unknown_keys(self, tmp_path):
+    def test_cli_unknown_root_section_exit_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG + "\nextra_section: {a: 1}\n")
-        rc = main(["design", "--config", str(p), "--out", str(tmp_path / "o"),
-                   "--no-strict"])
-        assert rc == 0
         rc = main(["design", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "run.cfg: unknown key(s) ['extra_section']" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, old, new, key", [
+        ("gain", "power_watts: 100.0e-6", "power_watts: -1.0e-6",
+         "analysis.pump.power_watts"),
+        ("harmonics", "power_watts: 100.0e-6", "power_watts: 0",
+         "analysis.pump.power_watts"),
+        ("calibrate", "power_watts: 100.0e-6", "power_watts: 0",
+         "analysis.pump.power_watts"),
+        ("gain", "frequency_hz: 6.22e9", "frequency_hz: -6.22e9",
+         "analysis.pump.frequency_hz"),
+        ("gain", "output:", "  dip_exclusion_width_hz: -1.0e9\noutput:",
+         "analysis.dip_exclusion_width_hz"),
+    ], ids=["gain-negative-power", "harmonics-zero-power",
+            "calibrate-zero-power", "negative-pump-frequency",
+            "negative-dip-width"])
+    def test_cli_pump_and_dip_width_values_exit_2(
+            self, tmp_path, capsys, subcommand, old, new, key):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(old, new).replace(
+            "  integrator:", "  calibration: {target_peak_db: 3.0}\n"
+            "  integrator:"))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_cli_gain_at_zero_pump_power_exit_zero(self, tmp_path):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "power_watts: 100.0e-6", "power_watts: 0").replace(
+            "points: 41", "points: 11"))
+        rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        rows = (tmp_path / "o" / "gain.csv").read_text().splitlines()[1:]
+        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
