@@ -185,9 +185,9 @@ class _GainPipeline:
     It keeps the last device (network, Bloch curve, stopbands) and the last
     pumped line, and reuses them for the next point when they are the same:
     the device when the design differs at most in I*, the line when the pump
-    frequency is unchanged as well.  Nothing linear depends on I* (a series
-    inductor at zero bias is l0 * (1 + 0) whatever its I*), so a reused
-    device or line gives the numbers a fresh one would.
+    frequency is unchanged as well.  The linear model never reads I* (it
+    enters only the Kerr coefficient), so a reused device or line gives the
+    numbers a fresh one would.
     """
 
     def __init__(self, signal_grid, dispersion_grid, options,

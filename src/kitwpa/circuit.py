@@ -120,6 +120,9 @@ class ResonatorSpec:
         if not 0 <= self.pairs_per_block <= 2:
             raise ValueError(
                 f"pairs_per_block must be 0, 1 or 2, got {self.pairs_per_block}")
+        if self.pair_separation_cells < 1:
+            raise ValueError("pair_separation_cells must be >= 1, got "
+                             f"{self.pair_separation_cells}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ since plain YAML treats bare exponents as strings).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -33,9 +34,12 @@ __all__ = ["RunConfig", "load_config"]
 
 def _as_float(value, path: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:

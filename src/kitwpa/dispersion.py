@@ -101,39 +101,27 @@ class DispersionCurve:
 
 
 def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
-                     cells_per_period: int, lossless: bool = True) -> DispersionCurve:
+                     cells_per_period: int) -> DispersionCurve:
     """Dispersion curve from the chain matrix of one full period.
 
-    For the lossless case the stopband criterion is |Re((a+d)/2)| > 1; with
-    loss present points are flagged where the attenuation exceeds ten times
-    the passband median.
+    A point lies in a stopband where |Re((a+d)/2)| > 1.
     """
     t = period_matrix.trace_half()
     gamma = np.arccosh(t.astype(complex))
-    atten = np.abs(gamma.real)
-    phase = _unfold_bloch_phase(gamma.imag)
-    if lossless:
-        in_stop = np.abs(t.real) > 1.0
-    else:
-        floor = np.median(atten)
-        in_stop = atten > 10.0 * max(floor, 1e-30)
     return DispersionCurve(
         frequencies=grid.frequencies(),
-        phase_per_period=phase,
-        attenuation_per_period=atten,
-        in_stopband=in_stop,
+        phase_per_period=_unfold_bloch_phase(gamma.imag),
+        attenuation_per_period=np.abs(gamma.real),
+        in_stopband=np.abs(t.real) > 1.0,
         cells_per_period=cells_per_period,
     )
 
 
-def device_dispersion(network: LadderNetwork, grid: FrequencyGrid = DEFAULT_GRID,
-                      bias_current: float = 0.0,
-                      loss_tangent: float = 0.0) -> DispersionCurve:
+def device_dispersion(network: LadderNetwork,
+                      grid: FrequencyGrid = DEFAULT_GRID) -> DispersionCurve:
     """Bloch curve of the network's period."""
-    m = network_matrix(network.one_period(), grid.frequencies(),
-                       bias_current, loss_tangent)
-    return bloch_dispersion(m, grid, network.cells_per_period,
-                            lossless=(loss_tangent == 0.0))
+    m = network_matrix(network.one_period(), grid.frequencies())
+    return bloch_dispersion(m, grid, network.cells_per_period)
 
 
 def uniform_cell_dispersion(l0: float, c: float,

@@ -53,6 +53,8 @@ GAIN_FLOOR_DB = -300.0
 # signal seed power relative to the pump; IntegrationOptions(undepleted=True)
 # gives the seed-free small-signal gain
 SEED_LEVEL_DB = -60.0
+HARMONIC_SAMPLES = 1024   # about this many points along a harmonic scan
+MIN_RTOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,6 @@ class KerrCoefficient:
     """Nonlinear phase per cell per watt at the pump frequency."""
 
     gamma: float          # rad / (cell * W)
-    k_cell: float         # rad/cell at the pump
-    i_star: float
-    z0: float
 
     def at(self, f: float, f_p: float) -> float:
         """Kerr coefficient of a mode at frequency f (scales as f / f_p)."""
@@ -78,8 +77,7 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> KerrCoef
     """
     if k_cell <= 0 or i_star <= 0 or z0 <= 0:
         raise ValueError("k_cell, i_star and z0 must be positive")
-    return KerrCoefficient(gamma=k_cell / (2.0 * i_star**2 * z0),
-                           k_cell=k_cell, i_star=i_star, z0=z0)
+    return KerrCoefficient(gamma=k_cell / (2.0 * i_star**2 * z0))
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,6 @@ class ModeState:
     a_3: complex
     f_p: float
     f_s: float
-    k_p: float = 0.0
-    k_s: float = 0.0
-    k_i: float = 0.0
-    k_3: float = 0.0
 
     @property
     def f_i(self) -> float:
@@ -177,7 +171,6 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
         a_p=complex(y[0]), a_s=complex(y[1]), a_i=complex(y[2]),
         a_3=complex(y[3]) if thg else 0.0,
         f_p=f_p, f_s=f_s,
-        k_p=state.k_p, k_s=state.k_s, k_i=state.k_i, k_3=state.k_3,
     )
 
 
@@ -212,6 +205,15 @@ class IntegrationOptions:
     rtol: float = 1e-9
     atol: float = 1e-14
     z0: float = 50.0               # line impedance for the power-current map
+
+    def __post_init__(self):
+        # scipy raises a smaller rtol to this floor without telling
+        if not self.rtol >= MIN_RTOL:
+            raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {self.rtol}")
+        if not self.atol >= 0:
+            raise ValueError(f"atol must be >= 0, got {self.atol}")
+        if not self.z0 > 0:
+            raise ValueError(f"z0 must be positive, got {self.z0}")
 
 
 @dataclass(frozen=True)
@@ -394,11 +396,11 @@ class _Propagator:
 class PumpedLine:
     """The linear part of a device pumped at one frequency.
 
-    Everything the coupled-mode solve needs that depends only on the network
-    at zero bias, the dispersion, the pump frequency, the signal grid and
-    the options.  None of it depends on I* (a series inductor at zero bias
-    is l0 * (1 + 0) whatever its I*) or on the pump power, so one line
-    serves every operating point at its pump frequency; see solve_gain.
+    Everything the coupled-mode solve needs that depends only on the network,
+    the dispersion, the pump frequency, the signal grid and the options.
+    None of it depends on I*, which the linear model never reads (I* enters
+    only the Kerr coefficient), or on the pump power, so one line serves
+    every operating point at its pump frequency; see solve_gain.
     """
 
     pump_frequency: float
@@ -595,8 +597,8 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
 
 def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                         pump: tuple, options: IntegrationOptions | None = None,
-                        stopband_curve: DispersionCurve | None = None,
-                        n_samples: int = 1024) -> HarmonicScan:
+                        stopband_curve: DispersionCurve | None = None
+                        ) -> HarmonicScan:
     """Pump and third-harmonic powers along the line (no signal injected)."""
     options = options or IntegrationOptions()
     options = replace(options, include_third_harmonic=True)
@@ -608,7 +610,7 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                         options, stopband_curve)
     gamma = kerr_coefficient(line.k_pump, network.i_star, options.z0)
     y0 = np.array([math.sqrt(p_p), 0.0, 0.0, 0.0], dtype=complex)
-    z, y = line._propagator(gamma).run(y0, n_samples)
+    z, y = line._propagator(gamma).run(y0, HARMONIC_SAMPLES)
     return HarmonicScan(
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,

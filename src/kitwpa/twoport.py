@@ -134,12 +134,11 @@ def resonator_elements(f_r: float, q: float) -> tuple[float, float]:
     return l_r, 1.0 / (w0 * w0 * l_r)
 
 
-def element_admittance(element, f: np.ndarray,
-                       loss_tangent: float = 0.0) -> np.ndarray:
+def element_admittance(element, f: np.ndarray) -> np.ndarray:
     """Shunt admittance of a shunt element, in siemens."""
     w = 2.0 * np.pi * np.asarray(f, dtype=float)
     if isinstance(element, ShuntCapacitor):
-        return 1j * w * element.c * (1.0 - 1j * loss_tangent)
+        return 1j * w * element.c
     if isinstance(element, ShuntResonator):
         l_r, c_r = resonator_elements(element.f_r, element.q)
         reactance = w * l_r - 1.0 / (w * c_r)
@@ -158,26 +157,19 @@ def _positive(f) -> np.ndarray:
     return f
 
 
-def _element_term(element, f: np.ndarray, bias_current: float,
-                  loss_tangent: float) -> tuple:
+def _element_term(element, f: np.ndarray) -> tuple:
     """(True, series impedance) of a series inductor, (False, shunt
     admittance) of a shunt element."""
     if isinstance(element, SeriesInductor):
-        l_eff = element.l0 * (1.0 + (bias_current / element.i_star) ** 2)
-        return True, 1j * 2.0 * np.pi * f * l_eff
-    y = np.asarray(element_admittance(element, f, loss_tangent), dtype=complex)
+        return True, 1j * 2.0 * np.pi * f * element.l0
+    y = np.asarray(element_admittance(element, f), dtype=complex)
     return False, y
 
 
-def element_matrix(element, f: np.ndarray, bias_current: float = 0.0,
-                   loss_tangent: float = 0.0) -> TwoPortMatrix:
-    """Chain matrix of a single element at frequencies f.
-
-    A series inductor is evaluated at L(bias_current); loss_tangent applies
-    to shunt capacitors only (inductors are lossless).
-    """
-    series, term = _element_term(element, _positive(f), bias_current,
-                                 loss_tangent)
+def element_matrix(element, f: np.ndarray) -> TwoPortMatrix:
+    """Chain matrix of a single ideal element at frequencies f; a series
+    inductor is taken at zero current, where its inductance is l0."""
+    series, term = _element_term(element, _positive(f))
     if series:
         return series_impedance_matrix(term)
     return shunt_admittance_matrix(term)
@@ -230,8 +222,7 @@ def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
     return result
 
 
-def walk_period(network: LadderNetwork, f: np.ndarray,
-                bias_current: float = 0.0, loss_tangent: float = 0.0) -> tuple:
+def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     """(period, tail): the chain matrix of the network's period over
     frequencies f, and that of the tail (None when there is none).
 
@@ -248,7 +239,7 @@ def walk_period(network: LadderNetwork, f: np.ndarray,
     terms: dict = {}
     for e in network.period:
         if e not in terms:
-            terms[e] = _element_term(e, f, bias_current, loss_tangent)
+            terms[e] = _element_term(e, f)
     a, b, c, d = (np.ones(len(f), complex), np.zeros(len(f), complex),
                   np.zeros(len(f), complex), np.ones(len(f), complex))
     tmp = np.empty(len(f), complex)
@@ -276,12 +267,10 @@ def cascade_periods(period: TwoPortMatrix, repeats: int,
     return out if tail is None else out @ tail
 
 
-def network_matrix(network: LadderNetwork, f: np.ndarray,
-                   bias_current: float = 0.0,
-                   loss_tangent: float = 0.0) -> TwoPortMatrix:
+def network_matrix(network: LadderNetwork, f: np.ndarray) -> TwoPortMatrix:
     """Chain matrix of a full ladder network over frequencies f: its
     period, raised to the repeat count, then its tail."""
-    period, tail = walk_period(network, f, bias_current, loss_tangent)
+    period, tail = walk_period(network, f)
     return cascade_periods(period, network.repeats, tail)
 
 

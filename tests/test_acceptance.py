@@ -192,8 +192,7 @@ def test_criterion_6_oracle_parity():
     worst = 0.0
     for gpl in np.linspace(0.1, 3.0, 20):
         gamma_pp = gpl / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         for ratio in np.linspace(-10, 10, 20):
             dk_total = ratio * gamma_pp
             mism = PhaseMismatch(dk_total - 2 * gamma_pp, dk_total)
@@ -216,8 +215,7 @@ def test_criterion_7_conservation():
     for f_s, gpl, seed_db in ((6.6e9, 2.2, -25.0), (5.1e9, 1.4, -18.0),
                               (6.05e9, 2.8, -30.0)):
         gamma_pp = gpl / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         seed = math.sqrt(p_p * 10 ** (seed_db / 10))
         s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
                        f_p=6e9, f_s=f_s)

@@ -251,27 +251,3 @@ class TestElectricalLength:
             fishbone_curve.k_cell(6e9)) / (2 * np.pi)
         assert 70 <= wavelengths <= 80
 
-
-class TestBiasLinearization:
-    def test_bias_current_shifts_stopband_down(self):
-        # L(I) grows with bias, so the Bragg condition moves to lower
-        # frequency; at I = 0.3 I* the inductance is up 9% and the narrow
-        # band should sit ~4.4% lower
-        net = expand_fishbone(FishboneSpec(base_cell=FISH_CELL, num_periods=3))
-        grid = FrequencyGrid(6e9, 9e9, 4001)
-        cold = find_stopbands(device_dispersion(net, grid)).bands_in(6e9, 9e9)
-        hot = find_stopbands(device_dispersion(net, grid, bias_current=3e-3))
-        c0 = cold[0].center
-        c1 = hot.bands_in(6e9, 9e9)[0].center
-        assert c1 < c0
-        assert c1 / c0 == pytest.approx(1 / np.sqrt(1.09), rel=2e-3)
-
-
-class TestLossModel:
-    def test_loss_tangent_enables_attenuation(self):
-        net = uniform_line(FISH_CELL, 1)
-        grid = FrequencyGrid(1e9, 20e9, 201)
-        lossy = device_dispersion(net, grid, loss_tangent=1e-3)
-        assert np.all(lossy.attenuation_per_period > 0)
-        # passband points must not be flagged by the 10x-median criterion
-        assert not lossy.in_stopband.any()

@@ -102,8 +102,7 @@ class TestIntegratorOracleParity:
         worst = 0.0
         for gpl in np.linspace(0.1, 3.0, 20):
             gamma_pp = gpl / length
-            gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                    i_star=10e-3, z0=50.0)
+            gamma = KerrCoefficient(gamma=gamma_pp / p_p)
             for ratio in np.linspace(-10, 10, 20):
                 dk_total = ratio * gamma_pp
                 dk_lin = dk_total - 2 * gamma_pp
@@ -123,8 +122,7 @@ class TestIntegratorOracleParity:
 
         p_p, length = 100e-6, 2000.0
         gamma_pp = 2.0 / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         mism = PhaseMismatch(-2 * gamma_pp, 0.0)
         s0 = symmetric_state(p_p, seed_db=-90.0)
         a = propagate_modes(s0, gamma, mism, length,
@@ -139,8 +137,7 @@ class TestIntegratorOracleParity:
 
         p_p, length = 100e-6, 2000.0
         gamma_pp = 1.7 / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         mism = PhaseMismatch(-2 * gamma_pp, 0.0)
         s0 = symmetric_state(p_p)
         out = propagate_modes(s0, gamma, mism, length,
@@ -157,8 +154,7 @@ class TestConservation:
         f_p = 6e9
         p_p, length = 100e-6, 3000.0
         gamma_pp = 2.2 / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         mism = PhaseMismatch(-2 * gamma_pp, 0.0)
         seed = math.sqrt(p_p * 10 ** (seed_db / 10))
         s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
@@ -222,8 +218,7 @@ class TestCoupledModeRhs:
 
         p_p, length = 100e-6, 1500.0
         gamma_pp = 1.9 / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p, k_cell=0.04,
-                                i_star=10e-3, z0=50.0)
+        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
         mism = PhaseMismatch(-2.3 * gamma_pp, -0.3 * gamma_pp)
         seed = math.sqrt(p_p * 1e-4)
         s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,

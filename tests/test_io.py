@@ -622,3 +622,49 @@ class TestCli:
         assert rc == 0
         rows = (tmp_path / "o" / "gain.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("subcommand, section, values, key", [
+        ("linear", "analysis.frequency_grid", {"stop_hz": np.inf}, "stop_hz"),
+        ("gain", "analysis.pump", {"power_watts": np.inf}, "power_watts"),
+        ("linear", "design.fishbone", {"num_periods": np.inf}, "num_periods"),
+        ("gain", "analysis.signal_grid", {"start_hz": np.nan}, "start_hz"),
+        ("gain", "analysis.integrator", {"atol": -1}, "atol"),
+        ("gain", "analysis.integrator", {"z0_ohms": 0}, "z0"),
+        ("gain", "analysis.integrator", {"z0_ohms": -50}, "z0"),
+        ("gain", "analysis.integrator", {"rtol": 0}, "rtol"),
+        ("gain", "analysis.integrator", {"rtol": -1}, "rtol"),
+        ("design", "design.leaf", {"pair_separation_cells": 0},
+         "pair_separation_cells"),
+        ("design", "design.leaf", {"pair_separation_cells": -3},
+         "pair_separation_cells"),
+        ("design", "design.leaf",
+         {"cells_per_block_period": 0, "pair_separation_cells": -1},
+         "pair_separation_cells"),
+    ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
+            "negative-atol", "zero-z0", "negative-z0", "zero-rtol",
+            "negative-rtol", "zero-separation", "negative-separation",
+            "zero-block-period"])
+    def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
+                                           section, values, key):
+        doc = yaml.safe_load(SMALL_FISHBONE_CFG)
+        if section == "design.leaf":
+            cell = doc["design"].pop("fishbone")
+            del cell["num_periods"]
+            doc["design"]["leaf"] = {**cell, "num_blocks": 3}
+        target = doc
+        for part in section.split("."):
+            target = target[part]
+        target.update(values)
+        p = write_cfg(tmp_path, yaml.safe_dump(doc))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert section in err and key in err
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Python API"):]
+    block = section[section.index("```python\n") + 10:section.index("```\n")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "Stopband" in capsys.readouterr().out
