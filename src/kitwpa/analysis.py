@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 # with_i_star and integrate_gain are not called in this module; they are
 # imported into it because bench/tracing.py rebinds them here to record spans
@@ -250,6 +249,74 @@ class CalibrationResult:
     pump_power: float
     profile: GainProfile
     metrics: GainMetrics
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
+    xtol + rtol*|root|.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps where they shrink the bracket
+    fast enough, bisection where they do not.  A port of scipy's C brentq
+    that does the same arithmetic in the same order, so its roots are
+    bitwise equal to scipy.optimize.brentq's.  Raises NumericError when f
+    returns NaN or maxiter steps do not converge.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericError(f"root finding: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericError(f"root finding did not converge in {maxiter} steps")
 
 
 def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,

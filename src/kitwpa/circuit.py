@@ -138,7 +138,8 @@ class LeafSpec:
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.cells_per_block_period <= self.resonator.pair_separation_cells:
-            raise ValueError("pair separation must be smaller than the block period")
+            raise ValueError("cells_per_block_period must exceed "
+                             "pair_separation_cells")
 
 
 # --------------------------------------------------------------------------

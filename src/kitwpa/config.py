@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -66,6 +67,7 @@ _KEYS = {"l0": "l_henries",
          "z0": "z0_ohms",
          "start": "start_hz",
          "stop": "stop_hz"}
+_FIELD_NAME = re.compile(r"\b(" + "|".join(_KEYS) + r")\b")
 
 
 class _Section:
@@ -175,13 +177,14 @@ def _parse_design(sec: _Section, base_dir: Path):
 def _parse_options(sec: _Section | None, cls, required=(), **nested):
     """cls from the keys the section sets (plus the nested specs given), or
     None without the section.  A value cls rejects is a ConfigError whose
-    message names the field."""
+    message names the config key of each field it names."""
     if sec is None:
         return None
     try:
         return cls(**sec.fields_of(cls, required), **nested)
     except ValueError as exc:
-        raise ConfigError(f"{sec.path}: {exc}") from None
+        message = _FIELD_NAME.sub(lambda m: _KEYS[m[1]], str(exc))
+        raise ConfigError(f"{sec.path}: {message}") from None
 
 
 def _parse_sweep(sec: _Section | None) -> SweepAxis | None:

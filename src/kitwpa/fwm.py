@@ -13,15 +13,15 @@ phase, insertion magnitude) to every mode at its position along the line.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .circuit import LadderNetwork, SeriesInductor, ShuntCapacitor
 from .dispersion import DispersionCurve, s21_over_bare, uniform_cell_dispersion
+# solve_ivp is looked up here at every call: bench/tracing.py rebinds it
+from .dop853 import MIN_RTOL, solve_ivp
 from .errors import NumericError
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
@@ -54,7 +54,6 @@ GAIN_FLOOR_DB = -300.0
 # gives the seed-free small-signal gain
 SEED_LEVEL_DB = -60.0
 HARMONIC_SAMPLES = 1024   # about this many points along a harmonic scan
-MIN_RTOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,8 @@ class IntegrationOptions:
     z0: float = 50.0               # line impedance for the power-current map
 
     def __post_init__(self):
-        # scipy raises a smaller rtol to this floor without telling
+        # below MIN_RTOL the step error estimate is rounding noise; refused
+        # here rather than raised to the floor, as scipy would do silently
         if not self.rtol >= MIN_RTOL:
             raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {self.rtol}")
         if not self.atol >= 0:
@@ -380,13 +380,10 @@ class _Propagator:
                     pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
                     zs.append(np.linspace(z, z1, pts))
                     ys.append(sol.sol(zs[-1]))
-                y = sol.y[:, -1].copy()
+                y = sol.y_end
                 z = z1
             if i < len(self.blocks):
                 y = self._apply_block(y)
-        # each solver is a reference cycle (its RHS closure holds it), so its
-        # stage arrays wait for the cyclic collector; free them now
-        gc.collect(1)
         if n_samples is None:
             return y
         return np.concatenate(zs), np.concatenate(ys, axis=1)

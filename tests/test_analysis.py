@@ -1,13 +1,16 @@
+import math
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+import kitwpa.analysis
 from kitwpa.analysis import (
     GainMetrics,
     _smooth,
     OperatingPoint,
     SweepAxis,
+    brentq,
     calibrate_istar,
     compare_designs,
     gain_metrics,
@@ -174,6 +177,46 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_istar(SMALL_FISHBONE, (6.22e9, 0.0), 15.0,
                             np.linspace(5.7e9, 6.7e9, 21), DISP_GRID)
+
+
+class TestBrentq:
+    """The ported root finder against scipy.optimize.brentq, its oracle."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+    ], ids=["cubic", "cos-fixed-point"])
+    @pytest.mark.parametrize("xtol, rtol", [
+        (2e-12, 4 * np.finfo(float).eps), (1e-8, 1e-12), (1e-3, 1e-6)])
+    def test_closed_form_root_bitwise_equal_to_scipy(self, f, a, b, xtol, rtol):
+        from scipy.optimize import brentq as reference
+
+        root = brentq(f, a, b, xtol, rtol)
+        assert type(root) is float
+        assert root.hex() == reference(f, a, b, xtol=xtol, rtol=rtol).hex()
+
+    def test_calibration_root_bitwise_equal_to_scipy(self, monkeypatch):
+        from scipy.optimize import brentq as reference
+
+        grid = np.linspace(5.7e9, 6.7e9, 41)
+        ours = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
+                               DISP_GRID)
+        monkeypatch.setattr(kitwpa.analysis, "brentq", reference)
+        ref = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
+                              DISP_GRID)
+        assert ours.i_star.hex() == ref.i_star.hex()
+
+    def test_nan_and_no_convergence_are_numeric_errors(self):
+        with pytest.raises(NumericError, match="NaN"):
+            brentq(lambda x: math.nan if x > 2.5 else x - 2.7, 2.0, 3.0,
+                   1e-12, 1e-12)
+        with pytest.raises(NumericError, match="did not converge"):
+            brentq(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12, 1e-12,
+                   maxiter=2)
+
+    def test_same_sign_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
 
 
 class TestSweep:

@@ -1,0 +1,107 @@
+"""The in-package DOP853 stepper against scipy's solve_ivp, the code it ports.
+
+scipy is imported only here, as the oracle: the stepper must take the same
+steps and give the same bits.  The device-level parity checks are in
+test_fwm.py, next to the small-device fixtures they use.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kitwpa import dop853
+from kitwpa.dop853 import MIN_RTOL, solve_ivp
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+def scipy_solve(*args, **kwargs):
+    from scipy.integrate import solve_ivp as reference
+    return reference(*args, method="DOP853", **kwargs)
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER",
+                 "C", "A", "B", "E3", "E5", "D"):
+        assert same_bits(getattr(dop853, name), getattr(ref, name)), name
+
+
+ROTATION = np.array([1.0, 2.0, -3.0])
+
+
+def damped_rotation(t, y):
+    return 1j * ROTATION * y - 0.1 * t * y
+
+
+@pytest.mark.parametrize("first_step", [None, 0.3])
+def test_complex_solve_and_dense_output_match_scipy(first_step):
+    y0 = np.array([1 + 0j, 0.5j, -1.0])
+    kwargs = dict(rtol=1e-8, atol=1e-10, first_step=first_step,
+                  dense_output=True)
+    ours = solve_ivp(damped_rotation, (0.5, 7.0), y0, **kwargs)
+    ref = scipy_solve(damped_rotation, (0.5, 7.0), y0, **kwargs)
+    assert ours.success and ours.nfev == ref.nfev
+    assert same_bits(ours.t, ref.t)
+    assert same_bits(ours.y_end, ref.y[:, -1])
+    # unsorted points, the step boundaries themselves and two points outside
+    # the interval, which take the first and the last step's interpolant
+    t = np.concatenate([[7.0, 0.5, -1.0, 8.0],
+                        np.random.default_rng(1).uniform(0.5, 7.0, 50), ref.t])
+    assert same_bits(ours.sol(t), ref.sol(t))
+
+
+def test_real_blow_up_fails_like_scipy():
+    # y' = y^2 from y(0) = 1 reaches infinity at t = 1: the step size falls
+    # below the spacing of the floats there
+    def square(t, y):
+        return y * y
+
+    ours = solve_ivp(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
+    ref = scipy_solve(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert same_bits(ours.t, ref.t)
+    assert same_bits(ours.y_end, ref.y[:, -1])
+    assert ours.y_end.dtype == float
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(method="RK45"), "DOP853"),
+    (dict(rtol=MIN_RTOL / 2), "rtol"),
+    (dict(atol=-1.0), "atol"),
+    (dict(first_step=0.0), "first_step"),
+    (dict(first_step=2.0), "first_step"),
+    (dict(t_span=(1.0, 1.0)), "increasing"),
+])
+def test_invalid_arguments_rejected(kwargs, message):
+    args = dict(t_span=(0.0, 1.0), rtol=1e-6, atol=1e-9)
+    args.update(kwargs)
+    t_span = args.pop("t_span")
+    with pytest.raises(ValueError, match=message):
+        solve_ivp(damped_rotation, t_span, np.ones(3, complex), **args)
+
+
+def test_cli_and_runner_import_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kitwpa.cli, kitwpa.runner; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -318,13 +318,11 @@ class TestPropagatorRhs:
             got = prop._rhs(z, y)
             assert np.array_equal(got.view(float), want.view(float))
 
-    def test_solver_garbage_freed_without_the_collector(self, small_fishbone,
-                                                        small_leaf):
-        # a scipy ODE solver is a reference cycle; the propagator frees each
-        # one itself rather than leave its stage arrays to the cyclic
-        # collector, also when a line is solved in several segments (leaf)
-        from scipy.integrate import OdeSolver
-
+    def test_solves_leave_no_garbage_cycles(self, small_fishbone, small_leaf):
+        # the stepper is plain local state, so a solve leaves nothing for the
+        # cyclic collector, also when a line is solved in several segments
+        # (leaf): with the collector off, a collection afterwards finds no
+        # unreachable object
         for (net, curve), pump in ((small_fishbone, PUMPS["small_fishbone"]),
                                    (small_leaf, PUMPS["small_leaf"])):
             gc.collect()
@@ -332,11 +330,10 @@ class TestPropagatorRhs:
             gc.disable()
             try:
                 integrate_gain(net, curve, pump, np.array([pump[0] - 0.22e9]))
-                left = [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+                assert gc.collect() == 0
             finally:
                 if enabled:
                     gc.enable()
-            assert left == []
 
 
 class TestPhaseMismatch:
@@ -447,6 +444,88 @@ class TestIntegrator:
         assert np.max(np.abs(carried - whole)) < 1e-7
         # measured 237 carried against 496 restarted
         assert carried_evals < 0.6 * restarted_evals
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+class TestStepperParity:
+    """The in-package DOP853 stepper against scipy's solve_ivp, its oracle,
+    on the propagator's own segments."""
+
+    def test_segments_bitwise_equal_to_scipy(self, small_fishbone, small_leaf,
+                                             monkeypatch):
+        from scipy.integrate import solve_ivp as reference
+
+        ported = kitwpa.fwm.solve_ivp
+        first_steps = []
+
+        def both(fun, t_span, y0, **kwargs):
+            ours = ported(fun, t_span, y0, **kwargs)
+            ref = reference(fun, t_span, y0, **kwargs)
+            assert ours.nfev == ref.nfev
+            assert same_bits(ours.t, ref.t)
+            assert same_bits(ours.y_end, ref.y[:, -1])
+            first_steps.append(kwargs["first_step"])
+            return ours
+
+        monkeypatch.setattr(kitwpa.fwm, "solve_ivp", both)
+        net, curve = small_fishbone
+        f_p = PUMPS["small_fishbone"][0]
+        integrate_gain(net, curve, PUMPS["small_fishbone"],
+                       np.linspace(f_p - 1.2e9, f_p + 1.2e9, 41))
+        assert first_steps == [None]            # one segment
+        first_steps.clear()
+        net, curve = small_leaf
+        f_p = PUMPS["small_leaf"][0]
+        integrate_gain(net, curve, PUMPS["small_leaf"],
+                       np.linspace(f_p - 1.2e9, f_p + 1.2e9, 41))
+        # one segment per block, each after the first from a carried step
+        assert len(first_steps) == 4 and first_steps[0] is None
+        assert all(h is not None for h in first_steps[1:])
+
+    @pytest.mark.parametrize("device", ["small_fishbone", "small_leaf"])
+    def test_harmonic_scan_bitwise_equal_to_scipy(self, request, device,
+                                                  monkeypatch):
+        from scipy.integrate import solve_ivp as reference
+
+        net, curve = request.getfixturevalue(device)
+        pump = PUMPS[device]
+        ours = third_harmonic_scan(net, curve, pump)
+
+        def with_end_state(*args, **kwargs):
+            sol = reference(*args, **kwargs)
+            sol.y_end = sol.y[:, -1].copy()
+            return sol
+
+        monkeypatch.setattr(kitwpa.fwm, "solve_ivp", with_end_state)
+        ref = third_harmonic_scan(net, curve, pump)
+        for name in ("z_cells", "p_pump", "p_signal", "p_idler", "p_third"):
+            assert same_bits(getattr(ours, name), getattr(ref, name)), name
+
+    def test_memory_does_not_grow_with_the_pump(self, small_fishbone):
+        # only a segment's end state is kept, not every step's: a pump that
+        # needs many more steps needs no more memory
+        import tracemalloc
+
+        net, curve = small_fishbone
+        f_p, p_p = PUMPS["small_fishbone"]
+        line = kitwpa.fwm.prepare_line(net, curve, f_p,
+                                       np.linspace(5.0e9, 7.4e9, 401),
+                                       stopband_curve=curve)
+        peaks = []
+        for scale in (1, 16):
+            tracemalloc.start()
+            try:
+                kitwpa.fwm.solve_gain(line, net.i_star, scale * p_p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestIntegrateGain:

@@ -133,10 +133,14 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section", ["signal_grid", "frequency_grid"])
     @pytest.mark.parametrize("grid, message", [
         ("{start_hz: 6.0e9, stop_hz: 6.05e9, points: 1}", "points must be >= 2"),
-        ("{start_hz: 6.0e9, stop_hz: 6.0e9, points: 11}", "stop must exceed start"),
-        ("{start_hz: 7.0e9, stop_hz: 6.0e9, points: 11}", "stop must exceed start"),
-        ("{start_hz: 0.0, stop_hz: 6.0e9, points: 11}", "start must be positive"),
-        ("{start_hz: -1.0e9, stop_hz: 6.0e9, points: 11}", "start must be positive"),
+        ("{start_hz: 6.0e9, stop_hz: 6.0e9, points: 11}",
+         "stop_hz must exceed start_hz"),
+        ("{start_hz: 7.0e9, stop_hz: 6.0e9, points: 11}",
+         "stop_hz must exceed start_hz"),
+        ("{start_hz: 0.0, stop_hz: 6.0e9, points: 11}",
+         "start_hz must be positive"),
+        ("{start_hz: -1.0e9, stop_hz: 6.0e9, points: 11}",
+         "start_hz must be positive"),
     ], ids=["one-point", "stop-at-start", "stop-below-start", "start-zero",
             "start-negative"])
     def test_malformed_grid_is_config_error(self, tmp_path, section, grid,
@@ -660,6 +664,35 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert section in err and key in err
+
+    @pytest.mark.parametrize("section, values, named, field", [
+        ("design.fishbone", {"l_henries": -50e-12}, ("l_henries",), "l0"),
+        ("analysis.integrator", {"z0_ohms": 0}, ("z0_ohms",), "z0"),
+        ("design.leaf", {"cells_per_block_period": 20,
+                         "pair_separation_cells": 20},
+         ("cells_per_block_period", "pair_separation_cells"), None),
+    ], ids=["negative-inductance", "zero-z0", "separation-at-block-period"])
+    def test_cli_rejected_value_names_the_config_key(
+            self, tmp_path, capsys, section, values, named, field):
+        # a value a spec rejects is reported under the key the config sets,
+        # not the spec's field name
+        doc = yaml.safe_load(SMALL_FISHBONE_CFG)
+        if section == "design.leaf":
+            cell = doc["design"].pop("fishbone")
+            del cell["num_periods"]
+            doc["design"]["leaf"] = {**cell, "num_blocks": 3}
+        target = doc
+        for part in section.split("."):
+            target = target[part]
+        target.update(values)
+        p = write_cfg(tmp_path, yaml.safe_dump(doc))
+        rc = main(["design", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert section in err
+        assert all(key in err for key in named)
+        if field is not None:
+            assert not re.search(rf"\b{field}\b", err)
 
 
 def test_readme_python_api_block_runs(capsys):
