@@ -58,7 +58,10 @@ __all__ = [
 SMOOTHING_WINDOW_HZ = 100e6
 RIPPLE_WINDOW_HZ = 1e9
 DIP_GUARD_HZ = 100e6
-GAMMA_PPL_CAP = 8.0  # ~70 dB matched gain; calibration never needs more
+# lower clip of the calibration bracket: gamma*P_p*L <= 8, ~70 dB of matched
+# gain, which no realistic target needs; the value sets Brent's probes, and
+# so the calibrated I*
+GAMMA_PPL_CAP = 8.0
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,8 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
 
     Peak gain decreases monotonically in i_star (gamma ~ 1/i_star^2), so a
     bracketed scalar solve is exact and deterministic.  The lower bracket is
-    clipped so gamma*P_p*L never exceeds ~8 (the matched gain would overflow
-    the integrator long before that bound matters for realistic targets).
+    clipped so gamma*P_p*L never exceeds GAMMA_PPL_CAP, which keeps the
+    probes near gains a realistic target can have.
     """
     options = options or IntegrationOptions()
     f_p, p_p = pump
@@ -351,7 +354,7 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     if lo >= hi:
         raise NumericError(
             f"calibration bracket [{bracket[0]:g}, {bracket[1]:g}] A collapsed "
-            f"after the overflow clip at {i_min_cap:g} A")
+            f"after the gamma*P_p*L clip at {i_min_cap:g} A")
 
     # one linear setup serves every probe: nothing in it depends on I*
     line = prepare_line(network, curve, f_p, signal_grid, options,

@@ -33,6 +33,8 @@ MAX_FACTOR = 10       # largest step increase after an accepted step
 ERROR_ORDER = 7       # the error estimate is O(h^(ERROR_ORDER + 1))
 ERROR_EXPONENT = -1 / (ERROR_ORDER + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NAN_STEP = ("step size or error norm is NaN (a zero atol with a zero state "
+            "component, or a non-finite derivative)")
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +390,8 @@ class OdeResult:
     t: np.ndarray              # t0, then the end of every accepted step
     y_end: np.ndarray          # the state at t[-1]
     nfev: int                  # evaluations of fun
-    success: bool              # False: the step size fell below rounding
+    success: bool              # False: the step size fell below rounding,
+                               # or it or the error norm is NaN
     message: str
     sol: DenseSolution | None  # with dense_output=True
 
@@ -401,7 +404,9 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
     error of every step is kept below atol + rtol * |y| in the RMS norm;
     rtol >= MIN_RTOL and atol >= 0 are scalars.  The step size starts at
     first_step, or at an estimate when it is None.  ``method`` exists for
-    callers written against scipy and must be "DOP853".
+    callers written against scipy and must be "DOP853".  A step size that
+    falls below rounding, or a NaN step size or error norm, ends the solve
+    with success False.
     """
     if method != "DOP853":
         raise ValueError(f"only the DOP853 method is implemented, got {method!r}")
@@ -436,7 +441,9 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
     interpolants = []
     message = "The solver successfully reached the end of the integration interval."
     success = True
-    while t < t1:
+    if np.isnan(h_abs):
+        success, message = False, NAN_STEP
+    while success and t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -450,6 +457,11 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
             y_new, f_new = _rk_step(f_counted, t, y, f, h, K_step)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K_step, h, scale)
+            if np.isnan(error_norm):
+                # a NaN norm fails every comparison below, so the loop would
+                # reject the step forever; an infinite one shrinks the step
+                success, message = False, NAN_STEP
+                break
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR

@@ -9,6 +9,11 @@ relations exact for the integrated trajectories.
 Resonator phase-shifter blocks are not smeared into the continuous
 dispersion: each block applies a lumped complex correction (extra pump
 phase, insertion magnitude) to every mode at its position along the line.
+
+The small-signal gain (solve_gain) is the undepleted limit in closed form:
+a product of 2x2 signal-idler transfer matrices, one per segment between
+blocks.  The coupled-mode ODE serves the third-harmonic scan and
+propagate_modes, which carry the pump's depletion and the harmonic.
 """
 
 from __future__ import annotations
@@ -50,9 +55,6 @@ __all__ = [
 ]
 
 GAIN_FLOOR_DB = -300.0
-# signal seed power relative to the pump; IntegrationOptions(undepleted=True)
-# gives the seed-free small-signal gain
-SEED_LEVEL_DB = -60.0
 HARMONIC_SAMPLES = 1024   # about this many points along a harmonic scan
 
 
@@ -147,11 +149,15 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
                     mismatch: PhaseMismatch, length: float,
                     options: IntegrationOptions | None = None,
                     delta_k_3: float = 0.0,
-                    attenuation=(0.0, 0.0, 0.0, 0.0)) -> ModeState:
+                    attenuation=(0.0, 0.0, 0.0, 0.0),
+                    undepleted: bool = False) -> ModeState:
     """Integrate one pump/signal/idler(/third) system over ``length`` cells.
 
     The mismatch and attenuations are taken as given, which makes this the
-    direct integration counterpart of analytic_gain_undepleted.
+    direct integration counterpart of analytic_gain_undepleted.  With
+    ``undepleted`` only the pump drives the signal and idler, and the pump
+    evolves by its own self-phase modulation alone: the small-signal limit
+    that analytic_gain_undepleted and solve_gain take.
     """
     options = options or IntegrationOptions()
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
@@ -164,7 +170,7 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
     prop = _Propagator(
         1, gammas, np.array([mismatch.delta_k_linear]), delta_k_3,
         tuple(np.atleast_1d(a).astype(float) for a in attenuation),
-        options, float(length))
+        options, float(length), undepleted=undepleted)
     y = prop.run(y0)
     return ModeState(
         a_p=complex(y[0]), a_s=complex(y[1]), a_i=complex(y[2]),
@@ -199,7 +205,6 @@ def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    undepleted: bool = False
     include_third_harmonic: bool = False
     rtol: float = 1e-9
     atol: float = 1e-14
@@ -210,8 +215,10 @@ class IntegrationOptions:
         # here rather than raised to the floor, as scipy would do silently
         if not self.rtol >= MIN_RTOL:
             raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {self.rtol}")
-        if not self.atol >= 0:
-            raise ValueError(f"atol must be >= 0, got {self.atol}")
+        # modes that start at exactly zero (the idler, the third harmonic)
+        # need atol > 0 for a finite step error estimate
+        if not self.atol > 0:
+            raise ValueError(f"atol must be positive, got {self.atol}")
         if not self.z0 > 0:
             raise ValueError(f"z0 must be positive, got {self.z0}")
 
@@ -261,7 +268,7 @@ class _Propagator:
     """
 
     def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
-                 blocks=(), block_factors=None):
+                 blocks=(), block_factors=None, undepleted=False):
         gp, gs, gi, g3 = gammas
         self.n = n
         # factors of the RHS that do not change along the line, formed once;
@@ -275,7 +282,7 @@ class _Propagator:
         self.total_cells = total_cells
         self.blocks = blocks
         self.block_factors = block_factors  # (fp_fac, fs_fac, fi_fac, f3_fac)
-        self.undepleted = options.undepleted
+        self.undepleted = undepleted
         self.thg = options.include_third_harmonic
         self.rtol = options.rtol
         self.atol = options.atol
@@ -529,35 +536,121 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
         block_factors=block_factors, options=options)
 
 
+def _transfer(line: PumpedLine, gamma: KerrCoefficient, p_p: float):
+    """Output signal and conjugate idler per unit input signal, (T00, T10).
+
+    The undepleted small-signal limit of the coupled-mode equations
+    (Chaudhuri, Gao & Irwin, arXiv:1506.00646), exact on each segment
+    between block corrections.  There the lossless pump is
+    a0 exp(i g_p P (z - z0)), and in a frame rotating at kappa/2,
+    kappa = 2 g_p P - dk, the pair (a_s, conj a_i) obeys d/dz (A, B) =
+    M (A, B) with the constant
+
+        M = [[2i g_s P - i kappa/2 - alpha_s,  i g_s c],
+             [-i g_i conj(c),  -2i g_i P + i kappa/2 - alpha_i]],
+
+    c = a0^2 exp(-i dk z0), one M per signal.  The segment's matrix is
+    exp(ML) = e^(mL) [cosh(gL) I + sinh(gL)/g N], m = tr(M)/2, N = M - mI,
+    g^2 = -det N; taking Re g >= 0 and q = exp(-2gL), it is evaluated as
+    e^((m+g)L) [(1 + q)/2 I + (1 - q)/(2g) N], which leaves the float range
+    only when the gain itself does.  A block correction (the
+    lumped resonant phase matching of O'Brien et al., PRL 113, 157001
+    (2014)) scales the signal by its factor, the conjugate idler by the
+    conjugate of its factor, and the pump by its factor, which sets the
+    next segment's P.
+
+    Raises NumericError when the transfer is not finite.
+    """
+    f_p, f_s = line.pump_frequency, line.signal_frequencies
+    g_p = gamma.gamma
+    g_s = g_p * f_s / f_p
+    g_i = g_p * (2.0 * f_p - f_s) / f_p
+    _, alpha_s, alpha_i, _ = line.alphas
+    dk = line.delta_k
+    a0 = complex(math.sqrt(p_p))
+    t_s = np.ones(f_s.size, dtype=complex)
+    t_i = np.zeros(f_s.size, dtype=complex)
+    gl_max = 0.0
+    z = 0.0
+    stops = [*line.blocks, line.total_cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, z1 in enumerate(stops):
+            if z1 > z:
+                length = z1 - z
+                p = a0.real**2 + a0.imag**2
+                kappa = 2.0 * g_p * p - dk
+                c = a0 * a0 * np.exp(-1j * dk * z)
+                m11 = 2j * g_s * p - 0.5j * kappa - alpha_s
+                m22 = -2j * g_i * p + 0.5j * kappa - alpha_i
+                m12 = 1j * g_s * c
+                m21 = -1j * g_i * np.conj(c)
+                m = 0.5 * (m11 + m22)
+                d = 0.5 * (m11 - m22)              # N = [[d, m12], [m21, -d]]
+                g = np.sqrt(d * d + m12 * m21)     # principal root: Re g >= 0
+                gl = g * length
+                gl_max = max(gl_max, float(np.max(gl.real)))
+                grow = np.exp(m * length + gl)
+                one_minus_q = -np.expm1(-2.0 * gl)
+                cosh_part = grow * (1.0 - 0.5 * one_minus_q)
+                # (1 - q)/(2g), whose limit at g = 0 is the length
+                sinh_part = np.full(f_s.size, complex(length))
+                np.divide(0.5 * one_minus_q, g, out=sinh_part, where=gl != 0)
+                sinh_part *= grow
+                # back from the rotating frame: e^(+-i kappa L/2)
+                turn = np.exp(0.5j * kappa * length)
+                t_s, t_i = (
+                    turn * ((cosh_part + sinh_part * d) * t_s
+                            + sinh_part * m12 * t_i),
+                    np.conj(turn) * (sinh_part * m21 * t_s
+                                     + (cosh_part - sinh_part * d) * t_i))
+                a0 *= np.exp(1j * g_p * p * length)
+                z = z1
+            if i < len(line.blocks):
+                fp_fac, fs_fac, fi_fac, _ = line.block_factors
+                a0 *= fp_fac
+                t_s = t_s * fs_fac
+                t_i = t_i * np.conj(fi_fac)
+    if not (np.isfinite(t_s).all() and np.isfinite(t_i).all()):
+        raise NumericError(
+            f"small-signal gain overflows at pump power {p_p:.6g} W: the "
+            f"largest segment exponent Re(gL) is {gl_max:.4g}, past the "
+            "float range")
+    return t_s, t_i
+
+
 def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfile:
-    """Signal gain profile of a prepared line at one operating point.
+    """Small-signal gain profile of a prepared line at one operating point.
 
     ``integrate_gain(network, ...)`` is ``solve_gain(prepare_line(network,
-    ...), network.i_star, pump_power)``.  The profile's arrays are its own.
+    ...), network.i_star, pump_power)``.  The gain is 20 log10 |T00| of the
+    undepleted signal-idler transfer (_transfer), so it needs no seed and
+    no integrator tolerance.  Raises ValueError for a negative pump power
+    or a line prepared with the third harmonic, and NumericError for an
+    attenuated pump or a gain past the float range.  The profile's arrays
+    are its own.
     """
     p_p = pump_power
     if p_p < 0:
         raise ValueError("pump power must be >= 0")
-    options = line.options
-    gamma = kerr_coefficient(line.k_pump, i_star, options.z0)
+    if line.options.include_third_harmonic:
+        raise ValueError("include_third_harmonic applies to the harmonic "
+                         "scan only; the small-signal gain has no third "
+                         "harmonic")
+    alpha_p = line.alphas[0]
+    if alpha_p != 0.0:
+        raise NumericError(
+            f"pump at {line.pump_frequency / 1e9:.4f} GHz lies within one grid "
+            f"step of a stopband (attenuation {alpha_p:.3g} nepers/cell); "
+            "move it into a passband below the band edge")
+    gamma = kerr_coefficient(line.k_pump, i_star, line.options.z0)
     f_s, dk = line.signal_frequencies, line.delta_k
-    n = f_s.size
     if p_p == 0.0:
-        return GainProfile(f_s.copy(), np.zeros(n), line.pump_frequency, 0.0,
-                           dk.copy(), dk.copy(), line.in_stopband.copy(), i_star)
+        return GainProfile(f_s.copy(), np.zeros(f_s.size), line.pump_frequency,
+                           0.0, dk.copy(), dk.copy(), line.in_stopband.copy(),
+                           i_star)
 
-    seed_p = p_p * 10.0 ** (SEED_LEVEL_DB / 10.0)
-    seed_amp = math.sqrt(seed_p)
-    y0 = np.concatenate([
-        np.full(n, math.sqrt(p_p), dtype=complex),
-        np.full(n, seed_amp, dtype=complex),
-        np.zeros(n, dtype=complex),
-    ] + ([np.zeros(n, dtype=complex)] if options.include_third_harmonic else []))
-
-    y = line._propagator(gamma).run(y0)
-    amp = np.abs(y[n:2 * n])
-    with np.errstate(divide="ignore"):
-        gain_db = 20.0 * np.log10(np.maximum(amp / seed_amp, 1e-300))
+    t_s, _ = _transfer(line, gamma, p_p)
+    gain_db = 20.0 * np.log10(np.maximum(np.abs(t_s), 1e-300))
     gain_db = np.maximum(gain_db, GAIN_FLOOR_DB)
     return GainProfile(
         frequencies=f_s.copy(),
@@ -583,8 +676,9 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     ``stopband_curve`` (default: ``dispersion``) provides the stopband flags
     used for pump validation and per-point annotation.
 
-    Gain is 20*log10 |a_s(L)/a_s(0)| with Bloch attenuation folded in; a
-    zero-power pump short-circuits to an identically zero profile.
+    Gain is the small-signal 20*log10 |a_s(L)/a_s(0)| with Bloch
+    attenuation folded in, from solve_gain; a zero-power pump short-circuits
+    to an identically zero profile.
     """
     f_p, p_p = pump
     line = prepare_line(network, dispersion, f_p, signal_grid, options,

@@ -175,6 +175,10 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     if subcommand in ("gain", "sweep", "calibrate"):
         _require(config.signal_grid is not None,
                  f"'{subcommand}' requires an analysis.signal_grid section")
+        _require(not config.integrator.include_third_harmonic,
+                 "analysis.integrator.include_third_harmonic applies to "
+                 f"'harmonics' only; '{subcommand}' computes the small-signal "
+                 "gain, which has no third harmonic")
     if subcommand in ("gain", "calibrate"):
         # the signal grid prepare_line accepts, with the length gain_metrics
         # needs, checked before any solve; a sweep records such points as

@@ -198,8 +198,7 @@ def test_criterion_6_oracle_parity():
             mism = PhaseMismatch(dk_total - 2 * gamma_pp, dk_total)
             state = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
                               f_p=6e9, f_s=6e9)
-            out = propagate_modes(state, gamma, mism, length,
-                                  IntegrationOptions(undepleted=True))
+            out = propagate_modes(state, gamma, mism, length, undepleted=True)
             got = 10 * np.log10(abs(out.a_s) ** 2 / seed**2)
             want = 10 * np.log10(analytic_gain_undepleted(gamma_pp, dk_total,
                                                           length))

@@ -79,6 +79,26 @@ def test_real_blow_up_fails_like_scipy():
     assert ours.y_end.dtype == float
 
 
+def test_nan_step_fails_instead_of_spinning():
+    # with atol 0, components that start at exactly zero make the error
+    # scale zero and the first step NaN; a NaN derivative later in the solve
+    # makes the error norm NaN.  Each used to reject steps forever
+    y0 = np.array([1 + 0j, 0j, 0j])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zero_atol = solve_ivp(damped_rotation, (0.0, 1.0), y0, rtol=1e-9,
+                              atol=0.0)
+
+    def nan_after_half(t, y):
+        return damped_rotation(t, y) * (np.nan if t > 0.5 else 1.0)
+
+    with np.errstate(invalid="ignore"):
+        nan_rhs = solve_ivp(nan_after_half, (0.0, 1.0), y0, rtol=1e-9,
+                            atol=1e-12, first_step=0.1)
+    for sol in (zero_atol, nan_rhs):
+        assert not sol.success and sol.message == dop853.NAN_STEP
+    assert nan_rhs.t[-1] <= 0.5
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(method="RK45"), "DOP853"),
     (dict(rtol=MIN_RTOL / 2), "rtol"),

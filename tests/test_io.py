@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from kitwpa.analysis import CalibrationSpec, calibrate_istar
+from kitwpa.analysis import CalibrationSpec, calibrate_istar, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
@@ -16,6 +16,7 @@ from kitwpa.circuit import (
 )
 from kitwpa.cli import main
 from kitwpa.config import load_config
+from kitwpa.dispersion import device_dispersion, find_stopbands
 from kitwpa.errors import ConfigError
 from kitwpa.fwm import IntegrationOptions
 from kitwpa.runner import run
@@ -205,7 +206,8 @@ design:
         assert bare.integrator == IntegrationOptions()
         # a section that sets one field leaves the others at their defaults
         partial = load_config(write_cfg(
-            tmp_path, design + "analysis:\n  integrator: {undepleted: false}\n",
+            tmp_path,
+            design + "analysis:\n  integrator: {include_third_harmonic: false}\n",
             "partial.cfg"))
         assert partial.integrator == IntegrationOptions()
 
@@ -507,6 +509,50 @@ class TestCli:
         assert rc == 3
         assert "stopband" in capsys.readouterr().err
 
+    def test_cli_gain_overflow_exit_3(self, tmp_path, capsys):
+        # the small fishbone's cells, 10 000 supercells long, pumped 0.4 GHz
+        # below the band edge at 40 mW: the gain exponent Re(gL) reaches
+        # ~1100, past the float range.  No pump overflows the 45-supercell
+        # line: its mismatch grows with the pump and caps the gain at ~50 dB
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "num_periods: 45", "num_periods: 10000").replace(
+            "pump: {frequency_hz: 6.22e9, power_watts: 100.0e-6}",
+            "pump: {frequency_hz: 7.5e9, power_watts: 0.04}"))
+        rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "overflows at pump power 0.04 W" in err and "Re(gL)" in err
+        assert not (tmp_path / "o" / "gain.csv").exists()
+
+    def test_cli_attenuated_pump_exit_3(self, tmp_path, capsys):
+        # half a grid step above the narrow stopband's top point: not flagged
+        # as inside it, but attenuated
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
+        curve = device_dispersion(expand_design(cfg.design), cfg.frequency_grid)
+        band = find_stopbands(curve).bands_in(6e9, 8.5e9)[0]
+        f_p = band.f_high + cfg.frequency_grid.step / 2
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "frequency_hz: 6.22e9", f"frequency_hz: {f_p!r}"))
+        rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "stopband" in err and "attenuation" in err
+        assert not (tmp_path / "o" / "gain.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["gain", "calibrate", "sweep"])
+    def test_cli_gain_family_refuses_third_harmonic(self, tmp_path, capsys,
+                                                    subcommand):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "integrator: {rtol: 1.0e-8}",
+            "integrator: {rtol: 1.0e-8, include_third_harmonic: true}\n"
+            "  calibration: {target_peak_db: 3.0}\n"
+            "  sweep: {parameter: pump_power, values: [5.0e-5, 1.0e-4]}"))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "analysis.integrator.include_third_harmonic" in err
+        assert "'harmonics' only" in err
+
     def test_cli_gain_on_design_netlist_exit_zero(self, tmp_path, capsys):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
             "points: 41", "points: 11"))
@@ -633,6 +679,7 @@ class TestCli:
         ("linear", "design.fishbone", {"num_periods": np.inf}, "num_periods"),
         ("gain", "analysis.signal_grid", {"start_hz": np.nan}, "start_hz"),
         ("gain", "analysis.integrator", {"atol": -1}, "atol"),
+        ("harmonics", "analysis.integrator", {"atol": 0}, "atol"),
         ("gain", "analysis.integrator", {"z0_ohms": 0}, "z0"),
         ("gain", "analysis.integrator", {"z0_ohms": -50}, "z0"),
         ("gain", "analysis.integrator", {"rtol": 0}, "rtol"),
@@ -645,7 +692,7 @@ class TestCli:
          {"cells_per_block_period": 0, "pair_separation_cells": -1},
          "pair_separation_cells"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
-            "negative-atol", "zero-z0", "negative-z0", "zero-rtol",
+            "negative-atol", "zero-atol", "zero-z0", "negative-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
             "zero-block-period"])
     def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
