@@ -128,7 +128,10 @@ def gain_metrics(profile: GainProfile, stopbands: StopbandReport | None = None,
     for lo, hi in zones:
         keep &= ~((f >= lo) & (f <= hi))
     if not keep.any():
-        raise ValueError("dip exclusions removed the whole profile")
+        raise NumericError(
+            f"dip exclusions removed the whole profile: {len(zones)} "
+            f"exclusion zone(s) about the pump at {profile.pump_frequency:g} "
+            "Hz cover every signal frequency")
 
     peak_idx = int(np.argmax(np.where(keep, smooth, -np.inf)))
     peak = float(smooth[peak_idx])

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in (
         ("design", "expand the design and emit its netlist"),
         ("dispersion", "Bloch dispersion curve and stopband report"),
-        ("linear", "small-signal S-parameters (Touchstone + CSV)"),
+        ("linear", "small-signal S-parameters (Touchstone)"),
         ("gain", "four-wave-mixing gain profile and metrics"),
         ("harmonics", "third-harmonic power along the line"),
         ("sweep", "metric sweep over a design or pump parameter"),

@@ -99,14 +99,10 @@ class _Emitter:
         return path
 
 
-def _has_bloch_period(config, network) -> bool:
+def _require_bloch_period(config, network):
     # a spec declares its period; the period recovered from a netlist only
     # counts when it repeats
-    return config.design_kind != "netlist" or network.repeats > 1
-
-
-def _require_bloch_period(config, network):
-    _require(_has_bloch_period(config, network),
+    _require(config.design_kind != "netlist" or network.repeats > 1,
              "netlist has no repeating period (its shortest period occurs "
              "only once); Bloch dispersion is unavailable")
 
@@ -116,24 +112,23 @@ def _bloch_curve(config, network):
     return device_dispersion(network, config.frequency_grid)
 
 
-def _dispersion_products(config, network, emit: _Emitter, need_bloch: bool):
-    grid = config.frequency_grid
-    f = grid.frequencies()
-    # one walk of the period gives the Bloch curve and the full cascade
+def _cascade(network, f):
+    """The period's walk and the full cascade's S-parameters at f."""
     period, tail = walk_period(network, f)
-    curve = None
-    if need_bloch or _has_bloch_period(config, network):
-        _require_bloch_period(config, network)
-        curve = bloch_dispersion(period, grid, network.cells_per_period)
-    sp = to_s_parameters(cascade_periods(period, network.repeats, tail), f)
-    if curve is not None:
-        rows = sparams_to_csv_rows(sp, curve.phase_per_period,
-                                   curve.attenuation_per_period,
-                                   curve.in_stopband)
-    else:
-        rows = sparams_to_csv_rows(sp)
-    emit.write_lines("dispersion.csv", rows)
-    return curve, sp
+    return period, to_s_parameters(
+        cascade_periods(period, network.repeats, tail), f)
+
+
+def _dispersion_products(config, network, emit: _Emitter):
+    _require_bloch_period(config, network)
+    grid = config.frequency_grid
+    # one walk of the period gives the Bloch curve and the full cascade
+    period, sp = _cascade(network, grid.frequencies())
+    curve = bloch_dispersion(period, grid, network.cells_per_period)
+    emit.write_lines("dispersion.csv", sparams_to_csv_rows(
+        sp, curve.phase_per_period, curve.attenuation_per_period,
+        curve.in_stopband))
+    return curve
 
 
 def _stopband_rows(report):
@@ -199,11 +194,11 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.add(path)
 
     elif subcommand == "dispersion":
-        curve, _ = _dispersion_products(config, network, emit, need_bloch=True)
+        curve = _dispersion_products(config, network, emit)
         emit.write_lines("stopbands.csv", _stopband_rows(find_stopbands(curve)))
 
     elif subcommand == "linear":
-        curve, sp = _dispersion_products(config, network, emit, need_bloch=False)
+        _, sp = _cascade(network, config.frequency_grid.frequencies())
         path = out / "sparams.s2p"
         write_touchstone(sp, path)
         emit.add(path)

@@ -359,18 +359,13 @@ def read_touchstone(path) -> SParameterSet:
     return SParameterSet(f, s[:, 0], s[:, 1], s[:, 2], s[:, 3], z_ref)
 
 
-def sparams_to_csv_rows(sp: SParameterSet, bloch_phase=None, bloch_atten=None,
-                        in_stopband=None):
-    """Rows for the combined linear-analysis CSV.
+def sparams_to_csv_rows(sp: SParameterSet, bloch_phase, bloch_atten,
+                        in_stopband):
+    """Rows of the dispersion CSV: S-parameters and the Bloch curve.
 
     Columns: freq_hz, s11_re, s11_im, s21_re, s21_im, bloch_phase,
     bloch_atten, in_stopband.
     """
-    n = len(sp.frequencies)
-    zeros = np.zeros(n)
-    bloch_phase = zeros if bloch_phase is None else bloch_phase
-    bloch_atten = zeros if bloch_atten is None else bloch_atten
-    in_stopband = np.zeros(n, dtype=bool) if in_stopband is None else in_stopband
     return table_lines(
         "freq_hz,s11_re,s11_im,s21_re,s21_im,bloch_phase,bloch_atten,in_stopband",
         [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag,

@@ -26,7 +26,7 @@ from kitwpa.circuit import (
     ResonatorSpec,
     UnitCellSpec,
 )
-from kitwpa.dispersion import FrequencyGrid
+from kitwpa.dispersion import FrequencyGrid, Stopband, StopbandReport
 from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile
 
@@ -105,6 +105,16 @@ class TestGainMetrics:
         g = 15.0 + 1.0 * np.sin(2 * np.pi * f / 20e6)
         m = gain_metrics(synthetic_profile(f, g), smoothing_window_hz=1.0)
         assert m.ripple_db == 0.0  # no smoothing, no residual
+
+    def test_exclusions_covering_the_grid_are_numeric_error(self):
+        # a 4 GHz stopband centred on the pump: it and its mirror about the
+        # pump cover the whole 5-7 GHz signal grid
+        f = np.linspace(5e9, 7e9, 201)
+        band = Stopband(4e9, 8e9, 6e9, 1.0)
+        with pytest.raises(NumericError, match=r"2 exclusion zone\(s\) about "
+                           r"the pump at 6e\+09 Hz"):
+            gain_metrics(synthetic_profile(f, np.full(f.size, 15.0), f_p=6e9),
+                         StopbandReport((band,)))
 
 
 class TestSimulateGain:
@@ -272,6 +282,14 @@ class TestSweep:
         g = np.array(res.metrics["peak_gain_db"][:3])
         # peak gain grows as the pump approaches the stopband from below
         assert g[2] == np.nanmax(g)
+
+    def test_fully_excised_point_is_recorded_as_numeric_error(self):
+        grid = np.linspace(5.9e9, 6.5e9, 21)
+        res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
+                    SweepAxis("i_star", (10e-3,)), grid, DISP_GRID,
+                    dip_exclusion_width_hz=100e9)
+        assert res.failures[0][:2] == (0, "NumericError")
+        assert "dip exclusions removed the whole profile" in res.failures[0][2]
 
     def test_istar_axis_and_csv(self):
         grid = np.linspace(5.9e9, 6.5e9, 21)

@@ -49,6 +49,13 @@ output:
 """
 
 
+# design sections of a small fishbone and a small leaf
+SMALL_FISHBONE = ("  fishbone:\n    l_henries: 50.0e-12\n    c_farads: 20.0e-15\n"
+                  "    i_star_amperes: 10.0e-3\n    num_periods: 47\n")
+SMALL_LEAF = ("  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
+              "    i_star_amperes: 11.5e-3\n    num_blocks: 3\n")
+
+
 def netlist_cfg(netlist, text=SMALL_FISHBONE_CFG):
     """Config text with the design replaced by a netlist file."""
     analysis = text[text.index("analysis:"):]
@@ -303,8 +310,7 @@ class TestRunner:
         text = text[:text.index("output:")]
         cfg = load_config(write_cfg(tmp_path, text))
         manifest = run("linear", cfg, out_dir=tmp_path / "out")
-        assert [f["name"] for f in manifest["files"]] == [
-            "dispersion.csv", "sparams.s2p"]
+        assert [f["name"] for f in manifest["files"]] == ["sparams.s2p"]
         assert read_touchstone(tmp_path / "out" / "sparams.s2p").s21.size == 51
 
     @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
@@ -433,20 +439,35 @@ analysis:
   frequency_grid: {start_hz: 1.0e9, stop_hz: 10.0e9, points: 51}
 """, "net.cfg"))
         # a period that occurs only once is no Bloch period: dispersion is
-        # rejected, while the linear cascade works with zero Bloch columns
+        # rejected, while the linear cascade needs none
         with pytest.raises(ConfigError, match="Bloch"):
             run("dispersion", cfg2, out_dir=tmp_path / "out2")
         run("linear", cfg2, out_dir=tmp_path / "out3")
-        assert (tmp_path / "out3" / "sparams.s2p").exists()
-        data = np.loadtxt(tmp_path / "out3" / "dispersion.csv", delimiter=",",
-                          skiprows=1)
-        assert not data[:, 5:].any()
+        sp = read_touchstone(tmp_path / "out3" / "sparams.s2p")
+        assert sp.s21.size == 51
+        assert np.array_equal(sp.s12, sp.s21)
+        assert np.allclose(abs(sp.s11) ** 2 + abs(sp.s21) ** 2, 1.0,
+                           rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("design", [SMALL_FISHBONE, SMALL_LEAF],
+                             ids=["fishbone", "leaf"])
+    def test_linear_prints_the_numbers_of_dispersion(self, tmp_path, design):
+        # the freq, S11 and S21 tokens of dispersion.csv are the first five
+        # of each line of sparams.s2p, as printed
+        cfg = load_config(write_cfg(tmp_path, "design:\n" + design + (
+            "analysis:\n  frequency_grid: "
+            "{start_hz: 0.1e9, stop_hz: 20.0e9, points: 801}\n")))
+        run("linear", cfg, out_dir=tmp_path / "lin")
+        run("dispersion", cfg, out_dir=tmp_path / "disp")
+        s2p = (tmp_path / "lin" / "sparams.s2p").read_text().splitlines()
+        csv = (tmp_path / "disp" / "dispersion.csv").read_text().splitlines()
+        assert len(s2p) == len(csv) == 802
+        assert [ln.split(" ")[:5] for ln in s2p[1:]] == \
+            [ln.split(",")[:5] for ln in csv[1:]]
 
     @pytest.mark.parametrize("design", [
-        "  fishbone:\n    l_henries: 50.0e-12\n    c_farads: 20.0e-15\n"
-        "    i_star_amperes: 10.0e-3\n    num_periods: 47\n",
-        "  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
-        "    i_star_amperes: 11.5e-3\n    num_blocks: 3\n",
+        SMALL_FISHBONE,
+        SMALL_LEAF,
         # degenerate loadings whose period is shorter than the nominal one
         "  fishbone:\n    l_henries: 50.0e-12\n    c_farads: 20.0e-15\n"
         "    i_star_amperes: 10.0e-3\n    num_periods: 45\n"
@@ -508,6 +529,36 @@ class TestCli:
         rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "stopband" in capsys.readouterr().err
+
+    def test_cli_fully_excised_profile_exit_3(self, tmp_path, capsys):
+        # exclusion zones 100 GHz wide leave no signal frequency to measure
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n  dip_exclusion_width_hz: 100.0e9"))
+        rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "dip exclusions removed the whole profile" in err
+        assert "pump at 6.22e+09 Hz" in err
+        assert not (tmp_path / "o" / "gain.csv").exists()
+
+    def test_cli_linear_needs_no_bloch_period(self, tmp_path, capsys):
+        # one supercell: the netlist's shortest period occurs only once
+        made = tmp_path / "made"
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "num_periods: 45", "num_periods: 1"))
+        assert main(["design", "--config", str(p), "--out", str(made)]) == 0
+        net = write_cfg(tmp_path, netlist_cfg("made/device.net"), "net.cfg")
+        rc = main(["linear", "--config", str(net), "--out",
+                   str(tmp_path / "linear")])
+        assert rc == 0
+        assert sorted(f.name for f in (tmp_path / "linear").iterdir()) == [
+            "run_manifest.json", "sparams.s2p"]
+        capsys.readouterr()
+        rc = main(["dispersion", "--config", str(net), "--out",
+                   str(tmp_path / "dispersion")])
+        assert rc == 2
+        assert "Bloch" in capsys.readouterr().err
 
     def test_cli_gain_overflow_exit_3(self, tmp_path, capsys):
         # the small fishbone's cells, 10 000 supercells long, pumped 0.4 GHz
