@@ -19,8 +19,6 @@ from .circuit import (
     cutoff_frequency,
     expand_fishbone,
     expand_leaf,
-    pump_current,
-    pump_power,
     read_netlist,
     uniform_line,
     write_netlist,
@@ -52,10 +50,8 @@ from .fwm import (
     ModeState,
     PhaseMismatch,
     analytic_gain_undepleted,
-    coupled_mode_rhs,
     integrate_gain,
     kerr_coefficient,
-    phase_mismatch,
     propagate_modes,
     third_harmonic_scan,
 )
@@ -65,7 +61,6 @@ from .analysis import (
     OperatingPoint,
     SweepAxis,
     calibrate_istar,
-    compare_designs,
     gain_metrics,
     simulate_gain,
     sweep,

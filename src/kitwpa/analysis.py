@@ -47,12 +47,10 @@ __all__ = [
     "SweepAxis",
     "SweepResult",
     "OperatingPoint",
-    "ComparisonReport",
     "gain_metrics",
     "simulate_gain",
     "calibrate_istar",
     "sweep",
-    "compare_designs",
 ]
 
 SMOOTHING_WINDOW_HZ = 100e6
@@ -204,15 +202,19 @@ class _GainPipeline:
         self._device = None   # (design at unit I*, network, curve, stopbands)
         self._line = None     # PumpedLine of that device
 
-    def __call__(self, design, pump: tuple):
-        f_p, p_p = pump
+    def device(self, design) -> tuple:
+        """(network, Bloch curve, stopbands) of the design."""
         key = design_with_istar(design, 1.0)
         if self._device is None or self._device[0] != key:
             network = expand_design(design)
             curve = device_dispersion(network, self.dispersion_grid)
             self._device = (key, network, curve, find_stopbands(curve))
             self._line = None
-        _, network, curve, stopbands = self._device
+        return self._device[1:]
+
+    def __call__(self, design, pump: tuple):
+        f_p, p_p = pump
+        network, curve, stopbands = self.device(design)
         if self._line is None or self._line.pump_frequency != f_p:
             self._line = prepare_line(network, curve, f_p, self.signal_grid,
                                       self.options, stopband_curve=curve)
@@ -345,9 +347,9 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("calibration requires nonzero pump power")
-    network = expand_design(design)
-    curve = device_dispersion(network, dispersion_grid)
-    stopbands = find_stopbands(curve)
+    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
+                             dip_exclusion_width_hz)
+    network, curve, _ = pipeline.device(design)
 
     k_p = float(curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
@@ -359,21 +361,18 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
             f"calibration bracket [{bracket[0]:g}, {bracket[1]:g}] A collapsed "
             f"after the gamma*P_p*L clip at {i_min_cap:g} A")
 
-    # one linear setup serves every probe: nothing in it depends on I*
-    line = prepare_line(network, curve, f_p, signal_grid, options,
-                        stopband_curve=curve)
+    # every probe shares the pipeline's device and pumped line: the design
+    # differs only in I*, and the pump frequency is fixed
     cache: dict = {}
 
     def peak_at(i_star: float) -> float:
         if i_star not in cache:
-            profile = solve_gain(line, i_star, p_p)
             with warnings.catch_warnings():
                 # bracketing probes far from the target trip the low-profile
                 # bandwidth warning; only the peak matters here
                 warnings.simplefilter("ignore", UserWarning)
-                metrics = gain_metrics(profile, stopbands,
-                                       dip_exclusion_width_hz=dip_exclusion_width_hz)
-            cache[i_star] = (profile, metrics)
+                cache[i_star] = pipeline(design_with_istar(design, i_star),
+                                         pump)[:2]
         return cache[i_star][1].peak_gain_db
 
     f_lo = peak_at(lo) - target_peak_db
@@ -428,6 +427,15 @@ def _sweep_parameters(design) -> set:
     return names
 
 
+def check_sweep_parameter(design, name) -> None:
+    """Raise ValueError, listing the valid names, unless name is one of
+    _sweep_parameters(design)."""
+    names = _sweep_parameters(design)
+    if not isinstance(name, str) or name not in names:
+        raise ValueError(f"unknown sweep parameter {name!r}; valid: "
+                         f"{', '.join(sorted(names))}")
+
+
 def _with_field(spec, name, value):
     """Copy of spec with one field replaced.  Sweep values arrive as floats
     from a config; an integer field takes only integral ones, as ints."""
@@ -471,8 +479,7 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     at every point.  Shared or not, each point's numbers are those of
     simulate_gain at that point.
     """
-    if axis.parameter not in _sweep_parameters(design):
-        raise ValueError(f"unknown sweep parameter {axis.parameter!r}")
+    check_sweep_parameter(design, axis.parameter)
     values = list(axis.values)
     pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
                              dip_exclusion_width_hz)
@@ -502,11 +509,10 @@ def sweep_csv_rows(result: SweepResult):
 
 
 # --------------------------------------------------------------------------
-# design comparison
+# operating point and metrics report
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    label: str
     pump_frequency: float
     pump_power: float
     i_star: float
@@ -522,44 +528,6 @@ class OperatingPoint:
     def nonlinearity_level(self) -> float:
         """Time-averaged I_rms^2 / I*^2 at the pump drive."""
         return self.pump_power / (self.z0 * self.i_star**2)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple  # (quantity, value_a, value_b)
-    label_a: str
-    label_b: str
-
-    def format(self) -> str:
-        w = max(len(r[0]) for r in self.rows) + 2
-        head = f"{'quantity':<{w}}{self.label_a:>18}{self.label_b:>18}"
-        lines = [head, "-" * len(head)]
-        for name, a, b in self.rows:
-            lines.append(f"{name:<{w}}{a:>18.6g}{b:>18.6g}")
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {name: {self.label_a: a, self.label_b: b}
-                for name, a, b in self.rows}
-
-
-def compare_designs(metrics_a: GainMetrics, op_a: OperatingPoint,
-                    metrics_b: GainMetrics, op_b: OperatingPoint) -> ComparisonReport:
-    """Side-by-side metric table with derived operating quantities."""
-    rows = (
-        ("peak_gain_db", metrics_a.peak_gain_db, metrics_b.peak_gain_db),
-        ("peak_frequency_hz", metrics_a.peak_frequency_hz, metrics_b.peak_frequency_hz),
-        ("double_sided_bw_3db_hz", metrics_a.double_sided_bw_3db_hz,
-         metrics_b.double_sided_bw_3db_hz),
-        ("ripple_db", metrics_a.ripple_db, metrics_b.ripple_db),
-        ("pump_frequency_hz", op_a.pump_frequency, op_b.pump_frequency),
-        ("pump_power_w", op_a.pump_power, op_b.pump_power),
-        ("i_star_a", op_a.i_star, op_b.i_star),
-        ("electrical_length_wavelengths",
-         op_a.electrical_length_wavelengths, op_b.electrical_length_wavelengths),
-        ("nonlinearity_level", op_a.nonlinearity_level, op_b.nonlinearity_level),
-    )
-    return ComparisonReport(rows=rows, label_a=op_a.label, label_b=op_b.label)
 
 
 def metrics_report_rows(metrics: GainMetrics, op: OperatingPoint | None = None):

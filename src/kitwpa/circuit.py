@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 __all__ = [
     "NonlinearInductorSpec",
@@ -24,8 +23,6 @@ __all__ = [
     "LadderNetwork",
     "characteristic_impedance",
     "cutoff_frequency",
-    "pump_power",
-    "pump_current",
     "expand_fishbone",
     "expand_leaf",
     "uniform_line",
@@ -50,10 +47,6 @@ class NonlinearInductorSpec:
             raise ValueError(f"l0 must be positive, got {self.l0}")
         if self.i_star <= 0:
             raise ValueError(f"i_star must be positive, got {self.i_star}")
-
-    def inductance(self, current: float = 0.0) -> float:
-        """Inductance in henries at the given instantaneous current."""
-        return self.l0 * (1.0 + (current / self.i_star) ** 2)
 
 
 @dataclass(frozen=True)
@@ -240,14 +233,6 @@ class LadderNetwork:
             raise ValueError("network has no unique i_star")
         return vals.pop()
 
-    def total_inductance(self) -> float:
-        # exact rational sum, rounded once: N identical inductors give
-        # exactly N * l0, as a correctly rounded sum over the chain would
-        def exact(elements):
-            return sum(Fraction(e.l0) for e in elements
-                       if isinstance(e, SeriesInductor))
-        return float(self.repeats * exact(self.period) + exact(self.tail))
-
     def has_resonators(self) -> bool:
         return any(isinstance(e, ShuntResonator) for e in self.period)
 
@@ -267,24 +252,6 @@ def characteristic_impedance(cell: UnitCellSpec) -> float:
 def cutoff_frequency(cell: UnitCellSpec) -> float:
     """Low-pass cutoff 1 / (pi * sqrt(L*C)) of the LC ladder, in Hz."""
     return 1.0 / (math.pi * math.sqrt(cell.inductor.l0 * cell.shunt_capacitance))
-
-
-def pump_power(i_rms: float, z0: float) -> float:
-    """Pump power I_rms^2 * Z0 carried by a tone of rms current i_rms."""
-    if i_rms < 0:
-        raise ValueError("i_rms must be >= 0")
-    if z0 <= 0:
-        raise ValueError("z0 must be positive")
-    return i_rms * i_rms * z0
-
-
-def pump_current(p: float, z0: float) -> float:
-    """Rms current sqrt(P/Z0) for a tone of power p on impedance z0."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    if z0 <= 0:
-        raise ValueError("z0 must be positive")
-    return math.sqrt(p / z0)
 
 
 # --------------------------------------------------------------------------

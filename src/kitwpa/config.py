@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .analysis import CalibrationSpec, SweepAxis
+from .analysis import CalibrationSpec, SweepAxis, check_sweep_parameter
 from .circuit import (
     FishboneSpec,
     LeafSpec,
@@ -149,6 +149,13 @@ class RunConfig:
 _GRID_FIELDS = ("start", "stop", "points")
 
 
+def _path_string(sec: _Section, key: str, default=None, required=False) -> str:
+    value = sec.get(key, default, required=required)
+    if not isinstance(value, str):
+        raise ConfigError(f"{sec.path}.{key}: expected a path, got {value!r}")
+    return value
+
+
 def _parse_design(sec: _Section, base_dir: Path):
     variants = [k for k in ("fishbone", "leaf", "netlist") if k in sec.data]
     if len(variants) != 1:
@@ -157,7 +164,7 @@ def _parse_design(sec: _Section, base_dir: Path):
             f"found {variants or 'none'}")
     kind = variants[0]
     if kind == "netlist":
-        rel = sec.get("netlist", required=True)
+        rel = _path_string(sec, "netlist", required=True)
         path = (base_dir / rel).resolve()
         if not path.exists():
             raise ConfigError(f"{sec.path}.netlist: file not found: {path}")
@@ -187,17 +194,29 @@ def _parse_options(sec: _Section | None, cls, required=(), **nested):
         raise ConfigError(f"{sec.path}: {message}") from None
 
 
-def _parse_sweep(sec: _Section | None) -> SweepAxis | None:
+def _parse_sweep(sec: _Section | None, design, kind: str) -> SweepAxis | None:
     if sec is None:
         return None
     parameter = sec.get("parameter", required=True)
+    # a netlist has no design fields to sweep, and 'sweep' refuses one
+    if kind != "netlist":
+        try:
+            check_sweep_parameter(design, parameter)
+        except ValueError as exc:
+            raise ConfigError(f"{sec.path}.parameter: {exc}") from None
     if "values" in sec:
-        values = tuple(_as_float(v, f"{sec.path}.values")
-                       for v in sec.get("values"))
+        raw = sec.get("values")
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{sec.path}.values: expected a non-empty list "
+                              f"of numbers, got {raw!r}")
+        values = tuple(_as_float(v, f"{sec.path}.values") for v in raw)
     else:
-        values = tuple(np.linspace(sec.float_("start", required=True),
-                                   sec.float_("stop", required=True),
-                                   sec.int_("points", required=True)))
+        start = sec.float_("start", required=True)
+        stop = sec.float_("stop", required=True)
+        points = sec.int_("points", required=True)
+        if points < 1:
+            raise ConfigError(f"{sec.path}.points: must be >= 1, got {points}")
+        values = tuple(np.linspace(start, stop, points))
     return SweepAxis(parameter, values)
 
 
@@ -252,10 +271,10 @@ def load_config(path) -> RunConfig:
         calibration=_parse_options(analysis.child("calibration"),
                                    CalibrationSpec,
                                    required=("target_peak_db",)),
-        sweep=_parse_sweep(analysis.child("sweep")),
+        sweep=_parse_sweep(analysis.child("sweep"), design, kind),
         dip_exclusion_width_hz=_float_vs_zero(
             analysis, "dip_exclusion_width_hz", ">"),
-        output_directory=output.get("directory", "."),
+        output_directory=_path_string(output, "directory", "."),
         raw=raw,
     )
     root.require_consumed()

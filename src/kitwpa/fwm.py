@@ -40,8 +40,6 @@ __all__ = [
     "GainProfile",
     "HarmonicScan",
     "kerr_coefficient",
-    "phase_mismatch",
-    "coupled_mode_rhs",
     "propagate_modes",
     "analytic_gain_undepleted",
     "PumpedLine",
@@ -85,24 +83,6 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> KerrCoef
 class PhaseMismatch:
     delta_k_linear: float   # rad/cell, k_s + k_i - 2 k_p
     delta_k_total: float    # rad/cell, linear + 2 gamma P_p
-    signal_in_stopband: bool = False
-    idler_in_stopband: bool = False
-
-
-def phase_mismatch(dispersion: DispersionCurve, f_p: float, f_s: float,
-                   gamma: KerrCoefficient, p_p: float) -> PhaseMismatch:
-    """Linear and pump-corrected mismatch for a signal at f_s."""
-    f_i = 2.0 * f_p - f_s
-    if f_i <= 0:
-        raise ValueError("idler frequency 2*f_p - f_s must be positive")
-    k = dispersion.k_cell
-    dk_lin = float(k(f_s) + k(f_i) - 2.0 * k(f_p))
-    return PhaseMismatch(
-        delta_k_linear=dk_lin,
-        delta_k_total=dk_lin + 2.0 * gamma.gamma * p_p,
-        signal_in_stopband=bool(dispersion.stopband_at(f_s)[0]),
-        idler_in_stopband=bool(dispersion.stopband_at(f_i)[0]),
-    )
 
 
 @dataclass
@@ -119,30 +99,6 @@ class ModeState:
     @property
     def f_i(self) -> float:
         return 2.0 * self.f_p - self.f_s
-
-    @property
-    def f_3(self) -> float:
-        return 3.0 * self.f_p
-
-
-def coupled_mode_rhs(z: float, state: ModeState, gamma: KerrCoefficient,
-                     mismatch: PhaseMismatch, include_third_harmonic: bool = False,
-                     delta_k_3: float = 0.0,
-                     attenuation=(0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
-    """Derivative [da_p, da_s, da_i, da_3]/dz of a single mode system."""
-    f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
-    gammas = (gamma.gamma, gamma.at(f_s, f_p), gamma.at(f_i, f_p),
-              gamma.at(3 * f_p, f_p))
-    y = np.array([state.a_p, state.a_s, state.a_i, state.a_3], dtype=complex)
-    y = y if include_third_harmonic else y[:3]
-    prop = _Propagator(
-        1, gammas, np.array([mismatch.delta_k_linear]), np.array([delta_k_3]),
-        attenuation,
-        IntegrationOptions(include_third_harmonic=include_third_harmonic))
-    out = prop._rhs(z, y)
-    if include_third_harmonic:
-        return out
-    return np.concatenate([out, [0.0 + 0.0j]])
 
 
 def propagate_modes(state: ModeState, gamma: KerrCoefficient,

@@ -142,7 +142,6 @@ def _stopband_rows(report):
 def _operating_point(config, network, curve) -> OperatingPoint:
     f_p, p_p = config.pump
     return OperatingPoint(
-        label=config.design_kind,
         pump_frequency=f_p,
         pump_power=p_p,
         i_star=network.i_star,

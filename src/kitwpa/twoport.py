@@ -25,10 +25,7 @@ __all__ = [
     "FrequencyGrid",
     "SParameterSet",
     "identity_matrix",
-    "series_impedance_matrix",
-    "shunt_admittance_matrix",
     "element_matrix",
-    "element_admittance",
     "cascade",
     "matrix_power",
     "walk_period",
@@ -114,40 +111,12 @@ def identity_matrix(n: int) -> TwoPortMatrix:
     return TwoPortMatrix(one, zero, zero, one)
 
 
-def series_impedance_matrix(z: np.ndarray) -> TwoPortMatrix:
-    z = np.asarray(z, dtype=complex)
-    one = np.ones_like(z)
-    return TwoPortMatrix(one, z, np.zeros_like(z), one)
-
-
-def shunt_admittance_matrix(y: np.ndarray) -> TwoPortMatrix:
-    y = np.asarray(y, dtype=complex)
-    one = np.ones_like(y)
-    return TwoPortMatrix(one, np.zeros_like(y), y, one)
-
-
 def resonator_elements(f_r: float, q: float) -> tuple[float, float]:
     """(L_r, C_r) of the series-LC shunt realizing resonance f_r at loaded
     quality factor q against the 25 ohm environment."""
     w0 = 2.0 * np.pi * f_r
     l_r = q * RESONATOR_ENVIRONMENT_OHMS / w0
     return l_r, 1.0 / (w0 * w0 * l_r)
-
-
-def element_admittance(element, f: np.ndarray) -> np.ndarray:
-    """Shunt admittance of a shunt element, in siemens."""
-    w = 2.0 * np.pi * np.asarray(f, dtype=float)
-    if isinstance(element, ShuntCapacitor):
-        return 1j * w * element.c
-    if isinstance(element, ShuntResonator):
-        l_r, c_r = resonator_elements(element.f_r, element.q)
-        reactance = w * l_r - 1.0 / (w * c_r)
-        # a grid point exactly on resonance would divide by zero; the branch
-        # is a short there, so clamp to a huge admittance instead
-        reactance = np.where(np.abs(reactance) < 1e-30,
-                             np.copysign(1e-30, reactance + 1e-300), reactance)
-        return element.multiplicity / (1j * reactance)
-    raise TypeError(f"not a shunt element: {element!r}")
 
 
 def _positive(f) -> np.ndarray:
@@ -158,21 +127,32 @@ def _positive(f) -> np.ndarray:
 
 
 def _element_term(element, f: np.ndarray) -> tuple:
-    """(True, series impedance) of a series inductor, (False, shunt
-    admittance) of a shunt element."""
+    """(True, series impedance in ohms) of a series inductor, (False, shunt
+    admittance in siemens) of a shunt element, at positive frequencies f."""
     if isinstance(element, SeriesInductor):
         return True, 1j * 2.0 * np.pi * f * element.l0
-    y = np.asarray(element_admittance(element, f), dtype=complex)
-    return False, y
+    w = 2.0 * np.pi * f
+    if isinstance(element, ShuntCapacitor):
+        return False, 1j * w * element.c
+    if isinstance(element, ShuntResonator):
+        l_r, c_r = resonator_elements(element.f_r, element.q)
+        reactance = w * l_r - 1.0 / (w * c_r)
+        # a grid point exactly on resonance would divide by zero; the branch
+        # is a short there, so clamp to a huge admittance instead
+        reactance = np.where(np.abs(reactance) < 1e-30,
+                             np.copysign(1e-30, reactance + 1e-300), reactance)
+        return False, element.multiplicity / (1j * reactance)
+    raise TypeError(f"not a network element: {element!r}")
 
 
 def element_matrix(element, f: np.ndarray) -> TwoPortMatrix:
     """Chain matrix of a single ideal element at frequencies f; a series
     inductor is taken at zero current, where its inductance is l0."""
     series, term = _element_term(element, _positive(f))
+    one, zero = np.ones_like(term), np.zeros_like(term)
     if series:
-        return series_impedance_matrix(term)
-    return shunt_admittance_matrix(term)
+        return TwoPortMatrix(one, term, zero, one)
+    return TwoPortMatrix(one, zero, term, one)
 
 
 def cascade(matrices) -> TwoPortMatrix:
@@ -351,9 +331,12 @@ def read_touchstone(path) -> SParameterSet:
     z_ref = 50.0
     if "R" in [o.upper() for o in opts]:
         z_ref = float(opts[[o.upper() for o in opts].index("R") + 1])
-    data = np.array([[float(x) for x in ln.split()] for ln in raw[1:]])
-    if data.shape[1] != 9:
+    rows = [[float(x) for x in ln.split()] for ln in raw[1:]]
+    if not rows:
+        raise ValueError(f"{path}: no data lines after the option line")
+    if any(len(row) != 9 for row in rows):
         raise ValueError(f"{path}: expected 9 columns per data line")
+    data = np.array(rows)
     f = data[:, 0]
     s = data[:, 1::2] + 1j * data[:, 2::2]
     return SParameterSet(f, s[:, 0], s[:, 1], s[:, 2], s[:, 3], z_ref)

@@ -17,8 +17,6 @@ from kitwpa.circuit import (
     cutoff_frequency,
     expand_fishbone,
     expand_leaf,
-    pump_current,
-    pump_power,
     read_netlist,
     uniform_line,
     with_i_star,
@@ -67,22 +65,6 @@ class TestClosedFormRelations:
         # reduced capacitance C/5 raises the impedance to sqrt(5)*50 ~ 111.8
         loaded = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15 / 5)
         assert characteristic_impedance(loaded) == pytest.approx(111.80, rel=1e-3)
-
-    def test_pump_power_200_uw(self):
-        assert pump_power(1e-3, 200.0) == pytest.approx(200e-6, rel=1e-12)
-
-    def test_pump_power_zero_current(self):
-        assert pump_power(0.0, 73.0) == 0.0
-
-    def test_pump_current_inverse(self):
-        # independent check: square the returned current back into a power
-        i = pump_current(100e-6, 50.0)
-        assert i == pytest.approx(1.4142e-3, rel=1e-4)
-        assert pump_power(i, 50.0) == pytest.approx(100e-6, rel=1e-12)
-
-    def test_inductance_at_istar_doubles(self):
-        ind = NonlinearInductorSpec(50e-12, 10e-3)
-        assert ind.inductance(10e-3) == pytest.approx(2 * 50e-12, rel=1e-12)
 
 
 class TestSpecValidation:
@@ -151,10 +133,6 @@ class TestFishboneExpansion:
         net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=3))
         l0s = {e.l0 for e in net.elements if isinstance(e, SeriesInductor)}
         assert l0s == {50e-12}
-
-    def test_total_inductance_exact(self):
-        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=7))
-        assert net.total_inductance() == net.total_cells * 50e-12
 
     def test_remainder_periods_keep_pattern(self):
         # 5 = 3 + 2 leftover supercells: indices 3, 4 repeat the 0, 1 pattern

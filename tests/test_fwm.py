@@ -33,7 +33,6 @@ from kitwpa.fwm import (
     analytic_gain_undepleted,
     integrate_gain,
     kerr_coefficient,
-    phase_mismatch,
     propagate_modes,
     third_harmonic_scan,
 )
@@ -202,53 +201,6 @@ class TestConservation:
             (expected + np.pi) % (2 * np.pi) - np.pi, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def curve():
-    grid = FrequencyGrid(0.1e9, 26e9, 5001)
-    net = expand_fishbone(FishboneSpec(base_cell=FISH_CELL, num_periods=3))
-    return device_dispersion(net, grid)
-
-
-class TestCoupledModeRhs:
-    def test_external_integration_matches_propagator(self):
-        # drive the public RHS through scipy directly; it must agree with
-        # the packaged propagation path
-        from scipy.integrate import solve_ivp
-        from kitwpa.fwm import KerrCoefficient, PhaseMismatch, coupled_mode_rhs
-
-        p_p, length = 100e-6, 1500.0
-        gamma_pp = 1.9 / length
-        gamma = KerrCoefficient(gamma=gamma_pp / p_p)
-        mism = PhaseMismatch(-2.3 * gamma_pp, -0.3 * gamma_pp)
-        seed = math.sqrt(p_p * 1e-4)
-        s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
-                       f_p=6e9, f_s=6.8e9)
-
-        def rhs(z, y):
-            st = ModeState(a_p=y[0], a_s=y[1], a_i=y[2], a_3=y[3],
-                           f_p=s0.f_p, f_s=s0.f_s)
-            return coupled_mode_rhs(z, st, gamma, mism)
-
-        sol = solve_ivp(rhs, (0, length),
-                        np.array([s0.a_p, s0.a_s, s0.a_i, 0.0], complex),
-                        rtol=1e-10, atol=1e-16)
-        out = propagate_modes(s0, gamma, mism, length,
-                              IntegrationOptions(rtol=1e-10, atol=1e-16))
-        assert abs(sol.y[1, -1]) == pytest.approx(abs(out.a_s), rel=1e-7)
-        assert abs(sol.y[0, -1]) == pytest.approx(abs(out.a_p), rel=1e-7)
-
-    def test_third_harmonic_channel_active(self):
-        from kitwpa.fwm import KerrCoefficient, PhaseMismatch, coupled_mode_rhs
-
-        gamma = kerr_coefficient(0.2, 10e-3)
-        s = ModeState(a_p=1e-2, a_s=0.0, a_i=0.0, a_3=0.0, f_p=6e9, f_s=6.5e9)
-        d = coupled_mode_rhs(0.0, s, gamma, PhaseMismatch(0.0, 0.0),
-                             include_third_harmonic=True, delta_k_3=0.01)
-        assert d[3] != 0.0   # pump alone feeds the harmonic
-        d0 = coupled_mode_rhs(0.0, s, gamma, PhaseMismatch(0.0, 0.0))
-        assert d0[3] == 0.0  # channel disabled
-
-
 def reference_rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al,
                   a3_al, undepleted, thg):
     """The coupled-mode RHS written out term by term, as the propagator's
@@ -337,35 +289,16 @@ class TestPropagatorRhs:
 
 
 class TestPhaseMismatch:
-    def test_degenerate_point_zero(self, curve):
-        gamma = kerr_coefficient(float(curve.k_cell(6.22e9)), 10e-3)
-        m = phase_mismatch(curve, 6.22e9, 6.22e9, gamma, 100e-6)
-        assert m.delta_k_linear == 0.0
-        assert m.delta_k_total == pytest.approx(2 * gamma.gamma * 100e-6)
-
-    def test_uniform_line_mismatch_tiny_and_positive_total(self):
-        grid = FrequencyGrid(0.1e9, 26e9, 5001)
-        curve = uniform_cell_dispersion(50e-12, 20e-15, grid)
-        gamma = kerr_coefficient(float(curve.k_cell(6e9)), 10e-3)
-        m = phase_mismatch(curve, 6e9, 7.5e9, gamma, 100e-6)
-        assert abs(m.delta_k_linear) < 0.1 * 2 * gamma.gamma * 100e-6
-        assert m.delta_k_total > 0
-
-    def test_pump_below_stopband_gives_negative_linear_mismatch(self, curve):
-        # pump just below the narrow band edge picks up extra phase
-        report = find_stopbands(curve)
-        narrow = report.bands_in(6e9, 8e9)[0]
+    def test_pump_below_stopband_gives_negative_linear_mismatch(self):
+        # pump just below the narrow band edge picks up extra phase, which
+        # the fishbone's loading uses to phase-match
+        net = expand_fishbone(FishboneSpec(base_cell=FISH_CELL, num_periods=3))
+        curve = device_dispersion(net, FrequencyGrid(0.1e9, 26e9, 5001))
+        narrow = find_stopbands(curve).bands_in(6e9, 8e9)[0]
         f_p = narrow.f_low - 30e6
-        gamma = kerr_coefficient(float(curve.k_cell(f_p)), 10e-3)
-        m = phase_mismatch(curve, f_p, f_p - 1.2e9, gamma, 100e-6)
-        assert m.delta_k_linear < 0
-
-    def test_stopband_flagging(self, curve):
-        report = find_stopbands(curve)
-        narrow = report.bands_in(6e9, 8e9)[0]
-        gamma = kerr_coefficient(float(curve.k_cell(6.22e9)), 10e-3)
-        m = phase_mismatch(curve, 6.22e9, narrow.center, gamma, 100e-6)
-        assert m.signal_in_stopband and not m.idler_in_stopband
+        line = kitwpa.fwm.prepare_line(net, curve, f_p,
+                                       np.array([f_p - 1.2e9]))
+        assert line.delta_k[0] < 0
 
 
 @pytest.fixture(scope="module")

@@ -94,6 +94,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key.split(":")[0]):
             load_config(p)
 
+    def test_unknown_sweep_parameter_lists_the_design_parameters(self,
+                                                                 tmp_path):
+        doc = yaml.safe_load(SMALL_FISHBONE_CFG)
+        cell = doc["design"].pop("fishbone")
+        del cell["num_periods"]
+        doc["design"]["leaf"] = {**cell, "num_blocks": 3}
+        doc["analysis"]["sweep"] = {"parameter": "q", "values": [70.0]}
+        p = write_cfg(tmp_path, yaml.safe_dump(doc))
+        with pytest.raises(ConfigError,
+                           match="analysis.sweep.parameter") as err:
+            load_config(p)
+        for name in ("loaded_q", "num_blocks", "pump_power", "i_star"):
+            assert name in str(err.value)
+
     def test_readme_config_example_loads(self, tmp_path):
         readme = (ROOT / "README.md").read_text()
         section = readme[readme.index("## Configuration format"):]
@@ -742,10 +756,25 @@ class TestCli:
         ("design", "design.leaf",
          {"cells_per_block_period": 0, "pair_separation_cells": -1},
          "pair_separation_cells"),
+        ("sweep", "analysis.sweep",
+         {"parameter": "pump_power", "values": 5.0e-5}, "values"),
+        ("sweep", "analysis.sweep",
+         {"parameter": "pump_power", "values": []}, "values"),
+        ("sweep", "analysis.sweep",
+         {"parameter": "bogus", "values": [5.0e-5]}, "parameter"),
+        ("sweep", "analysis.sweep",
+         {"parameter": 7, "values": [5.0e-5]}, "parameter"),
+        ("sweep", "analysis.sweep", {"parameter": "pump_power", "start": 5e-5,
+                                     "stop": 2e-4, "points": -1}, "points"),
+        ("design", "design", {"netlist": 5}, "netlist"),
+        ("design", "output", {"directory": 5}, "directory"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
             "negative-atol", "zero-atol", "zero-z0", "negative-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
-            "zero-block-period"])
+            "zero-block-period", "scalar-sweep-values", "empty-sweep-values",
+            "unknown-sweep-parameter", "numeric-sweep-parameter",
+            "negative-sweep-points", "numeric-netlist-path",
+            "numeric-output-directory"])
     def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
                                            section, values, key):
         doc = yaml.safe_load(SMALL_FISHBONE_CFG)
@@ -753,9 +782,11 @@ class TestCli:
             cell = doc["design"].pop("fishbone")
             del cell["num_periods"]
             doc["design"]["leaf"] = {**cell, "num_blocks": 3}
+        if section == "design":
+            doc["design"] = {}   # the probe's values are the whole design
         target = doc
         for part in section.split("."):
-            target = target[part]
+            target = target.setdefault(part, {})
         target.update(values)
         p = write_cfg(tmp_path, yaml.safe_dump(doc))
         rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])

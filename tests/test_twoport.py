@@ -350,6 +350,18 @@ class TestTouchstone:
         with pytest.raises(ValueError):
             read_touchstone(p)
 
+    @pytest.mark.parametrize("body, message", [
+        ("", "no data lines"),
+        ("1 0 0 0 0 0 0 0 0\n2 0 0\n", "9 columns"),
+    ], ids=["option-line-only", "short-line"])
+    def test_rejects_missing_data_naming_the_file(self, tmp_path, body,
+                                                  message):
+        p = tmp_path / "bad.s2p"
+        p.write_text("# HZ S RI R 50\n" + body)
+        with pytest.raises(ValueError, match=message) as err:
+            read_touchstone(p)
+        assert "bad.s2p" in str(err.value)
+
 
 def reference_table_lines(header, columns, sep=","):
     """The per-row f-string formula the data files were written with before
