@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 __all__ = [
     "NonlinearInductorSpec",
@@ -388,16 +389,17 @@ def _shortest_period(seq) -> int:
     return len(seq) - k
 
 
-def write_netlist(network: LadderNetwork, path) -> None:
-    """Write the element chain as line-oriented text, one element per line.
+def write_netlist(network: LadderNetwork, path) -> bytes:
+    """Write the element chain as line-oriented text, one element per line,
+    and return the bytes written.
 
     Values are printed with %.17g so a read-back reproduces them exactly.
     """
-    period = [_netlist_line(e) for e in network.period]
-    lines = ([NETLIST_HEADER] + period * network.repeats
-             + period[: len(network.tail)])
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    period = "".join(_netlist_line(e) + "\n" for e in network.period)
+    tail = "".join(_netlist_line(e) + "\n" for e in network.tail)
+    data = (NETLIST_HEADER + "\n" + period * network.repeats + tail).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_netlist(path) -> LadderNetwork:

@@ -36,9 +36,9 @@ from .fwm import (
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
 from .twoport import network_matrix  # noqa: F401
-from .twoport import (cascade_periods, report_lines, sparams_to_csv_rows,
-                      table_lines, to_s_parameters, walk_period,
-                      write_touchstone)
+from .twoport import (TableLines, cascade_periods, report_lines,
+                      sparams_to_csv_rows, table_lines, to_s_parameters,
+                      walk_period, write_touchstone)
 
 __all__ = ["run", "SUBCOMMANDS"]
 
@@ -67,36 +67,37 @@ def _config_digest(raw: dict) -> str:
 
 
 class _Emitter:
+    """Writes the run's files and digests each from the bytes it wrote."""
+
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list = []
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_lines(self, name: str, lines):
+        data = (lines.data if isinstance(lines, TableLines)
+                else ("\n".join(lines) + "\n").encode())
         path = self.out_dir / name
-        path.write_text("\n".join(lines) + "\n")
-        self.files.append(path)
-        return path
+        path.write_bytes(data)
+        self.add(path, data)
 
-    def add(self, path: Path):
-        self.files.append(path)
+    def add(self, path: Path, data: bytes):
+        """Record a file written elsewhere, from its bytes."""
+        self.files.append({"name": path.name,
+                           "sha256": hashlib.sha256(data).hexdigest()})
 
     def manifest(self, config_digest: str, duration: float,
-                 effective: dict) -> Path:
-        entries = []
-        for p in self.files:
-            digest = hashlib.sha256(p.read_bytes()).hexdigest()
-            entries.append({"name": p.name, "sha256": digest})
+                 effective: dict) -> dict:
         doc = {
             "config_digest": config_digest,
             "tool_version": __version__,
             "duration_seconds": round(duration, 3),
-            "files": entries,
+            "files": self.files,
             "effective_config": effective,
         }
-        path = self.out_dir / "run_manifest.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        return path
+        text = json.dumps(doc, indent=2) + "\n"
+        (self.out_dir / "run_manifest.json").write_text(text)
+        return json.loads(text)
 
 
 def _require_bloch_period(config, network):
@@ -189,8 +190,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
 
     if subcommand == "design":
         path = out / "device.net"
-        write_netlist(network, path)
-        emit.add(path)
+        emit.add(path, write_netlist(network, path))
 
     elif subcommand == "dispersion":
         curve = _dispersion_products(config, network, emit)
@@ -199,8 +199,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     elif subcommand == "linear":
         _, sp = _cascade(network, config.frequency_grid.frequencies())
         path = out / "sparams.s2p"
-        write_touchstone(sp, path)
-        emit.add(path)
+        emit.add(path, write_touchstone(sp, path))
 
     elif subcommand == "gain":
         curve = _bloch_curve(config, network)
@@ -261,7 +260,5 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.write_lines("metrics.txt", text)
         emit.write_lines("metrics.csv", csv)
 
-    manifest_path = emit.manifest(_config_digest(config.raw),
-                                  time.monotonic() - t0,
-                                  effective_config(config))
-    return json.loads(manifest_path.read_text())
+    return emit.manifest(_config_digest(config.raw), time.monotonic() - t0,
+                         effective_config(config))

@@ -9,7 +9,10 @@ matched line has arg(s21) = -beta*l.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +35,7 @@ __all__ = [
     "cascade_periods",
     "network_matrix",
     "to_s_parameters",
+    "TableLines",
     "table_lines",
     "report_lines",
     "write_touchstone",
@@ -291,17 +295,158 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
 
 # --------------------------------------------------------------------------
 # Touchstone / CSV emission
+#
+# Every table number is "%.12e" % x, built as bytes by numpy.  A field is
+# the 20 bytes "-d.dddddddddddde+hXX", read as five 4-byte words from
+# tables: a positive x leaves the sign byte 0, an exponent below 100 leaves
+# the hundreds byte 0, and the table drops every 0 byte.
+#
+# Exactness.  For finite x != 0 with decade guess E = floor(log10|x|), the
+# 13 digits are the integer nearest to Y = |x| * 10**(12 - E).  The kernel
+# computes y = ldexp(|x| * s, 12 - E), where s is 5**(12 - E) correctly
+# rounded (exact for 0 <= 12 - E <= 22).  That is two roundings, each
+# within 2**-53 relative; the ldexp is exact, because |x| * s stays normal in
+# every finite double's decade.  So |y - Y| <= Y * (2**-52 + 2**-106),
+# which is below y * 2**-51.  Hence d = rint(y) is the correctly rounded
+# digit string unless y lies within y * 2**-51 (at most 0.0045) of a
+# half-integer.  An element goes to Python's "%.12e" % x when
+#   - it is not finite;
+#   - |y - d| > 0.5 - y * 2**-51 (a tie, or too close to one to decide
+#     from y);
+#   - d reaches 10**13 (a carry into the next decade, or E guessed one too
+#     low);
+#   - y < 10**12 (E guessed one too high).
+# If y >= 10**12 while Y < 10**12, then Y > 10**12 - 0.05, and the
+# kernel's 1.000000000000e+E is the correct carry out of decade E - 1.  The
+# scale table spans the decades of all finite doubles, so no exponent lies
+# outside it.  Zeros print from the tables, signed zeros with their sign.
+_EXPONENT_LOW, _EXPONENT_HIGH = -324, 308    # decades of finite doubles
+_SCALE_LOW = 12 - _EXPONENT_HIGH
+_SCALE5 = np.array([float(5 ** k) if k >= 0 else 1 / 5 ** -k
+                    for k in range(_SCALE_LOW, 12 - _EXPONENT_LOW + 1)])
+_FIELD = 20
 
-def table_lines(header: str, columns, sep: str = ",") -> list:
+
+def _words(texts) -> np.ndarray:
+    """4-character ASCII texts as uint32 words, "_" standing for a 0 byte."""
+    return np.frombuffer("".join(texts).replace("_", "\0").encode(),
+                         np.uint32)
+
+
+_PAIRS = ["%02d" % v for v in range(100)]
+# "_0.0" ... "_9.9", then "-0.0" ... "-9.9": indexed by the leading two
+# digits, plus 100 for a negative number
+_HEAD = _words([sign + p[0] + "." + p[1] for sign in "_-" for p in _PAIRS])
+_DIGITS4 = _words([a + b for a in _PAIRS for b in _PAIRS])
+_DIGITS3E = _words(["%03de" % v for v in range(1000)])
+# "-324" ... "-100", "-_99" ... "+_99", "+100" ... "+308"
+_EXPONENT4 = _words([("-" if e < 0 else "+")
+                     + ("%03d" % abs(e) if abs(e) >= 100 else "_%02d" % abs(e))
+                     for e in range(_EXPONENT_LOW, _EXPONENT_HIGH + 1)])
+
+
+def _format_e12(x: np.ndarray) -> np.ndarray:
+    """"%.12e" % v for each v of the float array x, as the rows of an
+    (n, 20) uint8 array with 0 in each byte the text drops."""
+    mag = np.abs(x)
+    zero = mag == 0
+    fallback = ~np.isfinite(x)
+    mag[zero | fallback] = 1.0
+    e = np.floor(np.log10(mag))
+    k = (12 - e).astype(np.intp)
+    y = np.ldexp(mag * _SCALE5[k - _SCALE_LOW], k.astype(np.int32))
+    d = np.rint(y)
+    fallback |= ((y < 1e12) | (d >= 1e13)
+                 | (np.abs(y - d) > 0.5 - y * 2.0 ** -51))
+    d[zero | fallback] = 0.0       # fallback rows are overwritten below
+    e[zero] = 0.0
+    # d is an integer below 2**44: a quotient below that is not an integer
+    # lies more than 2**-45 (relative) below the next one, farther than its
+    # rounding error of 2**-53, so floor is exact
+    a = np.floor(d / 1e3)
+    b = np.floor(a / 1e4)
+    head = np.floor(b / 1e4)
+    words = np.empty((len(x), 5), np.uint32)
+    words[:, 0] = _HEAD[head.astype(np.intp) + 100 * np.signbit(x)]
+    words[:, 1] = _DIGITS4[(b - head * 1e4).astype(np.intp)]
+    words[:, 2] = _DIGITS4[(a - b * 1e4).astype(np.intp)]
+    words[:, 3] = _DIGITS3E[(d - a * 1e3).astype(np.intp)]
+    words[:, 4] = _EXPONENT4[(e - _EXPONENT_LOW).astype(np.intp)]
+    out = words.view(np.uint8)
+    bad = np.flatnonzero(fallback)
+    if bad.size:
+        text = "".join(("%.12e" % v).ljust(_FIELD, "\0")
+                       for v in x[bad].tolist())
+        out[bad] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _FIELD)
+    return out
+
+
+class TableLines(Sequence):
+    """The lines of a data table, held as the bytes of its file: ``data``
+    is every line followed by a newline.  It compares equal to the list of
+    its lines, which it splits out only when they are read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    @cached_property
+    def _lines(self) -> list:
+        return self.data.decode().split("\n")[:-1]
+
+    def __len__(self):
+        return len(self._lines)
+
+    def __getitem__(self, i):
+        return self._lines[i]
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def __eq__(self, other):
+        if isinstance(other, TableLines):
+            return self.data == other.data
+        if isinstance(other, list):
+            return self._lines == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"TableLines({self._lines!r})"
+
+
+def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     """Lines of a data table: the header, then one row per column index.
 
     Boolean columns print as 0/1 and every other column as %.12e, integers
-    included, so identical data always gives identical bytes.
+    included, so identical data always gives identical bytes.  A column
+    passed again as the same object is formatted once.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = sep.join("%d" if c.dtype == bool else "%.12e" for c in columns)
-    return [header] + [row % values
-                       for values in zip(*(c.tolist() for c in columns))]
+    columns = list(columns)
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a if a.dtype == bool else a.astype(float, copy=False)
+              for a in arrays]
+    n = len(arrays[0]) if arrays else 0
+    if any(a.shape != (n,) for a in arrays):
+        raise ValueError("table columns must be 1-D and of equal length")
+    ends = [sep.encode()] * (len(arrays) - 1) + [b"\n"]
+    widths = [1 if a.dtype == bool else _FIELD for a in arrays]
+    text = np.zeros((n, sum(widths) + sum(map(len, ends))), np.uint8)
+    formatted: dict = {}
+    at = 0
+    for c, a, width, end in zip(columns, arrays, widths, ends):
+        field = text[:, at:at + width]
+        if id(c) in formatted:
+            field[...] = formatted[id(c)]
+        elif a.dtype == bool:
+            field[:, 0] = ord("0") + a
+        else:
+            field[...] = _format_e12(a)
+        formatted[id(c)] = field
+        at += width
+        text[:, at:at + len(end)] = np.frombuffer(end, np.uint8)
+        at += len(end)
+    body = text.tobytes()
+    del text
+    return TableLines(header.encode() + b"\n" + body.translate(None, b"\0"))
 
 
 def report_lines(pairs) -> list:
@@ -309,33 +454,50 @@ def report_lines(pairs) -> list:
     return ["%s = %.12e" % (key, value) for key, value in pairs]
 
 
-def write_touchstone(sp: SParameterSet, path) -> None:
-    """Two-port Touchstone file, real/imaginary format, frequency in Hz."""
+def write_touchstone(sp: SParameterSet, path) -> bytes:
+    """Write a two-port Touchstone file, real/imaginary format, frequency in
+    Hz; returns the bytes written."""
     columns = [sp.frequencies]
+    parts: dict = {}
     for s in (sp.s11, sp.s21, sp.s12, sp.s22):
-        columns += [s.real, s.imag]
-    lines = table_lines(f"# HZ S RI R {sp.reference_impedance:g}", columns,
-                        sep=" ")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        # to_s_parameters gives S12 as the S21 array itself: the same column
+        # objects let table_lines format them once
+        columns += parts.setdefault(id(s), [s.real, s.imag])
+    data = table_lines(f"# HZ S RI R {sp.reference_impedance:g}", columns,
+                       sep=" ").data
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_touchstone(path) -> SParameterSet:
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or not raw[0].startswith("#"):
+        raw = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)
+               if ln.strip()]
+    if not raw or not raw[0][1].startswith("#"):
         raise ValueError(f"{path}: missing Touchstone option line")
-    opts = raw[0][1:].split()
+    opts = raw[0][1][1:].split()
     if [o.upper() for o in opts[:3]] != ["HZ", "S", "RI"]:
         raise ValueError(f"{path}: only 'HZ S RI' Touchstone data is supported")
     z_ref = 50.0
     if "R" in [o.upper() for o in opts]:
-        z_ref = float(opts[[o.upper() for o in opts].index("R") + 1])
-    rows = [[float(x) for x in ln.split()] for ln in raw[1:]]
+        at = [o.upper() for o in opts].index("R") + 1
+        try:
+            z_ref = float(opts[at])
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{raw[0][0]}: the option line needs a "
+                             "reference impedance after R") from None
+    rows = []
+    for n, line in raw[1:]:
+        try:
+            row = [float(x) for x in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}: {line!r}") from None
+        if len(row) != 9:
+            raise ValueError(f"{path}:{n}: expected 9 columns per data line, "
+                             f"got {len(row)}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data lines after the option line")
-    if any(len(row) != 9 for row in rows):
-        raise ValueError(f"{path}: expected 9 columns per data line")
     data = np.array(rows)
     f = data[:, 0]
     s = data[:, 1::2] + 1j * data[:, 2::2]

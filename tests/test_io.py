@@ -19,7 +19,7 @@ from kitwpa.config import load_config
 from kitwpa.dispersion import device_dispersion, find_stopbands
 from kitwpa.errors import ConfigError
 from kitwpa.fwm import IntegrationOptions
-from kitwpa.runner import run
+from kitwpa.runner import SUBCOMMANDS, run
 from kitwpa.twoport import read_touchstone
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -385,6 +385,25 @@ class TestRunner:
         for entry in manifest["files"]:
             data = (tmp_path / "out" / entry["name"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_manifest_digests_are_those_of_the_files_on_disk(
+            self, tmp_path, subcommand):
+        # the manifest digests the bytes the run wrote, without reading
+        # them back, and lists every file it wrote
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "points: 41", "points: 11").replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n"
+            "  sweep: {parameter: pump_power, values: [1.0e-4, 2.0e-4]}\n"
+            "  calibration: {target_peak_db: 3.0, tolerance_db: 0.5}")))
+        manifest = run(subcommand, cfg, out_dir=tmp_path / "out")
+        import hashlib
+        on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").iterdir()
+                   if p.name != "run_manifest.json"}
+        assert on_disk
+        assert {f["name"]: f["sha256"] for f in manifest["files"]} == on_disk
 
     def test_identical_configs_byte_identical_outputs(self, tmp_path):
         cfg1 = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG, "a.cfg"))

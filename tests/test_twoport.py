@@ -1,7 +1,10 @@
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kitwpa.analysis import expand_design
 from kitwpa.circuit import (
@@ -353,7 +356,8 @@ class TestTouchstone:
     @pytest.mark.parametrize("body, message", [
         ("", "no data lines"),
         ("1 0 0 0 0 0 0 0 0\n2 0 0\n", "9 columns"),
-    ], ids=["option-line-only", "short-line"])
+        ("1 0 0 0 0 0 0 0 0\n1 x 0 0 0 0 0 0 0\n", r"bad\.s2p:3: .*'x'"),
+    ], ids=["option-line-only", "short-line", "bad-token"])
     def test_rejects_missing_data_naming_the_file(self, tmp_path, body,
                                                   message):
         p = tmp_path / "bad.s2p"
@@ -361,6 +365,14 @@ class TestTouchstone:
         with pytest.raises(ValueError, match=message) as err:
             read_touchstone(p)
         assert "bad.s2p" in str(err.value)
+
+    @pytest.mark.parametrize("option", ["# HZ S RI R", "# HZ S RI R fifty"])
+    def test_rejects_a_reference_impedance_that_is_not_a_number(
+            self, tmp_path, option):
+        p = tmp_path / "bad.s2p"
+        p.write_text(option + "\n1 0 0 0 0 0 0 0 0\n")
+        with pytest.raises(ValueError, match=r"bad\.s2p:1: .* after R"):
+            read_touchstone(p)
 
 
 def reference_table_lines(header, columns, sep=","):
@@ -409,3 +421,80 @@ class TestTableLines:
     def test_report_lines(self):
         assert report_lines([("a", 1), ("b", -0.0), ("c", np.float64(np.nan))]) \
             == ["a = 1.000000000000e+00", "b = -0.000000000000e+00", "c = nan"]
+
+    # any float64 bit pattern: subnormals, +-0, +-inf and NaNs with any
+    # payload and sign; plus the floats hypothesis finds interesting
+    FLOAT64 = st.one_of(
+        st.integers(0, 2 ** 64 - 1).map(
+            lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+        st.floats())
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              database=None)
+    @given(st.lists(st.tuples(FLOAT64, FLOAT64, st.booleans()), max_size=40),
+           st.sampled_from([",", " "]))
+    def test_matches_per_row_formula_on_any_float64(self, rows, sep):
+        columns = [np.array([r[0] for r in rows], dtype=float),
+                   [r[1] for r in rows],
+                   np.array([r[2] for r in rows], dtype=bool)]
+        assert table_lines("h", columns, sep=sep) == \
+            reference_table_lines("h", columns, sep=sep)
+
+    # The kernel cannot decide these from one scaled float; they must come
+    # out as Python prints them.
+    TIES = [m + 0.5 for m in (1_000_000_000_000, 1_234_567_890_123,
+                              9_999_999_999_998, 5_555_555_555_555)] \
+        + [10.0 * m + 5 for m in (1_234_567_890_123, 4_444_444_444_444)] \
+        + [123_456_789_012.25, 123_456_789_012.75, 2.0 ** 40 + 0.5]
+    CARRIES = [9.9999999999995e5, 9999999999999.6, 9.9999999999996e-7,
+               9.99999999999951e100, 9.99999999999951e-100,
+               9.9999999999996e300, 9.9999999999996e-300]
+
+    @pytest.mark.parametrize("values", [
+        TIES,
+        CARRIES,
+        [1.0e100, 1.234567890123e100, 9.87654321e-100, 1.0e-100, 5.5e99,
+         1.0e300, 3.3e300, 1.0e-300, 7.7e-301, 1.7976931348623157e308,
+         2.2250738585072014e-308, 5e-324],
+    ], ids=["ties", "carries", "exponents-100-300"])
+    def test_fallback_classes_match_python(self, values):
+        column = np.array(values + [-v for v in values])
+        with np.errstate(over="ignore"):   # past the largest double: inf
+            column = np.concatenate([column, np.nextafter(column, 0),
+                                     np.nextafter(column, 2 * column)])
+        assert table_lines("h", [column]) == reference_table_lines(
+            "h", [column])
+
+    def test_doubles_nearest_to_decimal_ties(self):
+        # the double nearest to a 14-digit decimal ending in 5 lies within
+        # its rounding error of the tie, on either side: the kernel's scaled
+        # value must not decide these
+        rng = np.random.default_rng(3)
+        digits = rng.integers(10 ** 12, 10 ** 13, 1500)
+        exponents = rng.integers(-320, 295, 1500)
+        x = np.array([float(f"{m}5e{e}") for m, e in zip(digits, exponents)])
+        column = np.concatenate([x, np.nextafter(x, 0),
+                                 np.nextafter(x, np.inf)])
+        assert table_lines("h", [column]) == reference_table_lines(
+            "h", [column])
+
+    def test_neighbours_of_powers_of_ten(self):
+        exact = [float(10 ** k) if k >= 0 else 1 / 10 ** -k
+                 for k in range(-323, 309)]
+        p = np.concatenate([exact, 10.0 ** np.arange(-307, 309)])
+        column = np.concatenate([p, np.nextafter(p, 0),
+                                 np.nextafter(p, np.inf)])
+        column = np.concatenate([column, -column])
+        assert table_lines("h", [column], sep=" ") == reference_table_lines(
+            "h", [column], sep=" ")
+
+    def test_carry_and_tie_print_as_python_does(self):
+        lines = table_lines("h", [[9.9999999999995e5, 1099511627776.5,
+                                   -12345678901235.0]])
+        assert lines[1:] == ["1.000000000000e+06", "1.099511627776e+12",
+                             "-1.234567890124e+13"]
+
+    def test_a_column_repeated_as_the_same_object_keeps_its_bytes(self):
+        x = np.linspace(-1.0, 1.0, 7) ** 3
+        assert table_lines("h", [x, x, x.copy()]) == reference_table_lines(
+            "h", [x, x, x])
