@@ -12,14 +12,16 @@ phase, insertion magnitude) to every mode at its position along the line.
 
 The small-signal gain (solve_gain) is the undepleted limit in closed form:
 a product of 2x2 signal-idler transfer matrices, one per segment between
-blocks.  The coupled-mode ODE serves the third-harmonic scan and
-propagate_modes, which carry the pump's depletion and the harmonic.
+blocks.  The coupled-mode ODE serves the third-harmonic scan, which
+integrates the pump and its harmonic alone, and propagate_modes, which
+carries all four modes with the pump's depletion.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,11 +354,51 @@ class _Propagator:
         return np.concatenate(zs), np.concatenate(ys, axis=1)
 
 
+class _HarmonicPropagator(_Propagator):
+    """The pump and its third harmonic alone, y = [a_p, a_3].
+
+    These are _Propagator's equations for one system at zero signal and
+    idler, which stay zero, in Python complex arithmetic: on two entries a
+    numpy RHS costs its per-call overhead many times over.  They round
+    differently, since numpy fuses the products of complex numbers.
+    """
+
+    def __init__(self, gamma, dk3, alphas, options, total_cells, blocks,
+                 block_factors):
+        self.n = 1
+        self.jgp, self.jg3 = 1j * gamma, 1j * (3.0 * gamma)
+        self.mjdk3 = -1j * dk3
+        self.alphas = alphas                # pump, third
+        self.total_cells = total_cells
+        self.blocks = blocks
+        self.block_factors = block_factors  # [pump, third]; None: no blocks
+        self.rtol = options.rtol
+        self.atol = options.atol
+
+    def _rhs(self, z, y):
+        ap, a3 = y.tolist()
+        ap_al, a3_al = self.alphas
+        pp = ap.real * ap.real + ap.imag * ap.imag
+        p3 = a3.real * a3.real + a3.imag * a3.imag
+        apap = ap * ap
+        e3 = cmath.exp(self.mjdk3 * z)
+        dap = (self.jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
+               + self.jgp * apap.conjugate() * a3 * e3.conjugate())
+        # a product with 1/3, as numpy divides a complex by 3
+        da3 = (self.jg3 * ((p3 + 2.0 * pp) * a3
+                           + apap * ap * e3 * (1.0 / 3.0))
+               - a3_al * a3)
+        return np.array([dap, da3])
+
+    def _apply_block(self, y):
+        return y * self.block_factors
+
+
 @dataclass(frozen=True)
 class PumpedLine:
     """The linear part of a device pumped at one frequency.
 
-    Everything the coupled-mode solve needs that depends only on the network,
+    Everything the small-signal gain needs that depends only on the network,
     the dispersion, the pump frequency, the signal grid and the options.
     None of it depends on I*, which the linear model never reads (I* enters
     only the Kerr coefficient), or on the pump power, so one line serves
@@ -367,24 +409,12 @@ class PumpedLine:
     signal_frequencies: np.ndarray   # the grid without the pump point
     k_pump: float                    # rad/cell
     delta_k: np.ndarray              # k_s + k_i - 2 k_p, rad/cell
-    delta_k_3: float                 # k(3 f_p) - 3 k_p; 0 without the harmonic
-    alphas: tuple                    # nepers/cell: pump, signals, idlers, third
+    alphas: tuple                    # nepers/cell: pump, signals, idlers
     in_stopband: np.ndarray          # signal or idler inside a stopband
     total_cells: float
     blocks: tuple                    # cell positions of the block corrections
-    block_factors: tuple | None      # pump, signals, idlers, third; None: no blocks
+    block_factors: tuple | None      # pump, signals, idlers; None: no blocks
     options: IntegrationOptions
-
-    def _propagator(self, gamma: KerrCoefficient) -> _Propagator:
-        f_p, f_s = self.pump_frequency, self.signal_frequencies
-        f_i = 2.0 * f_p - f_s
-        gammas = (gamma.gamma,
-                  gamma.gamma * f_s / f_p,
-                  gamma.gamma * f_i / f_p,
-                  3.0 * gamma.gamma)
-        return _Propagator(f_s.size, gammas, self.delta_k, self.delta_k_3,
-                           self.alphas, self.options, self.total_cells,
-                           self.blocks, self.block_factors)
 
 
 def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
@@ -407,6 +437,47 @@ def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
     return f_s
 
 
+def _propagation_curve(network: LadderNetwork, dispersion: DispersionCurve,
+                       f_p: float, flag_curve: DispersionCurve
+                       ) -> DispersionCurve:
+    """The curve whose k and alpha the coupled modes propagate with.
+
+    Raises NumericError for a pump inside a stopband of ``flag_curve`` and
+    for a resonator design without uniform base cells.  A resonator design
+    propagates on its bare-ladder curve, extended to the third harmonic;
+    the resonators enter as block corrections (_block_corrections).
+    """
+    if bool(flag_curve.stopband_at(f_p)[0]):
+        raise NumericError(
+            f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
+            "move it into a passband below the band edge"
+        )
+    if not network.has_resonators():
+        return dispersion
+    base = _smooth_background(network)
+    if base is None:
+        raise NumericError("resonator design must have uniform base cells")
+    l0, c0 = base
+    grid = FrequencyGrid(dispersion.frequencies[0],
+                         max(dispersion.frequencies[-1], 3.0 * f_p * 1.01), 4097)
+    return uniform_cell_dispersion(l0, c0, grid)
+
+
+def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
+                       z0: float) -> tuple:
+    """(cell positions of the resonator blocks, factor of one block at each
+    frequency); ((), None) for a network without resonators."""
+    if not network.has_resonators():
+        return (), None
+    blocks = tuple(float(b * network.cells_per_period)
+                   for b in range(network.repeats))
+    # one cascade of the block serves every mode frequency; the factor is
+    # the conjugate of s21(block) / s21(bare ladder) because the amplitudes
+    # use the physics phasor convention, where extra delay is a positive
+    # phase
+    return blocks, np.conj(s21_over_bare(network.one_period(), frequencies, z0))
+
+
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
                  pump_frequency: float, signal_grid,
                  options: IntegrationOptions | None = None,
@@ -415,9 +486,8 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
 
     The arguments mean what they mean for integrate_gain; any signal point
     at the pump frequency is dropped.  Raises NumericError for a pump inside
-    a stopband, a resonator design without uniform base cells, or a third
-    harmonic beyond the dispersion grid, and ValueError for a signal grid
-    signal_frequencies refuses or leaves empty.
+    a stopband or a resonator design without uniform base cells, and
+    ValueError for a signal grid signal_frequencies refuses or leaves empty.
     """
     options = options or IntegrationOptions()
     f_p = pump_frequency
@@ -426,68 +496,23 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
         raise ValueError("signal grid is empty after excluding the pump")
 
     flag_curve = stopband_curve if stopband_curve is not None else dispersion
-    if bool(flag_curve.stopband_at(f_p)[0]):
-        raise NumericError(
-            f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
-            "move it into a passband below the band edge"
-        )
-
-    thg = options.include_third_harmonic
-    f_3 = 3.0 * f_p
-    has_res = network.has_resonators()
-
-    if has_res:
-        base = _smooth_background(network)
-        if base is None:
-            raise NumericError("resonator design must have uniform base cells")
-        l0, c0 = base
-        grid = FrequencyGrid(dispersion.frequencies[0],
-                             max(dispersion.frequencies[-1], f_3 * 1.01), 4097)
-        k_curve = uniform_cell_dispersion(l0, c0, grid)
-    else:
-        k_curve = dispersion
-    if thg and f_3 > k_curve.frequencies[-1]:
-        raise NumericError(
-            f"dispersion grid ends at {k_curve.frequencies[-1] / 1e9:.2f} GHz "
-            f"but the third harmonic needs {f_3 / 1e9:.2f} GHz; extend the grid"
-        )
-
+    k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
     k_p = float(k_curve.k_cell(f_p))
     f_i = 2.0 * f_p - f_s
-    k_s = k_curve.k_cell(f_s)
-    k_i = k_curve.k_cell(f_i)
-    dk = k_s + k_i - 2.0 * k_p
-    dk3 = float(k_curve.k_cell(f_3) - 3.0 * k_p) if thg else 0.0
+    dk = k_curve.k_cell(f_s) + k_curve.k_cell(f_i) - 2.0 * k_p
+    alphas = (float(k_curve.alpha_cell(f_p)), k_curve.alpha_cell(f_s),
+              k_curve.alpha_cell(f_i))
 
-    alphas = (
-        float(k_curve.alpha_cell(f_p)),
-        k_curve.alpha_cell(f_s),
-        k_curve.alpha_cell(f_i),
-        float(k_curve.alpha_cell(f_3)) if thg else 0.0,
-    )
-
-    if has_res:
-        blocks = tuple(float(b * network.cells_per_period)
-                       for b in range(network.repeats))
-        # one cascade of the block serves every mode frequency; the factor
-        # is the conjugate of s21(block) / s21(bare ladder) because the
-        # amplitudes use the physics phasor convention, where extra delay
-        # is a positive phase
-        n = f_s.size
-        fac = np.conj(s21_over_bare(
-            network.one_period(),
-            np.concatenate([[f_p], f_s, f_i, [f_3] if thg else []]), options.z0))
-        block_factors = (fac[0], fac[1:n + 1], fac[n + 1:2 * n + 1],
-                         fac[2 * n + 1] if thg else 1.0)
-    else:
-        blocks = ()
-        block_factors = None
+    n = f_s.size
+    blocks, fac = _block_corrections(
+        network, np.concatenate([[f_p], f_s, f_i]), options.z0)
+    block_factors = None if fac is None else (fac[0], fac[1:n + 1], fac[n + 1:])
 
     stop_flags = (np.asarray(flag_curve.stopband_at(f_s))
                   | np.asarray(flag_curve.stopband_at(f_i)))
     return PumpedLine(
         pump_frequency=f_p, signal_frequencies=f_s, k_pump=k_p, delta_k=dk,
-        delta_k_3=dk3, alphas=alphas, in_stopband=stop_flags,
+        alphas=alphas, in_stopband=stop_flags,
         total_cells=float(network.total_cells), blocks=blocks,
         block_factors=block_factors, options=options)
 
@@ -521,7 +546,7 @@ def _transfer(line: PumpedLine, gamma: KerrCoefficient, p_p: float):
     g_p = gamma.gamma
     g_s = g_p * f_s / f_p
     g_i = g_p * (2.0 * f_p - f_s) / f_p
-    _, alpha_s, alpha_i, _ = line.alphas
+    _, alpha_s, alpha_i = line.alphas
     dk = line.delta_k
     a0 = complex(math.sqrt(p_p))
     t_s = np.ones(f_s.size, dtype=complex)
@@ -562,7 +587,7 @@ def _transfer(line: PumpedLine, gamma: KerrCoefficient, p_p: float):
                 a0 *= np.exp(1j * g_p * p * length)
                 z = z1
             if i < len(line.blocks):
-                fp_fac, fs_fac, fi_fac, _ = line.block_factors
+                fp_fac, fs_fac, fi_fac = line.block_factors
                 a0 *= fp_fac
                 t_s = t_s * fs_fac
                 t_i = t_i * np.conj(fi_fac)
@@ -646,24 +671,45 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                         pump: tuple, options: IntegrationOptions | None = None,
                         stopband_curve: DispersionCurve | None = None
                         ) -> HarmonicScan:
-    """Pump and third-harmonic powers along the line (no signal injected)."""
+    """Pump and third-harmonic powers along the line (no signal injected).
+
+    Only the pump and its third harmonic are integrated; with no signal the
+    signal and idler stay zero, so p_signal and p_idler are one array of
+    zeros.  Raises ValueError for a pump that is not positive, NumericError
+    as prepare_line does and for a third harmonic beyond the dispersion
+    grid.  The include_third_harmonic option is not read.
+    """
     options = options or IntegrationOptions()
-    options = replace(options, include_third_harmonic=True)
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("harmonic scan requires a nonzero pump")
-    # one placeholder signal mode, seeded with zero power
-    line = prepare_line(network, dispersion, f_p, np.array([f_p / 2.0]),
-                        options, stopband_curve)
-    gamma = kerr_coefficient(line.k_pump, network.i_star, options.z0)
-    y0 = np.array([math.sqrt(p_p), 0.0, 0.0, 0.0], dtype=complex)
-    z, y = line._propagator(gamma).run(y0, HARMONIC_SAMPLES)
+    if f_p <= 0:
+        raise ValueError("pump frequency must be positive")
+    flag_curve = stopband_curve if stopband_curve is not None else dispersion
+    k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
+    f_3 = 3.0 * f_p
+    if f_3 > k_curve.frequencies[-1]:
+        raise NumericError(
+            f"dispersion grid ends at {k_curve.frequencies[-1] / 1e9:.2f} GHz "
+            f"but the third harmonic needs {f_3 / 1e9:.2f} GHz; extend the grid"
+        )
+    k_p = float(k_curve.k_cell(f_p))
+    blocks, block_factors = _block_corrections(network, np.array([f_p, f_3]),
+                                               options.z0)
+    gamma = kerr_coefficient(k_p, network.i_star, options.z0)
+    prop = _HarmonicPropagator(
+        gamma.gamma, float(k_curve.k_cell(f_3) - 3.0 * k_p),
+        (float(k_curve.alpha_cell(f_p)), float(k_curve.alpha_cell(f_3))),
+        options, float(network.total_cells), blocks, block_factors)
+    z, y = prop.run(np.array([math.sqrt(p_p), 0.0], dtype=complex),
+                    HARMONIC_SAMPLES)
+    zeros = np.zeros(z.size)
     return HarmonicScan(
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,
-        p_signal=np.abs(y[1]) ** 2,
-        p_idler=np.abs(y[2]) ** 2,
-        p_third=np.abs(y[3]) ** 2,
+        p_signal=zeros,
+        p_idler=zeros,
+        p_third=np.abs(y[1]) ** 2,
         pump_frequency=f_p,
         pump_power=p_p,
     )

@@ -325,6 +325,9 @@ _SCALE_LOW = 12 - _EXPONENT_HIGH
 _SCALE5 = np.array([float(5 ** k) if k >= 0 else 1 / 5 ** -k
                     for k in range(_SCALE_LOW, 12 - _EXPONENT_LOW + 1)])
 _FIELD = 20
+# numbers per kernel call: amortizes its ~30 numpy calls over short tables
+# and bounds its temporaries (~100 bytes a number) on long ones
+_CHUNK = 1 << 13
 
 
 def _words(texts) -> np.ndarray:
@@ -417,8 +420,9 @@ def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     """Lines of a data table: the header, then one row per column index.
 
     Boolean columns print as 0/1 and every other column as %.12e, integers
-    included, so identical data always gives identical bytes.  A column
-    passed again as the same object is formatted once.
+    included, so identical data always gives identical bytes.  The float
+    columns are formatted together, a column passed again as the same
+    object only once, in one kernel call per _CHUNK numbers.
     """
     columns = list(columns)
     arrays = [np.asarray(c) for c in columns]
@@ -430,20 +434,25 @@ def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     ends = [sep.encode()] * (len(arrays) - 1) + [b"\n"]
     widths = [1 if a.dtype == bool else _FIELD for a in arrays]
     text = np.zeros((n, sum(widths) + sum(map(len, ends))), np.uint8)
-    formatted: dict = {}
+    floats: dict = {}   # id of a float column: (array, offsets of its fields)
     at = 0
     for c, a, width, end in zip(columns, arrays, widths, ends):
-        field = text[:, at:at + width]
-        if id(c) in formatted:
-            field[...] = formatted[id(c)]
-        elif a.dtype == bool:
-            field[:, 0] = ord("0") + a
+        if a.dtype == bool:
+            text[:, at] = ord("0") + a
         else:
-            field[...] = _format_e12(a)
-        formatted[id(c)] = field
+            floats.setdefault(id(c), (a, []))[1].append(at)
         at += width
         text[:, at:at + len(end)] = np.frombuffer(end, np.uint8)
         at += len(end)
+    if floats:
+        stacked = np.stack([a for a, _ in floats.values()], axis=1)
+        rows = max(1, _CHUNK // len(floats))
+        for r in range(0, n, rows):
+            fields = _format_e12(stacked[r:r + rows].ravel()).reshape(
+                -1, len(floats), _FIELD)
+            for j, (_, offsets) in enumerate(floats.values()):
+                for at in offsets:
+                    text[r:r + rows, at:at + _FIELD] = fields[:, j]
     body = text.tobytes()
     del text
     return TableLines(header.encode() + b"\n" + body.translate(None, b"\0"))

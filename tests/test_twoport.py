@@ -409,6 +409,28 @@ class TestTableLines:
         assert got == reference_table_lines("h", columns, sep=sep)
         assert len(got) == n + 1
 
+    @pytest.mark.parametrize("rows, cols", [(1, 15), (40, 4)])
+    def test_short_wide_tables_match_per_row_formula(self, rows, cols):
+        # the shapes of metrics.csv and stopbands.csv; every float column,
+        # the repeated one included, goes through one kernel call
+        rng = np.random.default_rng(rows * cols)
+        columns = [rng.normal(0, 1e9, rows)
+                   * 10.0 ** rng.integers(-300, 290, rows)
+                   for _ in range(cols - 2)]
+        columns[1:1] = [rng.random(rows) > 0.5, columns[0]]
+        assert len(columns) == cols
+        assert table_lines("h", columns) == reference_table_lines("h", columns)
+
+    def test_tables_longer_than_a_kernel_call_match_per_row_formula(self):
+        # 3 distinct float columns of _CHUNK rows take 4 kernel calls, the
+        # last one of 2 rows
+        from kitwpa.twoport import _CHUNK
+
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1e9, _CHUNK) * 10.0 ** rng.integers(-300, 290, _CHUNK)
+        columns = [x, rng.random(_CHUNK) > 0.5, rng.normal(size=_CHUNK), x, -x]
+        assert table_lines("h", columns) == reference_table_lines("h", columns)
+
     def test_int_column_prints_as_float_and_bool_as_digit(self):
         lines = table_lines("a b", [[3], np.array([True])], sep=" ")
         assert lines == ["a b", "3.000000000000e+00 1"]
