@@ -1,3 +1,4 @@
+import math
 import struct
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from kitwpa.circuit import (
     FishboneSpec,
     uniform_line,
 )
+from kitwpa import twoport
 from kitwpa.config import load_config
+from kitwpa.dispersion import s21_over_bare
 from kitwpa.twoport import (
     FrequencyGrid,
     TwoPortMatrix,
@@ -148,13 +151,62 @@ class TestCascade:
                 assert np.allclose(x, y, rtol=1e-10, atol=1e-12 * np.abs(y).max())
 
 
+def no_power_floor(monkeypatch):
+    """Walk every element: no run is long enough to be powered."""
+    monkeypatch.setattr(twoport, "_POWER_FLOOR", math.inf)
+
+
+def runs_of(chain, tail_len=0):
+    """The runs walk_period powers in a chain of elements."""
+    index = {}
+    return twoport._runs([index.setdefault(e, len(index)) for e in chain],
+                         tail_len)
+
+
+def longdouble_walk(chain, f):
+    """(a, b, c, d) of the chain [[a, i*b], [i*c, d]] as np.longdouble
+    arrays, walked element by element on the same float64 element terms."""
+    a, b, c, d = (np.full(len(f), np.longdouble(v)) for v in (1, 0, 0, 1))
+    terms = {}
+    for e in chain:
+        if e not in terms:
+            series, term = twoport._element_term(e, f)
+            terms[e] = series, term.imag.astype(np.longdouble)
+        series, x = terms[e]
+        if series:
+            b, d = b + a * x, d - c * x
+        else:
+            a, c = a - b * x, c + d * x
+    return a, b, c, d
+
+
+def longdouble_s21(chain, f, z_ref=50.0):
+    a, b, c, d = longdouble_walk(chain, f)
+    z = np.longdouble(z_ref)
+    return 2 / ((a + d) + 1j * (b / z + c * z)).astype(np.clongdouble)
+
+
+def finite(m):
+    return (np.isfinite(m.a) & np.isfinite(m.b) & np.isfinite(m.c)
+            & np.isfinite(m.d))
+
+
+def assert_zero_parts_positive(m):
+    """a and d are real, b and c imaginary, each zero part +0."""
+    for part in (m.a.imag, m.b.real, m.c.real, m.d.imag):
+        assert not np.any(part.view(np.uint64))
+
+
 class TestPeriodWalk:
     """The walk's rank-one updates against the full 2x2 product of the
     element matrices, compared bit for bit: the Bloch branch choice depends
     on the signs of zero parts, which allclose cannot see."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_matches_element_cascade_bitwise(self, name):
+    def test_matches_element_cascade_bitwise(self, name, monkeypatch):
+        # the element path on every preset: the leaf's uniform runs would
+        # otherwise be powered, which rounds differently
+        no_power_floor(monkeypatch)
         net, f = preset(name)
         chains = {"period": net.period, "bare": bare_ladder(net).period}
         if net.tail:
@@ -172,6 +224,127 @@ class TestPeriodWalk:
             assert_bitwise_equal(tail, cascade(mats[e] for e in net.tail))
         else:
             assert tail is None
+
+    def test_powers_only_the_leaf_runs(self):
+        fishbone, _ = preset("fishbone-paper")
+        leaf, _ = preset("leaf-paper")
+        assert runs_of(fishbone.period, len(fishbone.tail)) == {}
+        # the leaf block: 333 cells after the second resonator pair, and its
+        # bare ladder, 340 cells
+        assert runs_of(leaf.period) == {16: 333}
+        assert runs_of(bare_ladder(leaf).period) == {0: 340}
+
+    def test_fishbone_keeps_the_exact_walk(self):
+        net, f = preset("fishbone-paper")
+        mats = {e: element_matrix(e, f) for e in set(net.period)}
+        period, tail = walk_period(net, f)
+        assert_bitwise_equal(period, cascade(mats[e] for e in net.period))
+        assert_bitwise_equal(tail, cascade(mats[e] for e in net.tail))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_powered_walk_within_error_budget(self, name, monkeypatch):
+        net, f = preset(name)
+        m, _ = walk_period(net, f)
+        assert_zero_parts_positive(m)
+        # S21 of the period
+        s21 = to_s_parameters(m, f).s21
+        ref = longdouble_s21(net.period, f)
+        assert np.max(np.abs(s21 - ref) / np.abs(ref)) <= 1e-13
+        # the Bloch half-trace
+        a, _, _, d = longdouble_walk(net.period, f)
+        t, t_ref = 0.5 * (m.a + m.d).real, (a + d) / 2
+        assert np.max(np.abs(t - t_ref) / np.maximum(1, np.abs(t_ref))) <= 1e-12
+        if net.has_resonators():
+            block = net.one_period()
+            ref = longdouble_s21(block.period, f) / longdouble_s21(
+                bare_ladder(block).period, f)
+            got = s21_over_bare(block, f)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-13
+        # no stopband flag moves against the exact walk
+        no_power_floor(monkeypatch)
+        exact, _ = walk_period(net, f)
+        assert np.array_equal(np.abs(t) > 1.0,
+                              np.abs(exact.trace_half().real) > 1.0)
+
+    def test_powered_walk_overflows_where_the_exact_walk_does(
+            self, monkeypatch):
+        # far above the leaf cells' 55 GHz cutoff the walk overflows
+        net, _ = preset("leaf-paper")
+        f = np.linspace(0.1e9, 150e9, 2001)
+        with np.errstate(all="ignore"):
+            powered = (walk_period(net, f)[0], network_matrix(net, f))
+            no_power_floor(monkeypatch)
+            exact = (walk_period(net, f)[0], network_matrix(net, f))
+        for got, ref in zip(powered, exact):
+            assert 0 < np.count_nonzero(finite(ref)) < len(f)
+            assert np.array_equal(finite(got), finite(ref))
+
+    def test_tail_snapshot_ends_a_run(self):
+        # a uniform 100-cell period whose 40-cell tail ends inside the run:
+        # two powered runs, 40 and 60 cells
+        period = uniform_line(CELL, 1).period * 100
+        net = LadderNetwork(period, 2, period[:80])
+        assert runs_of(net.period, len(net.tail)) == {0: 40, 80: 60}
+        f = np.linspace(1e9, 400e9, 101)     # up past the 318 GHz cutoff
+        got, tail = walk_period(net, f)
+        mats = {e: element_matrix(e, f) for e in set(period)}
+        for m, chain in ((got, net.period), (tail, net.tail)):
+            assert_zero_parts_positive(m)
+            ref = cascade(mats[e] for e in chain)
+            for name in "abcd":
+                x, y = getattr(m, name), getattr(ref, name)
+                assert np.allclose(x, y, rtol=1e-11,
+                                   atol=1e-13 * np.abs(y).max())
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              database=None)
+    @given(st.data())
+    def test_exact_on_random_ladders(self, data):
+        """Random lossless ladders with no run long enough to be powered, at
+        frequencies next to a resonance and above the cells' cutoff."""
+        draw = data.draw
+        pico, femto = st.floats(20.0, 500.0), st.floats(5.0, 200.0)
+        inductors = [SeriesInductor(draw(pico) * 1e-12, 1e-2)
+                     for _ in range(draw(st.integers(1, 2)))]
+        capacitors = [ShuntCapacitor(draw(femto) * 1e-15)
+                      for _ in range(draw(st.integers(1, 2)))]
+        resonators = [ShuntResonator(draw(st.floats(2e9, 12e9)),
+                                     draw(st.floats(10.0, 300.0)),
+                                     draw(st.integers(1, 2)))
+                      for _ in range(draw(st.integers(0, 2)))]
+        cell = st.tuples(st.sampled_from(inductors), st.lists(
+            st.sampled_from(capacitors + resonators), min_size=1, max_size=2))
+        cells = draw(st.lists(cell, min_size=1,
+                              max_size=twoport._POWER_FLOOR - 1))
+        period = tuple(e for l, shunts in cells for e in (l, *shunts))
+        tail_len = draw(st.integers(0, len(period) - 1))
+        net = LadderNetwork(period, draw(st.integers(1, 3)), period[:tail_len])
+        assert runs_of(period, tail_len) == {}
+
+        cutoff = 1 / (np.pi * np.sqrt(max(e.l0 for e in inductors)
+                                      * max(e.c for e in capacitors)))
+        near = st.floats(1e-6, 1e-2)
+        f = [r.f_r * (1 + sign * draw(near))
+             for r in resonators for sign in (-1, 1)]
+        f += [cutoff * draw(st.floats(1.0, 3.0)) for _ in range(3)]
+        f += [draw(st.floats(0.1e9, 100e9)) for _ in range(3)]
+        f = np.array(f)
+
+        mats = {e: element_matrix(e, f) for e in set(period)}
+        with np.errstate(all="ignore"):
+            got, tail = walk_period(net, f)
+            pairs = [(got, period)]
+            if tail_len:
+                pairs.append((tail, period[:tail_len]))
+            for m, chain in pairs:
+                assert_zero_parts_positive(m)
+                ref = cascade(mats[e] for e in chain)
+                ok = finite(ref)
+                assert np.array_equal(finite(m), ok)
+                for name in "abcd":
+                    x, y = getattr(m, name)[ok], getattr(ref, name)[ok]
+                    assert np.array_equal(x.view(np.uint64),
+                                          y.view(np.uint64)), name
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
