@@ -183,27 +183,27 @@ def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> StopbandRe
     # merge across single-point gaps
     interior = flags[:-2] & ~flags[1:-1] & flags[2:]
     flags[1:-1] |= interior
-    bands = []
+    # run k covers [starts[k], ends[k]); runs are at least two points apart
+    steps = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(steps == 1)
+    ends = np.flatnonzero(steps == -1)
+    if not starts.size:
+        return StopbandReport(bands=())
+    # maxima over [start, end) and over the gaps between, alternately; a run
+    # reaching the last point is the final segment
+    edges = np.column_stack([starts, ends]).ravel()
+    if edges[-1] == flags.size:
+        edges = edges[:-1]
+    peaks = np.maximum.reduceat(curve.attenuation_per_period, edges)[::2]
     f = curve.frequencies
-    n = flags.size
-    i = 0
-    while i < n:
-        if flags[i]:
-            j = i
-            while j < n and flags[j]:
-                j += 1
-            peak = float(np.max(curve.attenuation_per_period[i:j]))
-            if peak >= min_depth:
-                bands.append(Stopband(
-                    f_low=float(f[i]),
-                    f_high=float(f[j - 1]),
-                    center=float(0.5 * (f[i] + f[j - 1])),
-                    max_attenuation_per_period=peak,
-                ))
-            i = j
-        else:
-            i += 1
-    return StopbandReport(bands=tuple(bands))
+    lows, highs = f[starts], f[ends - 1]
+    bands = tuple(
+        Stopband(f_low=lo, f_high=hi, center=mid, max_attenuation_per_period=p)
+        for lo, hi, mid, p in zip(lows.tolist(), highs.tolist(),
+                                  (0.5 * (lows + highs)).tolist(),
+                                  peaks.tolist())
+        if p >= min_depth)
+    return StopbandReport(bands=bands)
 
 
 def s21_over_bare(block: LadderNetwork, f, z_ref: float = 50.0) -> np.ndarray:

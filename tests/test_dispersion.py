@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kitwpa.circuit import (
     FishboneSpec,
@@ -17,7 +19,10 @@ from kitwpa.analysis import expand_design
 from kitwpa.config import load_config
 from kitwpa.dispersion import (
     TWO_PI,
+    DispersionCurve,
     FrequencyGrid,
+    Stopband,
+    StopbandReport,
     _unfold_bloch_phase,
     device_dispersion,
     find_stopbands,
@@ -28,6 +33,7 @@ from kitwpa.twoport import network_matrix, to_s_parameters, walk_period
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
 LEAF_CELL = UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15)
+PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +102,6 @@ def reference_unfold(folded):
 
 
 class TestUnfold:
-    PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
-
     def assert_matches_reference(self, folded):
         got = _unfold_bloch_phase(folded)
         assert got.dtype == np.float64 and got.shape == folded.shape
@@ -107,7 +111,7 @@ class TestUnfold:
     @pytest.mark.parametrize("name", ["fishbone-paper", "leaf-paper-gain",
                                       "leaf-paper"])
     def test_preset_folds(self, name):
-        cfg = load_config(self.PRESETS / f"{name}.cfg")
+        cfg = load_config(PRESETS / f"{name}.cfg")
         net = expand_design(cfg.design)
         for grid in (cfg.frequency_grid, FrequencyGrid(1e9, 26e9, 3001)):
             period, _ = walk_period(net, grid.frequencies())
@@ -179,6 +183,76 @@ class TestFishboneStopbands:
         bands = list(find_stopbands(fishbone_curve))
         for a, b in zip(bands, bands[1:]):
             assert a.f_high < b.f_low
+
+
+def reference_find_stopbands(curve, min_depth=0.0):
+    """find_stopbands as a loop over the grid points."""
+    flags = curve.in_stopband.copy()
+    interior = flags[:-2] & ~flags[1:-1] & flags[2:]
+    flags[1:-1] |= interior
+    bands = []
+    f = curve.frequencies
+    n = flags.size
+    i = 0
+    while i < n:
+        if flags[i]:
+            j = i
+            while j < n and flags[j]:
+                j += 1
+            peak = float(np.max(curve.attenuation_per_period[i:j]))
+            if peak >= min_depth:
+                bands.append(Stopband(
+                    f_low=float(f[i]),
+                    f_high=float(f[j - 1]),
+                    center=float(0.5 * (f[i] + f[j - 1])),
+                    max_attenuation_per_period=peak,
+                ))
+            i = j
+        else:
+            i += 1
+    return StopbandReport(bands=tuple(bands))
+
+
+def flag_curve(flags, attenuation):
+    n = len(flags)
+    return DispersionCurve(
+        frequencies=np.linspace(1e9, 2e9, n), phase_per_period=np.zeros(n),
+        attenuation_per_period=np.asarray(attenuation, dtype=float),
+        in_stopband=np.asarray(flags, dtype=bool), cells_per_period=1)
+
+
+class TestFindStopbandsReference:
+    """The vectorised run search against the loop over the grid points."""
+
+    @pytest.mark.parametrize("name", ["fishbone-paper", "leaf-paper-gain",
+                                      "leaf-paper"])
+    @pytest.mark.parametrize("min_depth", [0.0, 0.05, 0.5])
+    def test_presets(self, name, min_depth):
+        cfg = load_config(PRESETS / f"{name}.cfg")
+        curve = device_dispersion(expand_design(cfg.design),
+                                  cfg.frequency_grid)
+        assert len(find_stopbands(curve)) > 0
+        got = find_stopbands(curve, min_depth)
+        assert got == reference_find_stopbands(curve, min_depth)
+
+    @pytest.mark.parametrize("flags", [
+        [0] * 7, [1] * 7, [1, 0, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1],
+        [0, 1, 0, 0, 1, 0], [1, 0], [0, 1], [1], [0], [1, 0, 0, 1]])
+    def test_edge_patterns(self, flags):
+        curve = flag_curve(flags, np.arange(len(flags)) % 3 * 0.25)
+        for min_depth in (0.0, 0.3):
+            got = find_stopbands(curve, min_depth)
+            assert got == reference_find_stopbands(curve, min_depth)
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(0.0, 5.0)),
+                    min_size=1, max_size=60),
+           st.floats(0.0, 5.0))
+    def test_random_patterns(self, points, min_depth):
+        curve = flag_curve([p[0] for p in points], [p[1] for p in points])
+        got = find_stopbands(curve, min_depth)
+        assert got == reference_find_stopbands(curve, min_depth)
 
 
 class TestLeafStopband:

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from kitwpa.circuit import (
     UnitCellSpec,
 )
 from kitwpa.cli import main
+from kitwpa import config
 from kitwpa.config import load_config
 from kitwpa.dispersion import device_dispersion, find_stopbands
 from kitwpa.errors import ConfigError
@@ -289,6 +291,27 @@ analysis:
         p = write_cfg(tmp_path, "design: [unbalanced\n")
         with pytest.raises(ConfigError, match="parse error"):
             load_config(p)
+
+    def test_malformed_yaml_exits_2_naming_the_line(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "design:\n  fishbone:\n    c_farads: [1, 2\n")
+        assert main(["linear", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}: YAML parse error")
+        assert "line 3" in err
+
+    def test_parses_as_safe_load_does(self, tmp_path):
+        if yaml.__with_libyaml__:
+            assert config._YAML_LOADER is yaml.CSafeLoader
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paths = sorted(PRESETS.glob("*.cfg"))
+        for seed in (0, 17):
+            paths += workloads.make_inputs(ROOT / "src", seed,
+                                           tmp_path / str(seed)).values()
+        for path in paths:
+            assert load_config(path).raw == yaml.safe_load(path.read_text())
 
 
 class TestRunner:
