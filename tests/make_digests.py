@@ -53,8 +53,6 @@ def operations(workloads) -> list:
 def digests(seed: int, work: Path) -> dict:
     """{"subcommand/input": {file name: sha256}} for one seed; the run
     manifest is left out, since it records the run's duration."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
     from kitwpa.config import load_config
     from kitwpa.runner import run
 
@@ -80,6 +78,7 @@ def corpus() -> dict:
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(corpus(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {CORPUS}")
