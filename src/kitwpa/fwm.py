@@ -14,7 +14,10 @@ The small-signal gain (solve_gain) is the undepleted limit in closed form:
 a product of 2x2 signal-idler transfer matrices, one per segment between
 blocks.  The coupled-mode ODE serves the third-harmonic scan, which
 integrates the pump and its harmonic alone, and propagate_modes, which
-carries all four modes with the pump's depletion.
+carries the pump, signal and idler (and the third harmonic) with the pump's
+depletion.  One engine (_Propagator) integrates one system, with a scalar
+RHS in Python complex arithmetic; the stacked numpy RHS over many systems
+is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -120,16 +123,16 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
     options = options or IntegrationOptions()
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
     thg = options.include_third_harmonic
+    modes = 4 if thg else 3
     gammas = (gamma.gamma, gamma.at(f_s, f_p), gamma.at(f_i, f_p),
               gamma.at(3 * f_p, f_p))
-    n_modes = 4 if thg else 3
-    y0 = np.array([state.a_p, state.a_s, state.a_i, state.a_3],
-                  dtype=complex)[:n_modes]
-    prop = _Propagator(
-        1, gammas, np.array([mismatch.delta_k_linear]), delta_k_3,
-        tuple(np.atleast_1d(a).astype(float) for a in attenuation),
-        options, float(length), undepleted=undepleted)
-    y = prop.run(y0)
+    # plain floats: Python complex arithmetic on numpy scalars is slow
+    prop = _Propagator(tuple(map(float, gammas[:modes])),
+                       tuple(map(float, attenuation[:modes])), options,
+                       float(length), dk=float(mismatch.delta_k_linear),
+                       dk3=float(delta_k_3), undepleted=undepleted)
+    y = prop.run(np.array([state.a_p, state.a_s, state.a_i, state.a_3],
+                          dtype=complex)[:modes])
     return ModeState(
         a_p=complex(y[0]), a_s=complex(y[1]), a_i=complex(y[2]),
         a_3=complex(y[3]) if thg else 0.0,
@@ -219,96 +222,102 @@ def _smooth_background(network: LadderNetwork) -> tuple | None:
 
 
 class _Propagator:
-    """Piecewise ensemble integration with lumped block corrections.
+    """One coupled-mode system along the line, with lumped block corrections.
 
-    The state stacks n independent systems as one flat complex vector,
-    [pump | signals | idlers (| third harmonics)], n entries each.
+    The state holds the amplitudes of the modes the system carries, in the
+    order pump, signal, idler, third harmonic: [a_p, a_3] for the harmonic
+    scan, whose signal and idler would stay zero, and [a_p, a_s, a_i] or
+    [a_p, a_s, a_i, a_3] for propagate_modes.  ``gammas``, ``alphas`` and
+    ``block_factors`` hold one entry per carried mode, in that order; ``dk``
+    is the signal-idler mismatch and ``dk3`` the third harmonic's.  The RHS
+    is Python complex arithmetic: on a few entries a numpy RHS costs its
+    per-call overhead many times over.
     """
 
-    def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
-                 blocks=(), block_factors=None, undepleted=False):
-        gp, gs, gi, g3 = gammas
-        self.n = n
+    n = 1   # systems in one state vector; bench/tracing.py reads it
+
+    def __init__(self, gammas, alphas, options, total_cells=0.0, blocks=(),
+                 block_factors=None, dk=0.0, dk3=0.0, undepleted=False):
+        self.pair = len(gammas) > 2          # the signal and idler
+        self.third = len(gammas) != 3        # the third harmonic
         # factors of the RHS that do not change along the line, formed once;
         # each is the leading sub-expression of its term (1j * g * ...,
         # -1j * dk * z), so forming it here changes no rounding
-        self.jgp, self.jgs, self.jgi, self.jg3 = 1j * gp, 1j * gs, 1j * gi, 1j * g3
-        self.jg3_third = 1j * (g3 / 3.0)
-        self.mjdk = -1j * dk
-        self.mjdk3 = -1j * dk3
+        self.jg = tuple(1j * g for g in gammas)
+        self.mjdk, self.mjdk3 = -1j * dk, -1j * dk3
         self.alphas = alphas
         self.total_cells = total_cells
         self.blocks = blocks
-        self.block_factors = block_factors  # (fp_fac, fs_fac, fi_fac, f3_fac)
+        self.block_factors = block_factors  # None: no blocks
         self.undepleted = undepleted
-        self.thg = options.include_third_harmonic
         self.rtol = options.rtol
         self.atol = options.atol
 
     def _rhs(self, z, y):
-        n = self.n
-        ap_al, as_al, ai_al, a3_al = self.alphas
-        ap = y[0 * n:1 * n]
-        as_ = y[1 * n:2 * n]
-        ai = y[2 * n:3 * n]
-        out = np.empty_like(y)
-        dap, das, dai = out[0 * n:1 * n], out[1 * n:2 * n], out[2 * n:3 * n]
+        if not self.pair:
+            # the scan: the zero signal and idler drop out of every term
+            ap, a3 = y.tolist()
+            (jgp, jg3), (ap_al, a3_al) = self.jg, self.alphas
+            pp = ap.real * ap.real + ap.imag * ap.imag
+            p3 = a3.real * a3.real + a3.imag * a3.imag
+            apap = ap * ap
+            e3 = cmath.exp(self.mjdk3 * z)
+            dap = (jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
+                   + jgp * apap.conjugate() * a3 * e3.conjugate())
+            # a product with 1/3, as numpy divides a complex by 3
+            da3 = (jg3 * ((p3 + 2.0 * pp) * a3 + apap * ap * e3 * (1.0 / 3.0))
+                   - a3_al * a3)
+            return np.array([dap, da3])
 
-        pp = ap.real**2 + ap.imag**2
-        pp2 = 2.0 * pp
+        modes = y.tolist()
+        ap, as_, ai = modes[0], modes[1], modes[2]
+        jgp, jgs, jgi = self.jg[0], self.jg[1], self.jg[2]
+        ap_al, as_al, ai_al = self.alphas[0], self.alphas[1], self.alphas[2]
+        pp = ap.real * ap.real + ap.imag * ap.imag
         apap = ap * ap
-        e = np.exp(self.mjdk * z)
-        if self.thg:
-            a3 = y[3 * n:4 * n]
-            da3 = out[3 * n:4 * n]
-            e3 = np.exp(self.mjdk3 * z)
-
+        e = cmath.exp(self.mjdk * z)
         if self.undepleted:
-            np.multiply(self.jgp * pp - ap_al, ap, out=dap)
-            np.subtract(self.jgs * (pp2 * as_ + apap * np.conj(ai) * e),
-                        as_al * as_, out=das)
-            np.subtract(self.jgi * (pp2 * ai + apap * np.conj(as_) * e),
-                        ai_al * ai, out=dai)
-            if self.thg:
-                np.add((self.jg3 * pp2 - a3_al) * a3,
-                       self.jg3_third * ap**3 * e3, out=da3)
-            return out
+            # the pump alone drives the signal and idler (and the third
+            # harmonic), and evolves by its own self-phase modulation
+            pp2 = 2.0 * pp
+            out = [(jgp * pp - ap_al) * ap,
+                   jgs * (pp2 * as_ + apap * ai.conjugate() * e) - as_al * as_,
+                   jgi * (pp2 * ai + apap * as_.conjugate() * e) - ai_al * ai]
+            if self.third:
+                a3 = modes[3]
+                out.append((self.jg[3] * pp2 - self.alphas[3]) * a3
+                           + self.jg[3] * (apap * ap
+                                           * cmath.exp(self.mjdk3 * z)
+                                           * (1.0 / 3.0)))
+            return np.array(out)
 
-        ps = as_.real**2 + as_.imag**2
-        pi_ = ai.real**2 + ai.imag**2
-        ps2 = 2.0 * ps
-        pi2 = 2.0 * pi_
-        # cross-phase sums; the third harmonic's 2*p3 is added last
-        sp = pp + ps2 + pi2
-        ss = ps + pp2 + pi2
-        si = pi_ + pp2 + ps2
-        if self.thg:
-            p3 = a3.real**2 + a3.imag**2
+        ps = as_.real * as_.real + as_.imag * as_.imag
+        pi_ = ai.real * ai.real + ai.imag * ai.imag
+        # cross-phase sums: a mode's own power plus twice every other's
+        sp = pp + 2.0 * ps + 2.0 * pi_
+        ss = ps + 2.0 * pp + 2.0 * pi_
+        si = pi_ + 2.0 * pp + 2.0 * ps
+        if self.third:
+            a3 = modes[3]
+            p3 = a3.real * a3.real + a3.imag * a3.imag
             p32 = 2.0 * p3
             sp += p32
             ss += p32
             si += p32
-        np.subtract(self.jgp * (sp * ap + 2.0 * as_ * ai * np.conj(ap) * np.conj(e)),
-                    ap_al * ap, out=dap)
-        np.subtract(self.jgs * (ss * as_ + apap * np.conj(ai) * e),
-                    as_al * as_, out=das)
-        np.subtract(self.jgi * (si * ai + apap * np.conj(as_) * e),
-                    ai_al * ai, out=dai)
-        if self.thg:
-            dap += self.jgp * np.conj(ap)**2 * a3 * np.conj(e3)
-            np.subtract(self.jg3 * ((p3 + pp2 + ps2 + pi2) * a3 + ap**3 * e3 / 3.0),
-                        a3_al * a3, out=da3)
-        return out
+        out = [jgp * (sp * ap + 2.0 * as_ * ai * ap.conjugate() * e.conjugate())
+               - ap_al * ap,
+               jgs * (ss * as_ + apap * ai.conjugate() * e) - as_al * as_,
+               jgi * (si * ai + apap * as_.conjugate() * e) - ai_al * ai]
+        if self.third:
+            e3 = cmath.exp(self.mjdk3 * z)
+            out[0] += jgp * apap.conjugate() * a3 * e3.conjugate()
+            out.append(self.jg[3] * ((p3 + 2.0 * pp + 2.0 * ps + 2.0 * pi_) * a3
+                                     + apap * ap * e3 * (1.0 / 3.0))
+                       - self.alphas[3] * a3)
+        return np.array(out)
 
     def _apply_block(self, y):
-        n = self.n
-        fp_fac, fs_fac, fi_fac, f3_fac = self.block_factors
-        y[0 * n:1 * n] *= fp_fac
-        y[1 * n:2 * n] *= fs_fac
-        y[2 * n:3 * n] *= fi_fac
-        if self.thg:
-            y[3 * n:4 * n] *= f3_fac
-        return y
+        return y * self.block_factors
 
     def run(self, y0, n_samples=None):
         """Integrate over the whole line, applying each block correction at
@@ -352,46 +361,6 @@ class _Propagator:
         if n_samples is None:
             return y
         return np.concatenate(zs), np.concatenate(ys, axis=1)
-
-
-class _HarmonicPropagator(_Propagator):
-    """The pump and its third harmonic alone, y = [a_p, a_3].
-
-    These are _Propagator's equations for one system at zero signal and
-    idler, which stay zero, in Python complex arithmetic: on two entries a
-    numpy RHS costs its per-call overhead many times over.  They round
-    differently, since numpy fuses the products of complex numbers.
-    """
-
-    def __init__(self, gamma, dk3, alphas, options, total_cells, blocks,
-                 block_factors):
-        self.n = 1
-        self.jgp, self.jg3 = 1j * gamma, 1j * (3.0 * gamma)
-        self.mjdk3 = -1j * dk3
-        self.alphas = alphas                # pump, third
-        self.total_cells = total_cells
-        self.blocks = blocks
-        self.block_factors = block_factors  # [pump, third]; None: no blocks
-        self.rtol = options.rtol
-        self.atol = options.atol
-
-    def _rhs(self, z, y):
-        ap, a3 = y.tolist()
-        ap_al, a3_al = self.alphas
-        pp = ap.real * ap.real + ap.imag * ap.imag
-        p3 = a3.real * a3.real + a3.imag * a3.imag
-        apap = ap * ap
-        e3 = cmath.exp(self.mjdk3 * z)
-        dap = (self.jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
-               + self.jgp * apap.conjugate() * a3 * e3.conjugate())
-        # a product with 1/3, as numpy divides a complex by 3
-        da3 = (self.jg3 * ((p3 + 2.0 * pp) * a3
-                           + apap * ap * e3 * (1.0 / 3.0))
-               - a3_al * a3)
-        return np.array([dap, da3])
-
-    def _apply_block(self, y):
-        return y * self.block_factors
 
 
 @dataclass(frozen=True)
@@ -697,10 +666,11 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     blocks, block_factors = _block_corrections(network, np.array([f_p, f_3]),
                                                options.z0)
     gamma = kerr_coefficient(k_p, network.i_star, options.z0)
-    prop = _HarmonicPropagator(
-        gamma.gamma, float(k_curve.k_cell(f_3) - 3.0 * k_p),
+    prop = _Propagator(
+        (gamma.gamma, 3.0 * gamma.gamma),
         (float(k_curve.alpha_cell(f_p)), float(k_curve.alpha_cell(f_3))),
-        options, float(network.total_cells), blocks, block_factors)
+        options, float(network.total_cells), blocks, block_factors,
+        dk3=float(k_curve.k_cell(f_3) - 3.0 * k_p))
     z, y = prop.run(np.array([math.sqrt(p_p), 0.0], dtype=complex),
                     HARMONIC_SAMPLES)
     zeros = np.zeros(z.size)

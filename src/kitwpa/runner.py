@@ -13,6 +13,8 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     OperatingPoint,
@@ -25,7 +27,7 @@ from .analysis import (
 from .circuit import read_netlist, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .fwm import (
     gain_profile_csv_rows,
     harmonic_scan_csv_rows,
@@ -114,10 +116,24 @@ def _bloch_curve(config, network):
 
 
 def _cascade(network, f):
-    """The period's walk and the full cascade's S-parameters at f."""
+    """The period's walk and the full cascade's S-parameters at f.
+
+    Raises NumericError where an S-parameter is not finite: deep above the
+    cell cutoff the chain matrix of one period leaves the float range.
+    """
     period, tail = walk_period(network, f)
-    return period, to_s_parameters(
-        cascade_periods(period, network.repeats, tail), f)
+    # the infinite entries of such a period spread through the cascade;
+    # they are reported below, not warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        sp = to_s_parameters(cascade_periods(period, network.repeats, tail), f)
+    bad = ~(np.isfinite(sp.s11) & np.isfinite(sp.s21) & np.isfinite(sp.s22))
+    if bad.any():
+        raise NumericError(
+            f"S-parameters are not finite at {np.count_nonzero(bad)} of "
+            f"{bad.size} frequencies, the first at {f[bad][0] / 1e9:.4f} GHz: "
+            "the chain matrix of one period leaves the float range there; "
+            "lower the stop frequency of analysis.frequency_grid")
+    return period, sp
 
 
 def _dispersion_products(config, network, emit: _Emitter):

@@ -189,14 +189,15 @@ def _normalized(m: TwoPortMatrix) -> TwoPortMatrix:
 def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
     """m @ m @ ... (n times) by binary exponentiation.
 
-    Every product is renormalized into the exponent, so any power is finite
-    where the true one is; each frequency not rescaled gets the bytes of
-    the unscaled products.
+    The base and every product are renormalized into the exponent, so any
+    power of a finite m is finite where the true one is; each frequency not
+    rescaled gets the bytes of the unscaled products.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     result = identity_matrix(len(np.atleast_1d(m.a)))
-    base = m
+    # a base entry past ~1e154 would overflow in the first squaring
+    base = _normalized(m)
     while n:
         if n & 1:
             result = _normalized(result @ base)
@@ -336,17 +337,20 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     buffers = [np.empty(n) for _ in range(6 if runs else 1)]
     tail = None
     i = 0
-    while i < len(ids):
-        if i == tail_len and tail_len:
-            tail = TwoPortMatrix(*(_complex(v, k in (1, 2))
-                                   for k, v in enumerate(m)))
-        if i in runs:
-            _power_into(m, (terms[ids[i]], terms[ids[i + 1]]), runs[i],
-                        buffers)
-            i += 2 * runs[i]
-        else:
-            _step(m, *terms[ids[i]], buffers[-1])
-            i += 1
+    # deep above the cell cutoff the entries grow past the float range; the
+    # caller decides what an infinite entry means
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < len(ids):
+            if i == tail_len and tail_len:
+                tail = TwoPortMatrix(*(_complex(v, k in (1, 2))
+                                       for k, v in enumerate(m)))
+            if i in runs:
+                _power_into(m, (terms[ids[i]], terms[ids[i + 1]]), runs[i],
+                            buffers)
+                i += 2 * runs[i]
+            else:
+                _step(m, *terms[ids[i]], buffers[-1])
+                i += 1
     # each real entry is freed once converted, which bounds the peak memory
     del buffers, terms
     return TwoPortMatrix(*(_complex(m.pop(0), k in (1, 2))

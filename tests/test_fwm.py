@@ -242,9 +242,38 @@ def reference_rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al,
     return np.concatenate([dap, das, dai])
 
 
+class StackedPropagator(kitwpa.fwm._Propagator):
+    """n independent systems in one state vector, [pump | signals | idlers
+    (| third harmonics)] with n entries each, on the package's segment loop:
+    the ensemble engine the package integrated with before it took one
+    system at a time, kept as the oracle of the closed form and of the
+    scan.  Its RHS is reference_rhs.  ``gammas``, ``alphas`` and
+    ``block_factors`` hold (pump, signal, idler, third) entries, those of
+    the signal and idler arrays of n like ``dk``; the options say whether
+    the third harmonic is carried."""
+
+    def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
+                 blocks=(), block_factors=None, undepleted=False):
+        super().__init__(gammas, alphas, options, total_cells, blocks,
+                         block_factors, dk, dk3, undepleted)
+        self.n = n
+        thg = options.include_third_harmonic
+        self.modes = 4 if thg else 3
+        self.args = (n, *gammas, dk, dk3, *alphas, undepleted, thg)
+
+    def _rhs(self, z, y):
+        return reference_rhs(z, y, *self.args)
+
+    def _apply_block(self, y):
+        n = self.n
+        for k, fac in enumerate(self.block_factors[:self.modes]):
+            y[k * n:(k + 1) * n] *= fac
+        return y
+
+
 def reference_harmonic_scan(network, dispersion, pump, options=None,
                             stopband_curve=None):
-    """The harmonic scan on the four-mode propagator: the pump, a zero-power
+    """The harmonic scan on the stacked four-mode engine: the pump, a zero-power
     placeholder signal at f_p/2, its idler and the third harmonic, as
     third_harmonic_scan integrated them before it dropped the two zero
     modes.  Returns (z_cells, p_pump, p_third)."""
@@ -267,89 +296,93 @@ def reference_harmonic_scan(network, dispersion, pump, options=None,
         network, np.concatenate([[f_p], f_s, f_i, [f_3]]), options.z0)
     factors = None if fac is None else (fac[0], fac[1:2], fac[2:3], fac[3])
     g = kerr_coefficient(k_p, network.i_star, options.z0).gamma
-    prop = fwm._Propagator(1, (g, g * f_s / f_p, g * f_i / f_p, 3.0 * g),
-                           dk, dk3, alphas, options,
-                           float(network.total_cells), blocks, factors)
+    prop = StackedPropagator(1, (g, g * f_s / f_p, g * f_i / f_p, 3.0 * g),
+                             dk, dk3, alphas, options,
+                             float(network.total_cells), blocks, factors)
     z, y = prop.run(np.array([math.sqrt(p_p), 0.0, 0.0, 0.0], dtype=complex),
                     fwm.HARMONIC_SAMPLES)
     return z, np.abs(y[0]) ** 2, np.abs(y[3]) ** 2
 
 
-class TestPropagatorRhs:
-    @pytest.mark.parametrize("undepleted", [False, True])
-    @pytest.mark.parametrize("thg", [False, True])
-    def test_matches_reference_bit_for_bit(self, undepleted, thg):
-        from kitwpa.fwm import _Propagator
+def rhs_defect(modes, undepleted, draws):
+    """Worst difference between the propagator's scalar RHS and
+    reference_rhs at n = 1, over random draws, relative to the sum of the
+    moduli of the terms of each component.
 
-        rng = np.random.default_rng(3)
-        n = 57
-        f_s = np.sort(rng.uniform(4e9, 8e9, n))
+    ``modes`` is the carried set, "p3" (the scan) or "psi"/"psi3".  For the
+    scan the reference holds the signal and idler at zero and gives the pump
+    and third-harmonic rows.  numpy fuses its complex products and Python
+    does not, so the two differ at the rounding level.  Where terms cancel,
+    that difference is large against the result (measured up to 5.2e-15 of
+    |reference| for the scan) but not against the terms.  Their sum of
+    moduli is reference_rhs on |y| with no phase and the attenuations times
+    -1j: every term then points along +i."""
+    from kitwpa.fwm import _Propagator
+
+    rng = np.random.default_rng(3)
+    thg = modes != "psi"
+    worst = 0.0
+    for _ in range(draws):
         g = 1e3 * rng.uniform(0.5, 2.0)
+        f_s = rng.uniform(4e9, 8e9)
         gammas = (g, g * f_s / 6e9, g * (12e9 - f_s) / 6e9, 3.0 * g)
-        dk = rng.normal(0.0, 1e-3, n)
-        dk3 = float(rng.normal(0.0, 1e-2))
-        alphas = (float(rng.uniform(0, 1e-5)), rng.uniform(0, 1e-5, n),
-                  rng.uniform(0, 1e-5, n), float(rng.uniform(0, 1e-4)))
-        prop = _Propagator(n, gammas, dk, dk3, alphas,
-                           IntegrationOptions(include_third_harmonic=thg),
-                           undepleted=undepleted)
-        modes = 4 if thg else 3
-        for _ in range(20):
-            y = (rng.normal(0, 1e-2, modes * n)
-                 + 1j * rng.normal(0, 1e-2, modes * n))
-            z = float(rng.uniform(0, 5000))
-            want = reference_rhs(z, y, n, *gammas, dk, dk3, *alphas,
-                                 undepleted, thg)
-            got = prop._rhs(z, y)
-            assert np.array_equal(got.view(float), want.view(float))
+        dk, dk3 = float(rng.normal(0.0, 1e-3)), float(rng.normal(0.0, 1e-2))
+        alphas = (rng.uniform(0, 1e-5), rng.uniform(0, 1e-5),
+                  rng.uniform(0, 1e-5), rng.uniform(0, 1e-4))
+        y = rng.normal(0, 1e-2, 4) + 1j * rng.normal(0, 1e-2, 4)
+        z = float(rng.uniform(0, 5000))
+        if modes == "p3":
+            y[1:3] = 0.0
+            rows = [0, 3]
+        else:
+            rows = [0, 1, 2, 3] if thg else [0, 1, 2]
+        prop = _Propagator(tuple(gammas[k] for k in rows),
+                           tuple(alphas[k] for k in rows),
+                           IntegrationOptions(), dk=dk,
+                           dk3=dk3, undepleted=undepleted)
+        got = prop._rhs(z, y[rows])
+        y = y if thg else y[:3]
+        want = reference_rhs(z, y, 1, *gammas, dk, dk3, *alphas, undepleted,
+                             thg)[rows]
+        terms = np.abs(reference_rhs(
+            z, np.abs(y), 1, *gammas, 0.0, 0.0,
+            *(-1j * a for a in alphas), undepleted, thg))[rows]
+        worst = max(worst, np.max(np.abs(got - want) / terms))
+    return worst
 
+
+class TestPropagatorRhs:
     def test_two_mode_rhs_matches_reference_at_zero_signal(self):
-        # the scan's scalar RHS against the pump and third-harmonic rows of
-        # the reference with the signal and idler at zero.  numpy fuses its
-        # complex products and Python does not, so the two differ at the
-        # rounding level.  Where the third harmonic's terms cancel, that
-        # difference is large against the result (measured up to 5.2e-15 of
-        # |reference| on other draws) but not against the terms: the bound
-        # is relative to the sum of their moduli (measured worst 3.1e-16)
-        from kitwpa.fwm import _HarmonicPropagator
+        # the scan's pump and third harmonic: measured worst 2.4e-16
+        assert rhs_defect("p3", False, 3000) <= 1e-15
 
-        rng = np.random.default_rng(3)
-        options = IntegrationOptions()
-        zero = np.zeros(1)
-        worst = 0.0
-        for _ in range(3000):
-            g = 1e3 * rng.uniform(0.5, 2.0)
-            dk, dk3 = rng.normal(0.0, 1e-3, 1), float(rng.normal(0.0, 1e-2))
-            ap_al, a3_al = rng.uniform(0, 1e-5), rng.uniform(0, 1e-4)
-            ap, a3 = rng.normal(0, 1e-2, 2) + 1j * rng.normal(0, 1e-2, 2)
-            z = float(rng.uniform(0, 5000))
-            prop = _HarmonicPropagator(g, dk3, (ap_al, a3_al), options, 0.0,
-                                       (), None)
-            got = prop._rhs(z, np.array([ap, a3]))
-            want = reference_rhs(z, np.array([ap, 0.0, 0.0, a3]), 1, g, g, g,
-                                 3.0 * g, dk, dk3, ap_al, zero, zero, a3_al,
-                                 False, True)[[0, 3]]
-            pp, p3 = abs(ap) ** 2, abs(a3) ** 2
-            terms = np.array([
-                g * (pp + 2.0 * p3) * abs(ap) + g * pp * abs(a3)
-                + ap_al * abs(ap),
-                3.0 * g * ((p3 + 2.0 * pp) * abs(a3) + pp * abs(ap) / 3.0)
-                + a3_al * abs(a3)])
-            worst = max(worst, np.max(np.abs(got - want) / terms))
-        assert worst <= 1e-15
+    @pytest.mark.parametrize("undepleted", [False, True],
+                             ids=["depleted", "undepleted"])
+    @pytest.mark.parametrize("modes", ["psi", "psi3"])
+    def test_signal_rhs_matches_reference(self, modes, undepleted):
+        # propagate_modes' mode sets, under the same bound: measured worst
+        # 2.7e-16 to 3.3e-16
+        assert rhs_defect(modes, undepleted, 1000) <= 1e-15
 
     def test_solves_leave_no_garbage_cycles(self, small_fishbone, small_leaf):
         # the stepper is plain local state, so a solve leaves nothing for the
         # cyclic collector, also when a line is solved in several segments
         # (leaf): with the collector off, a collection afterwards finds no
         # unreachable object
-        for (net, curve), pump in ((small_fishbone, PUMPS["small_fishbone"]),
-                                   (small_leaf, PUMPS["small_leaf"])):
+        from kitwpa.fwm import KerrCoefficient, PhaseMismatch
+
+        p_p = 100e-6
+        for solve, args in (
+                (third_harmonic_scan, (*small_fishbone, PUMPS["small_fishbone"])),
+                (third_harmonic_scan, (*small_leaf, PUMPS["small_leaf"])),
+                (propagate_modes, (symmetric_state(p_p),
+                                   KerrCoefficient(1.5 / 2000.0 / p_p),
+                                   PhaseMismatch(0.0, 0.0), 2000.0))):
             gc.collect()
             enabled = gc.isenabled()
             gc.disable()
             try:
-                integrate_gain(net, curve, pump, np.array([pump[0] - 0.22e9]))
+                solve(*args)
                 assert gc.collect() == 0
             finally:
                 if enabled:
@@ -403,7 +436,7 @@ def undepleted_ode_gain(line, i_star, p_p, rtol=1e-12):
     # are those of a mode that stays zero
     factors = (None if line.block_factors is None
                else (*line.block_factors, 1.0))
-    prop = kitwpa.fwm._Propagator(
+    prop = StackedPropagator(
         n, (g, g * f_s / f_p, g * (2 * f_p - f_s) / f_p, 3 * g), line.delta_k,
         0.0, (*line.alphas, 0.0), IntegrationOptions(rtol=rtol),
         line.total_cells, line.blocks, factors, undepleted=True)
@@ -580,21 +613,20 @@ class TestStepperParity:
         for name in ("z_cells", "p_pump", "p_signal", "p_idler", "p_third"):
             assert same_bits(getattr(ours, name), getattr(ref, name)), name
 
-    def test_memory_does_not_grow_with_the_pump(self, small_fishbone):
+    def test_memory_does_not_grow_with_the_pump(self):
         # only a segment's end state is kept, not every step's: a pump that
         # needs many more steps needs no more memory
         import tracemalloc
+        from kitwpa.fwm import KerrCoefficient, PhaseMismatch
 
-        net, curve = small_fishbone
-        f_p, p_p = PUMPS["small_fishbone"]
-        line = kitwpa.fwm.prepare_line(net, curve, f_p,
-                                       np.linspace(5.0e9, 7.4e9, 401),
-                                       stopband_curve=curve)
+        p_p, length = 100e-6, 2000.0
+        gamma = KerrCoefficient(1.5 / length / p_p)
         peaks = []
         for scale in (1, 16):
+            state = symmetric_state(scale * p_p)
             tracemalloc.start()
             try:
-                kitwpa.fwm.solve_gain(line, net.i_star, scale * p_p)
+                propagate_modes(state, gamma, PhaseMismatch(0.0, 0.0), length)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -631,6 +631,26 @@ class TestCli:
         assert "overflows at pump power 0.04 W" in err and "Re(gL)" in err
         assert not (tmp_path / "o" / "gain.csv").exists()
 
+    @pytest.mark.parametrize("subcommand", ["linear", "dispersion"])
+    def test_cli_nonfinite_sparameters_exit_3(self, tmp_path, capsys,
+                                              subcommand):
+        # leaf-paper up to 150 GHz: far above the cells' 55 GHz cutoff one
+        # period's chain matrix leaves the float range, and the data file
+        # would carry nan
+        text = (PRESETS / "leaf-paper.cfg").read_text()
+        grid = "frequency_grid: {start_hz: 0.1e9, stop_hz: 20.0e9, points: 10001}"
+        assert grid in text
+        p = write_cfg(tmp_path, text.replace(
+            grid, "frequency_grid: {start_hz: 0.1e9, stop_hz: 150.0e9, "
+            "points: 2001}"))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.search(r"not finite at \d+ of 2001 frequencies, the first "
+                         r"at \d+\.\d{4} GHz", err)
+        assert not any((tmp_path / "o").glob("*.s2p"))
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     def test_cli_attenuated_pump_exit_3(self, tmp_path, capsys):
         # half a grid step above the narrow stopband's top point: not flagged
         # as inside it, but attenuated
