@@ -7,9 +7,10 @@ is safe to share across threads.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from functools import cached_property
 
 __all__ = [
     "NonlinearInductorSpec",
@@ -237,8 +238,23 @@ class LadderNetwork:
     def has_resonators(self) -> bool:
         return any(isinstance(e, ShuntResonator) for e in self.period)
 
+    @cached_property
+    def period_index(self) -> tuple:
+        """(the distinct elements of the period in order of first
+        appearance, the index among them of each element of the period),
+        found once per network: hashing an element builds a tuple of its
+        fields."""
+        index: dict = {}
+        ids = tuple(index.setdefault(e, len(index)) for e in self.period)
+        return tuple(index), ids
+
     def one_period(self) -> "LadderNetwork":
-        """The period on its own, as a network of one repeat."""
+        """The period on its own, as a network of one repeat; the same
+        object on every call, so its period_index is found once."""
+        return self._one_period
+
+    @cached_property
+    def _one_period(self) -> "LadderNetwork":
         return LadderNetwork(self.period)
 
 
@@ -389,17 +405,29 @@ def _shortest_period(seq) -> int:
     return len(seq) - k
 
 
-def write_netlist(network: LadderNetwork, path) -> bytes:
-    """Write the element chain as line-oriented text, one element per line,
-    and return the bytes written.
+def write_chunks(path, chunks) -> str:
+    """Write the byte strings ``chunks`` to a file, in order, digesting each
+    as it is written; returns the sha256 hex digest of the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
-    Values are printed with %.17g so a read-back reproduces them exactly.
+
+def write_netlist(network: LadderNetwork, path) -> str:
+    """Write the element chain as line-oriented text, one element per line,
+    and return the sha256 hex digest of the bytes written.
+
+    The period's text is formed once and written once per repeat.  Values
+    are printed with %.17g so a read-back reproduces them exactly.
     """
     period = "".join(_netlist_line(e) + "\n" for e in network.period)
     tail = "".join(_netlist_line(e) + "\n" for e in network.tail)
-    data = (NETLIST_HEADER + "\n" + period * network.repeats + tail).encode()
-    Path(path).write_bytes(data)
-    return data
+    return write_chunks(path, [(NETLIST_HEADER + "\n").encode(),
+                               *[period.encode()] * network.repeats,
+                               tail.encode()])
 
 
 def read_netlist(path) -> LadderNetwork:

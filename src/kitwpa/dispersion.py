@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import LadderNetwork, bare_ladder
+from .errors import nonfinite_error
 from .twoport import (
     FrequencyGrid,
     TwoPortMatrix,
@@ -119,9 +120,20 @@ def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
 
 def device_dispersion(network: LadderNetwork,
                       grid: FrequencyGrid = DEFAULT_GRID) -> DispersionCurve:
-    """Bloch curve of the network's period."""
+    """Bloch curve of the network's period.
+
+    Raises NumericError where the curve is not finite: deep above the cell
+    cutoff the period's chain matrix leaves the float range.
+    """
     m = network_matrix(network.one_period(), grid.frequencies())
-    return bloch_dispersion(m, grid, network.cells_per_period)
+    # the infinite entries of such a period are reported below, not warned
+    # about on the way
+    with np.errstate(invalid="ignore"):
+        curve = bloch_dispersion(m, grid, network.cells_per_period)
+    bad = ~np.isfinite(curve.attenuation_per_period)
+    if bad.any():
+        raise nonfinite_error("the Bloch curve is", bad, curve.frequencies)
+    return curve
 
 
 def uniform_cell_dispersion(l0: float, c: float,

@@ -11,3 +11,14 @@ class ConfigError(KitwpaError):
 
 class NumericError(KitwpaError):
     """Simulation rejected or failed to converge (exit 3)."""
+
+
+def nonfinite_error(what: str, bad, frequencies) -> NumericError:
+    """The NumericError for ``what`` (a subject and its verb), not finite
+    where the boolean array ``bad`` is set over ``frequencies`` in Hz: deep
+    above the cell cutoff one period's chain matrix leaves the float range."""
+    return NumericError(
+        f"{what} not finite at {int(bad.sum())} of {bad.size} frequencies, "
+        f"the first at {frequencies[bad][0] / 1e9:.4f} GHz: the chain matrix "
+        "of one period leaves the float range there; lower the stop "
+        "frequency of analysis.frequency_grid")

@@ -438,8 +438,8 @@ def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
     frequency); ((), None) for a network without resonators."""
     if not network.has_resonators():
         return (), None
-    blocks = tuple(float(b * network.cells_per_period)
-                   for b in range(network.repeats))
+    cells = network.cells_per_period
+    blocks = tuple(float(b * cells) for b in range(network.repeats))
     # one cascade of the block serves every mode frequency; the factor is
     # the conjugate of s21(block) / s21(bare ladder) because the amplitudes
     # use the physics phasor convention, where extra delay is a positive

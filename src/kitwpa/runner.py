@@ -24,10 +24,10 @@ from .analysis import (
     sweep,
     sweep_csv_rows,
 )
-from .circuit import read_netlist, write_netlist
+from .circuit import read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, nonfinite_error
 from .fwm import (
     gain_profile_csv_rows,
     harmonic_scan_csv_rows,
@@ -69,7 +69,8 @@ def _config_digest(raw: dict) -> str:
 
 
 class _Emitter:
-    """Writes the run's files and digests each from the bytes it wrote."""
+    """Writes the run's files and digests each from the bytes it wrote, as
+    it writes them."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -77,16 +78,15 @@ class _Emitter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_lines(self, name: str, lines):
-        data = (lines.data if isinstance(lines, TableLines)
-                else ("\n".join(lines) + "\n").encode())
+        """Write a table chunk by chunk, or a list of text lines."""
+        chunks = (lines.chunks() if isinstance(lines, TableLines)
+                  else [("\n".join(lines) + "\n").encode()])
         path = self.out_dir / name
-        path.write_bytes(data)
-        self.add(path, data)
+        self.add(path, write_chunks(path, chunks))
 
-    def add(self, path: Path, data: bytes):
-        """Record a file written elsewhere, from its bytes."""
-        self.files.append({"name": path.name,
-                           "sha256": hashlib.sha256(data).hexdigest()})
+    def add(self, path: Path, sha256: str):
+        """Record a written file with the hex digest of its bytes."""
+        self.files.append({"name": path.name, "sha256": sha256})
 
     def manifest(self, config_digest: str, duration: float,
                  effective: dict) -> dict:
@@ -128,11 +128,7 @@ def _cascade(network, f):
         sp = to_s_parameters(cascade_periods(period, network.repeats, tail), f)
     bad = ~(np.isfinite(sp.s11) & np.isfinite(sp.s21) & np.isfinite(sp.s22))
     if bad.any():
-        raise NumericError(
-            f"S-parameters are not finite at {np.count_nonzero(bad)} of "
-            f"{bad.size} frequencies, the first at {f[bad][0] / 1e9:.4f} GHz: "
-            "the chain matrix of one period leaves the float range there; "
-            "lower the stop frequency of analysis.frequency_grid")
+        raise nonfinite_error("S-parameters are", bad, f)
     return period, sp
 
 

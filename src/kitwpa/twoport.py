@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .circuit import (
     SeriesInductor,
     ShuntCapacitor,
     ShuntResonator,
+    write_chunks,
 )
 
 __all__ = [
@@ -173,38 +173,102 @@ def cascade(matrices) -> TwoPortMatrix:
 _EXPONENT_LIMIT = 64   # a power's entries are rescaled past 2**+-64
 
 
-def _normalized(m: TwoPortMatrix) -> TwoPortMatrix:
-    """m with each frequency whose largest entry has left 2**+-_EXPONENT_LIMIT
-    rescaled by a power of two to a largest entry in [0.5, 1)."""
-    parts = [np.abs(x) for v in (m.a, m.b, m.c, m.d) for x in (v.real, v.imag)]
-    _, top = np.frexp(np.maximum.reduce(parts))
+def _lossless(m: TwoPortMatrix) -> list:
+    """[a, b, c, d] of m = [[a, i*b], [i*c, d]] with a, b, c, d real, as
+    views of m's arrays; ValueError for any other m."""
+    a, b, c, d = (np.atleast_1d(v) for v in (m.a, m.b, m.c, m.d))
+    if a.imag.any() or b.real.any() or c.real.any() or d.imag.any():
+        raise ValueError("not a lossless chain matrix: a and d must be real "
+                         "and b and c imaginary")
+    return [a.real, b.imag, c.imag, d.real]
+
+
+def _product(x: list, y: list, t: np.ndarray) -> list:
+    """x @ y in the real form [a, b, c, d] of _lossless, as new arrays; t is
+    a work array.  Each entry rounds as the complex product's nonzero part
+    does, whose other terms are exact zeros."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    a = a1 * a2
+    a -= np.multiply(b1, c2, out=t)
+    b = a1 * b2
+    b += np.multiply(b1, d2, out=t)
+    c = c1 * a2
+    c += np.multiply(d1, c2, out=t)
+    d = d1 * d2
+    d -= np.multiply(c1, b2, out=t)
+    return [a, b, c, d]
+
+
+def _rescale(m: list, exponent):
+    """Rescale in place each frequency of m (real form) whose largest entry
+    has left 2**+-_EXPONENT_LIMIT by a power of two, to a largest entry in
+    [0.5, 1); returns the exponent that carries the scale."""
+    top = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
+                     np.maximum(np.abs(m[2]), np.abs(m[3])))
+    _, top = np.frexp(top)
     shift = np.where(np.abs(top) > _EXPONENT_LIMIT, top, 0)
     if not shift.any():
-        return m
-    return TwoPortMatrix(_ldexp(m.a, -shift), _ldexp(m.b, -shift),
-                         _ldexp(m.c, -shift), _ldexp(m.d, -shift),
-                         m.exponent + shift)
+        return exponent
+    for v in m:
+        np.ldexp(v, -shift, out=v)
+    return exponent + shift
+
+
+def _power(m: list, exponent, n: int) -> tuple:
+    """(m**n, its exponent) for m = [a, b, c, d] in the real form, scaled
+    by 2**exponent, and n >= 1, by binary exponentiation.
+
+    The base and every product are rescaled into the exponent, so any power
+    of a finite m is finite where the true one is.  Squares take the general
+    product, so each frequency not rescaled gets the bytes of the unscaled
+    complex products.
+    """
+    t = np.empty_like(m[0])
+    # a base entry past ~1e154 would overflow in the first squaring
+    base = [v.copy() for v in m]
+    base_e = _rescale(base, exponent)
+    result = None
+    while True:
+        if n & 1:
+            if result is None:
+                result, result_e = base, base_e
+            else:
+                result = _product(result, base, t)
+                result_e = _rescale(result, result_e + base_e)
+        n >>= 1
+        if not n:
+            return result, result_e
+        base = _product(base, base, t)
+        base_e = _rescale(base, 2 * base_e)
+
+
+def _from_real(m: list, exponent=0) -> TwoPortMatrix:
+    """The complex TwoPortMatrix of m = [a, b, c, d] in the real form; each
+    array is released from the list m once converted, which bounds the peak
+    memory."""
+    return TwoPortMatrix(*(_complex(m.pop(0), k in (1, 2)) for k in range(4)),
+                         exponent)
 
 
 def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
-    """m @ m @ ... (n times) by binary exponentiation.
+    """m @ m @ ... (n times) by binary exponentiation, for a lossless m:
+    [[a, i*b], [i*c, d]] with a, b, c, d real, as every ladder of ideal
+    elements gives.
 
-    The base and every product are renormalized into the exponent, so any
-    power of a finite m is finite where the true one is; each frequency not
-    rescaled gets the bytes of the unscaled products.
+    The power runs on the four real arrays (see _power), with the scale in
+    the exponent, so any power of a finite m is finite where the true one
+    is.  Its entries and exponents equal, bit for bit, those of the complex
+    products rescaled the same way, and so those of the unscaled products
+    wherever no rescaling took place.  Raises ValueError for an m that is
+    not lossless.
     """
+    parts = _lossless(m)
     if n < 0:
         raise ValueError("n must be >= 0")
-    result = identity_matrix(len(np.atleast_1d(m.a)))
-    # a base entry past ~1e154 would overflow in the first squaring
-    base = _normalized(m)
-    while n:
-        if n & 1:
-            result = _normalized(result @ base)
-        n >>= 1
-        if n:
-            base = _normalized(base @ base)
-    return result
+    if n == 0:
+        return identity_matrix(len(parts[0]))
+    return _from_real(*_power(parts, m.exponent, n))
 
 
 # A run of at least this many identical consecutive element pairs is raised
@@ -307,7 +371,8 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     """(period, tail): the chain matrix of the network's period over
     frequencies f, and that of the tail (None when there is none).
 
-    Each distinct element's impedance or admittance is evaluated once.
+    Each distinct element's impedance or admittance is evaluated once
+    (the network finds its distinct elements once, in period_index).
     Every element term is i*x with x real, so the running matrix stays
     [[a, i*b], [i*c, d]] with a, b, c, d real, and the walk carries those
     four real arrays.  It multiplies element by element without forming
@@ -321,16 +386,11 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     """
     f = _positive(f)
     n = len(f)
-    index: dict = {}
+    distinct, ids = network.period_index
     terms = []                      # (series, x) per distinct element
-    ids = []
-    for e in network.period:
-        k = index.get(e)
-        if k is None:
-            k = index[e] = len(terms)
-            series, term = _element_term(e, f)
-            terms.append((series, term.imag.copy()))
-        ids.append(k)
+    for e in distinct:
+        series, term = _element_term(e, f)
+        terms.append((series, term.imag.copy()))
     tail_len = len(network.tail)
     runs = _runs(ids, tail_len)
     m = [np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)]
@@ -342,8 +402,7 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         while i < len(ids):
             if i == tail_len and tail_len:
-                tail = TwoPortMatrix(*(_complex(v, k in (1, 2))
-                                       for k, v in enumerate(m)))
+                tail = _from_real(list(m))
             if i in runs:
                 _power_into(m, (terms[ids[i]], terms[ids[i + 1]]), runs[i],
                             buffers)
@@ -351,20 +410,28 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
             else:
                 _step(m, *terms[ids[i]], buffers[-1])
                 i += 1
-    # each real entry is freed once converted, which bounds the peak memory
     del buffers, terms
-    return TwoPortMatrix(*(_complex(m.pop(0), k in (1, 2))
-                           for k in range(4))), tail
+    return _from_real(m), tail
 
 
 def cascade_periods(period: TwoPortMatrix, repeats: int,
                     tail: TwoPortMatrix | None = None) -> TwoPortMatrix:
-    """Chain matrix of ``repeats`` periods followed by the tail."""
-    # a single repeat stays the plain chain: matrix_power would multiply it
-    # by the identity, which can flip the sign of zero imaginary parts that
-    # the Bloch branch choice depends on
-    out = matrix_power(period, repeats) if repeats > 1 else period
-    return out if tail is None else out @ tail
+    """Chain matrix of ``repeats`` periods followed by the tail, for a
+    lossless period and tail as walk_period gives them.
+
+    Several repeats are powered and the tail multiplied on the four real
+    arrays of each (see _power), so complex arrays are formed once, for the
+    result.
+    """
+    # a single repeat stays the plain chain, whose zero parts keep their
+    # signs, on which the Bloch branch choice depends
+    if repeats == 1:
+        return period if tail is None else period @ tail
+    m, exponent = _power(_lossless(period), period.exponent, repeats)
+    if tail is not None:
+        m = _product(m, _lossless(tail), np.empty_like(m[0]))
+        exponent = exponent + tail.exponent
+    return _from_real(m, exponent)
 
 
 def network_matrix(network: LadderNetwork, f: np.ndarray) -> TwoPortMatrix:
@@ -501,12 +568,21 @@ def _format_e12(x: np.ndarray) -> np.ndarray:
 
 
 class TableLines(Sequence):
-    """The lines of a data table, held as the bytes of its file: ``data``
-    is every line followed by a newline.  It compares equal to the list of
-    its lines, which it splits out only when they are read."""
+    """The lines of a data table, made as the bytes of its file in chunks:
+    ``chunks()`` yields them afresh on each call, and ``data``, every line
+    followed by a newline, joins them on first use (for short tables and
+    tests).  It compares equal to the list of its lines, which it splits out
+    only when they are read."""
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, chunks):
+        self._chunks = chunks
+
+    def chunks(self):
+        return self._chunks()
+
+    @cached_property
+    def data(self) -> bytes:
+        return b"".join(self.chunks())
 
     @cached_property
     def _lines(self) -> list:
@@ -538,7 +614,8 @@ def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     Boolean columns print as 0/1 and every other column as %.12e, integers
     included, so identical data always gives identical bytes.  The float
     columns are formatted together, a column passed again as the same
-    object only once, in one kernel call per _CHUNK numbers.
+    object only once, in one kernel call per _CHUNK numbers; each call's
+    rows make one chunk of the table, so a table is never held whole.
     """
     columns = list(columns)
     arrays = [np.asarray(c) for c in columns]
@@ -547,31 +624,41 @@ def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     n = len(arrays[0]) if arrays else 0
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("table columns must be 1-D and of equal length")
+    return TableLines(partial(_table_chunks, header, columns, arrays, n, sep))
+
+
+def _table_chunks(header: str, columns: list, arrays: list, n: int,
+                  sep: str):
+    """The bytes of table_lines' table of n rows: the header line, then its
+    rows, at most _CHUNK formatted numbers a chunk."""
+    yield header.encode() + b"\n"
     ends = [sep.encode()] * (len(arrays) - 1) + [b"\n"]
-    widths = [1 if a.dtype == bool else _FIELD for a in arrays]
-    text = np.zeros((n, sum(widths) + sum(map(len, ends))), np.uint8)
+    row = bytearray()   # a row's separators, 0 in each byte a field fills
+    bools = []          # (array, offset) of each bool column
     floats: dict = {}   # id of a float column: (array, offsets of its fields)
-    at = 0
-    for c, a, width, end in zip(columns, arrays, widths, ends):
+    for c, a, end in zip(columns, arrays, ends):
         if a.dtype == bool:
-            text[:, at] = ord("0") + a
+            bools.append((a, len(row)))
+            row += b"\0"
         else:
-            floats.setdefault(id(c), (a, []))[1].append(at)
-        at += width
-        text[:, at:at + len(end)] = np.frombuffer(end, np.uint8)
-        at += len(end)
-    if floats:
-        stacked = np.stack([a for a, _ in floats.values()], axis=1)
-        rows = max(1, _CHUNK // len(floats))
-        for r in range(0, n, rows):
-            fields = _format_e12(stacked[r:r + rows].ravel()).reshape(
-                -1, len(floats), _FIELD)
+            floats.setdefault(id(c), (a, []))[1].append(len(row))
+            row += bytes(_FIELD)
+        row += end
+    row = np.frombuffer(bytes(row), np.uint8)
+    rows = max(1, _CHUNK // max(1, len(floats)))
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        text = np.tile(row, (k, 1))
+        for a, at in bools:
+            text[:, at] = ord("0") + a[r:r + k]
+        if floats:
+            fields = _format_e12(np.stack(
+                [a[r:r + k] for a, _ in floats.values()], axis=1).ravel())
+            fields = fields.reshape(k, len(floats), _FIELD)
             for j, (_, offsets) in enumerate(floats.values()):
                 for at in offsets:
-                    text[r:r + rows, at:at + _FIELD] = fields[:, j]
-    body = text.tobytes()
-    del text
-    return TableLines(header.encode() + b"\n" + body.translate(None, b"\0"))
+                    text[:, at:at + _FIELD] = fields[:, j]
+        yield text.tobytes().translate(None, b"\0")
 
 
 def report_lines(pairs) -> list:
@@ -579,19 +666,17 @@ def report_lines(pairs) -> list:
     return ["%s = %.12e" % (key, value) for key, value in pairs]
 
 
-def write_touchstone(sp: SParameterSet, path) -> bytes:
+def write_touchstone(sp: SParameterSet, path) -> str:
     """Write a two-port Touchstone file, real/imaginary format, frequency in
-    Hz; returns the bytes written."""
+    Hz, chunk by chunk; returns the sha256 hex digest of the bytes written."""
     columns = [sp.frequencies]
     parts: dict = {}
     for s in (sp.s11, sp.s21, sp.s12, sp.s22):
         # to_s_parameters gives S12 as the S21 array itself: the same column
         # objects let table_lines format them once
         columns += parts.setdefault(id(s), [s.real, s.imag])
-    data = table_lines(f"# HZ S RI R {sp.reference_impedance:g}", columns,
-                       sep=" ").data
-    Path(path).write_bytes(data)
-    return data
+    return write_chunks(path, table_lines(
+        f"# HZ S RI R {sp.reference_impedance:g}", columns, sep=" ").chunks())
 
 
 def read_touchstone(path) -> SParameterSet:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -275,6 +276,22 @@ class TestNetlistRoundTrip:
         assert back.elements == net.elements
         assert back.total_cells == net.total_cells
         assert back == net   # same period, repeats and tail
+
+    def test_writes_each_repeat_and_returns_the_digest(self, tmp_path):
+        net = expand_fishbone(FishboneSpec(base_cell=fishbone_cell(),
+                                           num_periods=47))
+        assert net.repeats > 1 and net.tail
+        p = tmp_path / "device.net"
+        digest = write_netlist(net, p)
+        data = p.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+        lines = data.decode().splitlines()
+        assert lines[0] == "# ki-twpa netlist v1"
+        assert len(lines) == 1 + len(net.elements)
+        period = len(net.period)
+        assert lines[1:1 + period] * net.repeats == \
+            lines[1:1 + period * net.repeats]
+        assert lines[1 + period * net.repeats:] == lines[1:1 + len(net.tail)]
 
     def test_design_structure_recovered(self, tmp_path):
         p = tmp_path / "device.net"

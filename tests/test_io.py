@@ -412,8 +412,10 @@ class TestRunner:
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_manifest_digests_are_those_of_the_files_on_disk(
             self, tmp_path, subcommand):
-        # the manifest digests the bytes the run wrote, without reading
-        # them back, and lists every file it wrote
+        # the manifest digests the bytes the run wrote, chunk by chunk
+        # without reading them back, and lists every file it wrote; the
+        # 4001-point frequency grid spans several chunks of sparams.s2p and
+        # dispersion.csv
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
             "points: 41", "points: 11").replace(
             "  integrator: {rtol: 1.0e-8}",
@@ -631,12 +633,14 @@ class TestCli:
         assert "overflows at pump power 0.04 W" in err and "Re(gL)" in err
         assert not (tmp_path / "o" / "gain.csv").exists()
 
-    @pytest.mark.parametrize("subcommand", ["linear", "dispersion"])
+    @pytest.mark.parametrize("subcommand",
+                             ["linear", "dispersion", "gain", "harmonics"])
     def test_cli_nonfinite_sparameters_exit_3(self, tmp_path, capsys,
                                               subcommand):
         # leaf-paper up to 150 GHz: far above the cells' 55 GHz cutoff one
         # period's chain matrix leaves the float range, and the data file
-        # would carry nan
+        # would carry nan; the Bloch curve of gain and harmonics was NaN
+        # above ~87 GHz, with a RuntimeWarning and exit 0
         text = (PRESETS / "leaf-paper.cfg").read_text()
         grid = "frequency_grid: {start_hz: 0.1e9, stop_hz: 20.0e9, points: 10001}"
         assert grid in text

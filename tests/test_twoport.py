@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,10 @@ from kitwpa.config import load_config
 from kitwpa.dispersion import s21_over_bare
 from kitwpa.twoport import (
     FrequencyGrid,
+    SParameterSet,
     TwoPortMatrix,
     cascade,
+    cascade_periods,
     element_matrix,
     identity_matrix,
     matrix_power,
@@ -345,6 +349,23 @@ class TestPeriodWalk:
         with pytest.raises(ValueError):
             walk_period(uniform_line(CELL, 2), np.array([1e9, 0.0]))
 
+    def test_hashes_the_period_once_per_network(self, monkeypatch):
+        # hashing a frozen element builds a tuple of its fields: 0.2 ms for
+        # the leaf's 682, on each of the three walks of a leaf gain
+        net, f = preset("leaf-paper")
+        f = f[::100]
+        hashed = []
+        for cls in (SeriesInductor, ShuntCapacitor, ShuntResonator):
+            monkeypatch.setattr(cls, "__hash__", lambda e, h=cls.__hash__:
+                                hashed.append(e) or h(e))
+        block = net.one_period()
+        walk_period(block, f)
+        assert len(hashed) == len(block.period)
+        walk_period(block, f)
+        network_matrix(net.one_period(), f)
+        assert net.one_period() is block
+        assert len(hashed) == len(block.period)
+
 
 def reference_matrix_power(m, n):
     """Binary exponentiation without rescaling, as matrix_power was before
@@ -357,6 +378,86 @@ def reference_matrix_power(m, n):
         base = base @ base
         n >>= 1
     return result
+
+
+def reference_normalized(m):
+    """m with each frequency whose largest entry, real or imaginary part,
+    has left 2**+-64 rescaled to a largest entry in [0.5, 1)."""
+    parts = [np.abs(x) for v in (m.a, m.b, m.c, m.d) for x in (v.real, v.imag)]
+    _, top = np.frexp(np.maximum.reduce(parts))
+    shift = np.where(np.abs(top) > 64, top, 0)
+    if not shift.any():
+        return m
+    return TwoPortMatrix(*(twoport._ldexp(v, -shift)
+                           for v in (m.a, m.b, m.c, m.d)), m.exponent + shift)
+
+
+def reference_scaled_matrix_power(m, n):
+    """matrix_power as complex 2x2 products, the base and every product
+    renormalized: the power as it was before it ran on real arrays."""
+    result = identity_matrix(len(m.a))
+    base = reference_normalized(m)
+    while n:
+        if n & 1:
+            result = reference_normalized(result @ base)
+        n >>= 1
+        if n:
+            base = reference_normalized(base @ base)
+    return result
+
+
+def assert_lossless_parts_equal(m, ref):
+    """The real parts of a and d, the imaginary parts of b and c and the
+    exponents equal bit for bit; the other parts of both are zero."""
+    for name, part, zero in (("a", "real", "imag"), ("b", "imag", "real"),
+                             ("c", "imag", "real"), ("d", "real", "imag")):
+        x, y = getattr(m, name), getattr(ref, name)
+        assert np.array_equal(getattr(x, part).view(np.uint64),
+                              getattr(y, part).view(np.uint64)), name
+        assert not np.any(getattr(x, zero)) and not np.any(getattr(y, zero))
+    n = len(m.a)
+    assert np.array_equal(np.broadcast_to(m.exponent, n),
+                          np.broadcast_to(ref.exponent, n))
+
+
+class TestRealFormPower:
+    """The power runs on the four real arrays of [[a, i*b], [i*c, d]]; it
+    must round as the complex power does, exponents included."""
+
+    @pytest.mark.parametrize("name, factor", [
+        *((name, 1) for name in PRESET_NAMES), ("fishbone-paper", 4),
+        ("fishbone-paper", 8), ("leaf-paper", 60)])
+    def test_equals_the_complex_power_bit_for_bit(self, name, factor):
+        net, f = preset(name)
+        period, tail = walk_period(net, f)
+        repeats = net.repeats * factor
+        ref = reference_scaled_matrix_power(period, repeats)
+        got = matrix_power(period, repeats)
+        assert_zero_parts_positive(got)
+        assert_lossless_parts_equal(got, ref)
+        if factor > 1:
+            assert np.max(ref.exponent) > 1024
+        if tail is not None:
+            assert_lossless_parts_equal(
+                cascade_periods(period, repeats, tail), ref @ tail)
+
+    @pytest.mark.parametrize("entry, offset", [
+        ("a", 1e-3j), ("d", -1e-300j), ("b", 1e-3), ("c", -2.0)],
+        ids=["a-imaginary", "d-imaginary", "b-real", "c-real"])
+    def test_rejects_a_matrix_that_is_not_lossless(self, entry, offset):
+        f = np.linspace(1e9, 10e9, 5)
+        m = (element_matrix(SeriesInductor(50e-12, 10e-3), f)
+             @ element_matrix(ShuntCapacitor(20e-15), f))
+        v = getattr(m, entry).copy()
+        v[2] += offset
+        bad = TwoPortMatrix(**{**vars(m), entry: v})
+        for power in (lambda: matrix_power(bad, 3),
+                      lambda: cascade_periods(bad, 3),
+                      lambda: cascade_periods(m, 3, bad)):
+            with pytest.raises(ValueError, match="not a lossless"):
+                power()
+        assert_lossless_parts_equal(matrix_power(m, 3),
+                                    reference_scaled_matrix_power(m, 3))
 
 
 class TestLongCascades:
@@ -527,6 +628,29 @@ class TestTouchstone:
         write_touchstone(sp, p)
         assert p.read_text().splitlines()[0] == "# HZ S RI R 50"
 
+    def test_emission_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the table is written chunk by chunk and digested as written; held
+        # whole, 100 001 rows peaked at ~10x the 10 001-row figure
+        p = tmp_path / "dev.s2p"
+
+        def peak(n):
+            rng = np.random.default_rng(n)
+            s = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                 for _ in range(3)]
+            sp = SParameterSet(np.linspace(1e9, 20e9, n), s[0], s[1], s[1],
+                               s[2])
+            tracemalloc.start()
+            try:
+                digest = write_touchstone(sp, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+            assert len(p.read_bytes().splitlines()) == n + 1
+            return peak
+
+        assert peak(100_001) <= 1.5 * peak(10_001)
+
     def test_rejects_unknown_format(self, tmp_path):
         p = tmp_path / "bad.s2p"
         p.write_text("# GHZ S MA R 50\n1 0 0 0 0 0 0 0 0\n")
@@ -695,6 +819,20 @@ class TestTableLines:
                                    -12345678901235.0]])
         assert lines[1:] == ["1.000000000000e+06", "1.099511627776e+12",
                              "-1.234567890124e+13"]
+
+    def test_chunks_hold_at_most_a_kernel_call_each(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(10_000), rng.standard_normal(10_000)
+        flags = x > 0
+        table = table_lines("h", [x, y, flags, x])
+        chunks = list(table.chunks())
+        assert chunks[0] == b"h\n"
+        rows = [c.count(b"\n") for c in chunks[1:]]
+        assert len(rows) > 2 and sum(rows) == 10_000
+        assert max(rows) * 2 <= twoport._CHUNK
+        assert b"".join(chunks) == table.data
+        assert list(table.chunks()) == chunks     # a fresh stream each call
+        assert table == reference_table_lines("h", [x, y, flags, x])
 
     def test_a_column_repeated_as_the_same_object_keeps_its_bytes(self):
         x = np.linspace(-1.0, 1.0, 7) ** 3
