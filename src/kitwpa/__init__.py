@@ -27,8 +27,6 @@ from .twoport import (
     FrequencyGrid,
     SParameterSet,
     TwoPortMatrix,
-    cascade,
-    element_matrix,
     network_matrix,
     read_touchstone,
     to_s_parameters,

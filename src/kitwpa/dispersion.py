@@ -1,10 +1,11 @@
 """Floquet-Bloch dispersion of periodic ladders and stopband detection.
 
 The per-period propagation constant gamma solves cosh(gamma) = (a + d)/2 of
-the period's chain matrix.  numpy's arccosh returns the principal branch
-(Re >= 0, Im folded into [0, pi]); the folded phase is unfolded into a
-monotone curve by tracking the branch from DC upward, which also resolves
-the sign ambiguity at band edges.
+the period's lossless chain matrix, whose half-trace is real.  numpy's
+arccosh of it, cast to a complex number with a +0 imaginary part, returns
+the principal branch (Re >= 0, Im folded into [0, pi]); the folded phase
+is unfolded into a monotone curve by tracking the branch from DC upward,
+which also resolves the sign ambiguity at band edges.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
                      cells_per_period: int) -> DispersionCurve:
     """Dispersion curve from the chain matrix of one full period.
 
-    A point lies in a stopband where |Re((a+d)/2)| > 1.
+    A point lies in a stopband where |(a + d)/2| > 1.
     """
     t = period_matrix.trace_half()
     gamma = np.arccosh(t.astype(complex))
@@ -113,7 +114,7 @@ def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
         frequencies=grid.frequencies(),
         phase_per_period=_unfold_bloch_phase(gamma.imag),
         attenuation_per_period=np.abs(gamma.real),
-        in_stopband=np.abs(t.real) > 1.0,
+        in_stopband=np.abs(t) > 1.0,
         cells_per_period=cells_per_period,
     )
 

@@ -1,8 +1,9 @@
 """Chain (ABCD) two-port algebra and S-parameter conversion.
 
-Matrices are held as four complex arrays over a frequency grid, with a
-power-of-two exponent per frequency for long cascades, so every operation
-is vectorized; a single frequency is just a length-1 grid.  The
+A lossless chain matrix [[a, i*b], [i*c, d]] is held as its four real
+arrays over a frequency grid, with a power-of-two exponent per frequency for
+long cascades, so every operation is vectorized; a single frequency is just
+a length-1 grid.  Complex arrays appear only in the S-parameters.  The
 engineering phasor convention exp(+j*omega*t) is used throughout, so a
 matched line has arg(s21) = -beta*l.
 """
@@ -27,10 +28,6 @@ __all__ = [
     "TwoPortMatrix",
     "FrequencyGrid",
     "SParameterSet",
-    "identity_matrix",
-    "element_matrix",
-    "cascade",
-    "matrix_power",
     "walk_period",
     "cascade_periods",
     "network_matrix",
@@ -72,11 +69,15 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class TwoPortMatrix:
-    """Chain matrix [[a, b], [c, d]] * 2**exponent; entries are complex
-    arrays over a grid, exponent an integer per frequency (or 0).
+    """Lossless chain matrix [[a, i*b], [i*c, d]] * 2**exponent: a, b, c and
+    d are float64 arrays over a grid, exponent an integer per frequency (or
+    0).
 
-    Long cascades carry their scale in the exponent so the entries neither
-    overflow nor underflow; scaling by a power of two is exact.
+    Every ladder of ideal series inductors, shunt capacitors and series-LC
+    resonator shunts has a chain matrix of this form (Pozar, Microwave
+    Engineering, 4.4).  Long cascades carry their scale in the exponent so
+    the entries neither overflow nor underflow; scaling by a power of two is
+    exact.
     """
 
     a: np.ndarray
@@ -86,33 +87,20 @@ class TwoPortMatrix:
     exponent: np.ndarray | int = 0
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
-        return TwoPortMatrix(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-            exponent=self.exponent + other.exponent,
-        )
+        """The product [a1a2 - b1c2, a1b2 + b1d2, c1a2 + d1c2, d1d2 - c1b2],
+        as new arrays.  Each entry rounds as the nonzero part of the full 2x2
+        product with i*b and i*c does, whose other terms are exact zeros."""
+        return TwoPortMatrix(self.a * other.a - self.b * other.c,
+                             self.a * other.b + self.b * other.d,
+                             self.c * other.a + self.d * other.c,
+                             self.d * other.d - self.c * other.b,
+                             self.exponent + other.exponent)
 
     def det(self) -> np.ndarray:
-        return _ldexp(self.a * self.d - self.b * self.c, 2 * self.exponent)
+        return np.ldexp(self.a * self.d + self.b * self.c, 2 * self.exponent)
 
     def trace_half(self) -> np.ndarray:
-        return _ldexp(0.5 * (self.a + self.d), self.exponent)
-
-
-def _ldexp(x: np.ndarray, e) -> np.ndarray:
-    """x * 2**e for complex x, exact: both parts are scaled by ldexp."""
-    out = np.empty_like(x)
-    out.real = np.ldexp(x.real, e)
-    out.imag = np.ldexp(x.imag, e)
-    return out
-
-
-def identity_matrix(n: int) -> TwoPortMatrix:
-    one = np.ones(n, dtype=complex)
-    zero = np.zeros(n, dtype=complex)
-    return TwoPortMatrix(one, zero, zero, one)
+        return np.ldexp(0.5 * (self.a + self.d), self.exponent)
 
 
 def resonator_elements(f_r: float, q: float) -> tuple[float, float]:
@@ -131,13 +119,14 @@ def _positive(f) -> np.ndarray:
 
 
 def _element_term(element, f: np.ndarray) -> tuple:
-    """(True, series impedance in ohms) of a series inductor, (False, shunt
-    admittance in siemens) of a shunt element, at positive frequencies f."""
+    """(True, x) of a series inductor whose impedance is i*x ohms, (False, x)
+    of a shunt element whose admittance is i*x siemens, x real, at positive
+    frequencies f."""
     if isinstance(element, SeriesInductor):
-        return True, 1j * 2.0 * np.pi * f * element.l0
+        return True, 2.0 * np.pi * f * element.l0
     w = 2.0 * np.pi * f
     if isinstance(element, ShuntCapacitor):
-        return False, 1j * w * element.c
+        return False, w * element.c
     if isinstance(element, ShuntResonator):
         l_r, c_r = resonator_elements(element.f_r, element.q)
         reactance = w * l_r - 1.0 / (w * c_r)
@@ -145,130 +134,26 @@ def _element_term(element, f: np.ndarray) -> tuple:
         # is a short there, so clamp to a huge admittance instead
         reactance = np.where(np.abs(reactance) < 1e-30,
                              np.copysign(1e-30, reactance + 1e-300), reactance)
-        return False, element.multiplicity / (1j * reactance)
+        # m / (i*X) = -i*m/X; m * (1/X) rounds as numpy's quotient does
+        return False, -element.multiplicity * (1.0 / reactance)
     raise TypeError(f"not a network element: {element!r}")
-
-
-def element_matrix(element, f: np.ndarray) -> TwoPortMatrix:
-    """Chain matrix of a single ideal element at frequencies f; a series
-    inductor is taken at zero current, where its inductance is l0."""
-    series, term = _element_term(element, _positive(f))
-    one, zero = np.ones_like(term), np.zeros_like(term)
-    if series:
-        return TwoPortMatrix(one, term, zero, one)
-    return TwoPortMatrix(one, zero, term, one)
-
-
-def cascade(matrices) -> TwoPortMatrix:
-    """Ordered product of chain matrices, input port first."""
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("cascade of an empty list")
-    out = matrices[0]
-    for m in matrices[1:]:
-        out = out @ m
-    return out
 
 
 _EXPONENT_LIMIT = 64   # a power's entries are rescaled past 2**+-64
 
 
-def _lossless(m: TwoPortMatrix) -> list:
-    """[a, b, c, d] of m = [[a, i*b], [i*c, d]] with a, b, c, d real, as
-    views of m's arrays; ValueError for any other m."""
-    a, b, c, d = (np.atleast_1d(v) for v in (m.a, m.b, m.c, m.d))
-    if a.imag.any() or b.real.any() or c.real.any() or d.imag.any():
-        raise ValueError("not a lossless chain matrix: a and d must be real "
-                         "and b and c imaginary")
-    return [a.real, b.imag, c.imag, d.real]
-
-
-def _product(x: list, y: list, t: np.ndarray) -> list:
-    """x @ y in the real form [a, b, c, d] of _lossless, as new arrays; t is
-    a work array.  Each entry rounds as the complex product's nonzero part
-    does, whose other terms are exact zeros."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    a = a1 * a2
-    a -= np.multiply(b1, c2, out=t)
-    b = a1 * b2
-    b += np.multiply(b1, d2, out=t)
-    c = c1 * a2
-    c += np.multiply(d1, c2, out=t)
-    d = d1 * d2
-    d -= np.multiply(c1, b2, out=t)
-    return [a, b, c, d]
-
-
-def _rescale(m: list, exponent):
-    """Rescale in place each frequency of m (real form) whose largest entry
-    has left 2**+-_EXPONENT_LIMIT by a power of two, to a largest entry in
-    [0.5, 1); returns the exponent that carries the scale."""
-    top = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
-                     np.maximum(np.abs(m[2]), np.abs(m[3])))
+def _rescaled(m: TwoPortMatrix) -> TwoPortMatrix:
+    """m with each frequency whose largest entry has left
+    2**+-_EXPONENT_LIMIT rescaled by a power of two to a largest entry in
+    [0.5, 1), the shift carried by the exponent; m itself if none has."""
+    top = np.maximum(np.maximum(np.abs(m.a), np.abs(m.b)),
+                     np.maximum(np.abs(m.c), np.abs(m.d)))
     _, top = np.frexp(top)
     shift = np.where(np.abs(top) > _EXPONENT_LIMIT, top, 0)
     if not shift.any():
-        return exponent
-    for v in m:
-        np.ldexp(v, -shift, out=v)
-    return exponent + shift
-
-
-def _power(m: list, exponent, n: int) -> tuple:
-    """(m**n, its exponent) for m = [a, b, c, d] in the real form, scaled
-    by 2**exponent, and n >= 1, by binary exponentiation.
-
-    The base and every product are rescaled into the exponent, so any power
-    of a finite m is finite where the true one is.  Squares take the general
-    product, so each frequency not rescaled gets the bytes of the unscaled
-    complex products.
-    """
-    t = np.empty_like(m[0])
-    # a base entry past ~1e154 would overflow in the first squaring
-    base = [v.copy() for v in m]
-    base_e = _rescale(base, exponent)
-    result = None
-    while True:
-        if n & 1:
-            if result is None:
-                result, result_e = base, base_e
-            else:
-                result = _product(result, base, t)
-                result_e = _rescale(result, result_e + base_e)
-        n >>= 1
-        if not n:
-            return result, result_e
-        base = _product(base, base, t)
-        base_e = _rescale(base, 2 * base_e)
-
-
-def _from_real(m: list, exponent=0) -> TwoPortMatrix:
-    """The complex TwoPortMatrix of m = [a, b, c, d] in the real form; each
-    array is released from the list m once converted, which bounds the peak
-    memory."""
-    return TwoPortMatrix(*(_complex(m.pop(0), k in (1, 2)) for k in range(4)),
-                         exponent)
-
-
-def matrix_power(m: TwoPortMatrix, n: int) -> TwoPortMatrix:
-    """m @ m @ ... (n times) by binary exponentiation, for a lossless m:
-    [[a, i*b], [i*c, d]] with a, b, c, d real, as every ladder of ideal
-    elements gives.
-
-    The power runs on the four real arrays (see _power), with the scale in
-    the exponent, so any power of a finite m is finite where the true one
-    is.  Its entries and exponents equal, bit for bit, those of the complex
-    products rescaled the same way, and so those of the unscaled products
-    wherever no rescaling took place.  Raises ValueError for an m that is
-    not lossless.
-    """
-    parts = _lossless(m)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return identity_matrix(len(parts[0]))
-    return _from_real(*_power(parts, m.exponent, n))
+        return m
+    return TwoPortMatrix(*(np.ldexp(v, -shift) for v in (m.a, m.b, m.c, m.d)),
+                         m.exponent + shift)
 
 
 # A run of at least this many identical consecutive element pairs is raised
@@ -303,9 +188,9 @@ def _runs(ids: list, tail_len: int) -> dict:
 
 
 def _step(m: list, series: bool, x: np.ndarray, tmp: np.ndarray):
-    """m <- m @ (one element), m = [a, b, c, d] standing for the matrix
-    [[a, i*b], [i*c, d]]: a series i*x adds a*x to b and takes c*x from d,
-    a shunt i*x takes b*x from a and adds d*x to c."""
+    """m <- m @ (one element), m = [a, b, c, d] of a TwoPortMatrix: a series
+    i*x adds a*x to b and takes c*x from d, a shunt i*x takes b*x from a and
+    adds d*x to c."""
     a, b, c, d = m
     if series:
         b += np.multiply(a, x, out=tmp)
@@ -315,11 +200,21 @@ def _step(m: list, series: bool, x: np.ndarray, tmp: np.ndarray):
         c += np.multiply(d, x, out=tmp)
 
 
+# The walk's runs and cascade_periods' repeats are powered by two kernels,
+# which serve two contracts.  The walk carries no exponent, so a powered run
+# must overflow at exactly the points where walking it does: _power_into
+# never rescales, works in place and squares by a^2 - bc and b(a + d).  The
+# repeats must rescale after every product.  One kernel would have to branch
+# on its caller.  Run through the repeats' kernel (allocating general
+# products, rescaled, the exponent folded back by ldexp), the walk's runs
+# stayed within the tier-1 error bounds (S21 4.1e-14 against 3.8e-14), but
+# the leaf walk at 10 001 points went from 1.0-1.5 to 2.6-3.9 ms (x86-64,
+# numpy 2.4) and eight leaf data files moved.
 def _power_into(m: list, pair: tuple, k: int, buffers: list):
-    """m <- m @ P**k, P the product of the two elements of ``pair``, in the
-    real form of _step, by binary exponentiation.  The powers of P commute,
-    so m takes each set bit's square as it comes.  ``buffers`` holds six
-    arrays; m's entries may trade places with the fifth."""
+    """m <- m @ P**k, P the product of the two elements of ``pair``, on
+    m = [a, b, c, d] as in _step, by binary exponentiation.  The powers of P
+    commute, so m takes each set bit's square as it comes.  ``buffers``
+    holds six arrays; m's entries may trade places with the fifth."""
     base = buffers[:4]
     t1, t2 = buffers[4:]
     for v, one in zip(base, (1.0, 0.0, 0.0, 1.0)):
@@ -357,40 +252,24 @@ def _power_into(m: list, pair: tuple, k: int, buffers: list):
         bd -= t2
 
 
-def _complex(x: np.ndarray, imaginary: bool) -> np.ndarray:
-    """x or i*x as a complex array, with +0 for the zero part, as the
-    complex walk gives it."""
-    if not imaginary:
-        return x.astype(complex)
-    z = np.zeros(len(x), complex)
-    z.imag = x
-    return z
-
-
 def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     """(period, tail): the chain matrix of the network's period over
     frequencies f, and that of the tail (None when there is none).
 
-    Each distinct element's impedance or admittance is evaluated once
-    (the network finds its distinct elements once, in period_index).
-    Every element term is i*x with x real, so the running matrix stays
-    [[a, i*b], [i*c, d]] with a, b, c, d real, and the walk carries those
-    four real arrays.  It multiplies element by element without forming
-    element matrices (see _step).  That leaves out only products by an
-    element's exact ones and zeros and by the zero parts, so a walked
-    stretch has the bytes of the full complex 2x2 product, signed zeros
-    included.  A run of at least _POWER_FLOOR identical element pairs is
-    instead raised to its power by squaring (_power_into), which rounds
-    differently: a few 1e-14 relative.  The tail, a prefix of the period,
-    is the partial product at its length.
+    Each distinct element's impedance or admittance i*x is evaluated once
+    (the network finds its distinct elements once, in period_index).  The
+    walk multiplies element by element without forming element matrices
+    (see _step).  That leaves out only products by an element's exact ones
+    and zeros, so a walked stretch has the bytes of the full 2x2 product.
+    A run of at least _POWER_FLOOR identical element pairs is instead raised
+    to its power by squaring (_power_into), which rounds differently: a few
+    1e-14 relative.  The tail, a prefix of the period, is the partial
+    product at its length.
     """
     f = _positive(f)
     n = len(f)
     distinct, ids = network.period_index
-    terms = []                      # (series, x) per distinct element
-    for e in distinct:
-        series, term = _element_term(e, f)
-        terms.append((series, term.imag.copy()))
+    terms = [_element_term(e, f) for e in distinct]
     tail_len = len(network.tail)
     runs = _runs(ids, tail_len)
     m = [np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)]
@@ -402,7 +281,7 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         while i < len(ids):
             if i == tail_len and tail_len:
-                tail = _from_real(list(m))
+                tail = TwoPortMatrix(*(v.copy() for v in m))
             if i in runs:
                 _power_into(m, (terms[ids[i]], terms[ids[i + 1]]), runs[i],
                             buffers)
@@ -410,28 +289,31 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
             else:
                 _step(m, *terms[ids[i]], buffers[-1])
                 i += 1
-    del buffers, terms
-    return _from_real(m), tail
+    return TwoPortMatrix(*m), tail
 
 
 def cascade_periods(period: TwoPortMatrix, repeats: int,
                     tail: TwoPortMatrix | None = None) -> TwoPortMatrix:
-    """Chain matrix of ``repeats`` periods followed by the tail, for a
-    lossless period and tail as walk_period gives them.
+    """Chain matrix of ``repeats`` >= 1 periods followed by the tail.
 
-    Several repeats are powered and the tail multiplied on the four real
-    arrays of each (see _power), so complex arrays are formed once, for the
-    result.
+    The period is raised to its power by binary exponentiation.  The base
+    and every product are rescaled into the exponent (_rescaled), so the
+    cascade is finite wherever the period is; a base entry past ~1e154
+    would overflow in the first squaring.  Squares take the general
+    product, so each frequency never rescaled gets the bytes of the
+    unscaled products.
     """
-    # a single repeat stays the plain chain, whose zero parts keep their
-    # signs, on which the Bloch branch choice depends
-    if repeats == 1:
-        return period if tail is None else period @ tail
-    m, exponent = _power(_lossless(period), period.exponent, repeats)
-    if tail is not None:
-        m = _product(m, _lossless(tail), np.empty_like(m[0]))
-        exponent = exponent + tail.exponent
-    return _from_real(m, exponent)
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    base = _rescaled(period)
+    m = None
+    while True:
+        if repeats & 1:
+            m = base if m is None else _rescaled(m @ base)
+        repeats >>= 1
+        if not repeats:
+            return m if tail is None else m @ tail
+        base = _rescaled(base @ base)
 
 
 def network_matrix(network: LadderNetwork, f: np.ndarray) -> TwoPortMatrix:
@@ -463,17 +345,25 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
     if z_ref <= 0:
         raise ValueError("z_ref must be positive")
     f = np.atleast_1d(np.asarray(f, dtype=float))
+    # i*b / z_ref as numpy divides a complex array by a real number: as a
+    # product with the reciprocal, which b / z_ref differs from in the last
+    # bit
+    b = m.b * (1.0 / z_ref)
+    c = m.c * z_ref
+    den, n11, n22 = (np.empty(len(b), complex) for _ in range(3))
+    den.real, den.imag = m.a + m.d, b + c
+    n11.real, n11.imag = m.a - m.d, b - c
+    n22.real, n22.imag = m.d - m.a, b - c
     # the entries' common scale 2**exponent cancels from the ratios s11 and
     # s22; s21 is scaled by it afterwards, exactly
-    den = m.a + m.b / z_ref + m.c * z_ref + m.d
     with np.errstate(over="ignore"):
         if np.any(np.ldexp(np.abs(den), m.exponent) < 1e-300):
             raise ArithmeticError(
                 "singular ABCD-to-S denominator (pathological network)")
-        s21 = _ldexp(2.0 / den, -m.exponent)
-    s11 = (m.a + m.b / z_ref - m.c * z_ref - m.d) / den
-    s22 = (-m.a + m.b / z_ref - m.c * z_ref + m.d) / den
-    return SParameterSet(f, s11, s21, s21, s22, z_ref)
+        s21 = 2.0 / den
+        for part in (s21.real, s21.imag):
+            np.ldexp(part, -m.exponent, out=part)
+    return SParameterSet(f, n11 / den, s21, s21, n22 / den, z_ref)
 
 
 # --------------------------------------------------------------------------

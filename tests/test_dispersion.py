@@ -116,7 +116,7 @@ class TestUnfold:
         for grid in (cfg.frequency_grid, FrequencyGrid(1e9, 26e9, 3001)):
             period, _ = walk_period(net, grid.frequencies())
             self.assert_matches_reference(
-                np.arccosh(period.trace_half()).imag)
+                np.arccosh(period.trace_half().astype(complex)).imag)
 
     def test_random_and_special_folds(self):
         rng = np.random.default_rng(11)
