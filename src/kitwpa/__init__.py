@@ -35,7 +35,6 @@ from .twoport import (
 from .dispersion import (
     DispersionCurve,
     Stopband,
-    StopbandReport,
     bloch_dispersion,
     device_dispersion,
     find_stopbands,
@@ -44,7 +43,6 @@ from .dispersion import (
 from .fwm import (
     GainProfile,
     IntegrationOptions,
-    KerrCoefficient,
     ModeState,
     PhaseMismatch,
     analytic_gain_undepleted,

@@ -28,7 +28,6 @@ from .dispersion import (
     FrequencyGrid,
     device_dispersion,
     find_stopbands,
-    StopbandReport,
 )
 from .errors import KitwpaError, NumericError
 from .fwm import (
@@ -88,12 +87,10 @@ def _smooth(f: np.ndarray, g: np.ndarray, window_hz: float) -> np.ndarray:
     return num / den
 
 
-def _exclusion_zones(profile: GainProfile, stopbands: StopbandReport | None,
+def _exclusion_zones(profile: GainProfile, stopbands: tuple,
                      width_hz: float | None) -> list:
     """Dip exclusion intervals: every stopband overlapping the signal range,
     plus its mirror about the pump."""
-    if stopbands is None:
-        return []
     f = profile.frequencies
     f_lo, f_hi = float(f[0]), float(f[-1])
     f_p = profile.pump_frequency
@@ -108,12 +105,13 @@ def _exclusion_zones(profile: GainProfile, stopbands: StopbandReport | None,
     return zones
 
 
-def gain_metrics(profile: GainProfile, stopbands: StopbandReport | None = None,
+def gain_metrics(profile: GainProfile, stopbands: tuple = (),
                  dip_exclusion_width_hz: float | None = None,
                  smoothing_window_hz: float = SMOOTHING_WINDOW_HZ) -> GainMetrics:
     """Summary metrics of a gain profile.
 
-    Peak and bandwidth are taken from the smoothed curve outside the dip
+    ``stopbands`` are the device's Stopbands (find_stopbands).  Peak and
+    bandwidth are taken from the smoothed curve outside the dip
     exclusion zones; the double-sided bandwidth is the total measure of
     frequencies whose smoothed gain stays within 3 dB of the peak.
     """
@@ -247,14 +245,18 @@ class CalibrationSpec:
     bracket_low: float = 1e-3
     bracket_high: float = 100e-3
 
+    def __post_init__(self):
+        if not self.tolerance_db > 0:
+            raise ValueError(f"tolerance_db must be positive, got {self.tolerance_db}")
+        if not 0 < self.bracket_low < self.bracket_high:
+            raise ValueError(f"need 0 < bracket_low < bracket_high, got "
+                             f"{self.bracket_low} and {self.bracket_high}")
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
     i_star: float
     residual_db: float
-    target_peak_db: float
-    pump_frequency: float
-    pump_power: float
     profile: GainProfile
     metrics: GainMetrics
 
@@ -341,8 +343,10 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     Peak gain decreases monotonically in i_star (gamma ~ 1/i_star^2), so a
     bracketed scalar solve is exact and deterministic.  The lower bracket is
     clipped so gamma*P_p*L never exceeds GAMMA_PPL_CAP, which keeps the
-    probes near gains a realistic target can have.
+    probes near gains a realistic target can have.  Raises ValueError for a
+    tolerance or bracket that CalibrationSpec refuses.
     """
+    spec = CalibrationSpec(target_peak_db, tol_db, *bracket)
     options = options or IntegrationOptions()
     f_p, p_p = pump
     if p_p <= 0:
@@ -354,11 +358,11 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     k_p = float(curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
                           (2.0 * options.z0 * GAMMA_PPL_CAP))
-    lo = max(bracket[0], i_min_cap)
-    hi = bracket[1]
+    lo = max(spec.bracket_low, i_min_cap)
+    hi = spec.bracket_high
     if lo >= hi:
         raise NumericError(
-            f"calibration bracket [{bracket[0]:g}, {bracket[1]:g}] A collapsed "
+            f"calibration bracket [{spec.bracket_low:g}, {hi:g}] A collapsed "
             f"after the gamma*P_p*L clip at {i_min_cap:g} A")
 
     # every probe shares the pipeline's device and pumped line: the design
@@ -388,12 +392,11 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     peak_at(i_star)
     profile, metrics = cache[i_star]
     residual = abs(metrics.peak_gain_db - target_peak_db)
-    if residual > tol_db:
-        raise NumericError(
-            f"calibration stalled: residual {residual:.3f} dB > {tol_db:g} dB")
-    return CalibrationResult(
-        i_star=i_star, residual_db=residual, target_peak_db=target_peak_db,
-        pump_frequency=f_p, pump_power=p_p, profile=profile, metrics=metrics)
+    if residual > spec.tolerance_db:
+        raise NumericError(f"calibration stalled: residual {residual:.3f} dB "
+                           f"> {spec.tolerance_db:g} dB")
+    return CalibrationResult(i_star=i_star, residual_db=residual,
+                             profile=profile, metrics=metrics)
 
 
 # --------------------------------------------------------------------------

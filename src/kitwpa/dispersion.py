@@ -26,7 +26,6 @@ from .twoport import (
 __all__ = [
     "DispersionCurve",
     "Stopband",
-    "StopbandReport",
     "bloch_dispersion",
     "device_dispersion",
     "uniform_cell_dispersion",
@@ -170,25 +169,9 @@ class Stopband:
         return self.f_high - self.f_low
 
 
-@dataclass(frozen=True)
-class StopbandReport:
-    bands: tuple
-
-    def __iter__(self):
-        return iter(self.bands)
-
-    def __len__(self):
-        return len(self.bands)
-
-    def widest(self) -> Stopband:
-        return max(self.bands, key=lambda b: b.width)
-
-    def bands_in(self, f_low: float, f_high: float) -> list:
-        return [b for b in self.bands if f_low <= b.center <= f_high]
-
-
-def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> StopbandReport:
-    """Contiguous stopband runs with peak attenuation >= min_depth.
+def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> tuple:
+    """Contiguous stopband runs with peak attenuation >= min_depth, a tuple
+    of Stopband in frequency order.
 
     Runs separated by a single passband grid point are merged.
     """
@@ -201,7 +184,7 @@ def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> StopbandRe
     starts = np.flatnonzero(steps == 1)
     ends = np.flatnonzero(steps == -1)
     if not starts.size:
-        return StopbandReport(bands=())
+        return ()
     # maxima over [start, end) and over the gaps between, alternately; a run
     # reaching the last point is the final segment
     edges = np.column_stack([starts, ends]).ravel()
@@ -210,13 +193,12 @@ def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> StopbandRe
     peaks = np.maximum.reduceat(curve.attenuation_per_period, edges)[::2]
     f = curve.frequencies
     lows, highs = f[starts], f[ends - 1]
-    bands = tuple(
+    return tuple(
         Stopband(f_low=lo, f_high=hi, center=mid, max_attenuation_per_period=p)
         for lo, hi, mid, p in zip(lows.tolist(), highs.tolist(),
                                   (0.5 * (lows + highs)).tolist(),
                                   peaks.tolist())
         if p >= min_depth)
-    return StopbandReport(bands=bands)
 
 
 def s21_over_bare(block: LadderNetwork, f, z_ref: float = 50.0) -> np.ndarray:

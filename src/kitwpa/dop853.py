@@ -2,17 +2,18 @@
 
 A port of ``scipy.integrate.solve_ivp(method="DOP853")`` for the one way
 the coupled-mode propagation uses it: forward from t0 to t1 with scalar
-rtol and atol, an optional first step and an optional dense output.  Every
-arithmetic operation is done in scipy's order, so the steps, the end state,
-the RHS count and the interpolated values are bitwise equal to scipy's
-(the tests check this against scipy).  Unlike scipy, the result keeps only
-the end state and the step times, not the state at every step, and the
-stepper is plain local state, so it leaves no reference cycle behind.
+rtol and atol, an optional first step and optional sample points t_eval.
+Every arithmetic operation is done in scipy's order, so the steps, the end
+state, the RHS count and the samples are bitwise equal to scipy's (the tests
+check this against scipy).  The result keeps the end state, the step times
+and the samples, not every step's state: each step's dense output is formed,
+sampled and dropped as the step completes.  The stepper is plain local
+state, so it leaves no reference cycle behind.
 
 The method is the 8(5,3) pair of Dormand and Prince with its 7th-order dense
 output, as given by Hairer, Norsett & Wanner, "Solving Ordinary Differential
-Equations I: Nonstiff Problems", Sec. II.10; the step size control and the
-initial step are those of Sec. II.4.
+Equations I: Nonstiff Problems", Sec. II.6 and II.10; the step size control
+and the initial step are those of Sec. II.4.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MIN_RTOL", "OdeResult", "DenseSolution", "solve_ivp"]
+__all__ = ["MIN_RTOL", "OdeResult", "solve_ivp"]
 
 # below this the error estimate is dominated by rounding (scipy raises a
 # smaller rtol to this floor)
@@ -323,32 +324,10 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-class _StepInterpolant:
-    """The 7th-order dense output over one step [t_old, t_old + h]."""
-
-    def __init__(self, t_old, h, y_old, F):
-        self.t_old = t_old
-        self.h = h
-        self.y_old = y_old
-        self.F = F
-
-    def __call__(self, t):
-        x = ((t - self.t_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
-def _interpolant(fun, K, t_old, t, y_old, y, f):
-    """Dense output of the step just taken from (t_old, y_old) to (t, y),
-    where f = fun(t, y) and K holds the step's stages; writes the three
-    extra stages into K."""
+def _dense_samples(fun, K, t_old, t, y_old, y, f, t_eval):
+    """The 7th-order dense output of the step just taken from (t_old, y_old)
+    to (t, y) at the points t_eval, one column per point; f = fun(t, y), K
+    holds the step's stages and takes the three extra ones."""
     h = t - t_old
     for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=N_STAGES + 1):
         dy = np.dot(K[:s].T, a[:s]) * h
@@ -360,44 +339,31 @@ def _interpolant(fun, K, t_old, t, y_old, y, f):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
-    return _StepInterpolant(t_old, h, y_old, F)
-
-
-class DenseSolution:
-    """The piecewise interpolant of a solve: a point on a step boundary is
-    taken from the step that ends there, and points outside [t0, t1] from
-    the first or last step."""
-
-    def __init__(self, ts, interpolants):
-        self.ts = ts
-        self.interpolants = interpolants
-
-    def __call__(self, t):
-        """The states at the 1-D array of points t, one column per point."""
-        t = np.asarray(t, dtype=float)
-        segment = np.searchsorted(self.ts, t, side="left") - 1
-        np.clip(segment, 0, len(self.interpolants) - 1, out=segment)
-        first = self.interpolants[0]
-        y = np.empty((first.y_old.size, t.size), dtype=first.y_old.dtype)
-        order = np.argsort(segment, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(segment[order])) + 1):
-            y[:, idx] = self.interpolants[segment[idx[0]]](t[idx])
-        return y
+    x = ((t_eval - t_old) / h)[:, None]
+    out = np.zeros((len(x), y_old.size), dtype=y_old.dtype)
+    for i, coefficient in enumerate(reversed(F)):
+        out += coefficient
+        if i % 2 == 0:
+            out *= x
+        else:
+            out *= 1 - x
+    out += y_old
+    return out.T
 
 
 @dataclass(frozen=True)
 class OdeResult:
     t: np.ndarray              # t0, then the end of every accepted step
     y_end: np.ndarray          # the state at t[-1]
+    y_eval: np.ndarray | None  # a column per point of t_eval reached
     nfev: int                  # evaluations of fun
     success: bool              # False: the step size fell below rounding,
                                # or it or the error norm is NaN
     message: str
-    sol: DenseSolution | None  # with dense_output=True
 
 
 def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
-              first_step=None, dense_output=False) -> OdeResult:
+              first_step=None, t_eval=None) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] > t_span[0].
 
     fun(t, y) returns a new array of y0's dtype (real or complex).  The
@@ -407,6 +373,11 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
     callers written against scipy and must be "DOP853".  A step size that
     falls below rounding, or a NaN step size or error norm, ends the solve
     with success False.
+
+    t_eval, increasing points in t_span, are sampled from the dense output
+    of each step as it completes; a point on a step boundary is taken from
+    the step that ends there.  A step that holds no point costs no dense
+    output.
     """
     if method != "DOP853":
         raise ValueError(f"only the DOP853 method is implemented, got {method!r}")
@@ -423,6 +394,14 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
     y0 = y0.astype(complex if np.iscomplexobj(y0) else float, copy=False)
     if y0.ndim != 1 or not np.isfinite(y0).all():
         raise ValueError("y0 must be a finite 1-D array")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or not (np.diff(t_eval) > 0).all():
+            raise ValueError("t_eval must be a strictly increasing 1-D array")
+        if t_eval.size and not t0 <= t_eval[0] <= t_eval[-1] <= t1:
+            raise ValueError("t_eval must lie in t_span")
+        y_eval = np.empty((y0.size, t_eval.size), dtype=y0.dtype)
+        sampled = 0   # points of t_eval written to y_eval
 
     nfev = 0
 
@@ -438,7 +417,6 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
     K = np.empty((N_STAGES_EXTENDED, y.size), dtype=y.dtype)
     K_step = K[:N_STAGES + 1]
     ts = [t0]
-    interpolants = []
     message = "The solver successfully reached the end of the integration interval."
     success = True
     if np.isnan(h_abs):
@@ -475,11 +453,14 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
             rejected = True
         if not success:
             break
-        if dense_output:
-            interpolants.append(
-                _interpolant(f_counted, K, t, t_new, y, y_new, f_new))
+        if t_eval is not None:
+            end = np.searchsorted(t_eval, t_new, side="right")
+            if end > sampled:
+                y_eval[:, sampled:end] = _dense_samples(
+                    f_counted, K, t, t_new, y, y_new, f_new, t_eval[sampled:end])
+                sampled = end
         t, y, f = t_new, y_new, f_new
         ts.append(t)
-    ts = np.array(ts)
-    return OdeResult(t=ts, y_end=y, nfev=nfev, success=success, message=message,
-                     sol=DenseSolution(ts, interpolants) if dense_output else None)
+    return OdeResult(t=np.array(ts), y_end=y,
+                     y_eval=None if t_eval is None else y_eval[:, :sampled],
+                     nfev=nfev, success=success, message=message)

@@ -17,7 +17,8 @@ integrates the pump and its harmonic alone, and propagate_modes, which
 carries the pump, signal and idler (and the third harmonic) with the pump's
 depletion.  One engine (_Propagator) integrates one system, with a scalar
 RHS in Python complex arithmetic; the stacked numpy RHS over many systems
-is the tests' oracle.
+is the tests' oracle.  The stepper samples the scan as it steps (t_eval),
+so the scan's memory does not grow with the pump's step count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import NumericError
 from .twoport import FrequencyGrid, network_matrix, table_lines  # noqa: F401
 
 __all__ = [
-    "KerrCoefficient",
     "PhaseMismatch",
     "ModeState",
     "IntegrationOptions",
@@ -61,19 +61,9 @@ GAIN_FLOOR_DB = -300.0
 HARMONIC_SAMPLES = 1024   # about this many points along a harmonic scan
 
 
-@dataclass(frozen=True)
-class KerrCoefficient:
-    """Nonlinear phase per cell per watt at the pump frequency."""
-
-    gamma: float          # rad / (cell * W)
-
-    def at(self, f: float, f_p: float) -> float:
-        """Kerr coefficient of a mode at frequency f (scales as f / f_p)."""
-        return self.gamma * f / f_p
-
-
-def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> KerrCoefficient:
-    """gamma = k_cell / (2 * i_star^2 * z0).
+def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
+    """gamma = k_cell / (2 * i_star^2 * z0), the nonlinear phase per cell per
+    watt at the pump frequency, in rad / (cell * W).
 
     Follows from L(I) = L0 (1 + I^2/I*^2): the wavenumber scales as sqrt(L),
     so dk/k = I_rms^2 / (2 I*^2), and P = I_rms^2 Z0 converts current to
@@ -81,7 +71,7 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> KerrCoef
     """
     if k_cell <= 0 or i_star <= 0 or z0 <= 0:
         raise ValueError("k_cell, i_star and z0 must be positive")
-    return KerrCoefficient(gamma=k_cell / (2.0 * i_star**2 * z0))
+    return k_cell / (2.0 * i_star**2 * z0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class ModeState:
         return 2.0 * self.f_p - self.f_s
 
 
-def propagate_modes(state: ModeState, gamma: KerrCoefficient,
+def propagate_modes(state: ModeState, gamma: float,
                     mismatch: PhaseMismatch, length: float,
                     options: IntegrationOptions | None = None,
                     delta_k_3: float = 0.0,
@@ -114,8 +104,10 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
                     undepleted: bool = False) -> ModeState:
     """Integrate one pump/signal/idler(/third) system over ``length`` cells.
 
-    The mismatch and attenuations are taken as given, which makes this the
-    direct integration counterpart of analytic_gain_undepleted.  With
+    ``gamma`` is the pump's Kerr coefficient (kerr_coefficient); a mode at
+    frequency f has gamma * f / f_p.  The mismatch and attenuations are
+    taken as given, which makes this the direct integration counterpart of
+    analytic_gain_undepleted.  With
     ``undepleted`` only the pump drives the signal and idler, and the pump
     evolves by its own self-phase modulation alone: the small-signal limit
     that analytic_gain_undepleted and solve_gain take.
@@ -124,8 +116,8 @@ def propagate_modes(state: ModeState, gamma: KerrCoefficient,
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
     thg = options.include_third_harmonic
     modes = 4 if thg else 3
-    gammas = (gamma.gamma, gamma.at(f_s, f_p), gamma.at(f_i, f_p),
-              gamma.at(3 * f_p, f_p))
+    gammas = (gamma, gamma * f_s / f_p, gamma * f_i / f_p,
+              gamma * (3 * f_p) / f_p)
     # plain floats: Python complex arithmetic on numpy scalars is slow
     prop = _Propagator(tuple(map(float, gammas[:modes])),
                        tuple(map(float, attenuation[:modes])), options,
@@ -322,7 +314,8 @@ class _Propagator:
     def run(self, y0, n_samples=None):
         """Integrate over the whole line, applying each block correction at
         its position.  Returns the output state; with ``n_samples``, the
-        trajectory (z, y) sampled on about that many points instead.
+        trajectory (z, y) sampled on about that many points instead, each
+        segment's points sampled by the stepper as it steps.
 
         Each segment between blocks starts from the step size the previous
         one had reached: a block correction is a jump in the amplitudes, not
@@ -335,10 +328,13 @@ class _Propagator:
         stops = [*self.blocks, self.total_cells]
         for i, z1 in enumerate(stops):
             if z1 > z:
+                if n_samples is not None:
+                    pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
+                    zs.append(np.linspace(z, z1, pts))
                 sol = solve_ivp(self._rhs, (z, z1), y, method="DOP853",
                                 rtol=self.rtol, atol=self.atol,
                                 first_step=None if h is None else min(h, z1 - z),
-                                dense_output=n_samples is not None)
+                                t_eval=None if n_samples is None else zs[-1])
                 if not sol.success:
                     raise NumericError(
                         f"coupled-mode integration failed on z in [{z:g}, "
@@ -351,9 +347,7 @@ class _Propagator:
                 elif h is None:
                     h = steps[-1]
                 if n_samples is not None:
-                    pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
-                    zs.append(np.linspace(z, z1, pts))
-                    ys.append(sol.sol(zs[-1]))
+                    ys.append(sol.y_eval)
                 y = sol.y_end
                 z = z1
             if i < len(self.blocks):
@@ -486,7 +480,7 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
         block_factors=block_factors, options=options)
 
 
-def _transfer(line: PumpedLine, gamma: KerrCoefficient, p_p: float):
+def _transfer(line: PumpedLine, g_p: float, p_p: float):
     """Output signal and conjugate idler per unit input signal, (T00, T10).
 
     The undepleted small-signal limit of the coupled-mode equations
@@ -512,7 +506,6 @@ def _transfer(line: PumpedLine, gamma: KerrCoefficient, p_p: float):
     Raises NumericError when the transfer is not finite.
     """
     f_p, f_s = line.pump_frequency, line.signal_frequencies
-    g_p = gamma.gamma
     g_s = g_p * f_s / f_p
     g_i = g_p * (2.0 * f_p - f_s) / f_p
     _, alpha_s, alpha_i = line.alphas
@@ -608,7 +601,7 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
         pump_frequency=line.pump_frequency,
         pump_power=p_p,
         delta_k_linear=dk.copy(),
-        delta_k_total=dk + 2.0 * gamma.gamma * p_p,
+        delta_k_total=dk + 2.0 * gamma * p_p,
         in_stopband=line.in_stopband.copy(),
         i_star=i_star,
     )
@@ -667,7 +660,7 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                                                options.z0)
     gamma = kerr_coefficient(k_p, network.i_star, options.z0)
     prop = _Propagator(
-        (gamma.gamma, 3.0 * gamma.gamma),
+        (gamma, 3.0 * gamma),
         (float(k_curve.alpha_cell(f_p)), float(k_curve.alpha_cell(f_3))),
         options, float(network.total_cells), blocks, block_factors,
         dk3=float(k_curve.k_cell(f_3) - 3.0 * k_p))

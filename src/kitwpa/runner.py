@@ -263,9 +263,9 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.write_lines("calibration.txt", report_lines([
             ("i_star_amperes", result.i_star),
             ("residual_db", result.residual_db),
-            ("target_peak_db", result.target_peak_db),
-            ("pump_frequency_hz", result.pump_frequency),
-            ("pump_power_w", result.pump_power),
+            ("target_peak_db", cal.target_peak_db),
+            ("pump_frequency_hz", config.pump[0]),
+            ("pump_power_w", config.pump[1]),
         ]))
         emit.write_lines("gain.csv", gain_profile_csv_rows(result.profile))
         text, csv = metrics_report_rows(result.metrics)

@@ -25,7 +25,7 @@ from kitwpa.circuit import (
     ResonatorSpec,
     UnitCellSpec,
 )
-from kitwpa.dispersion import FrequencyGrid, Stopband, StopbandReport
+from kitwpa.dispersion import FrequencyGrid, Stopband
 from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile
 
@@ -113,7 +113,7 @@ class TestGainMetrics:
         with pytest.raises(NumericError, match=r"2 exclusion zone\(s\) about "
                            r"the pump at 6e\+09 Hz"):
             gain_metrics(synthetic_profile(f, np.full(f.size, 15.0), f_p=6e9),
-                         StopbandReport((band,)))
+                         (band,))
 
 
 class TestSimulateGain:
@@ -124,13 +124,13 @@ class TestSimulateGain:
         assert profile.frequencies.size == 100  # pump excluded
         assert 6.22e9 not in profile.frequencies
         assert metrics.peak_gain_db > 0
-        assert len(stopbands.bands_in(6e9, 8e9)) == 1
+        assert len([b for b in stopbands if 6e9 <= b.center <= 8e9]) == 1
 
     def test_dips_reported_near_stopband_and_mirror(self):
         grid = np.linspace(4.4e9, 8.02e9, 301)
         profile, metrics, stopbands = simulate_gain(
             SMALL_FISHBONE, (6.22e9, 100e-6), grid, DISP_GRID)
-        narrow = stopbands.bands_in(6e9, 8e9)[0]
+        narrow = next(b for b in stopbands if 6e9 <= b.center <= 8e9)
         mirror = 2 * 6.22e9 - narrow.center
         dips = np.array(metrics.dip_frequencies_hz)
         assert np.any(np.abs(dips - narrow.center) < 0.3e9)
@@ -186,6 +186,18 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_istar(SMALL_FISHBONE, (6.22e9, 0.0), 15.0,
                             np.linspace(5.7e9, 6.7e9, 21), DISP_GRID)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tol_db=0.0), "tolerance_db"),
+        (dict(bracket=(0.2, 0.1)), "bracket_low"),
+        (dict(bracket=(-1.0, 0.1)), "bracket_low"),
+    ], ids=["zero-tolerance", "bracket-low-above-high", "negative-bracket"])
+    def test_spec_checks_the_arguments(self, kwargs, message):
+        # the same check as a config's calibration section, before any solve
+        with pytest.raises(ValueError, match=message):
+            calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0,
+                            np.linspace(5.7e9, 6.7e9, 21), DISP_GRID,
+                            **kwargs)
 
 
 class TestBrentq:
@@ -247,7 +259,7 @@ class TestSweep:
 
         net = expand_design(SMALL_FISHBONE)
         curve = device_dispersion(net, DISP_GRID)
-        narrow = find_stopbands(curve).bands_in(6e9, 8e9)[0]
+        narrow = next(b for b in find_stopbands(curve) if 6e9 <= b.center <= 8e9)
         f_p = narrow.f_low - 30e6
         grid = np.concatenate([
             np.linspace(f_p - 2.5e9, f_p - 0.35e9, 40),
@@ -260,7 +272,7 @@ class TestSweep:
         assert d1 > 0 and d2 > 0
         assert abs(d2 - d1) < 0.25 * d1  # close to dB-linear
         gamma = kerr_coefficient(float(curve.k_cell(f_p)), 10e-3)
-        bound = 2 * 8.686 * gamma.gamma * net.total_cells
+        bound = 2 * 8.686 * gamma * net.total_cells
         assert 0 < (g[2] - g[0]) / (powers[2] - powers[0]) <= bound
 
     def test_pump_placement_sweep_and_failure_recording(self):
@@ -269,7 +281,7 @@ class TestSweep:
 
         net = expand_design(SMALL_FISHBONE)
         curve = device_dispersion(net, DISP_GRID)
-        narrow = find_stopbands(curve).bands_in(6e9, 8e9)[0]
+        narrow = next(b for b in find_stopbands(curve) if 6e9 <= b.center <= 8e9)
         # last value sits inside the stopband and must fail but not abort
         fps = (narrow.f_low - 1.2e9, narrow.f_low - 0.5e9,
                narrow.f_low - 0.08e9, narrow.center)

@@ -49,18 +49,30 @@ def damped_rotation(t, y):
 @pytest.mark.parametrize("first_step", [None, 0.3])
 def test_complex_solve_and_dense_output_match_scipy(first_step):
     y0 = np.array([1 + 0j, 0.5j, -1.0])
-    kwargs = dict(rtol=1e-8, atol=1e-10, first_step=first_step,
-                  dense_output=True)
-    ours = solve_ivp(damped_rotation, (0.5, 7.0), y0, **kwargs)
-    ref = scipy_solve(damped_rotation, (0.5, 7.0), y0, **kwargs)
+    kwargs = dict(rtol=1e-8, atol=1e-10, first_step=first_step)
+    dense = scipy_solve(damped_rotation, (0.5, 7.0), y0, dense_output=True,
+                        **kwargs)
+    # sorted points: both ends, every step boundary (each taken from the
+    # step that ends there) and points inside the steps
+    t = np.unique(np.concatenate([
+        np.random.default_rng(1).uniform(0.5, 7.0, 50), dense.t]))
+    assert t[0] == 0.5 and t[-1] == 7.0
+    ours = solve_ivp(damped_rotation, (0.5, 7.0), y0, t_eval=t, **kwargs)
+    ref = scipy_solve(damped_rotation, (0.5, 7.0), y0, t_eval=t, **kwargs)
     assert ours.success and ours.nfev == ref.nfev
-    assert same_bits(ours.t, ref.t)
-    assert same_bits(ours.y_end, ref.y[:, -1])
-    # unsorted points, the step boundaries themselves and two points outside
-    # the interval, which take the first and the last step's interpolant
-    t = np.concatenate([[7.0, 0.5, -1.0, 8.0],
-                        np.random.default_rng(1).uniform(0.5, 7.0, 50), ref.t])
-    assert same_bits(ours.sol(t), ref.sol(t))
+    assert same_bits(ours.t, dense.t)
+    assert same_bits(ours.y_end, dense.y[:, -1])
+    assert same_bits(ours.y_eval, ref.y)
+    assert same_bits(ours.y_eval, dense.sol(t))
+    # a step that holds no point skips the dense output's three extra
+    # stages, as scipy's t_eval path does: two points need fewer RHS
+    # evaluations than a dense solve, and no more than a solve without points
+    plain = solve_ivp(damped_rotation, (0.5, 7.0), y0, **kwargs)
+    two = solve_ivp(damped_rotation, (0.5, 7.0), y0, t_eval=[1.0, 6.0],
+                    **kwargs)
+    assert plain.y_eval is None and plain.nfev + 6 == two.nfev < dense.nfev
+    assert two.nfev == scipy_solve(damped_rotation, (0.5, 7.0), y0,
+                                   t_eval=[1.0, 6.0], **kwargs).nfev
 
 
 def test_real_blow_up_fails_like_scipy():
@@ -77,6 +89,14 @@ def test_real_blow_up_fails_like_scipy():
     assert same_bits(ours.t, ref.t)
     assert same_bits(ours.y_end, ref.y[:, -1])
     assert ours.y_end.dtype == float
+    # the samples stop where the solve did
+    t = np.linspace(0.0, 2.0, 9)
+    ours = solve_ivp(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9,
+                     atol=1e-12, t_eval=t)
+    ref = scipy_solve(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9,
+                      atol=1e-12, t_eval=t)
+    assert ours.nfev == ref.nfev
+    assert ours.y_eval.shape[1] < t.size and same_bits(ours.y_eval, ref.y)
 
 
 def test_nan_step_fails_instead_of_spinning():
@@ -106,6 +126,8 @@ def test_nan_step_fails_instead_of_spinning():
     (dict(first_step=0.0), "first_step"),
     (dict(first_step=2.0), "first_step"),
     (dict(t_span=(1.0, 1.0)), "increasing"),
+    (dict(t_eval=[0.5, 0.25]), "t_eval"),
+    (dict(t_eval=[0.5, 1.5]), "t_eval"),
 ])
 def test_invalid_arguments_rejected(kwargs, message):
     args = dict(t_span=(0.0, 1.0), rtol=1e-6, atol=1e-9)

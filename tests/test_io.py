@@ -660,7 +660,8 @@ class TestCli:
         # as inside it, but attenuated
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
         curve = device_dispersion(expand_design(cfg.design), cfg.frequency_grid)
-        band = find_stopbands(curve).bands_in(6e9, 8.5e9)[0]
+        band = next(b for b in find_stopbands(curve)
+                    if 6e9 <= b.center <= 8.5e9)
         f_p = band.f_high + cfg.frequency_grid.step / 2
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
             "frequency_hz: 6.22e9", f"frequency_hz: {f_p!r}"))
@@ -834,13 +835,29 @@ class TestCli:
                                      "stop": 2e-4, "points": -1}, "points"),
         ("design", "design", {"netlist": 5}, "netlist"),
         ("design", "output", {"directory": 5}, "directory"),
+        # refused when the config loads, not after a full calibration
+        ("calibrate", "analysis.calibration",
+         {"target_peak_db": 6.0, "tolerance_db": 0}, "tolerance_db"),
+        ("calibrate", "analysis.calibration",
+         {"target_peak_db": 6.0, "tolerance_db": -0.1}, "tolerance_db"),
+        ("calibrate", "analysis.calibration",
+         {"target_peak_db": 6.0, "bracket_high_amperes": 0},
+         "bracket_high_amperes"),
+        ("calibrate", "analysis.calibration",
+         {"target_peak_db": 6.0, "bracket_low_amperes": 0.3,
+          "bracket_high_amperes": 0.1}, "bracket_low_amperes"),
+        ("calibrate", "analysis.calibration",
+         {"target_peak_db": 6.0, "bracket_low_amperes": -1},
+         "bracket_low_amperes"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
             "negative-atol", "zero-atol", "zero-z0", "negative-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
             "zero-block-period", "scalar-sweep-values", "empty-sweep-values",
             "unknown-sweep-parameter", "numeric-sweep-parameter",
             "negative-sweep-points", "numeric-netlist-path",
-            "numeric-output-directory"])
+            "numeric-output-directory", "zero-calibration-tolerance",
+            "negative-calibration-tolerance", "zero-bracket-high",
+            "bracket-low-above-high", "negative-bracket-low"])
     def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
                                            section, values, key):
         doc = yaml.safe_load(SMALL_FISHBONE_CFG)
