@@ -37,7 +37,6 @@ from .fwm import (
     prepare_line,
     solve_gain,
 )
-from .twoport import report_lines, table_lines
 
 __all__ = [
     "GainMetrics",
@@ -506,13 +505,8 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
                        metrics=metrics, failures=tuple(failures))
 
 
-def sweep_csv_rows(result: SweepResult):
-    return table_lines(",".join([result.parameter, *result.metrics]),
-                       [result.values, *result.metrics.values()])
-
-
 # --------------------------------------------------------------------------
-# operating point and metrics report
+# operating point
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -532,25 +526,3 @@ class OperatingPoint:
         """Time-averaged I_rms^2 / I*^2 at the pump drive."""
         return self.pump_power / (self.z0 * self.i_star**2)
 
-
-def metrics_report_rows(metrics: GainMetrics, op: OperatingPoint | None = None):
-    """Flat key-value lines plus a machine-readable CSV pair of rows."""
-    kv = [
-        ("peak_gain_db", metrics.peak_gain_db),
-        ("peak_frequency_hz", metrics.peak_frequency_hz),
-        ("double_sided_bw_3db_hz", metrics.double_sided_bw_3db_hz),
-        ("ripple_db", metrics.ripple_db),
-        ("num_dips", float(len(metrics.dip_frequencies_hz))),
-    ]
-    for i, fd in enumerate(metrics.dip_frequencies_hz):
-        kv.append((f"dip_{i}_hz", fd))
-    if op is not None:
-        kv += [
-            ("pump_frequency_hz", op.pump_frequency),
-            ("pump_power_w", op.pump_power),
-            ("i_star_a", op.i_star),
-            ("electrical_length_wavelengths", op.electrical_length_wavelengths),
-            ("nonlinearity_level", op.nonlinearity_level),
-        ]
-    csv = table_lines(",".join(k for k, _ in kv), [[v] for _, v in kv])
-    return report_lines(kv), csv

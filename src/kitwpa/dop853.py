@@ -5,10 +5,12 @@ the coupled-mode propagation uses it: forward from t0 to t1 with scalar
 rtol and atol, an optional first step and optional sample points t_eval.
 Every arithmetic operation is done in scipy's order, so the steps, the end
 state, the RHS count and the samples are bitwise equal to scipy's (the tests
-check this against scipy).  The result keeps the end state, the step times
-and the samples, not every step's state: each step's dense output is formed,
-sampled and dropped as the step completes.  The stepper is plain local
-state, so it leaves no reference cycle behind.
+check this against scipy).  The result keeps the end state, the samples,
+the step count and the step size a following solve can start from, not the
+step times or every step's state: each step's dense output is formed,
+sampled and dropped as the step completes, so a solve's memory does not
+grow with its steps.  The stepper is plain local state, so it leaves no
+reference cycle behind.
 
 The method is the 8(5,3) pair of Dormand and Prince with its 7th-order dense
 output, as given by Hairer, Norsett & Wanner, "Solving Ordinary Differential
@@ -353,10 +355,13 @@ def _dense_samples(fun, K, t_old, t, y_old, y, f, t_eval):
 
 @dataclass(frozen=True)
 class OdeResult:
-    t: np.ndarray              # t0, then the end of every accepted step
-    y_end: np.ndarray          # the state at t[-1]
+    y_end: np.ndarray          # the state where the solve ended
     y_eval: np.ndarray | None  # a column per point of t_eval reached
     nfev: int                  # evaluations of fun
+    steps: int                 # accepted steps
+    h_carry: float | None      # the size of the step before the last, which
+                               # t_span[1] cannot have clipped (of the only
+                               # step, if one); None: no step
     success: bool              # False: the step size fell below rounding,
                                # or it or the error norm is NaN
     message: str
@@ -416,7 +421,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
              if first_step is None else first_step)
     K = np.empty((N_STAGES_EXTENDED, y.size), dtype=y.dtype)
     K_step = K[:N_STAGES + 1]
-    ts = [t0]
+    steps, h_last, h_carry = 0, None, None
     message = "The solver successfully reached the end of the integration interval."
     success = True
     if np.isnan(h_abs):
@@ -460,7 +465,10 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol,
                     f_counted, K, t, t_new, y, y_new, f_new, t_eval[sampled:end])
                 sampled = end
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-    return OdeResult(t=np.array(ts), y_end=y,
+        h_carry = h_last if steps else h
+        h_last = h
+        steps += 1
+    return OdeResult(y_end=y,
                      y_eval=None if t_eval is None else y_eval[:, :sampled],
-                     nfev=nfev, success=success, message=message)
+                     nfev=nfev, steps=steps, h_carry=h_carry,
+                     success=success, message=message)

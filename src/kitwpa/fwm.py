@@ -36,7 +36,7 @@ from .dop853 import MIN_RTOL, solve_ivp
 from .errors import NumericError
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
-from .twoport import FrequencyGrid, network_matrix, table_lines  # noqa: F401
+from .twoport import FrequencyGrid, network_matrix  # noqa: F401
 
 __all__ = [
     "PhaseMismatch",
@@ -53,8 +53,6 @@ __all__ = [
     "solve_gain",
     "integrate_gain",
     "third_harmonic_scan",
-    "gain_profile_csv_rows",
-    "harmonic_scan_csv_rows",
 ]
 
 GAIN_FLOOR_DB = -300.0
@@ -340,12 +338,9 @@ class _Propagator:
                         f"coupled-mode integration failed on z in [{z:g}, "
                         f"{z1:g}] cells: {sol.message}"
                     )
-                steps = np.diff(sol.t)
                 # the last step may be clipped at z1; carry the one before it
-                if steps.size > 1:
-                    h = steps[-2]
-                elif h is None:
-                    h = steps[-1]
+                if sol.steps > 1 or h is None:
+                    h = sol.h_carry
                 if n_samples is not None:
                     ys.append(sol.y_eval)
                 y = sol.y_end
@@ -400,16 +395,33 @@ def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
     return f_s
 
 
+def _require_on_grid(what: str, f: np.ndarray, *curves: DispersionCurve):
+    """Raise NumericError unless the frequencies f lie on the grid of every
+    curve: past a grid's ends the curve's k, alpha and stopband flags are
+    its end values, not the mode's."""
+    lo, hi = float(f.min()), float(f.max())
+    span = f"{lo / 1e9:.2f}" + (f"-{hi / 1e9:.2f}" if hi > lo else "")
+    for curve in curves:
+        start, stop = float(curve.frequencies[0]), float(curve.frequencies[-1])
+        if lo < start or hi > stop:
+            raise NumericError(
+                f"{what}: {span} GHz needed, but the dispersion grid spans "
+                f"{start / 1e9:.2f}-{stop / 1e9:.2f} GHz; extend "
+                "analysis.frequency_grid")
+
+
 def _propagation_curve(network: LadderNetwork, dispersion: DispersionCurve,
                        f_p: float, flag_curve: DispersionCurve
                        ) -> DispersionCurve:
     """The curve whose k and alpha the coupled modes propagate with.
 
-    Raises NumericError for a pump inside a stopband of ``flag_curve`` and
-    for a resonator design without uniform base cells.  A resonator design
-    propagates on its bare-ladder curve, extended to the third harmonic;
-    the resonators enter as block corrections (_block_corrections).
+    Raises NumericError for a pump off the grid of ``flag_curve`` or inside
+    one of its stopbands, and for a resonator design without uniform base
+    cells.  A resonator design propagates on its bare-ladder curve,
+    extended to the third harmonic; the resonators enter as block
+    corrections (_block_corrections).
     """
+    _require_on_grid("pump", np.array([f_p]), flag_curve)
     if bool(flag_curve.stopband_at(f_p)[0]):
         raise NumericError(
             f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
@@ -449,8 +461,9 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
 
     The arguments mean what they mean for integrate_gain; any signal point
     at the pump frequency is dropped.  Raises NumericError for a pump inside
-    a stopband or a resonator design without uniform base cells, and
-    ValueError for a signal grid signal_frequencies refuses or leaves empty.
+    a stopband, a pump, signal or idler off the grid of either curve, or a
+    resonator design without uniform base cells, and ValueError for a
+    signal grid signal_frequencies refuses or leaves empty.
     """
     options = options or IntegrationOptions()
     f_p = pump_frequency
@@ -460,15 +473,16 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
 
     flag_curve = stopband_curve if stopband_curve is not None else dispersion
     k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
-    k_p = float(k_curve.k_cell(f_p))
     f_i = 2.0 * f_p - f_s
+    modes = np.concatenate([[f_p], f_s, f_i])
+    _require_on_grid("pump, signals and idlers", modes, flag_curve, k_curve)
+    k_p = float(k_curve.k_cell(f_p))
     dk = k_curve.k_cell(f_s) + k_curve.k_cell(f_i) - 2.0 * k_p
     alphas = (float(k_curve.alpha_cell(f_p)), k_curve.alpha_cell(f_s),
               k_curve.alpha_cell(f_i))
 
     n = f_s.size
-    blocks, fac = _block_corrections(
-        network, np.concatenate([[f_p], f_s, f_i]), options.z0)
+    blocks, fac = _block_corrections(network, modes, options.z0)
     block_factors = None if fac is None else (fac[0], fac[1:n + 1], fac[n + 1:])
 
     stop_flags = (np.asarray(flag_curve.stopband_at(f_s))
@@ -638,7 +652,7 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     Only the pump and its third harmonic are integrated; with no signal the
     signal and idler stay zero, so p_signal and p_idler are one array of
     zeros.  Raises ValueError for a pump that is not positive, NumericError
-    as prepare_line does and for a third harmonic beyond the dispersion
+    as prepare_line does and for a third harmonic off the dispersion
     grid.  The include_third_harmonic option is not read.
     """
     options = options or IntegrationOptions()
@@ -650,14 +664,10 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     flag_curve = stopband_curve if stopband_curve is not None else dispersion
     k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
     f_3 = 3.0 * f_p
-    if f_3 > k_curve.frequencies[-1]:
-        raise NumericError(
-            f"dispersion grid ends at {k_curve.frequencies[-1] / 1e9:.2f} GHz "
-            f"but the third harmonic needs {f_3 / 1e9:.2f} GHz; extend the grid"
-        )
+    modes = np.array([f_p, f_3])
+    _require_on_grid("pump and third harmonic", modes, k_curve)
     k_p = float(k_curve.k_cell(f_p))
-    blocks, block_factors = _block_corrections(network, np.array([f_p, f_3]),
-                                               options.z0)
+    blocks, block_factors = _block_corrections(network, modes, options.z0)
     gamma = kerr_coefficient(k_p, network.i_star, options.z0)
     prop = _Propagator(
         (gamma, 3.0 * gamma),
@@ -677,18 +687,3 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
         pump_power=p_p,
     )
 
-
-# --------------------------------------------------------------------------
-# CSV emission
-
-def gain_profile_csv_rows(profile: GainProfile):
-    return table_lines(
-        "freq_hz,gain_db,delta_k_linear,delta_k_total,in_stopband",
-        [profile.frequencies, profile.gain_db, profile.delta_k_linear,
-         profile.delta_k_total, profile.in_stopband])
-
-
-def harmonic_scan_csv_rows(scan: HarmonicScan):
-    return table_lines(
-        "z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w",
-        [scan.z_cells, scan.p_pump, scan.p_signal, scan.p_idler, scan.p_third])

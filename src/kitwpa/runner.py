@@ -1,9 +1,14 @@
 """Subcommand orchestration and file emission.
 
-Every run writes its outputs plus a run_manifest.json recording the config
-digest, tool version, wall-clock duration, and a content digest per emitted
-file.  All numeric output uses fixed scientific formatting, so identical
-configs produce byte-identical files.
+Every file a run writes is laid out here, except device.net and
+sparams.s2p, whose writers sit beside their readers in circuit and
+twoport.  Each table and report is built as one iterable of byte chunks
+(tables by twoport.table_lines) and written by _Emitter.write, which
+digests the bytes as it writes them.  Every run also writes a
+run_manifest.json recording the config digest, tool version, wall-clock
+duration, and a content digest per emitted file.  All numeric output uses
+fixed scientific formatting, so identical configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,30 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    OperatingPoint,
-    calibrate_istar,
-    gain_metrics,
-    metrics_report_rows,
-    sweep,
-    sweep_csv_rows,
-)
+from .analysis import OperatingPoint, calibrate_istar, gain_metrics, sweep
 from .circuit import read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
 from .errors import ConfigError, nonfinite_error
-from .fwm import (
-    gain_profile_csv_rows,
-    harmonic_scan_csv_rows,
-    integrate_gain,
-    signal_frequencies,
-    third_harmonic_scan,
-)
+from .fwm import integrate_gain, signal_frequencies, third_harmonic_scan
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
 from .twoport import network_matrix  # noqa: F401
-from .twoport import (TableLines, cascade_periods, report_lines,
-                      sparams_to_csv_rows, table_lines, to_s_parameters,
+from .twoport import (cascade_periods, table_lines, to_s_parameters,
                       walk_period, write_touchstone)
 
 __all__ = ["run", "SUBCOMMANDS"]
@@ -77,10 +68,8 @@ class _Emitter:
         self.files: list = []
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_lines(self, name: str, lines):
-        """Write a table chunk by chunk, or a list of text lines."""
-        chunks = (lines.chunks() if isinstance(lines, TableLines)
-                  else [("\n".join(lines) + "\n").encode()])
+    def write(self, name: str, chunks):
+        """Write a file from an iterable of byte chunks, in order."""
         path = self.out_dir / name
         self.add(path, write_chunks(path, chunks))
 
@@ -132,16 +121,21 @@ def _cascade(network, f):
     return period, sp
 
 
-def _dispersion_products(config, network, emit: _Emitter):
-    _require_bloch_period(config, network)
-    grid = config.frequency_grid
-    # one walk of the period gives the Bloch curve and the full cascade
-    period, sp = _cascade(network, grid.frequencies())
-    curve = bloch_dispersion(period, grid, network.cells_per_period)
-    emit.write_lines("dispersion.csv", sparams_to_csv_rows(
-        sp, curve.phase_per_period, curve.attenuation_per_period,
-        curve.in_stopband))
-    return curve
+# The layout of each file, as the chunks _Emitter.write takes: a table is
+# the generator twoport.table_lines returns, a report a one-item list.
+
+def _report(pairs) -> list:
+    """A text report: one ``key = value`` line per pair, values as %.12e."""
+    return ["".join("%s = %.12e\n" % kv for kv in pairs).encode()]
+
+
+def _dispersion_rows(sp, curve):
+    """dispersion.csv: the S-parameters and the Bloch curve."""
+    return table_lines(
+        "freq_hz,s11_re,s11_im,s21_re,s21_im,bloch_phase,bloch_atten,in_stopband",
+        [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag,
+         curve.phase_per_period, curve.attenuation_per_period,
+         curve.in_stopband])
 
 
 def _stopband_rows(report):
@@ -150,6 +144,52 @@ def _stopband_rows(report):
         [[b.f_low for b in report], [b.f_high for b in report],
          [b.center for b in report],
          [b.max_attenuation_per_period for b in report]])
+
+
+def _harmonic_rows(scan):
+    return table_lines(
+        "z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w",
+        [scan.z_cells, scan.p_pump, scan.p_signal, scan.p_idler, scan.p_third])
+
+
+def _sweep_rows(result):
+    return table_lines(",".join([result.parameter, *result.metrics]),
+                       [result.values, *result.metrics.values()])
+
+
+def _metrics_rows(metrics, op: OperatingPoint | None = None) -> tuple:
+    """(metrics.txt, metrics.csv): the gain metrics, and the operating
+    point when given, as key = value lines and as a one-row table."""
+    kv = [
+        ("peak_gain_db", metrics.peak_gain_db),
+        ("peak_frequency_hz", metrics.peak_frequency_hz),
+        ("double_sided_bw_3db_hz", metrics.double_sided_bw_3db_hz),
+        ("ripple_db", metrics.ripple_db),
+        ("num_dips", float(len(metrics.dip_frequencies_hz))),
+    ]
+    for i, fd in enumerate(metrics.dip_frequencies_hz):
+        kv.append((f"dip_{i}_hz", fd))
+    if op is not None:
+        kv += [
+            ("pump_frequency_hz", op.pump_frequency),
+            ("pump_power_w", op.pump_power),
+            ("i_star_a", op.i_star),
+            ("electrical_length_wavelengths", op.electrical_length_wavelengths),
+            ("nonlinearity_level", op.nonlinearity_level),
+        ]
+    return _report(kv), table_lines(",".join(k for k, _ in kv),
+                                    [[v] for _, v in kv])
+
+
+def _write_gain(emit: _Emitter, profile, metrics, op=None):
+    """gain.csv, metrics.txt and metrics.csv."""
+    emit.write("gain.csv", table_lines(
+        "freq_hz,gain_db,delta_k_linear,delta_k_total,in_stopband",
+        [profile.frequencies, profile.gain_db, profile.delta_k_linear,
+         profile.delta_k_total, profile.in_stopband]))
+    text, csv = _metrics_rows(metrics, op)
+    emit.write("metrics.txt", text)
+    emit.write("metrics.csv", csv)
 
 
 def _operating_point(config, network, curve) -> OperatingPoint:
@@ -205,8 +245,13 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.add(path, write_netlist(network, path))
 
     elif subcommand == "dispersion":
-        curve = _dispersion_products(config, network, emit)
-        emit.write_lines("stopbands.csv", _stopband_rows(find_stopbands(curve)))
+        _require_bloch_period(config, network)
+        grid = config.frequency_grid
+        # one walk of the period gives the Bloch curve and the full cascade
+        period, sp = _cascade(network, grid.frequencies())
+        curve = bloch_dispersion(period, grid, network.cells_per_period)
+        emit.write("dispersion.csv", _dispersion_rows(sp, curve))
+        emit.write("stopbands.csv", _stopband_rows(find_stopbands(curve)))
 
     elif subcommand == "linear":
         _, sp = _cascade(network, config.frequency_grid.frequencies())
@@ -221,17 +266,14 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
                                  stopband_curve=curve)
         metrics = gain_metrics(profile, stopbands,
                                config.dip_exclusion_width_hz)
-        emit.write_lines("gain.csv", gain_profile_csv_rows(profile))
-        op = _operating_point(config, network, curve)
-        text, csv = metrics_report_rows(metrics, op)
-        emit.write_lines("metrics.txt", text)
-        emit.write_lines("metrics.csv", csv)
+        _write_gain(emit, profile, metrics,
+                    _operating_point(config, network, curve))
 
     elif subcommand == "harmonics":
         curve = _bloch_curve(config, network)
         scan = third_harmonic_scan(network, curve, config.pump,
                                    config.integrator, stopband_curve=curve)
-        emit.write_lines("harmonics.csv", harmonic_scan_csv_rows(scan))
+        emit.write("harmonics.csv", _harmonic_rows(scan))
 
     elif subcommand == "sweep":
         _require(config.sweep is not None,
@@ -242,11 +284,11 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
             config.design, config.pump, config.sweep,
             config.signal_grid, config.frequency_grid, config.integrator,
             dip_exclusion_width_hz=config.dip_exclusion_width_hz)
-        emit.write_lines("sweep.csv", sweep_csv_rows(result))
+        emit.write("sweep.csv", _sweep_rows(result))
         if result.failures:
-            emit.write_lines("sweep_failures.txt", [
-                f"index {i}: {kind}: {msg}"
-                for i, kind, msg in result.failures])
+            emit.write("sweep_failures.txt", ["".join(
+                f"index {i}: {kind}: {msg}\n"
+                for i, kind, msg in result.failures).encode()])
 
     elif subcommand == "calibrate":
         _require(config.calibration is not None,
@@ -260,17 +302,14 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
             dip_exclusion_width_hz=config.dip_exclusion_width_hz,
             bracket=(cal.bracket_low, cal.bracket_high),
             tol_db=cal.tolerance_db)
-        emit.write_lines("calibration.txt", report_lines([
+        emit.write("calibration.txt", _report([
             ("i_star_amperes", result.i_star),
             ("residual_db", result.residual_db),
             ("target_peak_db", cal.target_peak_db),
             ("pump_frequency_hz", config.pump[0]),
             ("pump_power_w", config.pump[1]),
         ]))
-        emit.write_lines("gain.csv", gain_profile_csv_rows(result.profile))
-        text, csv = metrics_report_rows(result.metrics)
-        emit.write_lines("metrics.txt", text)
-        emit.write_lines("metrics.csv", csv)
+        _write_gain(emit, result.profile, result.metrics)
 
     return emit.manifest(_config_digest(config.raw), time.monotonic() - t0,
                          effective_config(config))

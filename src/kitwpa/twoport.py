@@ -1,4 +1,4 @@
-"""Chain (ABCD) two-port algebra and S-parameter conversion.
+"""Chain (ABCD) two-port algebra, S-parameter conversion and Touchstone I/O.
 
 A lossless chain matrix [[a, i*b], [i*c, d]] is held as its four real
 arrays over a frequency grid, with a power-of-two exponent per frequency for
@@ -6,13 +6,15 @@ long cascades, so every operation is vectorized; a single frequency is just
 a length-1 grid.  Complex arrays appear only in the S-parameters.  The
 engineering phasor convention exp(+j*omega*t) is used throughout, so a
 matched line has arg(s21) = -beta*l.
+
+table_lines, the byte-exact %.12e table formatter, lives here because
+Touchstone is a table format read back here (read_touchstone); runner lays
+out the run's other data files with it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,12 +34,9 @@ __all__ = [
     "cascade_periods",
     "network_matrix",
     "to_s_parameters",
-    "TableLines",
     "table_lines",
-    "report_lines",
     "write_touchstone",
     "read_touchstone",
-    "sparams_to_csv_rows",
 ]
 
 RESONATOR_ENVIRONMENT_OHMS = 25.0  # 50 ohm line seen both ways from a shunt node
@@ -367,7 +366,7 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# Touchstone / CSV emission
+# Table formatting
 #
 # Every table number is "%.12e" % x, built as bytes by numpy.  A field is
 # the 20 bytes "-d.dddddddddddde+hXX", read as five 4-byte words from
@@ -457,55 +456,17 @@ def _format_e12(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class TableLines(Sequence):
-    """The lines of a data table, made as the bytes of its file in chunks:
-    ``chunks()`` yields them afresh on each call, and ``data``, every line
-    followed by a newline, joins them on first use (for short tables and
-    tests).  It compares equal to the list of its lines, which it splits out
-    only when they are read."""
-
-    def __init__(self, chunks):
-        self._chunks = chunks
-
-    def chunks(self):
-        return self._chunks()
-
-    @cached_property
-    def data(self) -> bytes:
-        return b"".join(self.chunks())
-
-    @cached_property
-    def _lines(self) -> list:
-        return self.data.decode().split("\n")[:-1]
-
-    def __len__(self):
-        return len(self._lines)
-
-    def __getitem__(self, i):
-        return self._lines[i]
-
-    def __iter__(self):
-        return iter(self._lines)
-
-    def __eq__(self, other):
-        if isinstance(other, TableLines):
-            return self.data == other.data
-        if isinstance(other, list):
-            return self._lines == other
-        return NotImplemented
-
-    def __repr__(self):
-        return f"TableLines({self._lines!r})"
-
-
-def table_lines(header: str, columns, sep: str = ",") -> TableLines:
-    """Lines of a data table: the header, then one row per column index.
+def table_lines(header: str, columns, sep: str = ","):
+    """The bytes of a data table, as a generator of chunks: the header
+    line, then one row per column index.
 
     Boolean columns print as 0/1 and every other column as %.12e, integers
     included, so identical data always gives identical bytes.  The float
     columns are formatted together, a column passed again as the same
     object only once, in one kernel call per _CHUNK numbers; each call's
-    rows make one chunk of the table, so a table is never held whole.
+    rows make one chunk of the table, so a table is never held whole.  The
+    columns are checked here, before any chunk is made: ValueError unless
+    they are 1-D and of equal length.
     """
     columns = list(columns)
     arrays = [np.asarray(c) for c in columns]
@@ -514,7 +475,7 @@ def table_lines(header: str, columns, sep: str = ",") -> TableLines:
     n = len(arrays[0]) if arrays else 0
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("table columns must be 1-D and of equal length")
-    return TableLines(partial(_table_chunks, header, columns, arrays, n, sep))
+    return _table_chunks(header, columns, arrays, n, sep)
 
 
 def _table_chunks(header: str, columns: list, arrays: list, n: int,
@@ -551,11 +512,6 @@ def _table_chunks(header: str, columns: list, arrays: list, n: int,
         yield text.tobytes().translate(None, b"\0")
 
 
-def report_lines(pairs) -> list:
-    """``key = value`` lines of a text report, values as %.12e."""
-    return ["%s = %.12e" % (key, value) for key, value in pairs]
-
-
 def write_touchstone(sp: SParameterSet, path) -> str:
     """Write a two-port Touchstone file, real/imaginary format, frequency in
     Hz, chunk by chunk; returns the sha256 hex digest of the bytes written."""
@@ -566,7 +522,7 @@ def write_touchstone(sp: SParameterSet, path) -> str:
         # objects let table_lines format them once
         columns += parts.setdefault(id(s), [s.real, s.imag])
     return write_chunks(path, table_lines(
-        f"# HZ S RI R {sp.reference_impedance:g}", columns, sep=" ").chunks())
+        f"# HZ S RI R {sp.reference_impedance:g}", columns, sep=" "))
 
 
 def read_touchstone(path) -> SParameterSet:
@@ -603,15 +559,3 @@ def read_touchstone(path) -> SParameterSet:
     s = data[:, 1::2] + 1j * data[:, 2::2]
     return SParameterSet(f, s[:, 0], s[:, 1], s[:, 2], s[:, 3], z_ref)
 
-
-def sparams_to_csv_rows(sp: SParameterSet, bloch_phase, bloch_atten,
-                        in_stopband):
-    """Rows of the dispersion CSV: S-parameters and the Bloch curve.
-
-    Columns: freq_hz, s11_re, s11_im, s21_re, s21_im, bloch_phase,
-    bloch_atten, in_stopband.
-    """
-    return table_lines(
-        "freq_hz,s11_re,s11_im,s21_re,s21_im,bloch_phase,bloch_atten,in_stopband",
-        [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag,
-         bloch_phase, bloch_atten, in_stopband])

@@ -13,10 +13,8 @@ from kitwpa.analysis import (
     brentq,
     calibrate_istar,
     gain_metrics,
-    metrics_report_rows,
     simulate_gain,
     sweep,
-    sweep_csv_rows,
 )
 from kitwpa.circuit import (
     FishboneSpec,
@@ -28,6 +26,7 @@ from kitwpa.circuit import (
 from kitwpa.dispersion import FrequencyGrid, Stopband
 from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile
+from kitwpa.runner import _metrics_rows, _sweep_rows
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
 SMALL_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=90)
@@ -302,11 +301,23 @@ class TestSweep:
         assert res.failures[0][:2] == (0, "NumericError")
         assert "dip exclusions removed the whole profile" in res.failures[0][2]
 
+    def test_point_off_the_dispersion_grid_is_recorded_as_numeric_error(self):
+        # pumped at 6.6 GHz, the idlers of 5.9-6.5 GHz signals reach 7.3 GHz,
+        # past the grid, where k and alpha used to be the grid's end values
+        res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
+                    SweepAxis("pump_frequency", (6.22e9, 6.6e9)),
+                    np.linspace(5.9e9, 6.5e9, 21), FrequencyGrid(0.1e9, 7e9, 2001))
+        assert [f[:2] for f in res.failures] == [(1, "NumericError")]
+        assert "5.90-7.30 GHz needed" in res.failures[0][2]
+        assert "extend analysis.frequency_grid" in res.failures[0][2]
+        assert not math.isnan(res.metrics["peak_gain_db"][0])
+        assert math.isnan(res.metrics["peak_gain_db"][1])
+
     def test_istar_axis_and_csv(self):
         grid = np.linspace(5.9e9, 6.5e9, 21)
         res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
                     SweepAxis("i_star", (10e-3, 14e-3)), grid, DISP_GRID)
-        rows = sweep_csv_rows(res)
+        rows = b"".join(_sweep_rows(res)).decode().splitlines()
         assert rows[0].startswith("i_star,peak_gain_db")
         assert len(rows) == 3
 
@@ -448,7 +459,8 @@ class TestCompareDesigns:
             100e-6 / (50.0 * (13e-3) ** 2))
 
     def test_metrics_report_rows(self):
-        text, csv = metrics_report_rows(self.metrics(), self.op())
+        text, csv = (b"".join(chunks).decode().splitlines()
+                     for chunks in _metrics_rows(self.metrics(), self.op()))
         assert any(line.startswith("peak_gain_db") for line in text)
         assert csv[0].split(",")[0] == "peak_gain_db"
         assert len(csv) == 2

@@ -31,6 +31,22 @@ def scipy_solve(*args, **kwargs):
     return reference(*args, method="DOP853", **kwargs)
 
 
+def recording(fun):
+    """fun, and the list of the t of every call to it, in call order: the
+    times of every stage of every step tried."""
+    times = []
+
+    def wrapped(t, y):
+        times.append(t)
+        return fun(t, y)
+    return wrapped, times
+
+
+def steps_of(sol) -> int:
+    """The accepted steps of a scipy solve without t_eval."""
+    return sol.t.size - 1
+
+
 def test_tableau_is_scipys():
     from scipy.integrate._ivp import dop853_coefficients as ref
 
@@ -57,10 +73,14 @@ def test_complex_solve_and_dense_output_match_scipy(first_step):
     t = np.unique(np.concatenate([
         np.random.default_rng(1).uniform(0.5, 7.0, 50), dense.t]))
     assert t[0] == 0.5 and t[-1] == 7.0
-    ours = solve_ivp(damped_rotation, (0.5, 7.0), y0, t_eval=t, **kwargs)
-    ref = scipy_solve(damped_rotation, (0.5, 7.0), y0, t_eval=t, **kwargs)
+    fun, ours_t = recording(damped_rotation)
+    ours = solve_ivp(fun, (0.5, 7.0), y0, t_eval=t, **kwargs)
+    fun, ref_t = recording(damped_rotation)
+    ref = scipy_solve(fun, (0.5, 7.0), y0, t_eval=t, **kwargs)
     assert ours.success and ours.nfev == ref.nfev
-    assert same_bits(ours.t, dense.t)
+    assert same_bits(ours_t, ref_t)
+    assert ours.steps == steps_of(dense)
+    assert same_bits(ours.h_carry, dense.t[-2] - dense.t[-3])
     assert same_bits(ours.y_end, dense.y[:, -1])
     assert same_bits(ours.y_eval, ref.y)
     assert same_bits(ours.y_eval, dense.sol(t))
@@ -81,12 +101,15 @@ def test_real_blow_up_fails_like_scipy():
     def square(t, y):
         return y * y
 
-    ours = solve_ivp(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
-    ref = scipy_solve(square, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
+    fun, ours_t = recording(square)
+    ours = solve_ivp(fun, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
+    fun, ref_t = recording(square)
+    ref = scipy_solve(fun, (0.0, 2.0), np.array([1.0]), rtol=1e-9, atol=1e-12)
     assert not ours.success and not ref.success
     assert ours.message == ref.message
     assert ours.nfev == ref.nfev
-    assert same_bits(ours.t, ref.t)
+    assert same_bits(ours_t, ref_t)
+    assert ours.steps == steps_of(ref)
     assert same_bits(ours.y_end, ref.y[:, -1])
     assert ours.y_end.dtype == float
     # the samples stop where the solve did
@@ -116,7 +139,10 @@ def test_nan_step_fails_instead_of_spinning():
                             atol=1e-12, first_step=0.1)
     for sol in (zero_atol, nan_rhs):
         assert not sol.success and sol.message == dop853.NAN_STEP
-    assert nan_rhs.t[-1] <= 0.5
+    # the solve ends at the last step before the NaN, which its state never
+    # took in
+    assert zero_atol.steps == 0 and zero_atol.h_carry is None
+    assert nan_rhs.steps >= 1 and np.isfinite(nan_rhs.y_end).all()
 
 
 @pytest.mark.parametrize("kwargs, message", [

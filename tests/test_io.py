@@ -655,6 +655,35 @@ class TestCli:
         assert not any((tmp_path / "o").glob("*.s2p"))
         assert not any((tmp_path / "o").glob("*.csv"))
 
+    @pytest.mark.parametrize("preset, subcommand, grid, needed", [
+        # signals and idlers reach 8.02 GHz: 37.85 dB at 5.365 GHz was
+        # written, against 14.94 dB at 6.219 GHz on the full grid
+        ("fishbone-paper", "gain", ("stop_hz: 26.0e9", "stop_hz: 7.0e9"),
+         "pump, signals and idlers: 4.42-8.02 GHz needed, but the dispersion "
+         "grid spans 0.10-7.00 GHz"),
+        ("fishbone-paper", "harmonics", ("stop_hz: 26.0e9", "stop_hz: 7.0e9"),
+         "pump and third harmonic: 6.22-18.66 GHz needed, but the dispersion "
+         "grid spans 0.10-7.00 GHz"),
+        ("fishbone-paper", "harmonics", ("stop_hz: 26.0e9", "stop_hz: 6.0e9"),
+         "pump: 6.22 GHz needed, but the dispersion grid spans 0.10-6.00 GHz"),
+        # signals start at 4.12 GHz: 19.66 dB was written, against 15.52 dB
+        ("leaf-paper-gain", "gain", ("start_hz: 0.1e9", "start_hz: 5.0e9"),
+         "pump, signals and idlers: 4.12-7.72 GHz needed, but the dispersion "
+         "grid spans 5.00-20.00 GHz"),
+    ], ids=["fishbone-gain", "fishbone-harmonics", "fishbone-pump", "leaf-gain"])
+    def test_cli_mode_off_the_dispersion_grid_exit_3(
+            self, tmp_path, capsys, preset, subcommand, grid, needed):
+        # past the grid's ends k and alpha were the end values, not the mode's
+        text = (PRESETS / f"{preset}.cfg").read_text()
+        assert text.count(grid[0]) == 1
+        p = write_cfg(tmp_path, text.replace(*grid))
+        rc = main([subcommand, "--config", str(p), "--out",
+                   str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert needed in err and "extend analysis.frequency_grid" in err
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     def test_cli_attenuated_pump_exit_3(self, tmp_path, capsys):
         # half a grid step above the narrow stopband's top point: not flagged
         # as inside it, but attenuated

@@ -1,8 +1,12 @@
-"""The public surface: every name a module lists in ``__all__`` exists, and
-the package re-exports only names its modules export."""
+"""The public surface: every name a module lists in ``__all__`` exists, the
+package re-exports only names its modules export, and no module imports a
+name it never reads."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +41,33 @@ def test_package_exports_only_listed_names():
         if attr not in _star_names(importlib.import_module(home)):
             unlisted.append(f"{home}.{attr}")
     assert not unlisted, f"kitwpa re-exports unexported names {unlisted}"
+
+
+def _unread_imports(path) -> list:
+    """The names a module's import statements bind and its code never
+    reads, ``from __future__`` imports aside."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    # a name the benchmark's tracer rebinds in a module is imported there
+    # to be rebound, whether or not the module reads it
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rebound = {(module.__name__, attr)
+               for module, attr, _, _ in tracing.PATCHES}
+    unread = [f"{name}.{attr}" for name in MODULES
+              for attr in _unread_imports(
+                  Path(importlib.import_module(name).__file__))
+              if (name, attr) not in rebound]
+    assert not unread, f"imported and never read: {unread}"

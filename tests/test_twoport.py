@@ -35,7 +35,6 @@ from kitwpa.twoport import (
     cascade_periods,
     network_matrix,
     read_touchstone,
-    report_lines,
     table_lines,
     to_s_parameters,
     walk_period,
@@ -600,8 +599,8 @@ class TestLongCascades:
 
         def rows(s11, s21):
             # the S11/S21 part of a data line of sparams.s2p or dispersion.csv
-            return table_lines("", [f, s11.real, s11.imag, s21.real,
-                                    s21.imag])[1:]
+            return lines_of(table_lines("", [f, s11.real, s11.imag,
+                                             s21.real, s21.imag]))[1:]
         got = rows(sp.s11, sp.s21)
         ref = rows(s11, s21)
         assert [g for g, ok in zip(got, finite) if ok] == \
@@ -774,6 +773,11 @@ class TestTouchstone:
             read_touchstone(p)
 
 
+def lines_of(chunks) -> list:
+    """The lines of a table's bytes, each without its newline."""
+    return b"".join(chunks).decode().split("\n")[:-1]
+
+
 def reference_table_lines(header, columns, sep=","):
     """The per-row f-string formula the data files were written with before
     table_lines: index each column, 0/1 for a bool column, else .12e."""
@@ -804,7 +808,7 @@ class TestTableLines:
             np.arange(-5, n - 5),                            # int column
             [int(v) for v in range(n)],                      # Python ints
         ]
-        got = table_lines("h", columns, sep=sep)
+        got = lines_of(table_lines("h", columns, sep=sep))
         assert got == reference_table_lines("h", columns, sep=sep)
         assert len(got) == n + 1
 
@@ -818,7 +822,8 @@ class TestTableLines:
                    for _ in range(cols - 2)]
         columns[1:1] = [rng.random(rows) > 0.5, columns[0]]
         assert len(columns) == cols
-        assert table_lines("h", columns) == reference_table_lines("h", columns)
+        assert lines_of(table_lines("h", columns)) == \
+            reference_table_lines("h", columns)
 
     def test_tables_longer_than_a_kernel_call_match_per_row_formula(self):
         # 3 distinct float columns of _CHUNK rows take 4 kernel calls, the
@@ -828,20 +833,25 @@ class TestTableLines:
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1e9, _CHUNK) * 10.0 ** rng.integers(-300, 290, _CHUNK)
         columns = [x, rng.random(_CHUNK) > 0.5, rng.normal(size=_CHUNK), x, -x]
-        assert table_lines("h", columns) == reference_table_lines("h", columns)
+        assert lines_of(table_lines("h", columns)) == \
+            reference_table_lines("h", columns)
 
     def test_int_column_prints_as_float_and_bool_as_digit(self):
-        lines = table_lines("a b", [[3], np.array([True])], sep=" ")
+        lines = lines_of(table_lines("a b", [[3], np.array([True])], sep=" "))
         assert lines == ["a b", "3.000000000000e+00 1"]
 
     def test_zero_rows_gives_header_alone(self):
-        assert table_lines("x,y", [[], np.zeros(0, dtype=bool)]) == ["x,y"]
-        assert table_lines("x,y", [[], []]) == reference_table_lines(
+        assert list(table_lines("x,y", [[], np.zeros(0, dtype=bool)])) == \
+            [b"x,y\n"]
+        assert lines_of(table_lines("x,y", [[], []])) == reference_table_lines(
             "x,y", [[], []])
 
     def test_report_lines(self):
-        assert report_lines([("a", 1), ("b", -0.0), ("c", np.float64(np.nan))]) \
-            == ["a = 1.000000000000e+00", "b = -0.000000000000e+00", "c = nan"]
+        # the key = value reports (metrics.txt, calibration.txt)
+        from kitwpa.runner import _report
+
+        assert _report([("a", 1), ("b", -0.0), ("c", np.float64(np.nan))]) \
+            == [b"a = 1.000000000000e+00\nb = -0.000000000000e+00\nc = nan\n"]
 
     # any float64 bit pattern: subnormals, +-0, +-inf and NaNs with any
     # payload and sign; plus the floats hypothesis finds interesting
@@ -858,7 +868,7 @@ class TestTableLines:
         columns = [np.array([r[0] for r in rows], dtype=float),
                    [r[1] for r in rows],
                    np.array([r[2] for r in rows], dtype=bool)]
-        assert table_lines("h", columns, sep=sep) == \
+        assert lines_of(table_lines("h", columns, sep=sep)) == \
             reference_table_lines("h", columns, sep=sep)
 
     # The kernel cannot decide these from one scaled float; they must come
@@ -883,7 +893,7 @@ class TestTableLines:
         with np.errstate(over="ignore"):   # past the largest double: inf
             column = np.concatenate([column, np.nextafter(column, 0),
                                      np.nextafter(column, 2 * column)])
-        assert table_lines("h", [column]) == reference_table_lines(
+        assert lines_of(table_lines("h", [column])) == reference_table_lines(
             "h", [column])
 
     def test_doubles_nearest_to_decimal_ties(self):
@@ -896,7 +906,7 @@ class TestTableLines:
         x = np.array([float(f"{m}5e{e}") for m, e in zip(digits, exponents)])
         column = np.concatenate([x, np.nextafter(x, 0),
                                  np.nextafter(x, np.inf)])
-        assert table_lines("h", [column]) == reference_table_lines(
+        assert lines_of(table_lines("h", [column])) == reference_table_lines(
             "h", [column])
 
     def test_neighbours_of_powers_of_ten(self):
@@ -906,12 +916,12 @@ class TestTableLines:
         column = np.concatenate([p, np.nextafter(p, 0),
                                  np.nextafter(p, np.inf)])
         column = np.concatenate([column, -column])
-        assert table_lines("h", [column], sep=" ") == reference_table_lines(
-            "h", [column], sep=" ")
+        assert lines_of(table_lines("h", [column], sep=" ")) == \
+            reference_table_lines("h", [column], sep=" ")
 
     def test_carry_and_tie_print_as_python_does(self):
-        lines = table_lines("h", [[9.9999999999995e5, 1099511627776.5,
-                                   -12345678901235.0]])
+        lines = lines_of(table_lines("h", [[9.9999999999995e5, 1099511627776.5,
+                                            -12345678901235.0]]))
         assert lines[1:] == ["1.000000000000e+06", "1.099511627776e+12",
                              "-1.234567890124e+13"]
 
@@ -919,17 +929,20 @@ class TestTableLines:
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(10_000), rng.standard_normal(10_000)
         flags = x > 0
-        table = table_lines("h", [x, y, flags, x])
-        chunks = list(table.chunks())
+        chunks = list(table_lines("h", [x, y, flags, x]))
         assert chunks[0] == b"h\n"
         rows = [c.count(b"\n") for c in chunks[1:]]
         assert len(rows) > 2 and sum(rows) == 10_000
         assert max(rows) * 2 <= twoport._CHUNK
-        assert b"".join(chunks) == table.data
-        assert list(table.chunks()) == chunks     # a fresh stream each call
-        assert table == reference_table_lines("h", [x, y, flags, x])
+        assert lines_of(chunks) == reference_table_lines("h", [x, y, flags, x])
+
+    def test_bad_columns_raise_at_the_call(self):
+        # before any chunk is made, so no file is opened for a bad table
+        for columns in ([[1.0], [1.0, 2.0]], [np.zeros((2, 2))]):
+            with pytest.raises(ValueError, match="equal length"):
+                table_lines("h", columns)
 
     def test_a_column_repeated_as_the_same_object_keeps_its_bytes(self):
         x = np.linspace(-1.0, 1.0, 7) ** 3
-        assert table_lines("h", [x, x, x.copy()]) == reference_table_lines(
-            "h", [x, x, x])
+        assert lines_of(table_lines("h", [x, x, x.copy()])) == \
+            reference_table_lines("h", [x, x, x])
