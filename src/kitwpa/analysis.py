@@ -62,6 +62,14 @@ GAMMA_PPL_CAP = 8.0
 
 @dataclass(frozen=True)
 class GainMetrics:
+    """Summary of one gain profile (gain_metrics), outside the dip
+    exclusion zones: the smoothed curve's peak_gain_db (dB) at
+    peak_frequency_hz (Hz); double_sided_bw_3db_hz, the measure of
+    frequencies within 3 dB of that peak (Hz); ripple_db, half the
+    peak-to-peak residual about the smoothed curve within 1 GHz of the
+    peak (dB); and dip_frequencies_hz, where the smoothed gain is lowest in
+    each merged exclusion zone, increasing (Hz)."""
+
     peak_gain_db: float
     peak_frequency_hz: float
     double_sided_bw_3db_hz: float
@@ -69,9 +77,24 @@ class GainMetrics:
     dip_frequencies_hz: tuple
 
 
-def _smooth(f: np.ndarray, g: np.ndarray, window_hz: float) -> np.ndarray:
-    """Moving average with edge renormalization (no zero-pad bias)."""
-    df = float(np.median(np.diff(f)))
+def _median_step(f: np.ndarray) -> float:
+    """The median spacing of a grid, bitwise float(np.median(np.diff(f))).
+
+    np.median differs only where a step is NaN, and its check for that
+    imports numpy.ma on the first call of a process.  Signal grids here are
+    finite (load_config refuses a non-finite grid bound), so that branch is
+    never reached.
+    """
+    steps = np.sort(np.diff(f))
+    mid = steps.size // 2
+    if steps.size % 2:
+        return float(steps[mid])
+    return float((steps[mid - 1] + steps[mid]) / 2.0)
+
+
+def _smooth(g: np.ndarray, df: float, window_hz: float) -> np.ndarray:
+    """Moving average over a grid of median step df, with edge
+    renormalization (no zero-pad bias)."""
     n = max(1, int(round(window_hz / df)))
     if n % 2 == 0:
         n += 1
@@ -88,8 +111,9 @@ def _smooth(f: np.ndarray, g: np.ndarray, window_hz: float) -> np.ndarray:
 
 def _exclusion_zones(profile: GainProfile, stopbands: tuple,
                      width_hz: float | None) -> list:
-    """Dip exclusion intervals: every stopband overlapping the signal range,
-    plus its mirror about the pump."""
+    """Dip exclusion intervals, disjoint and in frequency order: every
+    stopband overlapping the signal range, plus its mirror about the pump,
+    with overlapping intervals merged."""
     f = profile.frequencies
     f_lo, f_hi = float(f[0]), float(f[-1])
     f_p = profile.pump_frequency
@@ -101,7 +125,13 @@ def _exclusion_zones(profile: GainProfile, stopbands: tuple,
             if hi >= f_lo and lo <= f_hi:
                 zones.append((lo, hi))
     zones.sort()
-    return zones
+    merged = []
+    for lo, hi in zones:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def gain_metrics(profile: GainProfile, stopbands: tuple = (),
@@ -117,7 +147,8 @@ def gain_metrics(profile: GainProfile, stopbands: tuple = (),
     f = profile.frequencies
     if f.size < 3:
         raise ValueError("profile too short for metrics")
-    smooth = _smooth(f, profile.gain_db, smoothing_window_hz)
+    df = _median_step(f)
+    smooth = _smooth(profile.gain_db, df, smoothing_window_hz)
     zones = _exclusion_zones(profile, stopbands, dip_exclusion_width_hz)
     keep = np.ones(f.size, dtype=bool)
     for lo, hi in zones:
@@ -132,7 +163,6 @@ def gain_metrics(profile: GainProfile, stopbands: tuple = (),
     peak = float(smooth[peak_idx])
     peak_f = float(f[peak_idx])
 
-    df = float(np.median(np.diff(f)))
     if peak < 3.0:
         warnings.warn("profile never reaches 3 dB; reporting zero bandwidth")
         bw = 0.0
@@ -239,6 +269,10 @@ def simulate_gain(design, pump: tuple, signal_grid,
 
 @dataclass(frozen=True)
 class CalibrationSpec:
+    """Calibration target: the smoothed peak gain target_peak_db (dB), to
+    within tolerance_db (dB), with I* searched in [bracket_low,
+    bracket_high] (A)."""
+
     target_peak_db: float
     tolerance_db: float = 0.1
     bracket_low: float = 1e-3
@@ -254,6 +288,9 @@ class CalibrationSpec:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """Outcome of calibrate_istar: the calibrated i_star (A), the residual_db
+    |peak - target| (dB), and the gain profile and metrics at that I*."""
+
     i_star: float
     residual_db: float
     profile: GainProfile
@@ -403,12 +440,20 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """One sweep axis: a parameter name and the values it takes, in the
+    parameter's own unit (Hz, W, A, or the design field's)."""
+
     parameter: str   # one of _sweep_parameters(design)
     values: tuple
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Outcome of sweep: the parameter and its values as given, metric name
+    -> one value per point (each metric in its GainMetrics unit, NaN where
+    the point failed), and one (index, exception class name, message) per
+    failed point."""
+
     parameter: str
     values: tuple
     metrics: dict          # metric name -> tuple of values (nan on failure)
@@ -510,6 +555,10 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
 
 @dataclass(frozen=True)
 class OperatingPoint:
+    """Pump drive of a device: pump_frequency (Hz), pump_power (W), i_star
+    (A), total_cells, the Bloch wavenumber k_cell_at_pump (rad/cell) and
+    the line impedance z0 (ohm)."""
+
     pump_frequency: float
     pump_power: float
     i_star: float

@@ -142,12 +142,17 @@ class LeafSpec:
 
 @dataclass(frozen=True)
 class SeriesInductor:
+    """Series kinetic inductor of linear inductance l0 (H) and nonlinearity
+    scale i_star (A)."""
+
     l0: float
     i_star: float
 
 
 @dataclass(frozen=True)
 class ShuntCapacitor:
+    """Shunt capacitor to ground of capacitance c (F)."""
+
     c: float
 
 

@@ -133,6 +133,12 @@ class _Section:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A loaded config: the design (a spec, or a netlist path) and its kind,
+    the Bloch frequency_grid (Hz), the pump (Hz, W), the signal_grid (Hz),
+    the integrator options, the calibration and sweep sections, the dip
+    exclusion width (Hz; None: each stopband's width plus a guard), the
+    output directory, and the raw parsed document."""
+
     design: object                 # FishboneSpec | LeafSpec | Path (netlist)
     design_kind: str               # "fishbone" | "leaf" | "netlist"
     frequency_grid: FrequencyGrid

@@ -39,40 +39,68 @@ DEFAULT_GRID = FrequencyGrid(0.1e9, 20e9, 10_001)
 TWO_PI = 2.0 * np.pi
 
 
+def _takes_second(prev, first, second) -> np.ndarray:
+    """Where a step from ``prev`` takes its second candidate: the one of the
+    two that does not step back, or when both or neither do, the nearer
+    one, the first on a tie."""
+    floor = prev - 1e-9
+    second_ok = second >= floor
+    return np.where((first >= floor) != second_ok, second_ok,
+                    np.abs(second - prev) < np.abs(first - prev))
+
+
+def _sheets(folded: np.ndarray, m: np.ndarray) -> tuple:
+    """The sheet (descending, branch) at every point of the fold, when the
+    step from point i - 1 to point i is judged at the trial branch m[i - 1];
+    the branch returned counts the turns those choices make."""
+    before, after = folded[:-1], folded[1:]
+    low, high = TWO_PI * m, TWO_PI * (m + 1.0)
+    # the descending sheet's first candidate is the ascending one's second
+    down = high - after
+    turn_up = _takes_second(low + before, low + after, down)
+    turn_down = _takes_second(high - before, down, high + after)
+    # entry 0 stands for DC: a constant step to the ascending parity
+    const = np.concatenate(([True], turn_up != turn_down))
+    const_to = np.concatenate(([False], turn_up))
+    swaps = np.concatenate(([0], np.cumsum(turn_up & turn_down)))
+    last = np.maximum.accumulate(np.where(const, np.arange(folded.size), 0))
+    descending = const_to[last] ^ ((swaps - swaps[last]) % 2 == 1)
+    branch = np.concatenate(([0.0], np.cumsum(descending[:-1] & turn_down)))
+    return descending, branch
+
+
 def _unfold_bloch_phase(folded: np.ndarray) -> np.ndarray:
     """Reconstruct the monotone unwrapped phase from its [0, pi] fold.
 
-    Walks the grid keeping a branch index m and fold parity; each output
-    value is exactly 2*pi*m +/- folded[i] on the chosen branch, so no error
-    accumulates away from band edges.  Of the two candidates on the current
-    branch, the one that does not step back is taken; when both or neither
-    do, the nearer one, the first on a tie.
+    The phase runs on a sheet of branch m and parity: ascending
+    2*pi*m + folded or descending 2*pi*(m + 1) - folded, from the ascending
+    sheet m = 0 at DC.  Stepping to point i, the sheet's two candidates
+    are judged against its own value at point i - 1 (_takes_second).  The
+    first keeps the sheet; the second turns its parity and, from a
+    descending sheet, raises m.  Each output value is exactly its sheet's
+    expression, so no error accumulates away from band edges.
+
+    The choice at step i depends only on the entering (m, parity),
+    folded[i - 1] and folded[i].  So for a trial m per step, both parities'
+    choices are evaluated at once.  Each step then maps the parity by
+    identity, swap or a constant, and the parities follow from a scan: the
+    last constant step (maximum.accumulate) and the swaps since (cumsum).
+    The m those choices imply replaces the trial until it stops changing
+    (_sheets).  A trial right up to step j gives an m right through step
+    j + 1, so at most len(folded) passes run; m enters the choices only
+    through rounding, and the presets' folds take two.
     """
-    values = folded.tolist()
-    prev = values[0]
-    out = [prev]
-    m, descending = 0, False
-    for tf in values[1:]:
-        if descending:
-            first = TWO_PI * (m + 1) - tf
-            second = TWO_PI * (m + 1) + tf
-        else:
-            first = TWO_PI * m + tf
-            second = TWO_PI * (m + 1) - tf
-        floor = prev - 1e-9
-        if (first >= floor) != (second >= floor):
-            take_second = second >= floor
-        else:
-            take_second = abs(second - prev) < abs(first - prev)
-        if take_second:
-            prev = second
-            if descending:
-                m += 1
-            descending = not descending
-        else:
-            prev = first
-        out.append(prev)
-    return np.array(out)
+    f = np.asarray(folded, dtype=float)
+    m = np.zeros(f.size - 1)   # trial branch entering steps 1 .. n-1
+    while True:
+        descending, branch = _sheets(f, m)
+        if np.array_equal(branch[:-1], m):
+            break
+        m = branch[:-1]
+    out = np.where(descending, TWO_PI * (branch + 1.0) - f,
+                   TWO_PI * branch + f)
+    out[0] = f[0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,6 +187,10 @@ def uniform_cell_dispersion(l0: float, c: float,
 
 @dataclass(frozen=True)
 class Stopband:
+    """One stopband run of a Bloch curve: its first and last flagged grid
+    frequencies f_low and f_high and their midpoint center (Hz), and its
+    peak max_attenuation_per_period (nepers)."""
+
     f_low: float
     f_high: float
     center: float

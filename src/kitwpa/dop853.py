@@ -355,6 +355,11 @@ def _dense_samples(fun, K, t_old, t, y_old, y, f, t_eval):
 
 @dataclass(frozen=True)
 class OdeResult:
+    """Outcome of solve_ivp: the end state and the t_eval samples, in the
+    state's unit; counts of fun evaluations and accepted steps; the step
+    size to carry on, in t's unit; and whether the solve succeeded, with
+    its message."""
+
     y_end: np.ndarray          # the state where the solve ended
     y_eval: np.ndarray | None  # a column per point of t_eval reached
     nfev: int                  # evaluations of fun

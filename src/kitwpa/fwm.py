@@ -74,6 +74,8 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
 
 @dataclass(frozen=True)
 class PhaseMismatch:
+    """Phase mismatch of one signal/idler pair at the pump."""
+
     delta_k_linear: float   # rad/cell, k_s + k_i - 2 k_p
     delta_k_total: float    # rad/cell, linear + 2 gamma P_p
 
@@ -156,6 +158,11 @@ def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
 
 @dataclass(frozen=True)
 class IntegrationOptions:
+    """Coupled-mode settings: whether propagate_modes carries the third
+    harmonic (the config refuses it for the small-signal gain), the DOP853
+    rtol and atol (atol in sqrt(W), the mode amplitudes' unit), and the
+    line impedance z0 (ohm) that maps power to current."""
+
     include_third_harmonic: bool = False
     rtol: float = 1e-9
     atol: float = 1e-14
@@ -176,6 +183,11 @@ class IntegrationOptions:
 
 @dataclass(frozen=True)
 class GainProfile:
+    """Small-signal gain over the signal grid: frequencies (Hz, pump point
+    dropped), gain_db (dB), the pump_frequency (Hz) and pump_power (W), the
+    linear and total phase mismatch per signal (rad/cell), where the signal
+    or its idler lies in a stopband, and the i_star (A) it was solved at."""
+
     frequencies: np.ndarray
     gain_db: np.ndarray
     pump_frequency: float
@@ -188,6 +200,10 @@ class GainProfile:
 
 @dataclass(frozen=True)
 class HarmonicScan:
+    """Powers along the line: sample positions z_cells (cells from the
+    input), pump, signal, idler and third-harmonic powers there (W), and
+    the pump_frequency (Hz) and input pump_power (W)."""
+
     z_cells: np.ndarray
     p_pump: np.ndarray
     p_signal: np.ndarray

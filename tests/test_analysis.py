@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import kitwpa.analysis
 from kitwpa.analysis import (
     GainMetrics,
+    _median_step,
     _smooth,
     OperatingPoint,
     SweepAxis,
@@ -23,9 +25,10 @@ from kitwpa.circuit import (
     ResonatorSpec,
     UnitCellSpec,
 )
+from kitwpa.config import load_config
 from kitwpa.dispersion import FrequencyGrid, Stopband
 from kitwpa.errors import NumericError
-from kitwpa.fwm import GainProfile
+from kitwpa.fwm import GainProfile, signal_frequencies
 from kitwpa.runner import _metrics_rows, _sweep_rows
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
@@ -36,6 +39,7 @@ PARITY_LEAF = LeafSpec(
     base_cell=UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15),
     cells_per_block_period=60, resonator=ResonatorSpec(6.2e9, 70.0),
     num_blocks=3)
+PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
 
 
 def synthetic_profile(f, gain_db, f_p=6e9, p_p=100e-6):
@@ -94,9 +98,34 @@ class TestGainMetrics:
         # a 100 MHz window over a 50 MHz grid is longer than the profile
         f = np.linspace(6.0e9, 6.05e9, points)
         g = np.linspace(1.0, 2.0, points)
-        smooth = _smooth(f, g, 100e6)
+        smooth = _smooth(g, _median_step(f), 100e6)
         assert smooth.shape == g.shape
         assert np.all((smooth >= 1.0) & (smooth <= 2.0))
+
+    @pytest.mark.parametrize("f", [
+        np.array([1.0, 2.0]),
+        np.array([0.0, 1.0, 3.0]),
+        np.array([0.0, 1.0, 3.0, 3.5]),
+        np.array([5.0, 1.0, 4.0, 4.0, -2.0, 7.5]),       # unsorted steps
+        np.cumsum(np.random.default_rng(3).uniform(0.5, 2.0, 1000)),
+        np.cumsum(np.random.default_rng(4).normal(0.0, 1.0, 1001)),
+        np.delete(np.linspace(4.42e9, 8.02e9, 2000), 999),   # a pump point
+    ], ids=["2-points", "3-points", "4-points", "unsorted", "odd-count",
+            "even-count", "grid-with-gap"])
+    def test_median_step_is_numpy_median_bitwise(self, f):
+        want = float(np.median(np.diff(f)))
+        assert np.float64(_median_step(f)).view(np.uint64) == \
+            np.float64(want).view(np.uint64)
+
+    def test_median_step_of_preset_signal_grids(self):
+        # the presets' signal grids with their pump point dropped, as
+        # gain_metrics receives them
+        for path in sorted(PRESETS.glob("*.cfg")):
+            cfg = load_config(path)
+            f = signal_frequencies(cfg.signal_grid, cfg.pump[0])
+            want = float(np.median(np.diff(f)))
+            assert np.float64(_median_step(f)).view(np.uint64) == \
+                np.float64(want).view(np.uint64)
 
     def test_smoothing_window_override(self):
         f = np.linspace(5e9, 7e9, 2001)
@@ -106,10 +135,11 @@ class TestGainMetrics:
 
     def test_exclusions_covering_the_grid_are_numeric_error(self):
         # a 4 GHz stopband centred on the pump: it and its mirror about the
-        # pump cover the whole 5-7 GHz signal grid
+        # pump coincide, and their one merged zone covers the whole 5-7 GHz
+        # signal grid
         f = np.linspace(5e9, 7e9, 201)
         band = Stopband(4e9, 8e9, 6e9, 1.0)
-        with pytest.raises(NumericError, match=r"2 exclusion zone\(s\) about "
+        with pytest.raises(NumericError, match=r"1 exclusion zone\(s\) about "
                            r"the pump at 6e\+09 Hz"):
             gain_metrics(synthetic_profile(f, np.full(f.size, 15.0), f_p=6e9),
                          (band,))
@@ -134,6 +164,17 @@ class TestSimulateGain:
         dips = np.array(metrics.dip_frequencies_hz)
         assert np.any(np.abs(dips - narrow.center) < 0.3e9)
         assert np.any(np.abs(dips - mirror) < 0.3e9)
+
+    def test_leaf_dips_distinct_and_increasing(self):
+        # the leaf's Bragg gaps, guards and idler mirrors overlap; one dip
+        # per merged zone leaves no repeat and none out of order
+        cfg = load_config(PRESETS / "leaf-paper-gain.cfg")
+        _, metrics, stopbands = simulate_gain(
+            cfg.design, cfg.pump, cfg.signal_grid, cfg.frequency_grid,
+            cfg.integrator, cfg.dip_exclusion_width_hz)
+        dips = np.array(metrics.dip_frequencies_hz)
+        assert len(stopbands) > dips.size > 1
+        assert np.all(np.diff(dips) > 0)
 
 
 class TestCalibration:

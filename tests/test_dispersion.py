@@ -100,6 +100,21 @@ def reference_unfold(folded):
     return out
 
 
+# a fold value: anywhere in [0, pi], or one of the edge values the unfold
+# must treat exactly as the loop does
+FOLD_VALUES = st.one_of(
+    st.floats(0.0, np.pi),
+    st.sampled_from([0.0, -0.0, np.nan, np.pi, np.nextafter(np.pi, 4.0)]))
+
+
+def preset_fold(name):
+    """The folded Bloch phase of a preset's period on its own grid."""
+    cfg = load_config(PRESETS / f"{name}.cfg")
+    period, _ = walk_period(expand_design(cfg.design),
+                            cfg.frequency_grid.frequencies())
+    return np.arccosh(period.trace_half().astype(complex)).imag
+
+
 class TestUnfold:
     def assert_matches_reference(self, folded):
         got = _unfold_bloch_phase(folded)
@@ -127,6 +142,29 @@ class TestUnfold:
         self.assert_matches_reference(np.array(
             [0.0, -0.0, 1e-12, -1e-3, np.pi, np.pi, 0.0, np.nan, 1.0, np.pi / 2,
              np.nan, np.nan, 3.0, 0.5, -0.0, np.pi]))
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(st.lists(st.tuples(FOLD_VALUES, st.integers(1, 4)),
+                    min_size=1, max_size=40))
+    def test_runs_signed_zeros_nans_and_pi_match_reference(self, runs):
+        # runs of equal values, +-0.0, NaN runs and one ulp above pi
+        values, counts = zip(*runs)
+        self.assert_matches_reference(np.repeat(values, counts))
+
+    @pytest.mark.parametrize("i", [2611, 3150, 3390, 4141, 4391])
+    def test_leaf_turns_on_an_ulp_at_the_band_edge(self, i):
+        # stepping from point i to the band edge at pi, both candidates are
+        # ahead and equal but for the rounding of their branch offsets; the
+        # descending one is nearer by those ulps, so the walk turns there
+        fold = preset_fold("leaf-paper-gain")
+        got = _unfold_bloch_phase(fold)
+        m = int(got[i] // TWO_PI)
+        ascending = TWO_PI * m + fold[i + 1]
+        turned = TWO_PI * (m + 1) - fold[i + 1]
+        assert fold[i + 1] == np.pi and ascending != turned
+        assert got[i] <= turned < ascending
+        assert got[i + 1] == turned == reference_unfold(fold)[i + 1]
 
 
 class TestBlochProperties:

@@ -1,6 +1,10 @@
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +549,38 @@ analysis:
             a = run(sub, spec, out_dir=tmp_path / f"spec-{sub}")
             b = run(sub, net, out_dir=tmp_path / f"net-{sub}")
             assert a["files"] == b["files"]   # names and sha256 digests
+
+    def test_no_subcommand_imports_a_module(self, tmp_path):
+        # every subcommand's first run in a fresh process: a module imported
+        # during a run is start-up cost that lands in the run (np.median's
+        # NaN check imports numpy.ma on its first call)
+        sweep = yaml.safe_load((PRESETS / "leaf-paper-gain.cfg").read_text())
+        sweep["analysis"]["sweep"] = {"parameter": "pump_power", "start": 50e-6,
+                                      "stop": 70e-6, "points": 3}
+        write_cfg(tmp_path, yaml.safe_dump(sweep), "sweep.cfg")
+        script = f"""
+import json, sys, warnings
+import kitwpa.config, kitwpa.runner
+from pathlib import Path
+warnings.simplefilter("ignore")
+tmp = Path({str(tmp_path)!r})
+fishbone = kitwpa.config.load_config({str(PRESETS / "fishbone-paper.cfg")!r})
+sweep = kitwpa.config.load_config(tmp / "sweep.cfg")
+grew = {{}}
+for sub in {list(SUBCOMMANDS)!r}:
+    before = set(sys.modules)
+    kitwpa.runner.run(sub, sweep if sub == "sweep" else fishbone, tmp / sub)
+    grew[sub] = sorted(set(sys.modules) - before)
+print(json.dumps(grew))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        grew = json.loads(out.stdout)
+        assert list(grew) == list(SUBCOMMANDS)
+        assert {sub: mods for sub, mods in grew.items() if mods} == {}
 
     def test_malformed_netlist_is_config_error(self, tmp_path):
         (tmp_path / "bad.net").write_text("# ki-twpa netlist v1\nL 5e-11\n")

@@ -1,8 +1,9 @@
 """The public surface: every name a module lists in ``__all__`` exists, the
-package re-exports only names its modules export, and no module imports a
-name it never reads."""
+package re-exports only names its modules export, no module imports a name
+it never reads, and every dataclass has a docstring."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -71,3 +72,13 @@ def test_every_import_is_read():
                   Path(importlib.import_module(name).__file__))
               if (name, attr) not in rebound]
     assert not unread, f"imported and never read: {unread}"
+
+
+def test_every_dataclass_says_what_its_fields_are():
+    # a dataclass without a docstring gets its signature as __doc__
+    bare = [f"{name}.{attr}" for name in MODULES
+            for attr, value in vars(importlib.import_module(name)).items()
+            if dataclasses.is_dataclass(value) and isinstance(value, type)
+            and value.__module__ == name
+            and (value.__doc__ or "").startswith(f"{value.__name__}(")]
+    assert not bare, f"dataclasses without a docstring: {bare}"
