@@ -58,7 +58,6 @@ from .analysis import (
     SweepAxis,
     calibrate_istar,
     gain_metrics,
-    simulate_gain,
     sweep,
 )
 from .config import RunConfig, load_config

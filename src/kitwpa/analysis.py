@@ -46,7 +46,6 @@ __all__ = [
     "SweepResult",
     "OperatingPoint",
     "gain_metrics",
-    "simulate_gain",
     "calibrate_istar",
     "sweep",
 ]
@@ -81,9 +80,9 @@ def _median_step(f: np.ndarray) -> float:
     """The median spacing of a grid, bitwise float(np.median(np.diff(f))).
 
     np.median differs only where a step is NaN, and its check for that
-    imports numpy.ma on the first call of a process.  Signal grids here are
-    finite (load_config refuses a non-finite grid bound), so that branch is
-    never reached.
+    imports numpy.ma on the first call of a process.  A profile's signals
+    are finite (FrequencyGrid refuses a non-finite bound, signal_frequencies
+    a non-finite signal), so that branch is never reached.
     """
     steps = np.sort(np.diff(f))
     mid = steps.size // 2
@@ -210,61 +209,34 @@ def design_with_istar(design, i_star: float):
 
 
 class _GainPipeline:
-    """Expand, analyze, pump and summarize designs, one point at a time.
+    """The one gain path: an expanded network's Bloch curve and stopbands,
+    found once, then a profile and its metrics per operating point.
 
-    It keeps the last device (network, Bloch curve, stopbands) and the last
-    pumped line, and reuses them for the next point when they are the same:
-    the device when the design differs at most in I*, the line when the pump
-    frequency is unchanged as well.  The linear model never reads I* (it
-    enters only the Kerr coefficient), so a reused device or line gives the
+    It keeps the pumped line while the pump frequency is unchanged.  The
+    linear model never reads I* (it enters only the Kerr coefficient), so
+    one pipeline serves every I* of its network, and a kept line gives the
     numbers a fresh one would.
     """
 
-    def __init__(self, signal_grid, dispersion_grid, options,
+    def __init__(self, network, dispersion_grid, signal_grid, options,
                  dip_exclusion_width_hz):
+        self.network = network
+        self.curve = device_dispersion(network, dispersion_grid)
+        self.stopbands = find_stopbands(self.curve)
         self.signal_grid = signal_grid
-        self.dispersion_grid = dispersion_grid
         self.options = options
         self.dip_exclusion_width_hz = dip_exclusion_width_hz
-        self._device = None   # (design at unit I*, network, curve, stopbands)
-        self._line = None     # PumpedLine of that device
+        self._line = None
 
-    def device(self, design) -> tuple:
-        """(network, Bloch curve, stopbands) of the design."""
-        key = design_with_istar(design, 1.0)
-        if self._device is None or self._device[0] != key:
-            network = expand_design(design)
-            curve = device_dispersion(network, self.dispersion_grid)
-            self._device = (key, network, curve, find_stopbands(curve))
-            self._line = None
-        return self._device[1:]
-
-    def __call__(self, design, pump: tuple):
+    def __call__(self, i_star: float, pump: tuple) -> tuple:
+        """(profile, metrics) at I* (A) and pump (Hz, W)."""
         f_p, p_p = pump
-        network, curve, stopbands = self.device(design)
         if self._line is None or self._line.pump_frequency != f_p:
-            self._line = prepare_line(network, curve, f_p, self.signal_grid,
-                                      self.options, stopband_curve=curve)
-        profile = solve_gain(self._line, design.base_cell.inductor.i_star, p_p)
-        metrics = gain_metrics(profile, stopbands,
-                               dip_exclusion_width_hz=self.dip_exclusion_width_hz)
-        return profile, metrics, stopbands
-
-
-def simulate_gain(design, pump: tuple, signal_grid,
-                  dispersion_grid: FrequencyGrid = DEFAULT_GRID,
-                  options: IntegrationOptions | None = None,
-                  dip_exclusion_width_hz: float | None = None):
-    """Expand, analyze, pump, and summarize one design.
-
-    Returns (profile, metrics, stopbands).  The device Bloch curve supplies
-    both the propagation constants and the stopband report; for resonator
-    designs the coupled-mode engine falls back to the bare-ladder background
-    internally and treats the blocks as lumped phase shifters.
-    """
-    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
-                             dip_exclusion_width_hz)
-    return pipeline(design, pump)
+            self._line = prepare_line(self.network, self.curve, f_p,
+                                      self.signal_grid, self.options)
+        profile = solve_gain(self._line, i_star, p_p)
+        return profile, gain_metrics(profile, self.stopbands,
+                                     self.dip_exclusion_width_hz)
 
 
 @dataclass(frozen=True)
@@ -387,11 +359,11 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("calibration requires nonzero pump power")
-    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
+    network = expand_design(design)
+    pipeline = _GainPipeline(network, dispersion_grid, signal_grid, options,
                              dip_exclusion_width_hz)
-    network, curve, _ = pipeline.device(design)
 
-    k_p = float(curve.k_cell(f_p))
+    k_p = float(pipeline.curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
                           (2.0 * options.z0 * GAMMA_PPL_CAP))
     lo = max(spec.bracket_low, i_min_cap)
@@ -401,8 +373,8 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
             f"calibration bracket [{spec.bracket_low:g}, {hi:g}] A collapsed "
             f"after the gamma*P_p*L clip at {i_min_cap:g} A")
 
-    # every probe shares the pipeline's device and pumped line: the design
-    # differs only in I*, and the pump frequency is fixed
+    # every probe shares the pipeline's device and pumped line: only I*
+    # changes, and the pump frequency is fixed
     cache: dict = {}
 
     def peak_at(i_star: float) -> float:
@@ -411,8 +383,7 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
                 # bracketing probes far from the target trip the low-profile
                 # bandwidth warning; only the peak matters here
                 warnings.simplefilter("ignore", UserWarning)
-                cache[i_star] = pipeline(design_with_istar(design, i_star),
-                                         pump)[:2]
+                cache[i_star] = pipeline(i_star, pump)
         return cache[i_star][1].peak_gain_db
 
     f_lo = peak_at(lo) - target_peak_db
@@ -518,25 +489,32 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     recorded with its exception class and the sweep continues; any other
     exception propagates.
 
-    Consecutive points share what does not change between them: the
-    expanded network, its Bloch curve and stopbands when the design differs
-    at most in I* (``pump_power``, ``i_star`` and ``pump_frequency`` axes),
-    and the prepared pumped line when the pump frequency is also the same
-    (``pump_power`` and ``i_star`` axes).  A design-field axis rebuilds both
-    at every point.  Shared or not, each point's numbers are those of
-    simulate_gain at that point.
+    Consecutive points share what does not change between them: the gain
+    pipeline (expanded network, Bloch curve and stopbands) when the design
+    differs at most in I* (``pump_power``, ``i_star`` and
+    ``pump_frequency`` axes), and the prepared pumped line when the pump
+    frequency is also the same (``pump_power`` and ``i_star`` axes).  A
+    design-field axis rebuilds both at every point.  Shared or not, each
+    point's numbers are those of a fresh pipeline at that point.
     """
     check_sweep_parameter(design, axis.parameter)
     values = list(axis.values)
-    pipeline = _GainPipeline(signal_grid, dispersion_grid, options,
-                             dip_exclusion_width_hz)
+    key = None
 
     results: list = [None] * len(values)
     failures = []
     for i, v in enumerate(values):
         try:
             d, p = _apply_parameter(design, pump, axis.parameter, v)
-            _, results[i], _ = pipeline(d, p)
+            # the linear model never reads I*, so a design that differs at
+            # most in I* keeps the pipeline
+            unit = design_with_istar(d, 1.0)
+            if unit != key:
+                pipeline = _GainPipeline(expand_design(d), dispersion_grid,
+                                         signal_grid, options,
+                                         dip_exclusion_width_hz)
+                key = unit
+            _, results[i] = pipeline(d.base_cell.inductor.i_star, p)
         except (KitwpaError, ValueError, ArithmeticError) as exc:
             failures.append((i, type(exc).__name__, str(exc)))
 

@@ -394,8 +394,9 @@ class PumpedLine:
 def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
     """The signal grid without the pump point (any point within 1e-9·f_p).
 
-    Raises ValueError unless the pump frequency is positive and every other
-    signal lies in (0, 2·f_p).
+    Raises ValueError unless the pump frequency is positive, every signal
+    is finite, the signals increase strictly and every other signal lies in
+    (0, 2·f_p).
     """
     f_p = pump_frequency
     if f_p <= 0:
@@ -404,6 +405,10 @@ def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
         f_s = signal_grid.frequencies()
     else:
         f_s = np.asarray(signal_grid, dtype=float)
+    if not np.isfinite(f_s).all():
+        raise ValueError("signal frequencies must be finite")
+    if np.any(np.diff(f_s) <= 0):
+        raise ValueError("signal frequencies must increase strictly")
     f_s = f_s[np.abs(f_s - f_p) > 1e-9 * f_p]
     if np.any(f_s <= 0) or np.any(f_s >= 2 * f_p):
         raise ValueError(f"signal frequencies must lie in (0, 2*f_p) = "
@@ -426,34 +431,6 @@ def _require_on_grid(what: str, f: np.ndarray, *curves: DispersionCurve):
                 "analysis.frequency_grid")
 
 
-def _propagation_curve(network: LadderNetwork, dispersion: DispersionCurve,
-                       f_p: float, flag_curve: DispersionCurve
-                       ) -> DispersionCurve:
-    """The curve whose k and alpha the coupled modes propagate with.
-
-    Raises NumericError for a pump off the grid of ``flag_curve`` or inside
-    one of its stopbands, and for a resonator design without uniform base
-    cells.  A resonator design propagates on its bare-ladder curve,
-    extended to the third harmonic; the resonators enter as block
-    corrections (_block_corrections).
-    """
-    _require_on_grid("pump", np.array([f_p]), flag_curve)
-    if bool(flag_curve.stopband_at(f_p)[0]):
-        raise NumericError(
-            f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
-            "move it into a passband below the band edge"
-        )
-    if not network.has_resonators():
-        return dispersion
-    base = _smooth_background(network)
-    if base is None:
-        raise NumericError("resonator design must have uniform base cells")
-    l0, c0 = base
-    grid = FrequencyGrid(dispersion.frequencies[0],
-                         max(dispersion.frequencies[-1], 3.0 * f_p * 1.01), 4097)
-    return uniform_cell_dispersion(l0, c0, grid)
-
-
 def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
                        z0: float) -> tuple:
     """(cell positions of the resonator blocks, factor of one block at each
@@ -469,17 +446,56 @@ def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
     return blocks, np.conj(s21_over_bare(network.one_period(), frequencies, z0))
 
 
+def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
+                modes: np.ndarray, what: str, z0: float,
+                on_device_grid: bool) -> tuple:
+    """(k in rad/cell, alpha in nepers/cell, block positions, block factors)
+    at the modes of a line pumped at modes[0].
+
+    The modes propagate on ``dispersion``, or, for a resonator design, on
+    its bare-ladder curve extended to the third harmonic, with the
+    resonators as block corrections (_block_corrections).  Raises
+    ValueError for a pump frequency that is not positive, and NumericError
+    for a pump off the grid of ``dispersion`` or inside one of its
+    stopbands, a mode off the propagation curve's grid (or off
+    ``dispersion``'s when ``on_device_grid``), or a resonator design
+    without uniform base cells.
+    """
+    f_p = float(modes[0])
+    if f_p <= 0:
+        raise ValueError("pump frequency must be positive")
+    _require_on_grid("pump", modes[:1], dispersion)
+    if bool(dispersion.stopband_at(f_p)[0]):
+        raise NumericError(
+            f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
+            "move it into a passband below the band edge"
+        )
+    k_curve = dispersion
+    if network.has_resonators():
+        base = _smooth_background(network)
+        if base is None:
+            raise NumericError("resonator design must have uniform base cells")
+        grid = FrequencyGrid(dispersion.frequencies[0],
+                             max(dispersion.frequencies[-1], 3.0 * f_p * 1.01),
+                             4097)
+        k_curve = uniform_cell_dispersion(*base, grid)
+    curves = (dispersion, k_curve) if on_device_grid else (k_curve,)
+    _require_on_grid(what, modes, *curves)
+    blocks, factors = _block_corrections(network, modes, z0)
+    return k_curve.k_cell(modes), k_curve.alpha_cell(modes), blocks, factors
+
+
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
                  pump_frequency: float, signal_grid,
-                 options: IntegrationOptions | None = None,
-                 stopband_curve: DispersionCurve | None = None) -> PumpedLine:
+                 options: IntegrationOptions | None = None) -> PumpedLine:
     """The linear setup of integrate_gain for one pump frequency.
 
     The arguments mean what they mean for integrate_gain; any signal point
     at the pump frequency is dropped.  Raises NumericError for a pump inside
-    a stopband, a pump, signal or idler off the grid of either curve, or a
-    resonator design without uniform base cells, and ValueError for a
-    signal grid signal_frequencies refuses or leaves empty.
+    a stopband, a pump, signal or idler off the grid of ``dispersion`` or of
+    the propagation curve, or a resonator design without uniform base cells,
+    and ValueError for a signal grid signal_frequencies refuses or leaves
+    empty.
     """
     options = options or IntegrationOptions()
     f_p = pump_frequency
@@ -487,27 +503,22 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
     if f_s.size == 0:
         raise ValueError("signal grid is empty after excluding the pump")
 
-    flag_curve = stopband_curve if stopband_curve is not None else dispersion
-    k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
+    n = f_s.size
     f_i = 2.0 * f_p - f_s
     modes = np.concatenate([[f_p], f_s, f_i])
-    _require_on_grid("pump, signals and idlers", modes, flag_curve, k_curve)
-    k_p = float(k_curve.k_cell(f_p))
-    dk = k_curve.k_cell(f_s) + k_curve.k_cell(f_i) - 2.0 * k_p
-    alphas = (float(k_curve.alpha_cell(f_p)), k_curve.alpha_cell(f_s),
-              k_curve.alpha_cell(f_i))
-
-    n = f_s.size
-    blocks, fac = _block_corrections(network, modes, options.z0)
+    k, alpha, blocks, fac = _pump_modes(network, dispersion, modes,
+                                        "pump, signals and idlers",
+                                        options.z0, on_device_grid=True)
+    k_p = float(k[0])
     block_factors = None if fac is None else (fac[0], fac[1:n + 1], fac[n + 1:])
-
-    stop_flags = (np.asarray(flag_curve.stopband_at(f_s))
-                  | np.asarray(flag_curve.stopband_at(f_i)))
+    stop_flags = (np.asarray(dispersion.stopband_at(f_s))
+                  | np.asarray(dispersion.stopband_at(f_i)))
     return PumpedLine(
-        pump_frequency=f_p, signal_frequencies=f_s, k_pump=k_p, delta_k=dk,
-        alphas=alphas, in_stopband=stop_flags,
-        total_cells=float(network.total_cells), blocks=blocks,
-        block_factors=block_factors, options=options)
+        pump_frequency=f_p, signal_frequencies=f_s, k_pump=k_p,
+        delta_k=k[1:n + 1] + k[n + 1:] - 2.0 * k_p,
+        alphas=(float(alpha[0]), alpha[1:n + 1], alpha[n + 1:]),
+        in_stopband=stop_flags, total_cells=float(network.total_cells),
+        blocks=blocks, block_factors=block_factors, options=options)
 
 
 def _transfer(line: PumpedLine, g_p: float, p_p: float):
@@ -643,53 +654,49 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     """Signal gain profile of a pumped device.
 
     ``dispersion`` supplies the continuous propagation constants for the
-    coupled-mode phases; for resonator-embedded designs the resonators enter
-    as lumped per-block corrections instead, computed from the network, and
-    the continuous part falls back to the bare-ladder curve automatically.
-    ``stopband_curve`` (default: ``dispersion``) provides the stopband flags
-    used for pump validation and per-point annotation.
+    coupled-mode phases and the stopband flags used for pump validation and
+    per-point annotation; for resonator-embedded designs the resonators
+    enter as lumped per-block corrections instead, computed from the
+    network, and the continuous part falls back to the bare-ladder curve
+    automatically.  ``stopband_curve`` may only be ``dispersion`` itself
+    (ValueError otherwise).
 
     Gain is the small-signal 20*log10 |a_s(L)/a_s(0)| with Bloch
     attenuation folded in, from solve_gain; a zero-power pump short-circuits
     to an identically zero profile.
     """
+    if stopband_curve is not None and stopband_curve is not dispersion:
+        raise ValueError("stopband_curve must be the dispersion curve itself")
     f_p, p_p = pump
-    line = prepare_line(network, dispersion, f_p, signal_grid, options,
-                        stopband_curve)
+    line = prepare_line(network, dispersion, f_p, signal_grid, options)
     return solve_gain(line, network.i_star, p_p)
 
 
 def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
-                        pump: tuple, options: IntegrationOptions | None = None,
-                        stopband_curve: DispersionCurve | None = None
+                        pump: tuple, options: IntegrationOptions | None = None
                         ) -> HarmonicScan:
     """Pump and third-harmonic powers along the line (no signal injected).
 
     Only the pump and its third harmonic are integrated; with no signal the
     signal and idler stay zero, so p_signal and p_idler are one array of
     zeros.  Raises ValueError for a pump that is not positive, NumericError
-    as prepare_line does and for a third harmonic off the dispersion
-    grid.  The include_third_harmonic option is not read.
+    as prepare_line does for the pump and for a third harmonic off the
+    propagation curve's grid.  The include_third_harmonic option is not
+    read.
     """
     options = options or IntegrationOptions()
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("harmonic scan requires a nonzero pump")
-    if f_p <= 0:
-        raise ValueError("pump frequency must be positive")
-    flag_curve = stopband_curve if stopband_curve is not None else dispersion
-    k_curve = _propagation_curve(network, dispersion, f_p, flag_curve)
-    f_3 = 3.0 * f_p
-    modes = np.array([f_p, f_3])
-    _require_on_grid("pump and third harmonic", modes, k_curve)
-    k_p = float(k_curve.k_cell(f_p))
-    blocks, block_factors = _block_corrections(network, modes, options.z0)
+    k, alpha, blocks, block_factors = _pump_modes(
+        network, dispersion, np.array([f_p, 3.0 * f_p]),
+        "pump and third harmonic", options.z0, on_device_grid=False)
+    k_p = float(k[0])
     gamma = kerr_coefficient(k_p, network.i_star, options.z0)
     prop = _Propagator(
-        (gamma, 3.0 * gamma),
-        (float(k_curve.alpha_cell(f_p)), float(k_curve.alpha_cell(f_3))),
+        (gamma, 3.0 * gamma), (float(alpha[0]), float(alpha[1])),
         options, float(network.total_cells), blocks, block_factors,
-        dk3=float(k_curve.k_cell(f_3) - 3.0 * k_p))
+        dk3=float(k[1] - 3.0 * k_p))
     z, y = prop.run(np.array([math.sqrt(p_p), 0.0], dtype=complex),
                     HARMONIC_SAMPLES)
     zeros = np.zeros(z.size)

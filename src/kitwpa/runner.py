@@ -21,14 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import OperatingPoint, calibrate_istar, gain_metrics, sweep
+from .analysis import OperatingPoint, _GainPipeline, calibrate_istar, sweep
 from .circuit import read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
 from .errors import ConfigError, nonfinite_error
-from .fwm import integrate_gain, signal_frequencies, third_harmonic_scan
-# network_matrix is not called in this module; it is imported into it because
-# bench/tracing.py rebinds it here to record spans
+from .fwm import signal_frequencies, third_harmonic_scan
+# gain_metrics, integrate_gain and network_matrix are not called in this
+# module; they are imported into it because bench/tracing.py rebinds them
+# here to record spans
+from .analysis import gain_metrics  # noqa: F401
+from .fwm import integrate_gain  # noqa: F401
 from .twoport import network_matrix  # noqa: F401
 from .twoport import (cascade_periods, table_lines, to_s_parameters,
                       walk_period, write_touchstone)
@@ -97,11 +100,6 @@ def _require_bloch_period(config, network):
     _require(config.design_kind != "netlist" or network.repeats > 1,
              "netlist has no repeating period (its shortest period occurs "
              "only once); Bloch dispersion is unavailable")
-
-
-def _bloch_curve(config, network):
-    _require_bloch_period(config, network)
-    return device_dispersion(network, config.frequency_grid)
 
 
 def _cascade(network, f):
@@ -192,14 +190,14 @@ def _write_gain(emit: _Emitter, profile, metrics, op=None):
     emit.write("metrics.csv", csv)
 
 
-def _operating_point(config, network, curve) -> OperatingPoint:
+def _operating_point(config, pipeline: _GainPipeline) -> OperatingPoint:
     f_p, p_p = config.pump
     return OperatingPoint(
         pump_frequency=f_p,
         pump_power=p_p,
-        i_star=network.i_star,
-        total_cells=network.total_cells,
-        k_cell_at_pump=float(curve.k_cell(f_p)),
+        i_star=pipeline.network.i_star,
+        total_cells=pipeline.network.total_cells,
+        k_cell_at_pump=float(pipeline.curve.k_cell(f_p)),
         z0=config.integrator.z0,
     )
 
@@ -259,20 +257,18 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         emit.add(path, write_touchstone(sp, path))
 
     elif subcommand == "gain":
-        curve = _bloch_curve(config, network)
-        stopbands = find_stopbands(curve)
-        profile = integrate_gain(network, curve, config.pump,
+        _require_bloch_period(config, network)
+        pipeline = _GainPipeline(network, config.frequency_grid,
                                  config.signal_grid, config.integrator,
-                                 stopband_curve=curve)
-        metrics = gain_metrics(profile, stopbands,
-                               config.dip_exclusion_width_hz)
-        _write_gain(emit, profile, metrics,
-                    _operating_point(config, network, curve))
+                                 config.dip_exclusion_width_hz)
+        profile, metrics = pipeline(network.i_star, config.pump)
+        _write_gain(emit, profile, metrics, _operating_point(config, pipeline))
 
     elif subcommand == "harmonics":
-        curve = _bloch_curve(config, network)
+        _require_bloch_period(config, network)
+        curve = device_dispersion(network, config.frequency_grid)
         scan = third_harmonic_scan(network, curve, config.pump,
-                                   config.integrator, stopband_curve=curve)
+                                   config.integrator)
         emit.write("harmonics.csv", _harmonic_rows(scan))
 
     elif subcommand == "sweep":

@@ -14,6 +14,8 @@ out the run's other data files with it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +53,14 @@ class FrequencyGrid:
     points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("start and stop must be finite")
         if self.start <= 0:
             raise ValueError("start must be positive")
         if self.stop <= self.start:
             raise ValueError("stop must exceed start")
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
 

@@ -12,10 +12,11 @@ from kitwpa.analysis import (
     _smooth,
     OperatingPoint,
     SweepAxis,
+    _GainPipeline,
     brentq,
     calibrate_istar,
+    expand_design,
     gain_metrics,
-    simulate_gain,
     sweep,
 )
 from kitwpa.circuit import (
@@ -26,9 +27,14 @@ from kitwpa.circuit import (
     UnitCellSpec,
 )
 from kitwpa.config import load_config
-from kitwpa.dispersion import FrequencyGrid, Stopband
+from kitwpa.dispersion import (
+    FrequencyGrid,
+    Stopband,
+    device_dispersion,
+    find_stopbands,
+)
 from kitwpa.errors import NumericError
-from kitwpa.fwm import GainProfile, signal_frequencies
+from kitwpa.fwm import GainProfile, integrate_gain, signal_frequencies
 from kitwpa.runner import _metrics_rows, _sweep_rows
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
@@ -40,6 +46,24 @@ PARITY_LEAF = LeafSpec(
     cells_per_block_period=60, resonator=ResonatorSpec(6.2e9, 70.0),
     num_blocks=3)
 PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
+
+
+def pipeline_gain(design, pump, signal_grid, dispersion_grid, options=None,
+                  dip_exclusion_width_hz=None):
+    """(profile, metrics, stopbands) of a design through one gain pipeline."""
+    pipeline = _GainPipeline(expand_design(design), dispersion_grid,
+                             signal_grid, options, dip_exclusion_width_hz)
+    profile, metrics = pipeline(design.base_cell.inductor.i_star, pump)
+    return profile, metrics, pipeline.stopbands
+
+
+def fresh_gain(design, pump, signal_grid, dispersion_grid):
+    """(profile, metrics) of a design from a fresh expand_design,
+    device_dispersion, integrate_gain and gain_metrics."""
+    net = expand_design(design)
+    curve = device_dispersion(net, dispersion_grid)
+    profile = integrate_gain(net, curve, pump, signal_grid)
+    return profile, gain_metrics(profile, find_stopbands(curve))
 
 
 def synthetic_profile(f, gain_db, f_p=6e9, p_p=100e-6):
@@ -145,10 +169,10 @@ class TestGainMetrics:
                          (band,))
 
 
-class TestSimulateGain:
+class TestGainPipeline:
     def test_pipeline_returns_consistent_objects(self):
         grid = np.linspace(5.2e9, 7.2e9, 101)  # contains the pump point
-        profile, metrics, stopbands = simulate_gain(
+        profile, metrics, stopbands = pipeline_gain(
             SMALL_FISHBONE, (6.22e9, 100e-6), grid, DISP_GRID)
         assert profile.frequencies.size == 100  # pump excluded
         assert 6.22e9 not in profile.frequencies
@@ -157,7 +181,7 @@ class TestSimulateGain:
 
     def test_dips_reported_near_stopband_and_mirror(self):
         grid = np.linspace(4.4e9, 8.02e9, 301)
-        profile, metrics, stopbands = simulate_gain(
+        profile, metrics, stopbands = pipeline_gain(
             SMALL_FISHBONE, (6.22e9, 100e-6), grid, DISP_GRID)
         narrow = next(b for b in stopbands if 6e9 <= b.center <= 8e9)
         mirror = 2 * 6.22e9 - narrow.center
@@ -169,7 +193,7 @@ class TestSimulateGain:
         # the leaf's Bragg gaps, guards and idler mirrors overlap; one dip
         # per merged zone leaves no repeat and none out of order
         cfg = load_config(PRESETS / "leaf-paper-gain.cfg")
-        _, metrics, stopbands = simulate_gain(
+        _, metrics, stopbands = pipeline_gain(
             cfg.design, cfg.pump, cfg.signal_grid, cfg.frequency_grid,
             cfg.integrator, cfg.dip_exclusion_width_hz)
         dips = np.array(metrics.dip_frequencies_hz)
@@ -184,7 +208,7 @@ class TestCalibration:
         peaks = []
         for istar in (8e-3, 12e-3, 18e-3):
             d = design_with_istar(SMALL_FISHBONE, istar)
-            _, m, _ = simulate_gain(d, (6.22e9, 100e-6), grid, DISP_GRID)
+            _, m = fresh_gain(d, (6.22e9, 100e-6), grid, DISP_GRID)
             peaks.append(m.peak_gain_db)
         assert peaks[0] > peaks[1] > peaks[2]
 
@@ -197,13 +221,9 @@ class TestCalibration:
         assert 1e-3 < res.i_star < 100e-3
         # the probes share one linear setup; the result is still exactly
         # the gain of the design at the returned I*
-        from kitwpa.analysis import design_with_istar, expand_design
-        from kitwpa.dispersion import device_dispersion
-        from kitwpa.fwm import integrate_gain
-        net = expand_design(design_with_istar(SMALL_FISHBONE, res.i_star))
-        curve = device_dispersion(net, DISP_GRID)
-        direct = integrate_gain(net, curve, (6.22e9, 100e-6), grid,
-                                stopband_curve=curve)
+        from kitwpa.analysis import design_with_istar
+        direct, _ = fresh_gain(design_with_istar(SMALL_FISHBONE, res.i_star),
+                               (6.22e9, 100e-6), grid, DISP_GRID)
         assert np.array_equal(res.profile.gain_db, direct.gain_db)
         assert np.array_equal(res.profile.delta_k_total, direct.delta_k_total)
         assert res.profile.i_star == direct.i_star
@@ -285,16 +305,14 @@ class TestSweep:
         grid = np.linspace(5.7e9, 6.7e9, 31)
         res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
                     SweepAxis("pump_power", (100e-6,)), grid, DISP_GRID)
-        _, direct, _ = simulate_gain(SMALL_FISHBONE, (6.22e9, 100e-6), grid,
-                                     DISP_GRID)
+        _, direct = fresh_gain(SMALL_FISHBONE, (6.22e9, 100e-6), grid,
+                               DISP_GRID)
         assert res.metrics["peak_gain_db"][0] == direct.peak_gain_db
 
     def test_power_sweep_asymptotically_linear_in_db(self):
         # pump just below the narrow stopband: peak gain in the exponential
         # regime grows linearly in P_p on a dB scale, bounded above by the
         # perfectly matched slope 2 * 8.686 * gamma * L dB per watt
-        from kitwpa.analysis import expand_design
-        from kitwpa.dispersion import device_dispersion, find_stopbands
         from kitwpa.fwm import kerr_coefficient
 
         net = expand_design(SMALL_FISHBONE)
@@ -316,9 +334,6 @@ class TestSweep:
         assert 0 < (g[2] - g[0]) / (powers[2] - powers[0]) <= bound
 
     def test_pump_placement_sweep_and_failure_recording(self):
-        from kitwpa.analysis import expand_design
-        from kitwpa.dispersion import device_dispersion, find_stopbands
-
         net = expand_design(SMALL_FISHBONE)
         curve = device_dispersion(net, DISP_GRID)
         narrow = next(b for b in find_stopbands(curve) if 6e9 <= b.center <= 8e9)
@@ -375,8 +390,8 @@ class TestSweep:
         res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
                     SweepAxis("num_periods", (np.float64(90.0), 90.5)),
                     grid, DISP_GRID)
-        _, direct, _ = simulate_gain(SMALL_FISHBONE, (6.22e9, 100e-6), grid,
-                                     DISP_GRID)
+        _, direct = fresh_gain(SMALL_FISHBONE, (6.22e9, 100e-6), grid,
+                               DISP_GRID)
         assert res.metrics["peak_gain_db"][0] == direct.peak_gain_db
         assert res.failures == (
             (1, "ValueError", "num_periods must be an integer, got 90.5"),)
@@ -403,7 +418,8 @@ class TestSweep:
     def test_shared_points_equal_fresh_points(self, monkeypatch, design, pump,
                                               axis, rebuilds):
         # points that share the expanded device or the pumped line give the
-        # numbers of a fresh simulate_gain, bit for bit
+        # numbers of a fresh expand_design, device_dispersion,
+        # integrate_gain and gain_metrics, bit for bit
         import kitwpa.analysis as analysis
         from kitwpa.analysis import _apply_parameter
 
@@ -429,7 +445,7 @@ class TestSweep:
         assert not res.failures
         for i, v in enumerate(axis.values):
             d, p = _apply_parameter(design, pump, axis.parameter, v)
-            _, fresh, _ = simulate_gain(d, p, grid, disp)
+            _, fresh = fresh_gain(d, p, grid, disp)
             for name in names:
                 assert res.metrics[name][i] == getattr(fresh, name)
 
@@ -512,9 +528,6 @@ class TestCompareDesigns:
         # operated at 100 uW.  At matched 15 dB the pump-power ratio lands
         # in the 2-3x range and the artificial line runs at a higher
         # nonlinearity level.
-        from kitwpa.analysis import expand_design
-        from kitwpa.dispersion import device_dispersion
-
         cpw_cell = UnitCellSpec(NonlinearInductorSpec(400e-12, 10e-3), 10e-15)
         k_cpw = 2 * np.pi * 6e9 * np.sqrt(400e-12 * 10e-15)
         n_cells = int(round(400 * 2 * np.pi / k_cpw))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kitwpa.config import load_config
-from kitwpa.runner import run
+from kitwpa.runner import SUBCOMMANDS, run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +25,8 @@ analysis:
   pump: {frequency_hz: 6.22e9, power_watts: 100.0e-6}
   signal_grid: {start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}
   integrator: {rtol: 1.0e-8}
+  calibration: {target_peak_db: 3.0}
+  sweep: {parameter: pump_power, values: [5.0e-5, 1.0e-4]}
 """
 
 
@@ -67,7 +69,7 @@ def test_every_bench_input_loads(tmp_path, seed):
         load_config(path)
 
 
-@pytest.mark.parametrize("subcommand", ["gain", "linear"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_bench_gate_passes_small_fishbone(tmp_path, subcommand):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(SMALL_FISHBONE_CFG)
@@ -76,4 +78,4 @@ def test_bench_gate_passes_small_fishbone(tmp_path, subcommand):
     failures, gain_err = load_bench("checks").check_output(
         subcommand, config_path, out)
     assert failures == {}
-    assert (gain_err is not None) == (subcommand == "gain")
+    assert (gain_err is not None) == (subcommand in ("gain", "calibrate"))

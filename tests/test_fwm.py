@@ -34,6 +34,7 @@ from kitwpa.fwm import (
     integrate_gain,
     kerr_coefficient,
     propagate_modes,
+    signal_frequencies,
     third_harmonic_scan,
 )
 
@@ -271,36 +272,30 @@ class StackedPropagator(kitwpa.fwm._Propagator):
         return y
 
 
-def reference_harmonic_scan(network, dispersion, pump, options=None,
-                            stopband_curve=None):
+def reference_harmonic_scan(network, dispersion, pump, options=None):
     """The harmonic scan on the stacked four-mode engine: the pump, a zero-power
     placeholder signal at f_p/2, its idler and the third harmonic, as
     third_harmonic_scan integrated them before it dropped the two zero
     modes.  Returns (z_cells, p_pump, p_third)."""
-    fwm = kitwpa.fwm
     options = dataclasses.replace(options or IntegrationOptions(),
                                   include_third_harmonic=True)
     f_p, p_p = pump
-    k_curve = fwm._propagation_curve(
-        network, dispersion, f_p,
-        dispersion if stopband_curve is None else stopband_curve)
     f_s = np.array([f_p / 2.0])
     f_i = 2.0 * f_p - f_s
-    f_3 = 3.0 * f_p
-    k_p = float(k_curve.k_cell(f_p))
-    dk = k_curve.k_cell(f_s) + k_curve.k_cell(f_i) - 2.0 * k_p
-    dk3 = float(k_curve.k_cell(f_3) - 3.0 * k_p)
-    alphas = (float(k_curve.alpha_cell(f_p)), k_curve.alpha_cell(f_s),
-              k_curve.alpha_cell(f_i), float(k_curve.alpha_cell(f_3)))
-    blocks, fac = fwm._block_corrections(
-        network, np.concatenate([[f_p], f_s, f_i, [f_3]]), options.z0)
+    k, alpha, blocks, fac = kitwpa.fwm._pump_modes(
+        network, dispersion, np.concatenate([[f_p], f_s, f_i, [3.0 * f_p]]),
+        "modes", options.z0, on_device_grid=False)
+    k_p = float(k[0])
+    dk = k[1:2] + k[2:3] - 2.0 * k_p
+    dk3 = float(k[3] - 3.0 * k_p)
+    alphas = (float(alpha[0]), alpha[1:2], alpha[2:3], float(alpha[3]))
     factors = None if fac is None else (fac[0], fac[1:2], fac[2:3], fac[3])
     g = kerr_coefficient(k_p, network.i_star, options.z0)
     prop = StackedPropagator(1, (g, g * f_s / f_p, g * f_i / f_p, 3.0 * g),
                              dk, dk3, alphas, options,
                              float(network.total_cells), blocks, factors)
     z, y = prop.run(np.array([math.sqrt(p_p), 0.0, 0.0, 0.0], dtype=complex),
-                    fwm.HARMONIC_SAMPLES)
+                    kitwpa.fwm.HARMONIC_SAMPLES)
     return z, np.abs(y[0]) ** 2, np.abs(y[3]) ** 2
 
 
@@ -456,7 +451,7 @@ def preset_line(name):
     """(line, I*, pump power) of a shipped preset's gain run."""
     cfg, net, curve = preset(name)
     line = kitwpa.fwm.prepare_line(net, curve, cfg.pump[0], cfg.signal_grid,
-                                   cfg.integrator, stopband_curve=curve)
+                                   cfg.integrator)
     return line, net.i_star, cfg.pump[1]
 
 
@@ -473,8 +468,7 @@ class TestIntegrator:
             net, curve = request.getfixturevalue(device)
             f_p, p_p = PUMPS[device]
             f = np.linspace(f_p - 1.7e9, f_p + 1.5e9, 41)
-            line = kitwpa.fwm.prepare_line(net, curve, f_p, f,
-                                           stopband_curve=curve)
+            line = kitwpa.fwm.prepare_line(net, curve, f_p, f)
             i_star = net.i_star
         else:
             line, i_star, p_p = preset_line(device)
@@ -497,8 +491,7 @@ class TestIntegrator:
         checked = 0
         for net, curve in (small_fishbone, (uniform, uniform_curve)):
             line = kitwpa.fwm.prepare_line(net, curve, f_p,
-                                           np.linspace(4.0e9, 8.4e9, 401),
-                                           stopband_curve=curve)
+                                           np.linspace(4.0e9, 8.4e9, 401))
             assert line.blocks == ()
             gamma = kerr_coefficient(line.k_pump, net.i_star)
             t_s, t_i = kitwpa.fwm._transfer(line, gamma, scale * p_p)
@@ -541,8 +534,7 @@ class TestIntegrator:
 
             monkeypatch.setattr(fwm, "solve_ivp", counting)
             monkeypatch.setattr(fwm, "_block_corrections", cut)
-            scan = fwm.third_harmonic_scan(net, curve, pump,
-                                           stopband_curve=curve)
+            scan = fwm.third_harmonic_scan(net, curve, pump)
             out = db(np.array([scan.p_pump[-1], scan.p_third[-1]]))
             return out, sum(nfev), len(nfev)
 
@@ -660,8 +652,8 @@ class TestStepperParity:
         cfg, net, curve = preset("fishbone-paper")
 
         def scan(scale):
-            third_harmonic_scan(net, curve, (cfg.pump[0], scale * cfg.pump[1]),
-                                stopband_curve=curve)
+            third_harmonic_scan(net, curve,
+                                (cfg.pump[0], scale * cfg.pump[1]))
 
         for run, scales, bound in ((modes, (1, 16), 1.5),
                                    (scan, (1, 4, 16), 1.05)):
@@ -706,10 +698,10 @@ class TestIntegrateGain:
     def test_signal_in_stopband_flagged_and_dipped(self, small_fishbone):
         net, curve = small_fishbone
         narrow = next(b for b in find_stopbands(curve) if 6e9 <= b.center <= 8e9)
-        f = np.array([narrow.center, narrow.center - 1.0e9])
+        f = np.array([narrow.center - 1.0e9, narrow.center])
         prof = integrate_gain(net, curve, (6.22e9, 100e-6), f)
-        assert prof.in_stopband[0] and not prof.in_stopband[1]
-        assert prof.gain_db[0] < prof.gain_db[1] - 3.0
+        assert prof.in_stopband[1] and not prof.in_stopband[0]
+        assert prof.gain_db[1] < prof.gain_db[0] - 3.0
 
     def test_leaf_gain_with_block_corrections(self):
         # resonator phase shifters push the gain above the bare quadratic
@@ -722,8 +714,7 @@ class TestIntegrateGain:
         grid = FrequencyGrid(0.1e9, 20e9, 6001)
         curve = device_dispersion(net, grid)
         f = np.linspace(4.2e9, 5.6e9, 29)
-        prof = integrate_gain(net, curve, (5.92e9, 60e-6), f,
-                              stopband_curve=curve)
+        prof = integrate_gain(net, curve, (5.92e9, 60e-6), f)
         bare = expand_leaf(LeafSpec(base_cell=LEAF_CELL,
                                     cells_per_block_period=340,
                                     resonator=ResonatorSpec(
@@ -754,6 +745,32 @@ class TestIntegrateGain:
         with pytest.raises(NumericError, match="stopband.*attenuation"):
             integrate_gain(net, curve, (f_p, 100e-6),
                            np.array([f_p - 0.5e9, f_p - 0.3e9]))
+
+    @pytest.mark.parametrize("signals, message", [
+        ([5e9, math.nan, 5.5e9, 6e9], "finite"),
+        ([7e9, 5e9, 6e9, 5.5e9, 6.5e9], "increase strictly"),
+        ([5e9, 5.5e9, 5.5e9, 6e9], "increase strictly"),
+    ], ids=["nan", "unordered", "repeated"])
+    def test_bad_signal_arrays_refused(self, small_fishbone, signals,
+                                       message):
+        # a NaN signal was dropped with the pump point, and an unordered
+        # grid was smoothed in array order
+        net, curve = small_fishbone
+        with pytest.raises(ValueError, match=message):
+            signal_frequencies(np.array(signals), 6.22e9)
+        with pytest.raises(ValueError, match=message):
+            integrate_gain(net, curve, (6.22e9, 100e-6), np.array(signals))
+
+    def test_stopband_curve_must_be_the_dispersion_curve(self, small_fishbone):
+        net, curve = small_fishbone
+        f = np.array([5.6e9, 6.8e9])
+        pump = (6.22e9, 100e-6)
+        same = integrate_gain(net, curve, pump, f, stopband_curve=curve)
+        assert same_bits(same.gain_db,
+                         integrate_gain(net, curve, pump, f).gain_db)
+        other = dataclasses.replace(curve)
+        with pytest.raises(ValueError, match="stopband_curve"):
+            integrate_gain(net, curve, pump, f, stopband_curve=other)
 
 
 class TestThirdHarmonicScan:
@@ -830,10 +847,9 @@ class TestThirdHarmonicScan:
         else:
             cfg, net, curve = preset(device)
             pump, options = cfg.pump, cfg.integrator
-        scan = third_harmonic_scan(net, curve, pump, options, curve)
+        scan = third_harmonic_scan(net, curve, pump, options)
         tight = third_harmonic_scan(net, curve, pump,
-                                    dataclasses.replace(options, rtol=1e-13),
-                                    curve)
+                                    dataclasses.replace(options, rtol=1e-13))
         assert np.max(tight.p_third) > 1e-3 * pump[1]
         assert np.max(np.abs(scan.p_third - tight.p_third)) <= \
             1e-7 * np.max(tight.p_third)

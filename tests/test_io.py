@@ -539,13 +539,18 @@ analysis:
         "    pairs_per_block: 0\n",
     ], ids=["fishbone", "leaf", "fishbone-loaded-alike", "leaf-no-pairs"])
     def test_design_netlist_matches_spec_outputs(self, tmp_path, design):
+        # the pump lies off the leaf's micro-gaps on this grid (5.92 GHz is
+        # flagged), and its third harmonic on the grid
         grid = ("analysis:\n  frequency_grid: "
-                "{start_hz: 0.1e9, stop_hz: 20.0e9, points: 801}\n")
+                "{start_hz: 0.1e9, stop_hz: 20.0e9, points: 801}\n"
+                "  pump: {frequency_hz: 5.5e9, power_watts: 100.0e-6}\n"
+                "  signal_grid: "
+                "{start_hz: 4.5e9, stop_hz: 6.5e9, points: 41}\n")
         spec = load_config(write_cfg(tmp_path, "design:\n" + design + grid))
         run("design", spec, out_dir=tmp_path / "made")
         net = load_config(write_cfg(
             tmp_path, "design:\n  netlist: made/device.net\n" + grid, "net.cfg"))
-        for sub in ("linear", "dispersion"):
+        for sub in ("linear", "dispersion", "gain", "harmonics"):
             a = run(sub, spec, out_dir=tmp_path / f"spec-{sub}")
             b = run(sub, net, out_dir=tmp_path / f"net-{sub}")
             assert a["files"] == b["files"]   # names and sha256 digests
@@ -794,7 +799,7 @@ class TestCli:
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the signal grid was checked")
-        monkeypatch.setattr(kitwpa.runner, "integrate_gain", no_solve)
+        monkeypatch.setattr(kitwpa.runner, "_GainPipeline", no_solve)
         monkeypatch.setattr(kitwpa.runner, "calibrate_istar", no_solve)
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
             "signal_grid: {start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}",
@@ -914,6 +919,10 @@ class TestCli:
         ("calibrate", "analysis.calibration",
          {"target_peak_db": 6.0, "bracket_low_amperes": -1},
          "bracket_low_amperes"),
+        ("gain", "analysis.signal_grid", {"start_hz": np.nan}, "start_hz"),
+        ("gain", "analysis.signal_grid", {"stop_hz": np.inf}, "stop_hz"),
+        ("gain", "analysis.signal_grid", {"points": 2.5}, "points"),
+        ("linear", "analysis.frequency_grid", {"points": 2.5}, "points"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
             "negative-atol", "zero-atol", "zero-z0", "negative-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
@@ -922,7 +931,9 @@ class TestCli:
             "negative-sweep-points", "numeric-netlist-path",
             "numeric-output-directory", "zero-calibration-tolerance",
             "negative-calibration-tolerance", "zero-bracket-high",
-            "bracket-low-above-high", "negative-bracket-low"])
+            "bracket-low-above-high", "negative-bracket-low",
+            "nan-signal-start", "inf-signal-stop", "fractional-signal-points",
+            "fractional-grid-points"])
     def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
                                            section, values, key):
         doc = yaml.safe_load(SMALL_FISHBONE_CFG)

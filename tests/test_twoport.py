@@ -691,6 +691,16 @@ class TestFrequencyGrid:
             FrequencyGrid(2e9, 1e9, 10)
         with pytest.raises(ValueError):
             FrequencyGrid(1e9, 2e9, 1)
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(float("nan"), 8e9, 11)
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(1e9, float("inf"), 11)
+        with pytest.raises(ValueError, match="points must be an integer"):
+            FrequencyGrid(1e9, 2e9, 2.5)
+        # np.linspace takes no float count, integral or not
+        with pytest.raises(ValueError, match="points must be an integer"):
+            FrequencyGrid(1e9, 2e9, 11.0)
+        assert FrequencyGrid(1e9, 2e9, np.int64(11)).frequencies().size == 11
 
     def test_frequencies(self):
         g = FrequencyGrid(1e9, 2e9, 11)
