@@ -149,9 +149,13 @@ def gain_metrics(profile: GainProfile, stopbands: tuple = (),
     df = _median_step(f)
     smooth = _smooth(profile.gain_db, df, smoothing_window_hz)
     zones = _exclusion_zones(profile, stopbands, dip_exclusion_width_hz)
+    # each zone's signals f[start:stop], lo <= f <= hi, on the increasing grid
+    bounds = np.array(zones, dtype=float).reshape(-1, 2)
+    starts = np.searchsorted(f, bounds[:, 0], side="left").tolist()
+    stops = np.searchsorted(f, bounds[:, 1], side="right").tolist()
     keep = np.ones(f.size, dtype=bool)
-    for lo, hi in zones:
-        keep &= ~((f >= lo) & (f <= hi))
+    for start, stop in zip(starts, stops):
+        keep[start:stop] = False
     if not keep.any():
         raise NumericError(
             f"dip exclusions removed the whole profile: {len(zones)} "
@@ -169,11 +173,8 @@ def gain_metrics(profile: GainProfile, stopbands: tuple = (),
         bw = float(np.sum((smooth >= peak - 3.0) & keep) * df)
 
     # dips: smoothed minimum inside each exclusion zone
-    dips = []
-    for lo, hi in zones:
-        inside = (f >= lo) & (f <= hi)
-        if inside.any():
-            dips.append(float(f[inside][np.argmin(smooth[inside])]))
+    dips = [float(f[start + np.argmin(smooth[start:stop])])
+            for start, stop in zip(starts, stops) if stop > start]
 
     ripple_sel = keep & (np.abs(f - peak_f) <= RIPPLE_WINDOW_HZ)
     if ripple_sel.sum() >= 2:

@@ -279,9 +279,25 @@ def cutoff_frequency(cell: UnitCellSpec) -> float:
 # --------------------------------------------------------------------------
 # design expansion
 
-def _cell_elements(cell: UnitCellSpec, c_override: float | None = None) -> list:
-    c = cell.shunt_capacitance if c_override is None else c_override
-    return [SeriesInductor(cell.inductor.l0, cell.inductor.i_star), ShuntCapacitor(c)]
+def _cell_elements(cell: UnitCellSpec) -> tuple:
+    """The series inductor and shunt capacitor of one cell.  The expanders
+    call it once and repeat the pair, so equal elements of a chain are one
+    object (see _element_ids)."""
+    return (SeriesInductor(cell.inductor.l0, cell.inductor.i_star),
+            ShuntCapacitor(cell.shunt_capacitance))
+
+
+def _element_ids(chain) -> list:
+    """A small-integer id per element of ``chain``, equal for equal
+    elements, for the period search.  Each distinct object is hashed once:
+    hashing a frozen element builds a tuple of its fields, and comparing
+    two compares those tuples."""
+    by_value: dict = {}
+    by_object: dict = {}
+    for e in chain:
+        if id(e) not in by_object:
+            by_object[id(e)] = by_value.setdefault(e, len(by_value))
+    return [by_object[id(e)] for e in chain]
 
 
 def _primitive(unit: tuple, repeats: int, tail: tuple = ()) -> LadderNetwork:
@@ -295,7 +311,7 @@ def _primitive(unit: tuple, repeats: int, tail: tuple = ()) -> LadderNetwork:
     period of any number of them.
     """
     probe = unit * min(repeats, 2) + tail
-    p = _shortest_period(probe)
+    p = _shortest_period(_element_ids(probe))
     total = len(unit) * repeats + len(tail)
     period = probe[:p]
     return LadderNetwork(period, total // p, period[: total % p])
@@ -314,16 +330,14 @@ def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
     """
     c_loaded = spec.base_cell.shunt_capacitance / spec.capacitance_reduction_factor
 
-    def supercell(idx: int) -> list:
-        n_loaded = spec.loaded_cells_every_third if idx % 3 == 2 else spec.loaded_cells
-        out = []
-        for _ in range(spec.cells_per_period - n_loaded):
-            out += _cell_elements(spec.base_cell)
-        for _ in range(n_loaded):
-            out += _cell_elements(spec.base_cell, c_loaded)
-        return out
+    base = _cell_elements(spec.base_cell)
+    loaded = (base[0], ShuntCapacitor(c_loaded))
 
-    triple = tuple(supercell(0) + supercell(1) + supercell(2))
+    def supercell(idx: int) -> tuple:
+        n_loaded = spec.loaded_cells_every_third if idx % 3 == 2 else spec.loaded_cells
+        return base * (spec.cells_per_period - n_loaded) + loaded * n_loaded
+
+    triple = supercell(0) + supercell(1) + supercell(2)
     n_triples, leftover = divmod(spec.num_periods, 3)
     tail = triple[: leftover * 2 * spec.cells_per_period]
     if n_triples == 0:
@@ -348,9 +362,10 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
     if res.pairs_per_block >= 2:
         pair_cells.append(res.pair_separation_cells)
 
+    cell = _cell_elements(spec.base_cell)
     block = []
     for i in range(spec.cells_per_block_period):
-        block += _cell_elements(spec.base_cell)
+        block += cell
         if i in pair_cells:
             block.append(pair)
 
@@ -361,7 +376,7 @@ def uniform_line(cell: UnitCellSpec, n_cells: int) -> LadderNetwork:
     """Uniform ladder of n identical cells (no loading, no resonators)."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    return LadderNetwork(tuple(_cell_elements(cell)), n_cells)
+    return LadderNetwork(_cell_elements(cell), n_cells)
 
 
 def bare_ladder(network: LadderNetwork) -> LadderNetwork:
@@ -448,8 +463,7 @@ def read_netlist(path) -> LadderNetwork:
     if not raw or raw[0].strip() != NETLIST_HEADER:
         raise ValueError(f"{path}: missing netlist header '{NETLIST_HEADER}'")
     parsed: dict = {}   # line text -> element
-    ids: dict = {}      # element -> small integer, for the period search
-    elements, seq = [], []
+    elements = []
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -460,12 +474,11 @@ def read_netlist(path) -> LadderNetwork:
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}: {line!r}") from None
         elements.append(parsed[line])
-        seq.append(ids.setdefault(parsed[line], len(ids)))
     if not elements:
         raise ValueError(f"{path}: netlist has no elements")
-    p = _shortest_period(seq)
+    p = _shortest_period(_element_ids(elements))
     period = tuple(elements[:p])
-    return LadderNetwork(period, len(seq) // p, period[: len(seq) % p])
+    return LadderNetwork(period, len(elements) // p, period[: len(elements) % p])
 
 
 def with_i_star(network: LadderNetwork, i_star: float) -> LadderNetwork:

@@ -527,22 +527,35 @@ def _transfer(line: PumpedLine, g_p: float, p_p: float):
     The undepleted small-signal limit of the coupled-mode equations
     (Chaudhuri, Gao & Irwin, arXiv:1506.00646), exact on each segment
     between block corrections.  There the lossless pump is
-    a0 exp(i g_p P (z - z0)), and in a frame rotating at kappa/2,
-    kappa = 2 g_p P - dk, the pair (a_s, conj a_i) obeys d/dz (A, B) =
-    M (A, B) with the constant
+    a0 exp(i g_p P (z - z0)), and the pair (a_s, conj a_i) obeys
+    d/dz (A, B) = M (A, B) in a frame rotating at kappa/2,
+    kappa = 2 g_p P - dk, with the constant
 
         M = [[2i g_s P - i kappa/2 - alpha_s,  i g_s c],
              [-i g_i conj(c),  -2i g_i P + i kappa/2 - alpha_i]],
 
-    c = a0^2 exp(-i dk z0), one M per signal.  The segment's matrix is
-    exp(ML) = e^(mL) [cosh(gL) I + sinh(gL)/g N], m = tr(M)/2, N = M - mI,
-    g^2 = -det N; taking Re g >= 0 and q = exp(-2gL), it is evaluated as
-    e^((m+g)L) [(1 + q)/2 I + (1 - q)/(2g) N], which leaves the float range
-    only when the gain itself does.  A block correction (the
-    lumped resonant phase matching of O'Brien et al., PRL 113, 157001
-    (2014)) scales the signal by its factor, the conjugate idler by the
-    conjugate of its factor, and the pump by its factor, which sets the
-    next segment's P.
+    c = a0^2 exp(-i dk z0) = P e^(i psi).  With D = diag(e^(i psi/2),
+    e^(-i psi/2)), M = D (m I + N) D^-1, where m = i P (g_s - g_i) -
+    (alpha_s + alpha_i)/2 and N = [[d, i g_s P], [-i g_i P, -d]],
+    d = i delta - (alpha_s - alpha_i)/2, delta = P (g_s + g_i) - g_p P +
+    dk/2: N depends on the segment's pump power P alone.  The pair is
+    carried in the frame of D and the rotation; from one segment's frame
+    to the next, the pump's phases and the e^(-i dk z) cancel, so a block
+    correction (the lumped resonant phase matching of O'Brien et al., PRL
+    113, 157001 (2014)) acts as the constant diagonal (f_s e^(-i arg f_p),
+    conj(f_i) e^(i arg f_p)), and its pump factor f_p sets the next P.
+    The frame's exit phase, arg a0(Z) - dk Z/2, turns the pair back once
+    after the last segment.
+
+    A segment's matrix in the frame is exp(NL) = cosh(gL) I + sinh(gL)/g N,
+    g^2 = -det N.  Where alpha_s = alpha_i, g^2 = g_s g_i P^2 - delta^2 is
+    real: cosh and sinh(gL)/g are those of r = sqrt|g^2|, or cos and
+    sin(rL)/r for g^2 < 0 (L at r = 0), all in real arithmetic, and
+    e^(mL), a multiple of the identity, is applied once with the exit
+    phase.  Elsewhere g is complex (principal root, Re g >= 0) and, with
+    q = exp(-2gL), the segment is e^((m+g)L) [(1 + q)/2 I + (1 - q)/(2g) N]:
+    e^(mL) stays in each segment, where the loss in m offsets Re g, so the
+    product leaves the float range only when the gain itself does.
 
     Raises NumericError when the transfer is not finite.
     """
@@ -551,9 +564,30 @@ def _transfer(line: PumpedLine, g_p: float, p_p: float):
     g_i = g_p * (2.0 * f_p - f_s) / f_p
     _, alpha_s, alpha_i = line.alphas
     dk = line.delta_k
-    a0 = complex(math.sqrt(p_p))
-    t_s = np.ones(f_s.size, dtype=complex)
-    t_i = np.zeros(f_s.size, dtype=complex)
+    # the signals with equal losses, whose segments are real, and the rest,
+    # carried apart
+    equal = alpha_s == alpha_i
+    real, cplx = np.flatnonzero(equal), np.flatnonzero(~equal)
+    gs_r, gi_r, half_dk_r = g_s[real], g_i[real], 0.5 * dk[real]
+    gsum_r, gsgi_r = gs_r + gi_r - g_p, gs_r * gi_r
+    gs_c, gi_c, half_dk_c = g_s[cplx], g_i[cplx], 0.5 * dk[cplx]
+    gsum_c, gdiff_c = gs_c + gi_c - g_p, gs_c - gi_c
+    loss_sum_c = 0.5 * (alpha_s[cplx] + alpha_i[cplx])
+    loss_diff_c = 0.5 * (alpha_s[cplx] - alpha_i[cplx])
+    if line.block_factors is not None:
+        fp_fac, fs_fac, fi_fac = line.block_factors
+        # a block in the frame: the pump's phase leaves both modes
+        block_phase = cmath.phase(fp_fac)
+        turn = cmath.exp(1j * block_phase)
+        block_s, block_i = fs_fac * turn.conjugate(), np.conj(fi_fac) * turn
+        block_s_r, block_i_r = block_s[real], block_i[real]
+        block_s_c, block_i_c = block_s[cplx], block_i[cplx]
+        block_p = abs(fp_fac) ** 2
+    us_r, ui_r = np.ones(real.size, complex), np.zeros(real.size, complex)
+    us_c, ui_c = np.ones(cplx.size, complex), np.zeros(cplx.size, complex)
+    p = p_p          # the segment's pump power
+    phase = 0.0      # arg a0, from the real a0 = sqrt(p_p) at the input
+    pl = 0.0         # sum of P L over the segments
     gl_max = 0.0
     z = 0.0
     stops = [*line.blocks, line.total_cells]
@@ -561,39 +595,66 @@ def _transfer(line: PumpedLine, g_p: float, p_p: float):
         for i, z1 in enumerate(stops):
             if z1 > z:
                 length = z1 - z
-                p = a0.real**2 + a0.imag**2
-                kappa = 2.0 * g_p * p - dk
-                c = a0 * a0 * np.exp(-1j * dk * z)
-                m11 = 2j * g_s * p - 0.5j * kappa - alpha_s
-                m22 = -2j * g_i * p + 0.5j * kappa - alpha_i
-                m12 = 1j * g_s * c
-                m21 = -1j * g_i * np.conj(c)
-                m = 0.5 * (m11 + m22)
-                d = 0.5 * (m11 - m22)              # N = [[d, m12], [m21, -d]]
-                g = np.sqrt(d * d + m12 * m21)     # principal root: Re g >= 0
-                gl = g * length
-                gl_max = max(gl_max, float(np.max(gl.real)))
-                grow = np.exp(m * length + gl)
-                one_minus_q = -np.expm1(-2.0 * gl)
-                cosh_part = grow * (1.0 - 0.5 * one_minus_q)
-                # (1 - q)/(2g), whose limit at g = 0 is the length
-                sinh_part = np.full(f_s.size, complex(length))
-                np.divide(0.5 * one_minus_q, g, out=sinh_part, where=gl != 0)
-                sinh_part *= grow
-                # back from the rotating frame: e^(+-i kappa L/2)
-                turn = np.exp(0.5j * kappa * length)
-                t_s, t_i = (
-                    turn * ((cosh_part + sinh_part * d) * t_s
-                            + sinh_part * m12 * t_i),
-                    np.conj(turn) * (sinh_part * m21 * t_s
-                                     + (cosh_part - sinh_part * d) * t_i))
-                a0 *= np.exp(1j * g_p * p * length)
+                if real.size:
+                    delta = p * gsum_r + half_dk_r
+                    g2 = (p * p) * gsgi_r - delta * delta
+                    r = np.sqrt(np.abs(g2))
+                    # cos(rL) and sin(rL) from one tangent of the half
+                    # angle, t = tan(rL/2): a real tan costs a fraction of
+                    # a real cos or sin
+                    t = np.tan((0.5 * length) * r)
+                    t2 = t * t
+                    inv = 1.0 / (1.0 + t2)
+                    cos_part, sin_part = (1.0 - t2) * inv, (2.0 * inv) * t
+                    grows = g2 > 0
+                    if grows.any():
+                        rl = r[grows] * length
+                        gl_max = max(gl_max, float(rl.max()))
+                        cos_part[grows] = np.cosh(rl)
+                        sin_part[grows] = np.sinh(rl)
+                    # sinh(rL)/r or sin(rL)/r, whose limit at r = 0 is L
+                    np.divide(sin_part, r, out=sin_part, where=r != 0)
+                    if not r.all():
+                        sin_part[r == 0] = length
+                    b = sin_part * delta
+                    y, w = sin_part * (p * gs_r), sin_part * (p * gi_r)
+                    us_r, ui_r = ((cos_part + 1j * b) * us_r + (1j * y) * ui_r,
+                                  (cos_part - 1j * b) * ui_r - (1j * w) * us_r)
+                if cplx.size:
+                    d = 1j * (p * gsum_c + half_dk_c) - loss_diff_c
+                    m12, m21 = 1j * p * gs_c, -1j * p * gi_c
+                    g = np.sqrt(d * d + m12 * m21)   # principal root: Re g >= 0
+                    gl = g * length
+                    gl_max = max(gl_max, float(np.max(gl.real)))
+                    grow = np.exp((1j * p * gdiff_c - loss_sum_c) * length + gl)
+                    one_minus_q = -np.expm1(-2.0 * gl)
+                    cosh_part = grow * (1.0 - 0.5 * one_minus_q)
+                    # (1 - q)/(2g), whose limit at g = 0 is the length
+                    sinh_part = np.full(cplx.size, complex(length))
+                    np.divide(0.5 * one_minus_q, g, out=sinh_part, where=gl != 0)
+                    sinh_part *= grow
+                    us_c, ui_c = (
+                        (cosh_part + sinh_part * d) * us_c + sinh_part * m12 * ui_c,
+                        sinh_part * m21 * us_c + (cosh_part - sinh_part * d) * ui_c)
+                phase += g_p * p * length
+                pl += p * length
                 z = z1
             if i < len(line.blocks):
-                fp_fac, fs_fac, fi_fac = line.block_factors
-                a0 *= fp_fac
-                t_s = t_s * fs_fac
-                t_i = t_i * np.conj(fi_fac)
+                us_r, ui_r = us_r * block_s_r, ui_r * block_i_r
+                us_c, ui_c = us_c * block_s_c, ui_c * block_i_c
+                p *= block_p
+                phase += block_phase
+        # out of the frame: the exit phase, and on the real subset the
+        # multiple of the identity e^(sum of mL)
+        exit_phase = phase - 0.5 * dk * z
+        ident = ((1j * pl) * (gs_r - gi_r)
+                 - 0.5 * (alpha_s[real] + alpha_i[real]) * z)
+        t_s = np.empty(f_s.size, dtype=complex)
+        t_i = np.empty(f_s.size, dtype=complex)
+        t_s[real] = us_r * np.exp(ident + 1j * exit_phase[real])
+        t_i[real] = ui_r * np.exp(ident - 1j * exit_phase[real])
+        t_s[cplx] = us_c * np.exp(1j * exit_phase[cplx])
+        t_i[cplx] = ui_c * np.exp(-1j * exit_phase[cplx])
     if not (np.isfinite(t_s).all() and np.isfinite(t_i).all()):
         raise NumericError(
             f"small-signal gain overflows at pump power {p_p:.6g} W: the "

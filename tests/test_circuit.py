@@ -23,6 +23,7 @@ from kitwpa.circuit import (
     with_i_star,
     write_netlist,
 )
+from kitwpa.circuit import _shortest_period
 
 
 def fishbone_cell(i_star=10e-3):
@@ -261,6 +262,18 @@ class TestLadderNetwork:
             loaded_cells_every_third=every_third, num_periods=num_periods))
         assert (len(net.period), net.repeats, len(net.tail)) == shape
         assert net.total_cells == 22 * num_periods
+
+
+    @pytest.mark.parametrize("net", [
+        expand_fishbone(FishboneSpec(base_cell=fishbone_cell(), num_periods=1136)),
+        expand_leaf(LeafSpec(base_cell=leaf_cell(), num_blocks=12)),
+    ], ids=["fishbone", "leaf"])
+    def test_expansion_shares_one_object_per_distinct_element(self, net):
+        # the period search runs on ids; equal elements are one object, so
+        # each is hashed once
+        assert len({id(e) for e in net.period}) == len(set(net.period))
+        # the same period as a search comparing the elements themselves
+        assert _shortest_period(net.period * 2 + net.tail) == len(net.period)
 
 
 class TestNetlistRoundTrip:

@@ -455,6 +455,73 @@ def preset_line(name):
     return line, net.i_star, cfg.pump[1]
 
 
+def reference_transfer(line, g_p, p_p):
+    """The closed form's transfer (T00, T10) in the lab frame, segment by
+    segment in complex arithmetic: the kernel the pump-frame _transfer
+    replaced.
+
+    On each segment between blocks the lossless pump is
+    a0 exp(i g_p P (z - z0)), and in a frame rotating at kappa/2,
+    kappa = 2 g_p P - dk, the pair (a_s, conj a_i) obeys d/dz (A, B) =
+    M (A, B) with the constant
+
+        M = [[2i g_s P - i kappa/2 - alpha_s,  i g_s c],
+             [-i g_i conj(c),  -2i g_i P + i kappa/2 - alpha_i]],
+
+    c = a0^2 exp(-i dk z0).  The segment's matrix is exp(ML) =
+    e^((m+g)L) [(1 + q)/2 I + (1 - q)/(2g) N], m = tr(M)/2, N = M - mI,
+    g^2 = -det N, Re g >= 0, q = exp(-2gL), followed by the turn back from
+    the rotating frame.  A block scales the signal by its factor, the
+    conjugate idler by the conjugate of its factor and the pump by its
+    factor.
+    """
+    f_p, f_s = line.pump_frequency, line.signal_frequencies
+    g_s = g_p * f_s / f_p
+    g_i = g_p * (2.0 * f_p - f_s) / f_p
+    _, alpha_s, alpha_i = line.alphas
+    dk = line.delta_k
+    a0 = complex(math.sqrt(p_p))
+    t_s = np.ones(f_s.size, dtype=complex)
+    t_i = np.zeros(f_s.size, dtype=complex)
+    z = 0.0
+    stops = [*line.blocks, line.total_cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, z1 in enumerate(stops):
+            if z1 > z:
+                length = z1 - z
+                p = a0.real**2 + a0.imag**2
+                kappa = 2.0 * g_p * p - dk
+                c = a0 * a0 * np.exp(-1j * dk * z)
+                m11 = 2j * g_s * p - 0.5j * kappa - alpha_s
+                m22 = -2j * g_i * p + 0.5j * kappa - alpha_i
+                m12 = 1j * g_s * c
+                m21 = -1j * g_i * np.conj(c)
+                m = 0.5 * (m11 + m22)
+                d = 0.5 * (m11 - m22)
+                g = np.sqrt(d * d + m12 * m21)
+                gl = g * length
+                grow = np.exp(m * length + gl)
+                one_minus_q = -np.expm1(-2.0 * gl)
+                cosh_part = grow * (1.0 - 0.5 * one_minus_q)
+                sinh_part = np.full(f_s.size, complex(length))
+                np.divide(0.5 * one_minus_q, g, out=sinh_part, where=gl != 0)
+                sinh_part *= grow
+                turn = np.exp(0.5j * kappa * length)
+                t_s, t_i = (
+                    turn * ((cosh_part + sinh_part * d) * t_s
+                            + sinh_part * m12 * t_i),
+                    np.conj(turn) * (sinh_part * m21 * t_s
+                                     + (cosh_part - sinh_part * d) * t_i))
+                a0 *= np.exp(1j * g_p * p * length)
+                z = z1
+            if i < len(line.blocks):
+                fp_fac, fs_fac, fi_fac = line.block_factors
+                a0 *= fp_fac
+                t_s = t_s * fs_fac
+                t_i = t_i * np.conj(fi_fac)
+    return t_s, t_i
+
+
 class TestIntegrator:
     @pytest.mark.parametrize("device", ["small_fishbone", "small_leaf",
                                         "fishbone-paper", "leaf-paper-gain"])
@@ -502,6 +569,52 @@ class TestIntegrator:
                 np.abs(t_s[lossless]) ** 2)
             checked += lossless.sum()
         assert checked > 700
+
+    @pytest.mark.parametrize("device", ["fishbone-paper", "leaf-paper-gain"])
+    @pytest.mark.parametrize("scale", [1, 4, 16])
+    def test_pump_frame_matches_the_reference(self, device, scale):
+        # measured on fishbone-paper: 4.8e-14, 2.4e-12 and 5.3e-11 dB at
+        # 1x, 4x and 16x; on leaf-paper-gain 4.6e-14, 6.8e-13, 4.5e-12 dB
+        line, i_star, p_p = preset_line(device)
+        unequal = line.alphas[1] != line.alphas[2]
+        # the fishbone's stopband points take the complex formula
+        assert unequal.any() == (device == "fishbone-paper")
+        gamma = kerr_coefficient(line.k_pump, i_star)
+        t_s, t_i = kitwpa.fwm._transfer(line, gamma, scale * p_p)
+        r_s, r_i = reference_transfer(line, gamma, scale * p_p)
+        assert np.all(np.abs(t_s - r_s) <= 1e-10 * np.abs(r_s))
+        assert np.all(np.abs(t_i - r_i) <= 1e-10 * np.abs(r_s))
+        gain_err = np.abs(20 * np.log10(np.abs(t_s) / np.abs(r_s)))
+        assert np.max(gain_err) < (1e-9 if scale == 16 else 1e-10)
+
+    def test_blocks_of_one_leave_the_transfer_as_it_is(self, small_fishbone,
+                                                       monkeypatch):
+        # a blockless line cut into 8 segments by blocks whose factors are
+        # exactly 1: the frame's bookkeeping across a block must cancel
+        import kitwpa.fwm as fwm
+
+        net, curve = small_fishbone
+        f_p, p_p = PUMPS["small_fishbone"]
+        f = np.linspace(4.0e9, 8.4e9, 401)
+        whole_line = fwm.prepare_line(net, curve, f_p, f)
+        assert whole_line.blocks == ()
+        gamma = kerr_coefficient(whole_line.k_pump, net.i_star)
+        whole = fwm._transfer(whole_line, gamma, 4 * p_p)
+
+        def cut(network, frequencies, z0):
+            cells = float(network.total_cells)
+            return (tuple(b * cells / 8 for b in range(8)),
+                    np.ones(frequencies.size))
+
+        monkeypatch.setattr(fwm, "_block_corrections", cut)
+        cut_line = fwm.prepare_line(net, curve, f_p, f)
+        assert len(cut_line.blocks) == 8
+        pieces = fwm._transfer(cut_line, gamma, 4 * p_p)
+        # both formulas run: stopband points have unequal losses
+        assert (cut_line.alphas[1] != cut_line.alphas[2]).any()
+        scale = np.abs(whole[0])
+        for got, want in zip(pieces, whole):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_step_size_carried_across_blocks(self, small_fishbone, monkeypatch):
         # blocks whose corrections are exactly 1 only cut the line into

@@ -725,6 +725,31 @@ class TestCli:
         assert needed in err and "extend analysis.frequency_grid" in err
         assert not any((tmp_path / "o").glob("*.csv"))
 
+    @pytest.mark.parametrize("design, code", [
+        (SMALL_LEAF, 0),
+        (SMALL_FISHBONE.replace("num_periods: 47", "num_periods: 30"), 3),
+    ], ids=["leaf", "fishbone"])
+    def test_cli_third_harmonic_past_the_grid(self, tmp_path, capsys, design,
+                                               code):
+        # the grid ends at 10 GHz, below the third harmonic at 16.5 GHz.  A
+        # resonator design's harmonic propagates on the closed-form bare
+        # ladder curve and through the block's own network, so only its
+        # pump must lie on the grid; the fishbone's propagates on the grid
+        p = write_cfg(tmp_path, "design:\n" + design + """analysis:
+  frequency_grid: {start_hz: 0.1e9, stop_hz: 10.0e9, points: 2001}
+  pump: {frequency_hz: 5.5e9, power_watts: 60.0e-6}
+output:
+  directory: out
+""")
+        rc = main(["harmonics", "--config", str(p), "--out",
+                   str(tmp_path / "o")])
+        assert rc == code
+        if code:
+            assert ("pump and third harmonic: 5.50-16.50 GHz needed"
+                    in capsys.readouterr().err)
+        else:
+            assert (tmp_path / "o" / "harmonics.csv").exists()
+
     def test_cli_attenuated_pump_exit_3(self, tmp_path, capsys):
         # half a grid step above the narrow stopband's top point: not flagged
         # as inside it, but attenuated
