@@ -53,6 +53,7 @@ __all__ = [
 SMOOTHING_WINDOW_HZ = 100e6
 RIPPLE_WINDOW_HZ = 1e9
 DIP_GUARD_HZ = 100e6
+PEAK_TIE_DB = 1e-9   # smoothed gains this close to the peak tie with it
 # lower clip of the calibration bracket: gamma*P_p*L <= 8, ~70 dB of matched
 # gain, which no realistic target needs; the value sets Brent's probes, and
 # so the calibrated I*
@@ -63,11 +64,11 @@ GAMMA_PPL_CAP = 8.0
 class GainMetrics:
     """Summary of one gain profile (gain_metrics), outside the dip
     exclusion zones: the smoothed curve's peak_gain_db (dB) at
-    peak_frequency_hz (Hz); double_sided_bw_3db_hz, the measure of
-    frequencies within 3 dB of that peak (Hz); ripple_db, half the
-    peak-to-peak residual about the smoothed curve within 1 GHz of the
-    peak (dB); and dip_frequencies_hz, where the smoothed gain is lowest in
-    each merged exclusion zone, increasing (Hz)."""
+    peak_frequency_hz (Hz), the lowest frequency within PEAK_TIE_DB of it;
+    double_sided_bw_3db_hz, the measure of frequencies within 3 dB of that
+    peak (Hz); ripple_db, half the peak-to-peak residual about the smoothed
+    curve within 1 GHz of the peak (dB); and dip_frequencies_hz, where the
+    smoothed gain is lowest in each merged exclusion zone, increasing (Hz)."""
 
     peak_gain_db: float
     peak_frequency_hz: float
@@ -162,9 +163,10 @@ def gain_metrics(profile: GainProfile, stopbands: tuple = (),
             f"exclusion zone(s) about the pump at {profile.pump_frequency:g} "
             "Hz cover every signal frequency")
 
-    peak_idx = int(np.argmax(np.where(keep, smooth, -np.inf)))
-    peak = float(smooth[peak_idx])
-    peak_f = float(f[peak_idx])
+    kept = np.where(keep, smooth, -np.inf)
+    peak = float(np.max(kept))
+    # the lowest kept frequency that ties with the peak, as mirror signals can
+    peak_f = float(f[np.argmax(kept >= peak - PEAK_TIE_DB)])
 
     if peak < 3.0:
         warnings.warn("profile never reaches 3 dB; reporting zero bandwidth")

@@ -1,11 +1,11 @@
 """Floquet-Bloch dispersion of periodic ladders and stopband detection.
 
-The per-period propagation constant gamma solves cosh(gamma) = (a + d)/2 of
-the period's lossless chain matrix, whose half-trace is real.  numpy's
-arccosh of it, cast to a complex number with a +0 imaginary part, returns
-the principal branch (Re >= 0, Im folded into [0, pi]); the folded phase
-is unfolded into a monotone curve by tracking the branch from DC upward,
-which also resolves the sign ambiguity at band edges.
+The per-period propagation constant gamma solves cosh(gamma) = t, the real
+half-trace (a + d)/2 of a lossless period's chain matrix (Pozar, Microwave
+Engineering, 8.1): a passband, |t| <= 1, has the phase arccos(t) folded
+into [0, pi] and no attenuation, a stopband the attenuation arccosh(|t|).
+The fold is unwound into a monotone curve by tracking the branch from DC
+upward, which also resolves the sign ambiguity at band edges.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .twoport import (
     TwoPortMatrix,
     network_matrix,
     to_s_parameters,
+    walk_period,
 )
 
 __all__ = [
@@ -133,56 +134,54 @@ def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
                      cells_per_period: int) -> DispersionCurve:
     """Dispersion curve from the chain matrix of one full period.
 
-    A point lies in a stopband where |(a + d)/2| > 1.
+    A point lies in a stopband where |t| > 1, t = (a + d)/2.  Raises
+    NumericError where t is not finite: deep above the cell cutoff the
+    period's chain matrix leaves the float range.
     """
-    t = period_matrix.trace_half()
-    gamma = np.arccosh(t.astype(complex))
+    f = grid.frequencies()
+    with np.errstate(invalid="ignore"):   # inf - inf, refused below
+        t = period_matrix.trace_half()
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise nonfinite_error("the Bloch curve is", bad, f)
+    mag = np.abs(t)
     return DispersionCurve(
-        frequencies=grid.frequencies(),
-        phase_per_period=_unfold_bloch_phase(gamma.imag),
-        attenuation_per_period=np.abs(gamma.real),
-        in_stopband=np.abs(t) > 1.0,
+        frequencies=f,
+        phase_per_period=_unfold_bloch_phase(np.arccos(np.clip(t, -1.0, 1.0))),
+        attenuation_per_period=np.arccosh(np.maximum(mag, 1.0)),
+        in_stopband=mag > 1.0,
         cells_per_period=cells_per_period,
     )
 
 
 def device_dispersion(network: LadderNetwork,
                       grid: FrequencyGrid = DEFAULT_GRID) -> DispersionCurve:
-    """Bloch curve of the network's period.
+    """Bloch curve of the network's period; raises NumericError where it
+    is not finite (bloch_dispersion)."""
+    period, _ = walk_period(network.one_period(), grid.frequencies())
+    return bloch_dispersion(period, grid, network.cells_per_period)
 
-    Raises NumericError where the curve is not finite: deep above the cell
-    cutoff the period's chain matrix leaves the float range.
-    """
-    m = network_matrix(network.one_period(), grid.frequencies())
-    # the infinite entries of such a period are reported below, not warned
-    # about on the way
-    with np.errstate(invalid="ignore"):
-        curve = bloch_dispersion(m, grid, network.cells_per_period)
-    bad = ~np.isfinite(curve.attenuation_per_period)
-    if bad.any():
-        raise nonfinite_error("the Bloch curve is", bad, curve.frequencies)
-    return curve
+
+def _uniform_cell_bloch(l0: float, c: float, f) -> tuple:
+    """(phase, attenuation, in_stopband) per cell of the uniform LC ladder
+    at the frequencies f, x = pi*f*sqrt(LC): 2*asin(x) and 0 below the
+    cutoff x = 1, pi and 2*arccosh(x) at and above it."""
+    x = np.pi * f * np.sqrt(l0 * c)
+    above = x >= 1.0
+    phase = np.where(above, np.pi, 2.0 * np.arcsin(np.minimum(x, 1.0)))
+    atten = np.where(above, 2.0 * np.arccosh(np.maximum(x, 1.0)), 0.0)
+    return phase, atten, above
 
 
 def uniform_cell_dispersion(l0: float, c: float,
                             grid: FrequencyGrid) -> DispersionCurve:
-    """Closed-form Bloch curve of the uniform LC ladder, one cell per period.
-
-    k = 2*asin(pi*f*sqrt(LC)) below cutoff; evanescent above with the phase
-    pinned at pi.  Used as the smooth propagation background for designs
-    whose discrete phase shifters are applied as lumped corrections.
+    """Closed-form Bloch curve of the uniform LC ladder, one cell per period
+    (_uniform_cell_bloch): evanescent above the cutoff, with the phase
+    pinned at pi.  Resonator designs propagate on this closed form, taken
+    at their modes, with the phase shifters applied as lumped corrections.
     """
     f = grid.frequencies()
-    x = np.pi * f * np.sqrt(l0 * c)
-    phase = np.where(x < 1.0, 2.0 * np.arcsin(np.minimum(x, 1.0)), np.pi)
-    atten = np.where(x >= 1.0, 2.0 * np.arccosh(np.maximum(x, 1.0)), 0.0)
-    return DispersionCurve(
-        frequencies=f,
-        phase_per_period=phase,
-        attenuation_per_period=atten,
-        in_stopband=x >= 1.0,
-        cells_per_period=1,
-    )
+    return DispersionCurve(f, *_uniform_cell_bloch(l0, c, f), 1)
 
 
 @dataclass(frozen=True)

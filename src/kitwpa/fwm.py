@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import LadderNetwork, SeriesInductor, ShuntCapacitor
-from .dispersion import DispersionCurve, s21_over_bare, uniform_cell_dispersion
+from .dispersion import DispersionCurve, _uniform_cell_bloch, s21_over_bare
 # solve_ivp is looked up here at every call: bench/tracing.py rebinds it
 from .dop853 import MIN_RTOL, solve_ivp
 from .errors import NumericError
@@ -218,13 +218,13 @@ class HarmonicScan:
         return float(self.p_third[-1] / self.pump_power)
 
 
-def _smooth_background(network: LadderNetwork) -> tuple | None:
-    """Unique (L, C) of the uniform base cells; None if cells differ."""
+def _smooth_background(network: LadderNetwork) -> tuple:
+    """Unique (L, C) of the uniform base cells; NumericError if cells differ."""
     l0 = {e.l0 for e in network.period if isinstance(e, SeriesInductor)}
     cs = {e.c for e in network.period if isinstance(e, ShuntCapacitor)}
-    if len(l0) == 1 and len(cs) == 1:
-        return (l0.pop(), cs.pop())
-    return None
+    if len(l0) != 1 or len(cs) != 1:
+        raise NumericError("resonator design must have uniform base cells")
+    return (l0.pop(), cs.pop())
 
 
 class _Propagator:
@@ -416,19 +416,18 @@ def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
     return f_s
 
 
-def _require_on_grid(what: str, f: np.ndarray, *curves: DispersionCurve):
-    """Raise NumericError unless the frequencies f lie on the grid of every
-    curve: past a grid's ends the curve's k, alpha and stopband flags are
-    its end values, not the mode's."""
+def _require_on_grid(what: str, f: np.ndarray, curve: DispersionCurve):
+    """Raise NumericError unless the frequencies f lie on the curve's grid:
+    past its ends the curve's k, alpha and stopband flags are its end
+    values, not the mode's."""
     lo, hi = float(f.min()), float(f.max())
     span = f"{lo / 1e9:.2f}" + (f"-{hi / 1e9:.2f}" if hi > lo else "")
-    for curve in curves:
-        start, stop = float(curve.frequencies[0]), float(curve.frequencies[-1])
-        if lo < start or hi > stop:
-            raise NumericError(
-                f"{what}: {span} GHz needed, but the dispersion grid spans "
-                f"{start / 1e9:.2f}-{stop / 1e9:.2f} GHz; extend "
-                "analysis.frequency_grid")
+    start, stop = float(curve.frequencies[0]), float(curve.frequencies[-1])
+    if lo < start or hi > stop:
+        raise NumericError(
+            f"{what}: {span} GHz needed, but the dispersion grid spans "
+            f"{start / 1e9:.2f}-{stop / 1e9:.2f} GHz; extend "
+            "analysis.frequency_grid")
 
 
 def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
@@ -453,13 +452,13 @@ def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
     at the modes of a line pumped at modes[0].
 
     The modes propagate on ``dispersion``, or, for a resonator design, on
-    its bare-ladder curve extended to the third harmonic, with the
-    resonators as block corrections (_block_corrections).  Raises
+    the closed-form curve of its bare ladder taken at the modes themselves,
+    with the resonators as block corrections (_block_corrections).  Raises
     ValueError for a pump frequency that is not positive, and NumericError
     for a pump off the grid of ``dispersion`` or inside one of its
-    stopbands, a mode off the propagation curve's grid (or off
-    ``dispersion``'s when ``on_device_grid``), or a resonator design
-    without uniform base cells.
+    stopbands, a mode off that grid where the modes propagate on it (or
+    wherever ``on_device_grid``), or a resonator design without uniform
+    base cells.
     """
     f_p = float(modes[0])
     if f_p <= 0:
@@ -470,19 +469,14 @@ def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
             f"pump at {f_p / 1e9:.4f} GHz lies inside a stopband; "
             "move it into a passband below the band edge"
         )
-    k_curve = dispersion
-    if network.has_resonators():
-        base = _smooth_background(network)
-        if base is None:
-            raise NumericError("resonator design must have uniform base cells")
-        grid = FrequencyGrid(dispersion.frequencies[0],
-                             max(dispersion.frequencies[-1], 3.0 * f_p * 1.01),
-                             4097)
-        k_curve = uniform_cell_dispersion(*base, grid)
-    curves = (dispersion, k_curve) if on_device_grid else (k_curve,)
-    _require_on_grid(what, modes, *curves)
-    blocks, factors = _block_corrections(network, modes, z0)
-    return k_curve.k_cell(modes), k_curve.alpha_cell(modes), blocks, factors
+    resonators = network.has_resonators()
+    if on_device_grid or not resonators:
+        _require_on_grid(what, modes, dispersion)
+    if resonators:
+        k, alpha, _ = _uniform_cell_bloch(*_smooth_background(network), modes)
+    else:
+        k, alpha = dispersion.k_cell(modes), dispersion.alpha_cell(modes)
+    return (k, alpha, *_block_corrections(network, modes, z0))
 
 
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
@@ -492,10 +486,9 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
 
     The arguments mean what they mean for integrate_gain; any signal point
     at the pump frequency is dropped.  Raises NumericError for a pump inside
-    a stopband, a pump, signal or idler off the grid of ``dispersion`` or of
-    the propagation curve, or a resonator design without uniform base cells,
-    and ValueError for a signal grid signal_frequencies refuses or leaves
-    empty.
+    a stopband, a pump, signal or idler off the grid of ``dispersion``, or a
+    resonator design without uniform base cells, and ValueError for a
+    signal grid signal_frequencies refuses or leaves empty.
     """
     options = options or IntegrationOptions()
     f_p = pump_frequency
@@ -718,8 +711,8 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     coupled-mode phases and the stopband flags used for pump validation and
     per-point annotation; for resonator-embedded designs the resonators
     enter as lumped per-block corrections instead, computed from the
-    network, and the continuous part falls back to the bare-ladder curve
-    automatically.  ``stopband_curve`` may only be ``dispersion`` itself
+    network, and the modes propagate on the bare ladder's closed-form curve
+    instead.  ``stopband_curve`` may only be ``dispersion`` itself
     (ValueError otherwise).
 
     Gain is the small-signal 20*log10 |a_s(L)/a_s(0)| with Bloch
@@ -741,9 +734,9 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     Only the pump and its third harmonic are integrated; with no signal the
     signal and idler stay zero, so p_signal and p_idler are one array of
     zeros.  Raises ValueError for a pump that is not positive, NumericError
-    as prepare_line does for the pump and for a third harmonic off the
-    propagation curve's grid.  The include_third_harmonic option is not
-    read.
+    as prepare_line does for the pump and, for a design without resonators,
+    for a third harmonic off the grid of ``dispersion``.  The
+    include_third_harmonic option is not read.
     """
     options = options or IntegrationOptions()
     f_p, p_p = pump

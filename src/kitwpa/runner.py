@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dispersion
 from .analysis import OperatingPoint, _GainPipeline, calibrate_istar, sweep
 from .circuit import read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
-from .dispersion import bloch_dispersion, device_dispersion, find_stopbands
+from .dispersion import device_dispersion, find_stopbands
 from .errors import ConfigError, nonfinite_error
 from .fwm import signal_frequencies, third_harmonic_scan
 # gain_metrics, integrate_gain and network_matrix are not called in this
@@ -245,9 +245,12 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     elif subcommand == "dispersion":
         _require_bloch_period(config, network)
         grid = config.frequency_grid
-        # one walk of the period gives the Bloch curve and the full cascade
+        # one walk of the period gives the Bloch curve and the full cascade;
+        # bloch_dispersion is looked up in its module, where bench/tracing.py
+        # rebinds it
         period, sp = _cascade(network, grid.frequencies())
-        curve = bloch_dispersion(period, grid, network.cells_per_period)
+        curve = dispersion.bloch_dispersion(period, grid,
+                                            network.cells_per_period)
         emit.write("dispersion.csv", _dispersion_rows(sp, curve))
         emit.write("stopbands.csv", _stopband_rows(find_stopbands(curve)))
 

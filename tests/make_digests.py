@@ -8,7 +8,8 @@ write, at two seeds.
 ``--keep`` writes each seed's files under DIR/<seed>/<subcommand>-<input>/.
 ``--diff`` compares two such directories: for every data file whose bytes
 moved, it prints the largest absolute change in each numeric column (a CSV
-column, or the value of a ``name = value`` line).
+column, or the value of a ``name = value`` line), and for a column of 0s and
+1s, such as ``in_stopband``, how many entries flipped.
 
 Each operation of every ``bench/workloads.py`` workload runs once per seed
 through ``kitwpa.runner.run`` on the inputs ``workloads.make_inputs`` writes,
@@ -110,7 +111,7 @@ def columns(path: Path) -> dict:
 def diff(old: Path, new: Path) -> list:
     """One line per data file under ``new`` whose bytes differ from its
     namesake under ``old``, with the largest absolute change per numeric
-    column."""
+    column and, for a column of 0s and 1s, the count of entries flipped."""
     report = []
     for path in sorted(new.rglob("*")):
         rel = path.relative_to(new)
@@ -129,7 +130,10 @@ def diff(old: Path, new: Path) -> list:
             if a.shape != b.shape:
                 moves.append(f"{name} {a.size} -> {b.size} values")
             elif a.size:
-                moves.append(f"{name} {np.max(np.abs(b - a)):.3g}")
+                move = f"{name} {np.max(np.abs(b - a)):.3g}"
+                if np.isin(a, (0, 1)).all() and np.isin(b, (0, 1)).all():
+                    move += f" ({np.count_nonzero(a != b)} flipped)"
+                moves.append(move)
         report.append(f"{rel}: " + (", ".join(moves) or "no numeric column"))
     return report
 

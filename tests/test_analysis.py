@@ -103,6 +103,25 @@ class TestGainMetrics:
         assert m1.peak_frequency_hz == pytest.approx(
             m0.peak_frequency_hz + 5e9, abs=1.0)
 
+    @pytest.mark.parametrize("raised", ["lower", "upper"])
+    def test_mirror_peaks_report_the_lower_frequency(self, raised):
+        # two lobes mirrored about the pump; either raised by 1e-15 dB, as
+        # rounding raises one of a preset's mirror signals, the peak is the
+        # lower one.  A sub-step window leaves the curve unsmoothed
+        f = np.linspace(5.0e9, 7.0e9, 201)
+        g = 15.0 - ((np.abs(f - 6e9) - 0.4e9) / 0.2e9) ** 2
+        lower, upper = np.flatnonzero(g == g.max())
+        assert f[lower] + f[upper] == 12e9
+        g[lower if raised == "lower" else upper] += 1e-15
+        assert g[lower] != g[upper]
+        m = gain_metrics(synthetic_profile(f, g, f_p=6e9),
+                         smoothing_window_hz=1.0)
+        assert m.peak_frequency_hz == f[lower]
+        assert m.peak_gain_db == g.max()
+        # with the default window the smoothed mirror peaks tie or nearly so
+        assert gain_metrics(synthetic_profile(f, g, f_p=6e9)
+                            ).peak_frequency_hz == f[lower]
+
     def test_low_profile_warns_zero_bandwidth(self):
         f = np.linspace(4e9, 8e9, 501)
         with pytest.warns(UserWarning, match="3 dB"):

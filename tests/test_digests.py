@@ -31,16 +31,21 @@ def test_every_data_file_keeps_its_digest(seed, tmp_path):
 
 
 def test_diff_names_the_largest_change_per_column(tmp_path):
+    # a column of 0s and 1s also counts its flipped entries, even when
+    # none flipped
     old, new = tmp_path / "old", tmp_path / "new"
-    for root, gain, peak in ((old, ("1.5", "2.0"), "15.0"),
-                             (new, ("1.5", "2.25"), "14.5")):
+    for root, gain, flags, peak in (
+            (old, ("1.5", "2.0", "3.0"), (0, 1, 0), "15.0"),
+            (new, ("1.5", "2.25", "3.0"), (1, 0, 0), "14.5")):
         (root / "0" / "gain-x").mkdir(parents=True)
         (root / "0" / "gain-x" / "gain.csv").write_text(
-            "freq_hz,gain_db\n" + "".join(f"{i},{g}\n"
-                                        for i, g in enumerate(gain)))
+            "freq_hz,gain_db,in_stopband,same_flag\n" + "".join(
+                f"{4e9 + i * 1e8},{g},{s},1\n"
+                for i, (g, s) in enumerate(zip(gain, flags))))
         (root / "0" / "gain-x" / "metrics.txt").write_text(
             f"peak_gain_db = {peak}\nnum_dips = 2\n")
         (root / "0" / "gain-x" / "same.txt").write_text("a = 1\n")
     assert diff(old, new) == [
-        "0/gain-x/gain.csv: freq_hz 0, gain_db 0.25",
+        "0/gain-x/gain.csv: freq_hz 0, gain_db 0.25, in_stopband 1 "
+        "(2 flipped), same_flag 0 (0 flipped)",
         "0/gain-x/metrics.txt: peak_gain_db 0.5, num_dips 0"]

@@ -837,6 +837,35 @@ class TestIntegrateGain:
         prof0 = integrate_gain(bare, bare_curve, (5.92e9, 60e-6), f)
         assert np.max(prof.gain_db) > np.max(prof0.gain_db) + 1.0
 
+    def test_leaf_background_closed_form_against_the_old_table(self):
+        # a resonator design's modes take k and alpha from the bare ladder's
+        # closed form at their own frequencies; before, they were
+        # interpolated on a 4 097-point table of it reaching 3.03 f_p,
+        # rebuilt here.  Measured on leaf-paper-gain: 2.83e-10 rad/cell and
+        # 1.48e-5 dB apart
+        _, _, curve = preset("leaf-paper-gain")
+        line, i_star, p_p = preset_line("leaf-paper-gain")
+        f_p, f_s = line.pump_frequency, line.signal_frequencies
+        n = f_s.size
+        modes = np.concatenate([[f_p], f_s, 2.0 * f_p - f_s])
+        closed = 2.0 * np.arcsin(np.pi * modes * np.sqrt(290e-12 * 116e-15))
+        assert line.k_pump == closed[0]
+        assert np.array_equal(
+            line.delta_k, closed[1:n + 1] + closed[n + 1:] - 2.0 * closed[0])
+        assert all(np.all(a == 0.0) for a in line.alphas)
+
+        table = uniform_cell_dispersion(290e-12, 116e-15, FrequencyGrid(
+            curve.frequencies[0], max(curve.frequencies[-1], 3.03 * f_p), 4097))
+        k_old = table.k_cell(modes)
+        assert np.all(table.alpha_cell(modes) == 0.0)
+        assert np.max(np.abs(closed - k_old)) < 3e-10
+        old_line = dataclasses.replace(
+            line, k_pump=float(k_old[0]),
+            delta_k=k_old[1:n + 1] + k_old[n + 1:] - 2.0 * k_old[0])
+        old = kitwpa.fwm.solve_gain(old_line, i_star, p_p).gain_db
+        new = kitwpa.fwm.solve_gain(line, i_star, p_p).gain_db
+        assert np.max(np.abs(new - old)) < 2e-5
+
     def test_third_harmonic_flag_refused(self, small_fishbone):
         # the small-signal gain has no third harmonic; the harmonic scan
         # integrates it
