@@ -44,7 +44,6 @@ from .fwm import (
     GainProfile,
     IntegrationOptions,
     ModeState,
-    PhaseMismatch,
     analytic_gain_undepleted,
     integrate_gain,
     kerr_coefficient,

@@ -14,11 +14,12 @@ The small-signal gain (solve_gain) is the undepleted limit in closed form:
 a product of 2x2 signal-idler transfer matrices, one per segment between
 blocks.  The coupled-mode ODE serves the third-harmonic scan, which
 integrates the pump and its harmonic alone, and propagate_modes, which
-carries the pump, signal and idler (and the third harmonic) with the pump's
-depletion.  One engine (_Propagator) integrates one system, with a scalar
-RHS in Python complex arithmetic; the stacked numpy RHS over many systems
-is the tests' oracle.  The stepper samples the scan as it steps (t_eval),
-so the scan's memory does not grow with the pump's step count.
+carries the pump, signal and idler, with or without the pump's depletion.
+Only the scan carries the third harmonic.  One engine (_Propagator)
+integrates one system, with a scalar RHS in Python complex arithmetic; the
+stacked numpy RHS over many systems is the tests' oracle.  The stepper
+samples the scan as it steps (t_eval), so the scan's memory does not grow
+with the pump's step count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import NumericError
 from .twoport import FrequencyGrid, network_matrix  # noqa: F401
 
 __all__ = [
-    "PhaseMismatch",
     "ModeState",
     "IntegrationOptions",
     "GainProfile",
@@ -72,22 +72,14 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
     return k_cell / (2.0 * i_star**2 * z0)
 
 
-@dataclass(frozen=True)
-class PhaseMismatch:
-    """Phase mismatch of one signal/idler pair at the pump."""
-
-    delta_k_linear: float   # rad/cell, k_s + k_i - 2 k_p
-    delta_k_total: float    # rad/cell, linear + 2 gamma P_p
-
-
 @dataclass
 class ModeState:
-    """Complex amplitudes of the four interacting tones; |a|^2 in watts."""
+    """Complex amplitudes of the pump, signal and idler, |a|^2 in watts, at
+    the pump and signal frequencies f_p and f_s (Hz)."""
 
     a_p: complex
     a_s: complex
     a_i: complex
-    a_3: complex
     f_p: float
     f_s: float
 
@@ -96,40 +88,35 @@ class ModeState:
         return 2.0 * self.f_p - self.f_s
 
 
-def propagate_modes(state: ModeState, gamma: float,
-                    mismatch: PhaseMismatch, length: float,
-                    options: IntegrationOptions | None = None,
-                    delta_k_3: float = 0.0,
-                    attenuation=(0.0, 0.0, 0.0, 0.0),
+def propagate_modes(state: ModeState, gamma: float, delta_k: float,
+                    length: float, options: IntegrationOptions | None = None,
+                    attenuation=(0.0, 0.0, 0.0),
                     undepleted: bool = False) -> ModeState:
-    """Integrate one pump/signal/idler(/third) system over ``length`` cells.
+    """Integrate one pump/signal/idler system over ``length`` cells.
 
     ``gamma`` is the pump's Kerr coefficient (kerr_coefficient); a mode at
-    frequency f has gamma * f / f_p.  The mismatch and attenuations are
-    taken as given, which makes this the direct integration counterpart of
-    analytic_gain_undepleted.  With
+    frequency f has gamma * f / f_p.  The linear mismatch ``delta_k`` =
+    k_s + k_i - 2 k_p (rad/cell) and the attenuations (nepers/cell, pump,
+    signal, idler) are taken as given, which makes this the direct
+    integration counterpart of analytic_gain_undepleted.  With
     ``undepleted`` only the pump drives the signal and idler, and the pump
     evolves by its own self-phase modulation alone: the small-signal limit
-    that analytic_gain_undepleted and solve_gain take.
+    that analytic_gain_undepleted and solve_gain take.  Raises ValueError
+    for options with include_third_harmonic, which third_harmonic_scan
+    alone carries.
     """
     options = options or IntegrationOptions()
+    _refuse_third_harmonic(options, "propagate_modes")
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
-    thg = options.include_third_harmonic
-    modes = 4 if thg else 3
-    gammas = (gamma, gamma * f_s / f_p, gamma * f_i / f_p,
-              gamma * (3 * f_p) / f_p)
+    gammas = (gamma, gamma * f_s / f_p, gamma * f_i / f_p)
     # plain floats: Python complex arithmetic on numpy scalars is slow
-    prop = _Propagator(tuple(map(float, gammas[:modes])),
-                       tuple(map(float, attenuation[:modes])), options,
-                       float(length), dk=float(mismatch.delta_k_linear),
-                       dk3=float(delta_k_3), undepleted=undepleted)
-    y = prop.run(np.array([state.a_p, state.a_s, state.a_i, state.a_3],
-                          dtype=complex)[:modes])
-    return ModeState(
-        a_p=complex(y[0]), a_s=complex(y[1]), a_i=complex(y[2]),
-        a_3=complex(y[3]) if thg else 0.0,
-        f_p=f_p, f_s=f_s,
-    )
+    prop = _Propagator(tuple(map(float, gammas)),
+                       tuple(map(float, attenuation)), options,
+                       float(length), dk=float(delta_k),
+                       undepleted=undepleted)
+    y = prop.run(np.array([state.a_p, state.a_s, state.a_i], dtype=complex))
+    return ModeState(a_p=complex(y[0]), a_s=complex(y[1]),
+                     a_i=complex(y[2]), f_p=f_p, f_s=f_s)
 
 
 def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
@@ -158,10 +145,12 @@ def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Coupled-mode settings: whether propagate_modes carries the third
-    harmonic (the config refuses it for the small-signal gain), the DOP853
-    rtol and atol (atol in sqrt(W), the mode amplitudes' unit), and the
-    line impedance z0 (ohm) that maps power to current."""
+    """Coupled-mode settings: the DOP853 rtol and atol (atol in sqrt(W),
+    the mode amplitudes' unit), the line impedance z0 (ohm) that maps power
+    to current, and include_third_harmonic, a flag nothing integrates with:
+    the harmonic scan always carries the third harmonic and ignores it, and
+    the small-signal gain and propagate_modes, which carry none, refuse
+    it."""
 
     include_third_harmonic: bool = False
     rtol: float = 1e-9
@@ -201,13 +190,11 @@ class GainProfile:
 @dataclass(frozen=True)
 class HarmonicScan:
     """Powers along the line: sample positions z_cells (cells from the
-    input), pump, signal, idler and third-harmonic powers there (W), and
-    the pump_frequency (Hz) and input pump_power (W)."""
+    input), pump and third-harmonic powers there (W), and the
+    pump_frequency (Hz) and input pump_power (W)."""
 
     z_cells: np.ndarray
     p_pump: np.ndarray
-    p_signal: np.ndarray
-    p_idler: np.ndarray
     p_third: np.ndarray
     pump_frequency: float
     pump_power: float
@@ -230,27 +217,26 @@ def _smooth_background(network: LadderNetwork) -> tuple:
 class _Propagator:
     """One coupled-mode system along the line, with lumped block corrections.
 
-    The state holds the amplitudes of the modes the system carries, in the
-    order pump, signal, idler, third harmonic: [a_p, a_3] for the harmonic
-    scan, whose signal and idler would stay zero, and [a_p, a_s, a_i] or
-    [a_p, a_s, a_i, a_3] for propagate_modes.  ``gammas``, ``alphas`` and
-    ``block_factors`` hold one entry per carried mode, in that order; ``dk``
-    is the signal-idler mismatch and ``dk3`` the third harmonic's.  The RHS
-    is Python complex arithmetic: on a few entries a numpy RHS costs its
-    per-call overhead many times over.
+    The state holds the amplitudes of the modes the system carries: the
+    pump and its third harmonic [a_p, a_3] for the harmonic scan, or the
+    pump, signal and idler [a_p, a_s, a_i] for propagate_modes.
+    ``gammas``, ``alphas`` and ``block_factors`` hold one entry per carried
+    mode, in that order; ``dk`` is the mismatch of the process the system
+    carries, k_3 - 3 k_p or k_s + k_i - 2 k_p.  The RHS is Python complex
+    arithmetic: on a few entries a numpy RHS costs its per-call overhead
+    many times over.
     """
 
     n = 1   # systems in one state vector; bench/tracing.py reads it
 
     def __init__(self, gammas, alphas, options, total_cells=0.0, blocks=(),
-                 block_factors=None, dk=0.0, dk3=0.0, undepleted=False):
+                 block_factors=None, dk=0.0, undepleted=False):
         self.pair = len(gammas) > 2          # the signal and idler
-        self.third = len(gammas) != 3        # the third harmonic
         # factors of the RHS that do not change along the line, formed once;
         # each is the leading sub-expression of its term (1j * g * ...,
         # -1j * dk * z), so forming it here changes no rounding
         self.jg = tuple(1j * g for g in gammas)
-        self.mjdk, self.mjdk3 = -1j * dk, -1j * dk3
+        self.mjdk = -1j * dk
         self.alphas = alphas
         self.total_cells = total_cells
         self.blocks = blocks
@@ -267,7 +253,7 @@ class _Propagator:
             pp = ap.real * ap.real + ap.imag * ap.imag
             p3 = a3.real * a3.real + a3.imag * a3.imag
             apap = ap * ap
-            e3 = cmath.exp(self.mjdk3 * z)
+            e3 = cmath.exp(self.mjdk * z)
             dap = (jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
                    + jgp * apap.conjugate() * a3 * e3.conjugate())
             # a product with 1/3, as numpy divides a complex by 3
@@ -275,27 +261,19 @@ class _Propagator:
                    - a3_al * a3)
             return np.array([dap, da3])
 
-        modes = y.tolist()
-        ap, as_, ai = modes[0], modes[1], modes[2]
-        jgp, jgs, jgi = self.jg[0], self.jg[1], self.jg[2]
-        ap_al, as_al, ai_al = self.alphas[0], self.alphas[1], self.alphas[2]
+        ap, as_, ai = y.tolist()
+        (jgp, jgs, jgi), (ap_al, as_al, ai_al) = self.jg, self.alphas
         pp = ap.real * ap.real + ap.imag * ap.imag
         apap = ap * ap
         e = cmath.exp(self.mjdk * z)
         if self.undepleted:
-            # the pump alone drives the signal and idler (and the third
-            # harmonic), and evolves by its own self-phase modulation
+            # the pump alone drives the signal and idler, and evolves by its
+            # own self-phase modulation
             pp2 = 2.0 * pp
-            out = [(jgp * pp - ap_al) * ap,
-                   jgs * (pp2 * as_ + apap * ai.conjugate() * e) - as_al * as_,
-                   jgi * (pp2 * ai + apap * as_.conjugate() * e) - ai_al * ai]
-            if self.third:
-                a3 = modes[3]
-                out.append((self.jg[3] * pp2 - self.alphas[3]) * a3
-                           + self.jg[3] * (apap * ap
-                                           * cmath.exp(self.mjdk3 * z)
-                                           * (1.0 / 3.0)))
-            return np.array(out)
+            return np.array([
+                (jgp * pp - ap_al) * ap,
+                jgs * (pp2 * as_ + apap * ai.conjugate() * e) - as_al * as_,
+                jgi * (pp2 * ai + apap * as_.conjugate() * e) - ai_al * ai])
 
         ps = as_.real * as_.real + as_.imag * as_.imag
         pi_ = ai.real * ai.real + ai.imag * ai.imag
@@ -303,24 +281,11 @@ class _Propagator:
         sp = pp + 2.0 * ps + 2.0 * pi_
         ss = ps + 2.0 * pp + 2.0 * pi_
         si = pi_ + 2.0 * pp + 2.0 * ps
-        if self.third:
-            a3 = modes[3]
-            p3 = a3.real * a3.real + a3.imag * a3.imag
-            p32 = 2.0 * p3
-            sp += p32
-            ss += p32
-            si += p32
-        out = [jgp * (sp * ap + 2.0 * as_ * ai * ap.conjugate() * e.conjugate())
-               - ap_al * ap,
-               jgs * (ss * as_ + apap * ai.conjugate() * e) - as_al * as_,
-               jgi * (si * ai + apap * as_.conjugate() * e) - ai_al * ai]
-        if self.third:
-            e3 = cmath.exp(self.mjdk3 * z)
-            out[0] += jgp * apap.conjugate() * a3 * e3.conjugate()
-            out.append(self.jg[3] * ((p3 + 2.0 * pp + 2.0 * ps + 2.0 * pi_) * a3
-                                     + apap * ap * e3 * (1.0 / 3.0))
-                       - self.alphas[3] * a3)
-        return np.array(out)
+        return np.array([
+            jgp * (sp * ap + 2.0 * as_ * ai * ap.conjugate() * e.conjugate())
+            - ap_al * ap,
+            jgs * (ss * as_ + apap * ai.conjugate() * e) - as_al * as_,
+            jgi * (si * ai + apap * as_.conjugate() * e) - ai_al * ai])
 
     def _apply_block(self, y):
         return y * self.block_factors
@@ -389,6 +354,15 @@ class PumpedLine:
     blocks: tuple                    # cell positions of the block corrections
     block_factors: tuple | None      # pump, signals, idlers; None: no blocks
     options: IntegrationOptions
+
+
+def _refuse_third_harmonic(options: IntegrationOptions, what: str):
+    """ValueError if ``options`` ask for the third harmonic, which only
+    third_harmonic_scan carries."""
+    if options.include_third_harmonic:
+        raise ValueError(f"include_third_harmonic applies to "
+                         f"third_harmonic_scan only; {what} has no third "
+                         "harmonic")
 
 
 def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
@@ -663,17 +637,14 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
     ...), network.i_star, pump_power)``.  The gain is 20 log10 |T00| of the
     undepleted signal-idler transfer (_transfer), so it needs no seed and
     no integrator tolerance.  Raises ValueError for a negative pump power
-    or a line prepared with the third harmonic, and NumericError for an
+    or a line prepared with include_third_harmonic, and NumericError for an
     attenuated pump or a gain past the float range.  The profile's arrays
     are its own.
     """
     p_p = pump_power
     if p_p < 0:
         raise ValueError("pump power must be >= 0")
-    if line.options.include_third_harmonic:
-        raise ValueError("include_third_harmonic applies to the harmonic "
-                         "scan only; the small-signal gain has no third "
-                         "harmonic")
+    _refuse_third_harmonic(line.options, "the small-signal gain")
     alpha_p = line.alphas[0]
     if alpha_p != 0.0:
         raise NumericError(
@@ -731,12 +702,11 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
                         ) -> HarmonicScan:
     """Pump and third-harmonic powers along the line (no signal injected).
 
-    Only the pump and its third harmonic are integrated; with no signal the
-    signal and idler stay zero, so p_signal and p_idler are one array of
-    zeros.  Raises ValueError for a pump that is not positive, NumericError
-    as prepare_line does for the pump and, for a design without resonators,
-    for a third harmonic off the grid of ``dispersion``.  The
-    include_third_harmonic option is not read.
+    Only the pump and its third harmonic are integrated: with no signal
+    injected, the signal and idler would stay zero.  Raises ValueError for
+    a pump that is not positive, NumericError as prepare_line does for the
+    pump and, for a design without resonators, for a third harmonic off the
+    grid of ``dispersion``.  The include_third_harmonic option is not read.
     """
     options = options or IntegrationOptions()
     f_p, p_p = pump
@@ -750,15 +720,12 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     prop = _Propagator(
         (gamma, 3.0 * gamma), (float(alpha[0]), float(alpha[1])),
         options, float(network.total_cells), blocks, block_factors,
-        dk3=float(k[1] - 3.0 * k_p))
+        dk=float(k[1] - 3.0 * k_p))
     z, y = prop.run(np.array([math.sqrt(p_p), 0.0], dtype=complex),
                     HARMONIC_SAMPLES)
-    zeros = np.zeros(z.size)
     return HarmonicScan(
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,
-        p_signal=zeros,
-        p_idler=zeros,
         p_third=np.abs(y[1]) ** 2,
         pump_frequency=f_p,
         pump_power=p_p,

@@ -146,8 +146,7 @@ def _stopband_rows(report):
 
 def _harmonic_rows(scan):
     return table_lines(
-        "z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w",
-        [scan.z_cells, scan.p_pump, scan.p_signal, scan.p_idler, scan.p_third])
+        "z_cells,p_pump_w,p_third_w", [scan.z_cells, scan.p_pump, scan.p_third])
 
 
 def _sweep_rows(result):

@@ -532,9 +532,14 @@ def write_touchstone(sp: SParameterSet, path) -> str:
 
 
 def read_touchstone(path) -> SParameterSet:
+    """Read a two-port 'HZ S RI' Touchstone file, as write_touchstone
+    writes it.  Raises ValueError naming the file (and line) for any other
+    format, a malformed line or no data."""
     with open(path) as fh:
-        raw = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)
-               if ln.strip()]
+        # a Touchstone comment runs from '!' to the end of its line
+        lines = ((n, ln.partition("!")[0].strip())
+                 for n, ln in enumerate(fh, start=1))
+        raw = [(n, ln) for n, ln in lines if ln]
     if not raw or not raw[0][1].startswith("#"):
         raise ValueError(f"{path}: missing Touchstone option line")
     opts = raw[0][1][1:].split()

@@ -34,7 +34,6 @@ from kitwpa.dispersion import (
 from kitwpa.fwm import (
     IntegrationOptions,
     ModeState,
-    PhaseMismatch,
     analytic_gain_undepleted,
     integrate_gain,
     propagate_modes,
@@ -194,8 +193,8 @@ def test_criterion_6_oracle_parity():
         gamma = gamma_pp / p_p
         for ratio in np.linspace(-10, 10, 20):
             dk_total = ratio * gamma_pp
-            mism = PhaseMismatch(dk_total - 2 * gamma_pp, dk_total)
-            state = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
+            mism = dk_total - 2 * gamma_pp
+            state = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
                               f_p=6e9, f_s=6e9)
             out = propagate_modes(state, gamma, mism, length, undepleted=True)
             got = 10 * np.log10(abs(out.a_s) ** 2 / seed**2)
@@ -215,10 +214,10 @@ def test_criterion_7_conservation():
         gamma_pp = gpl / length
         gamma = gamma_pp / p_p
         seed = math.sqrt(p_p * 10 ** (seed_db / 10))
-        s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0, a_3=0.0,
+        s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
                        f_p=6e9, f_s=f_s)
-        out = propagate_modes(s0, gamma, PhaseMismatch(-2 * gamma_pp, 0.0),
-                              length, IntegrationOptions(rtol=1e-10, atol=1e-16))
+        out = propagate_modes(s0, gamma, -2 * gamma_pp, length,
+                              IntegrationOptions(rtol=1e-10, atol=1e-16))
         dn_s = (abs(out.a_s) ** 2 - seed**2) / s0.f_s
         dn_i = abs(out.a_i) ** 2 / s0.f_i
         dn_p = (p_p - abs(out.a_p) ** 2) / (2 * s0.f_p)

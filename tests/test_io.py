@@ -328,6 +328,21 @@ class TestRunner:
         net = read_netlist(tmp_path / "out" / "device.net")
         assert net.total_cells == 45 * 22
 
+    def test_readme_lists_the_csv_columns_runner_writes(self, tmp_path):
+        # the **CSV** bullet of the README's file formats names each table's
+        # columns as `name.csv` (`column, column, ...`)
+        readme = (ROOT / "README.md").read_text()
+        bullet = readme[readme.index("* **CSV**"):].split("\n* ", 1)[0]
+        listed = dict(re.findall(r"`(\w+\.csv)` \(`([^`]*)`",
+                                 " ".join(bullet.split())))
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
+        for subcommand in ("dispersion", "gain", "harmonics"):
+            run(subcommand, cfg, out_dir=tmp_path / subcommand)
+            name = f"{subcommand}.csv"
+            with open(tmp_path / subcommand / name) as fh:
+                header = fh.readline().rstrip("\n")
+            assert listed[name].split(", ") == header.split(","), name
+
     def test_dispersion_outputs_and_stopbands(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
         run("dispersion", cfg, out_dir=tmp_path / "out")
@@ -467,7 +482,7 @@ class TestRunner:
         cfg = load_config(write_cfg(tmp_path, text))
         run("harmonics", cfg, out_dir=tmp_path / "out")
         rows = (tmp_path / "out" / "harmonics.csv").read_text().splitlines()
-        assert rows[0] == "z_cells,p_pump_w,p_signal_w,p_idler_w,p_third_w"
+        assert rows[0] == "z_cells,p_pump_w,p_third_w"
         assert len(rows) > 100
 
     def test_sweep_requires_section(self, tmp_path):

@@ -755,6 +755,27 @@ class TestTouchstone:
 
         assert peak(100_001) <= 1.5 * peak(10_001)
 
+    @pytest.mark.parametrize("text", [
+        "! a leading comment\n# HZ S RI R 50\n1 0 0 1 0 1 0 0 0\n"
+        "2 0 0 0 1 0 1 0 0\n",
+        "# HZ S RI R 50 ! option line\n1 0 0 1 0 1 0 0 0 ! first point\n"
+        "2 0 0 0 1 0 1 0 0!second\n",
+        "!\n# HZ S RI R 50\n  ! comment-only line\n1 0 0 1 0 1 0 0 0\n"
+        "!! another\n2 0 0 0 1 0 1 0 0\n!",
+    ], ids=["leading", "trailing", "comment-only"])
+    def test_comments_are_skipped(self, tmp_path, text):
+        # Touchstone treats everything from '!' to the end of a line as a
+        # comment, on any line
+        p = tmp_path / "commented.s2p"
+        p.write_text(text)
+        sp = read_touchstone(p)
+        assert np.array_equal(sp.frequencies, [1.0, 2.0])
+        assert np.array_equal(sp.s21, [1.0, 1j])
+        assert np.array_equal(sp.s12, [1.0, 1j])
+        assert np.array_equal(sp.s11, [0.0, 0.0])
+        assert np.array_equal(sp.s22, [0.0, 0.0])
+        assert sp.reference_impedance == 50.0
+
     def test_rejects_unknown_format(self, tmp_path):
         p = tmp_path / "bad.s2p"
         p.write_text("# GHZ S MA R 50\n1 0 0 0 0 0 0 0 0\n")
