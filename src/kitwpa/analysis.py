@@ -92,10 +92,10 @@ def _median_step(f: np.ndarray) -> float:
     return float((steps[mid - 1] + steps[mid]) / 2.0)
 
 
-def _smooth(g: np.ndarray, df: float, window_hz: float) -> np.ndarray:
-    """Moving average over a grid of median step df, with edge
-    renormalization (no zero-pad bias)."""
-    n = max(1, int(round(window_hz / df)))
+def _smooth(g: np.ndarray, df: float) -> np.ndarray:
+    """Moving average over SMOOTHING_WINDOW_HZ on a grid of median step df,
+    with edge renormalization (no zero-pad bias)."""
+    n = max(1, int(round(SMOOTHING_WINDOW_HZ / df)))
     if n % 2 == 0:
         n += 1
     # np.convolve's "same" output is as long as the longer input, so keep the
@@ -109,18 +109,17 @@ def _smooth(g: np.ndarray, df: float, window_hz: float) -> np.ndarray:
     return num / den
 
 
-def _exclusion_zones(profile: GainProfile, stopbands: tuple,
-                     width_hz: float | None) -> list:
+def _exclusion_zones(profile: GainProfile, stopbands: tuple) -> list:
     """Dip exclusion intervals, disjoint and in frequency order: every
-    stopband overlapping the signal range, plus its mirror about the pump,
-    with overlapping intervals merged."""
+    stopband widened by DIP_GUARD_HZ, plus its mirror about the pump, where
+    it overlaps the signal range, with overlapping intervals merged."""
     f = profile.frequencies
     f_lo, f_hi = float(f[0]), float(f[-1])
     f_p = profile.pump_frequency
     zones = []
     for band in stopbands:
+        w = band.width + DIP_GUARD_HZ
         for center in (band.center, 2.0 * f_p - band.center):
-            w = width_hz if width_hz is not None else band.width + DIP_GUARD_HZ
             lo, hi = center - w / 2.0, center + w / 2.0
             if hi >= f_lo and lo <= f_hi:
                 zones.append((lo, hi))
@@ -134,22 +133,21 @@ def _exclusion_zones(profile: GainProfile, stopbands: tuple,
     return merged
 
 
-def gain_metrics(profile: GainProfile, stopbands: tuple = (),
-                 dip_exclusion_width_hz: float | None = None,
-                 smoothing_window_hz: float = SMOOTHING_WINDOW_HZ) -> GainMetrics:
+def gain_metrics(profile: GainProfile, stopbands: tuple = ()) -> GainMetrics:
     """Summary metrics of a gain profile.
 
     ``stopbands`` are the device's Stopbands (find_stopbands).  Peak and
-    bandwidth are taken from the smoothed curve outside the dip
-    exclusion zones; the double-sided bandwidth is the total measure of
-    frequencies whose smoothed gain stays within 3 dB of the peak.
+    bandwidth are taken from the smoothed curve (_smooth) outside the dip
+    exclusion zones (_exclusion_zones); the double-sided bandwidth is the
+    total measure of frequencies whose smoothed gain stays within 3 dB of
+    the peak.  Raises NumericError when the zones cover every signal.
     """
     f = profile.frequencies
     if f.size < 3:
         raise ValueError("profile too short for metrics")
     df = _median_step(f)
-    smooth = _smooth(profile.gain_db, df, smoothing_window_hz)
-    zones = _exclusion_zones(profile, stopbands, dip_exclusion_width_hz)
+    smooth = _smooth(profile.gain_db, df)
+    zones = _exclusion_zones(profile, stopbands)
     # each zone's signals f[start:stop], lo <= f <= hi, on the increasing grid
     bounds = np.array(zones, dtype=float).reshape(-1, 2)
     starts = np.searchsorted(f, bounds[:, 0], side="left").tolist()
@@ -221,14 +219,12 @@ class _GainPipeline:
     numbers a fresh one would.
     """
 
-    def __init__(self, network, dispersion_grid, signal_grid, options,
-                 dip_exclusion_width_hz):
+    def __init__(self, network, dispersion_grid, signal_grid, options):
         self.network = network
         self.curve = device_dispersion(network, dispersion_grid)
         self.stopbands = find_stopbands(self.curve)
         self.signal_grid = signal_grid
         self.options = options
-        self.dip_exclusion_width_hz = dip_exclusion_width_hz
         self._line = None
 
     def __call__(self, i_star: float, pump: tuple) -> tuple:
@@ -238,8 +234,7 @@ class _GainPipeline:
             self._line = prepare_line(self.network, self.curve, f_p,
                                       self.signal_grid, self.options)
         profile = solve_gain(self._line, i_star, p_p)
-        return profile, gain_metrics(profile, self.stopbands,
-                                     self.dip_exclusion_width_hz)
+        return profile, gain_metrics(profile, self.stopbands)
 
 
 @dataclass(frozen=True)
@@ -343,13 +338,12 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float,
 def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
                     dispersion_grid: FrequencyGrid = DEFAULT_GRID,
                     options: IntegrationOptions | None = None,
-                    dip_exclusion_width_hz: float | None = None,
                     bracket: tuple = (CalibrationSpec.bracket_low,
                                       CalibrationSpec.bracket_high),
                     tol_db: float = CalibrationSpec.tolerance_db
                     ) -> CalibrationResult:
-    """Root-find the nonlinearity scale so the smoothed peak gain hits the
-    target.
+    """Root-find the nonlinearity scale so the peak gain of gain_metrics
+    hits the target.
 
     Peak gain decreases monotonically in i_star (gamma ~ 1/i_star^2), so a
     bracketed scalar solve is exact and deterministic.  The lower bracket is
@@ -363,8 +357,7 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
     if p_p <= 0:
         raise ValueError("calibration requires nonzero pump power")
     network = expand_design(design)
-    pipeline = _GainPipeline(network, dispersion_grid, signal_grid, options,
-                             dip_exclusion_width_hz)
+    pipeline = _GainPipeline(network, dispersion_grid, signal_grid, options)
 
     k_p = float(pipeline.curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
@@ -412,6 +405,10 @@ def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
 # --------------------------------------------------------------------------
 # sweeps
 
+# the GainMetrics fields a sweep reports, in sweep.csv's column order
+_SWEEP_METRICS = ("peak_gain_db", "double_sided_bw_3db_hz")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One sweep axis: a parameter name and the values it takes, in the
@@ -423,10 +420,10 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of sweep: the parameter and its values as given, metric name
-    -> one value per point (each metric in its GainMetrics unit, NaN where
-    the point failed), and one (index, exception class name, message) per
-    failed point."""
+    """Outcome of sweep: the parameter and its values as given, the peak
+    gain and bandwidth as metric name -> one value per point (each in its
+    GainMetrics unit, NaN where the point failed), and one (index, exception
+    class name, message) per failed point."""
 
     parameter: str
     values: tuple
@@ -483,14 +480,11 @@ def _apply_parameter(design, pump, name, value):
 
 def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
           dispersion_grid: FrequencyGrid = DEFAULT_GRID,
-          options: IntegrationOptions | None = None,
-          dip_exclusion_width_hz: float | None = None,
-          metric_names: tuple = ("peak_gain_db", "double_sided_bw_3db_hz")
-          ) -> SweepResult:
-    """Evaluate the gain pipeline across one axis, point by point in axis
-    order.  A point that fails with a toolkit, value or arithmetic error is
-    recorded with its exception class and the sweep continues; any other
-    exception propagates.
+          options: IntegrationOptions | None = None) -> SweepResult:
+    """Peak gain and double-sided bandwidth (gain_metrics) across one
+    axis, point by point in axis order.  A point that fails with a toolkit,
+    value or arithmetic error is recorded with its exception class and the
+    sweep continues; any other exception propagates.
 
     Consecutive points share what does not change between them: the gain
     pipeline (expanded network, Bloch curve and stopbands) when the design
@@ -514,8 +508,7 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
             unit = design_with_istar(d, 1.0)
             if unit != key:
                 pipeline = _GainPipeline(expand_design(d), dispersion_grid,
-                                         signal_grid, options,
-                                         dip_exclusion_width_hz)
+                                         signal_grid, options)
                 key = unit
             _, results[i] = pipeline(d.base_cell.inductor.i_star, p)
         except (KitwpaError, ValueError, ArithmeticError) as exc:
@@ -525,7 +518,7 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
         name: tuple(
             float(getattr(r, name)) if r is not None else float("nan")
             for r in results)
-        for name in metric_names
+        for name in _SWEEP_METRICS
     }
     return SweepResult(parameter=axis.parameter, values=tuple(values),
                        metrics=metrics, failures=tuple(failures))

@@ -456,10 +456,14 @@ def read_netlist(path) -> LadderNetwork:
     The format lists every element; the period is recovered as the shortest
     one the chain has.  A netlist written from a design whose period is its
     shortest (every preset's is) reads back to the design's own period,
-    repeat count and tail.
+    repeat count and tail.  Raises ValueError naming the file for text that
+    is not UTF-8, a missing header, a malformed line or no elements.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not raw or raw[0].strip() != NETLIST_HEADER:
         raise ValueError(f"{path}: missing netlist header '{NETLIST_HEADER}'")
     parsed: dict = {}   # line text -> element
@@ -476,9 +480,7 @@ def read_netlist(path) -> LadderNetwork:
         elements.append(parsed[line])
     if not elements:
         raise ValueError(f"{path}: netlist has no elements")
-    p = _shortest_period(_element_ids(elements))
-    period = tuple(elements[:p])
-    return LadderNetwork(period, len(elements) // p, period[: len(elements) % p])
+    return _primitive(tuple(elements), 1)
 
 
 def with_i_star(network: LadderNetwork, i_star: float) -> LadderNetwork:

@@ -135,9 +135,8 @@ class _Section:
 class RunConfig:
     """A loaded config: the design (a spec, or a netlist path) and its kind,
     the Bloch frequency_grid (Hz), the pump (Hz, W), the signal_grid (Hz),
-    the integrator options, the calibration and sweep sections, the dip
-    exclusion width (Hz; None: each stopband's width plus a guard), the
-    output directory, and the raw parsed document."""
+    the integrator options, the calibration and sweep sections, the output
+    directory, and the raw parsed document."""
 
     design: object                 # FishboneSpec | LeafSpec | Path (netlist)
     design_kind: str               # "fishbone" | "leaf" | "netlist"
@@ -147,7 +146,6 @@ class RunConfig:
     integrator: IntegrationOptions
     calibration: CalibrationSpec | None
     sweep: SweepAxis | None
-    dip_exclusion_width_hz: float | None
     output_directory: str
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -248,7 +246,9 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from None
     if not isinstance(raw, dict):
@@ -283,8 +283,6 @@ def load_config(path) -> RunConfig:
                                    CalibrationSpec,
                                    required=("target_peak_db",)),
         sweep=_parse_sweep(analysis.child("sweep"), design, kind),
-        dip_exclusion_width_hz=_float_vs_zero(
-            analysis, "dip_exclusion_width_hz", ">"),
         output_directory=_path_string(output, "directory", "."),
         raw=raw,
     )
@@ -311,6 +309,5 @@ def effective_config(config: RunConfig) -> dict:
         "integrator": clean(config.integrator),
         "calibration": clean(config.calibration),
         "sweep": clean(config.sweep),
-        "dip_exclusion_width_hz": config.dip_exclusion_width_hz,
         "output_directory": config.output_directory,
     }

@@ -90,15 +90,14 @@ class ModeState:
 
 def propagate_modes(state: ModeState, gamma: float, delta_k: float,
                     length: float, options: IntegrationOptions | None = None,
-                    attenuation=(0.0, 0.0, 0.0),
                     undepleted: bool = False) -> ModeState:
-    """Integrate one pump/signal/idler system over ``length`` cells.
+    """Integrate one lossless pump/signal/idler system over ``length``
+    cells.
 
     ``gamma`` is the pump's Kerr coefficient (kerr_coefficient); a mode at
     frequency f has gamma * f / f_p.  The linear mismatch ``delta_k`` =
-    k_s + k_i - 2 k_p (rad/cell) and the attenuations (nepers/cell, pump,
-    signal, idler) are taken as given, which makes this the direct
-    integration counterpart of analytic_gain_undepleted.  With
+    k_s + k_i - 2 k_p (rad/cell) is taken as given, which makes this the
+    direct integration counterpart of analytic_gain_undepleted.  With
     ``undepleted`` only the pump drives the signal and idler, and the pump
     evolves by its own self-phase modulation alone: the small-signal limit
     that analytic_gain_undepleted and solve_gain take.  Raises ValueError
@@ -110,8 +109,7 @@ def propagate_modes(state: ModeState, gamma: float, delta_k: float,
     f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
     gammas = (gamma, gamma * f_s / f_p, gamma * f_i / f_p)
     # plain floats: Python complex arithmetic on numpy scalars is slow
-    prop = _Propagator(tuple(map(float, gammas)),
-                       tuple(map(float, attenuation)), options,
+    prop = _Propagator(tuple(map(float, gammas)), (0.0, 0.0, 0.0), options,
                        float(length), dk=float(delta_k),
                        undepleted=undepleted)
     y = prop.run(np.array([state.a_p, state.a_s, state.a_i], dtype=complex))
@@ -173,30 +171,27 @@ class IntegrationOptions:
 @dataclass(frozen=True)
 class GainProfile:
     """Small-signal gain over the signal grid: frequencies (Hz, pump point
-    dropped), gain_db (dB), the pump_frequency (Hz) and pump_power (W), the
-    linear and total phase mismatch per signal (rad/cell), where the signal
-    or its idler lies in a stopband, and the i_star (A) it was solved at."""
+    dropped), gain_db (dB), the pump_frequency (Hz), the linear and total
+    phase mismatch per signal (rad/cell), and where the signal or its idler
+    lies in a stopband."""
 
     frequencies: np.ndarray
     gain_db: np.ndarray
     pump_frequency: float
-    pump_power: float
     delta_k_linear: np.ndarray
     delta_k_total: np.ndarray
     in_stopband: np.ndarray
-    i_star: float
 
 
 @dataclass(frozen=True)
 class HarmonicScan:
     """Powers along the line: sample positions z_cells (cells from the
-    input), pump and third-harmonic powers there (W), and the
-    pump_frequency (Hz) and input pump_power (W)."""
+    input), pump and third-harmonic powers there (W), and the input
+    pump_power (W)."""
 
     z_cells: np.ndarray
     p_pump: np.ndarray
     p_third: np.ndarray
-    pump_frequency: float
     pump_power: float
 
     @property
@@ -655,8 +650,7 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
     f_s, dk = line.signal_frequencies, line.delta_k
     if p_p == 0.0:
         return GainProfile(f_s.copy(), np.zeros(f_s.size), line.pump_frequency,
-                           0.0, dk.copy(), dk.copy(), line.in_stopband.copy(),
-                           i_star)
+                           dk.copy(), dk.copy(), line.in_stopband.copy())
 
     t_s, _ = _transfer(line, gamma, p_p)
     gain_db = 20.0 * np.log10(np.maximum(np.abs(t_s), 1e-300))
@@ -665,11 +659,9 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
         frequencies=f_s.copy(),
         gain_db=gain_db,
         pump_frequency=line.pump_frequency,
-        pump_power=p_p,
         delta_k_linear=dk.copy(),
         delta_k_total=dk + 2.0 * gamma * p_p,
         in_stopband=line.in_stopband.copy(),
-        i_star=i_star,
     )
 
 
@@ -727,7 +719,6 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
         z_cells=z,
         p_pump=np.abs(y[0]) ** 2,
         p_third=np.abs(y[1]) ** 2,
-        pump_frequency=f_p,
         pump_power=p_p,
     )
 

@@ -261,8 +261,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     elif subcommand == "gain":
         _require_bloch_period(config, network)
         pipeline = _GainPipeline(network, config.frequency_grid,
-                                 config.signal_grid, config.integrator,
-                                 config.dip_exclusion_width_hz)
+                                 config.signal_grid, config.integrator)
         profile, metrics = pipeline(network.i_star, config.pump)
         _write_gain(emit, profile, metrics, _operating_point(config, pipeline))
 
@@ -278,10 +277,9 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
                  "'sweep' requires an analysis.sweep section")
         _require(config.design_kind != "netlist",
                  "'sweep' needs a parametric design, not a raw netlist")
-        result = sweep(
-            config.design, config.pump, config.sweep,
-            config.signal_grid, config.frequency_grid, config.integrator,
-            dip_exclusion_width_hz=config.dip_exclusion_width_hz)
+        result = sweep(config.design, config.pump, config.sweep,
+                       config.signal_grid, config.frequency_grid,
+                       config.integrator)
         emit.write("sweep.csv", _sweep_rows(result))
         if result.failures:
             emit.write("sweep_failures.txt", ["".join(
@@ -297,7 +295,6 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         result = calibrate_istar(
             config.design, config.pump, cal.target_peak_db,
             config.signal_grid, config.frequency_grid, config.integrator,
-            dip_exclusion_width_hz=config.dip_exclusion_width_hz,
             bracket=(cal.bracket_low, cal.bracket_high),
             tol_db=cal.tolerance_db)
         emit.write("calibration.txt", _report([

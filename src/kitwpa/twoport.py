@@ -533,26 +533,32 @@ def write_touchstone(sp: SParameterSet, path) -> str:
 
 def read_touchstone(path) -> SParameterSet:
     """Read a two-port 'HZ S RI' Touchstone file, as write_touchstone
-    writes it.  Raises ValueError naming the file (and line) for any other
-    format, a malformed line or no data."""
-    with open(path) as fh:
-        # a Touchstone comment runs from '!' to the end of its line
-        lines = ((n, ln.partition("!")[0].strip())
-                 for n, ln in enumerate(fh, start=1))
-        raw = [(n, ln) for n, ln in lines if ln]
+    writes it.  The option line names HZ, S and RI in any order and case,
+    with an optional ``R <ohms>`` anywhere (50 ohm without it).  Raises
+    ValueError naming the file (and line) for text that is not UTF-8, any
+    other format, a malformed line or no data."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # a Touchstone comment runs from '!' to the end of its line
+            lines = ((n, ln.partition("!")[0].strip())
+                     for n, ln in enumerate(fh, start=1))
+            raw = [(n, ln) for n, ln in lines if ln]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not raw or not raw[0][1].startswith("#"):
         raise ValueError(f"{path}: missing Touchstone option line")
-    opts = raw[0][1][1:].split()
-    if [o.upper() for o in opts[:3]] != ["HZ", "S", "RI"]:
-        raise ValueError(f"{path}: only 'HZ S RI' Touchstone data is supported")
+    opts = raw[0][1][1:].upper().split()
     z_ref = 50.0
-    if "R" in [o.upper() for o in opts]:
-        at = [o.upper() for o in opts].index("R") + 1
+    if "R" in opts:
+        at = opts.index("R")
         try:
-            z_ref = float(opts[at])
+            z_ref = float(opts[at + 1])
         except (IndexError, ValueError):
             raise ValueError(f"{path}:{raw[0][0]}: the option line needs a "
                              "reference impedance after R") from None
+        del opts[at:at + 2]
+    if sorted(opts) != ["HZ", "RI", "S"]:
+        raise ValueError(f"{path}: only 'HZ S RI' Touchstone data is supported")
     rows = []
     for n, line in raw[1:]:
         try:

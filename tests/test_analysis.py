@@ -48,11 +48,10 @@ PARITY_LEAF = LeafSpec(
 PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
 
 
-def pipeline_gain(design, pump, signal_grid, dispersion_grid, options=None,
-                  dip_exclusion_width_hz=None):
+def pipeline_gain(design, pump, signal_grid, dispersion_grid, options=None):
     """(profile, metrics, stopbands) of a design through one gain pipeline."""
     pipeline = _GainPipeline(expand_design(design), dispersion_grid,
-                             signal_grid, options, dip_exclusion_width_hz)
+                             signal_grid, options)
     profile, metrics = pipeline(design.base_cell.inductor.i_star, pump)
     return profile, metrics, pipeline.stopbands
 
@@ -66,17 +65,15 @@ def fresh_gain(design, pump, signal_grid, dispersion_grid):
     return profile, gain_metrics(profile, find_stopbands(curve))
 
 
-def synthetic_profile(f, gain_db, f_p=6e9, p_p=100e-6):
+def synthetic_profile(f, gain_db, f_p=6e9):
     n = len(f)
     return GainProfile(
         frequencies=np.asarray(f, dtype=float),
         gain_db=np.asarray(gain_db, dtype=float),
         pump_frequency=f_p,
-        pump_power=p_p,
         delta_k_linear=np.zeros(n),
         delta_k_total=np.zeros(n),
         in_stopband=np.zeros(n, dtype=bool),
-        i_star=10e-3,
     )
 
 
@@ -107,18 +104,22 @@ class TestGainMetrics:
     def test_mirror_peaks_report_the_lower_frequency(self, raised):
         # two lobes mirrored about the pump; either raised by 1e-15 dB, as
         # rounding raises one of a preset's mirror signals, the peak is the
-        # lower one.  A sub-step window leaves the curve unsmoothed
-        f = np.linspace(5.0e9, 7.0e9, 201)
+        # lower one.  On a 200 MHz grid the smoothing window is one point,
+        # which leaves the curve unsmoothed
+        f = np.linspace(5.0e9, 7.0e9, 11)
         g = 15.0 - ((np.abs(f - 6e9) - 0.4e9) / 0.2e9) ** 2
         lower, upper = np.flatnonzero(g == g.max())
         assert f[lower] + f[upper] == 12e9
         g[lower if raised == "lower" else upper] += 1e-15
         assert g[lower] != g[upper]
-        m = gain_metrics(synthetic_profile(f, g, f_p=6e9),
-                         smoothing_window_hz=1.0)
+        m = gain_metrics(synthetic_profile(f, g, f_p=6e9))
         assert m.peak_frequency_hz == f[lower]
         assert m.peak_gain_db == g.max()
-        # with the default window the smoothed mirror peaks tie or nearly so
+        # on a 10 MHz grid the smoothed mirror peaks tie or nearly so
+        f = np.linspace(5.0e9, 7.0e9, 201)
+        g = 15.0 - ((np.abs(f - 6e9) - 0.4e9) / 0.2e9) ** 2
+        lower = np.argmax(g)
+        g[lower if raised == "lower" else -1 - lower] += 1e-15
         assert gain_metrics(synthetic_profile(f, g, f_p=6e9)
                             ).peak_frequency_hz == f[lower]
 
@@ -141,7 +142,7 @@ class TestGainMetrics:
         # a 100 MHz window over a 50 MHz grid is longer than the profile
         f = np.linspace(6.0e9, 6.05e9, points)
         g = np.linspace(1.0, 2.0, points)
-        smooth = _smooth(g, _median_step(f), 100e6)
+        smooth = _smooth(g, _median_step(f))
         assert smooth.shape == g.shape
         assert np.all((smooth >= 1.0) & (smooth <= 2.0))
 
@@ -169,12 +170,6 @@ class TestGainMetrics:
             want = float(np.median(np.diff(f)))
             assert np.float64(_median_step(f)).view(np.uint64) == \
                 np.float64(want).view(np.uint64)
-
-    def test_smoothing_window_override(self):
-        f = np.linspace(5e9, 7e9, 2001)
-        g = 15.0 + 1.0 * np.sin(2 * np.pi * f / 20e6)
-        m = gain_metrics(synthetic_profile(f, g), smoothing_window_hz=1.0)
-        assert m.ripple_db == 0.0  # no smoothing, no residual
 
     def test_exclusions_covering_the_grid_are_numeric_error(self):
         # a 4 GHz stopband centred on the pump: it and its mirror about the
@@ -214,7 +209,7 @@ class TestGainPipeline:
         cfg = load_config(PRESETS / "leaf-paper-gain.cfg")
         _, metrics, stopbands = pipeline_gain(
             cfg.design, cfg.pump, cfg.signal_grid, cfg.frequency_grid,
-            cfg.integrator, cfg.dip_exclusion_width_hz)
+            cfg.integrator)
         dips = np.array(metrics.dip_frequencies_hz)
         assert len(stopbands) > dips.size > 1
         assert np.all(np.diff(dips) > 0)
@@ -245,7 +240,6 @@ class TestCalibration:
                                (6.22e9, 100e-6), grid, DISP_GRID)
         assert np.array_equal(res.profile.gain_db, direct.gain_db)
         assert np.array_equal(res.profile.delta_k_total, direct.delta_k_total)
-        assert res.profile.i_star == direct.i_star
 
     def test_calibration_deterministic(self):
         grid = np.linspace(5.7e9, 6.7e9, 41)
@@ -369,10 +363,10 @@ class TestSweep:
         assert g[2] == np.nanmax(g)
 
     def test_fully_excised_point_is_recorded_as_numeric_error(self):
-        grid = np.linspace(5.9e9, 6.5e9, 21)
+        # every signal lies in the narrow stopband's zone, 7.82-8.12 GHz
+        grid = np.linspace(7.90e9, 7.99e9, 10)
         res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
-                    SweepAxis("i_star", (10e-3,)), grid, DISP_GRID,
-                    dip_exclusion_width_hz=100e9)
+                    SweepAxis("i_star", (10e-3,)), grid, DISP_GRID)
         assert res.failures[0][:2] == (0, "NumericError")
         assert "dip exclusions removed the whole profile" in res.failures[0][2]
 
@@ -438,11 +432,13 @@ class TestSweep:
                                               axis, rebuilds):
         # points that share the expanded device or the pumped line give the
         # numbers of a fresh expand_design, device_dispersion,
-        # integrate_gain and gain_metrics, bit for bit
+        # integrate_gain and gain_metrics, bit for bit: every metric of
+        # each point, not only the two the sweep reports
         import kitwpa.analysis as analysis
         from kitwpa.analysis import _apply_parameter
 
         calls = {"expand": 0, "prepare": 0}
+        computed = []
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -450,8 +446,10 @@ class TestSweep:
                 return fn(*args, **kwargs)
             return wrapped
 
-        names = ("peak_gain_db", "peak_frequency_hz",
-                 "double_sided_bw_3db_hz", "ripple_db")
+        def recording(*args):
+            computed.append(gain_metrics(*args))
+            return computed[-1]
+
         grid = np.linspace(pump[0] - 0.6e9, pump[0] + 0.6e9, 13)
         disp = FrequencyGrid(0.1e9, 26e9, 2001)
         with monkeypatch.context() as m:
@@ -459,13 +457,16 @@ class TestSweep:
                       counting("expand", analysis.expand_design))
             m.setattr(analysis, "prepare_line",
                       counting("prepare", analysis.prepare_line))
-            res = sweep(design, pump, axis, grid, disp, metric_names=names)
+            m.setattr(analysis, "gain_metrics", recording)
+            res = sweep(design, pump, axis, grid, disp)
         assert (calls["expand"], calls["prepare"]) == rebuilds
         assert not res.failures
+        assert len(computed) == len(axis.values)
         for i, v in enumerate(axis.values):
             d, p = _apply_parameter(design, pump, axis.parameter, v)
             _, fresh = fresh_gain(d, p, grid, disp)
-            for name in names:
+            assert computed[i] == fresh
+            for name in res.metrics:
                 assert res.metrics[name][i] == getattr(fresh, name)
 
     @pytest.mark.parametrize("design", [SMALL_FISHBONE, PARITY_LEAF],

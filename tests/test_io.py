@@ -18,6 +18,7 @@ from kitwpa.circuit import (
     NonlinearInductorSpec,
     ResonatorSpec,
     UnitCellSpec,
+    read_netlist,
 )
 from kitwpa.cli import main
 from kitwpa import config
@@ -136,8 +137,7 @@ class TestLoadConfig:
         doc = yaml.safe_load(SMALL_FISHBONE_CFG)
         doc["analysis"].update(
             calibration={"target_peak_db": 3.0},
-            sweep={"parameter": "pump_power", "values": [5e-5, 1e-4]},
-            dip_exclusion_width_hz=1e8)
+            sweep={"parameter": "pump_power", "values": [5e-5, 1e-4]})
         cell = doc["design"].pop("fishbone")
         if variant == "netlist":
             (tmp_path / "device.net").write_text("")
@@ -302,6 +302,28 @@ analysis:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {p}: YAML parse error")
         assert "line 3" in err
+
+    @pytest.mark.parametrize("reader, error", [
+        (load_config, ConfigError), (read_netlist, ValueError),
+        (read_touchstone, ValueError),
+    ], ids=["config", "netlist", "touchstone"])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, reader,
+                                                  error):
+        p = tmp_path / "latin.txt"
+        p.write_bytes(SMALL_FISHBONE_CFG.encode() + b"# \xff\xfe\n")
+        with pytest.raises(error, match=re.escape(f"{p}: not UTF-8 text")):
+            reader(p)
+
+    @pytest.mark.parametrize("variant", ["config", "netlist"])
+    def test_cli_text_that_is_not_utf8_exits_2(self, tmp_path, capsys,
+                                               variant):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(SMALL_FISHBONE_CFG.encode() + b"# \xff\xfe\n")
+        p = bad if variant == "config" else write_cfg(
+            tmp_path, netlist_cfg(bad.name))
+        assert main(["gain", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: not UTF-8 text")
 
     def test_parses_as_safe_load_does(self, tmp_path):
         if yaml.__with_libyaml__:
@@ -645,10 +667,11 @@ class TestCli:
         assert "stopband" in capsys.readouterr().err
 
     def test_cli_fully_excised_profile_exit_3(self, tmp_path, capsys):
-        # exclusion zones 100 GHz wide leave no signal frequency to measure
+        # every signal lies in the narrow stopband's exclusion zone,
+        # 7.82-8.12 GHz, which leaves no signal frequency to measure
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
-            "  integrator: {rtol: 1.0e-8}",
-            "  integrator: {rtol: 1.0e-8}\n  dip_exclusion_width_hz: 100.0e9"))
+            "{start_hz: 5.4e9, stop_hz: 7.0e9, points: 41}",
+            "{start_hz: 7.90e9, stop_hz: 7.99e9, points: 10}"))
         rc = main(["gain", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
@@ -892,8 +915,9 @@ output:
          "analysis.pump.power_watts"),
         ("gain", "frequency_hz: 6.22e9", "frequency_hz: -6.22e9",
          "analysis.pump.frequency_hz"),
+        # the dip zones have one rule; the key that set their width is gone
         ("gain", "output:", "  dip_exclusion_width_hz: -1.0e9\noutput:",
-         "analysis.dip_exclusion_width_hz"),
+         "analysis: unknown key(s) ['dip_exclusion_width_hz']"),
     ], ids=["gain-negative-power", "harmonics-zero-power",
             "calibrate-zero-power", "negative-pump-frequency",
             "negative-dip-width"])

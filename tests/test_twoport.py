@@ -762,10 +762,16 @@ class TestTouchstone:
         "2 0 0 0 1 0 1 0 0!second\n",
         "!\n# HZ S RI R 50\n  ! comment-only line\n1 0 0 1 0 1 0 0 0\n"
         "!! another\n2 0 0 0 1 0 1 0 0\n!",
-    ], ids=["leading", "trailing", "comment-only"])
+        "# RI HZ S R 50 ! reordered\n1 0 0 1 0 1 0 0 0\n2 0 0 0 1 0 1 0 0\n",
+        "# R 50 HZ S RI\n1 0 0 1 0 1 0 0 0 ! first\n2 0 0 0 1 0 1 0 0\n",
+        "# hz s ri ! R left out: 50 ohm\n1 0 0 1 0 1 0 0 0\n"
+        "2 0 0 0 1 0 1 0 0\n",
+    ], ids=["leading", "trailing", "comment-only", "ri-first", "r-first",
+            "lower-case"])
     def test_comments_are_skipped(self, tmp_path, text):
         # Touchstone treats everything from '!' to the end of a line as a
-        # comment, on any line
+        # comment, on any line; the option line's fields come in any order
+        # and case
         p = tmp_path / "commented.s2p"
         p.write_text(text)
         sp = read_touchstone(p)
@@ -776,10 +782,15 @@ class TestTouchstone:
         assert np.array_equal(sp.s22, [0.0, 0.0])
         assert sp.reference_impedance == 50.0
 
-    def test_rejects_unknown_format(self, tmp_path):
+    @pytest.mark.parametrize("option", [
+        "# GHZ S MA R 50", "# GHZ S RI", "# HZ S MA", "# HZ Y RI", "# RI S",
+        "# HZ S RI RI", "# R 50 HZ S RI R 50",
+    ], ids=["ghz-ma", "ghz", "ma", "y", "no-hz", "ri-twice", "r-twice"])
+    def test_rejects_unknown_format(self, tmp_path, option):
+        # any order is accepted, but only of HZ, S and RI, each once
         p = tmp_path / "bad.s2p"
-        p.write_text("# GHZ S MA R 50\n1 0 0 0 0 0 0 0 0\n")
-        with pytest.raises(ValueError):
+        p.write_text(option + "\n1 0 0 0 0 0 0 0 0\n")
+        with pytest.raises(ValueError, match="only 'HZ S RI'"):
             read_touchstone(p)
 
     @pytest.mark.parametrize("body, message", [
