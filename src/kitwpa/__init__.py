@@ -43,11 +43,8 @@ from .dispersion import (
 from .fwm import (
     GainProfile,
     IntegrationOptions,
-    ModeState,
-    analytic_gain_undepleted,
     integrate_gain,
     kerr_coefficient,
-    propagate_modes,
     third_harmonic_scan,
 )
 from .analysis import (

@@ -10,16 +10,14 @@ Resonator phase-shifter blocks are not smeared into the continuous
 dispersion: each block applies a lumped complex correction (extra pump
 phase, insertion magnitude) to every mode at its position along the line.
 
-The small-signal gain (solve_gain) is the undepleted limit in closed form:
-a product of 2x2 signal-idler transfer matrices, one per segment between
-blocks.  The coupled-mode ODE serves the third-harmonic scan, which
-integrates the pump and its harmonic alone, and propagate_modes, which
-carries the pump, signal and idler, with or without the pump's depletion.
-Only the scan carries the third harmonic.  One engine (_Propagator)
-integrates one system, with a scalar RHS in Python complex arithmetic; the
-stacked numpy RHS over many systems is the tests' oracle.  The stepper
-samples the scan as it steps (t_eval), so the scan's memory does not grow
-with the pump's step count.
+The small-signal gain (solve_gain) is the limit of a pump that does not
+deplete, in closed form: a product of 2x2 signal-idler transfer matrices,
+one per segment between blocks.  The coupled-mode ODE serves the
+third-harmonic scan alone: _Propagator integrates the pump and its
+harmonic with a scalar RHS in Python complex arithmetic.  The
+pump/signal/idler ODE and the stacked numpy RHS over many systems are the
+tests' oracle (tests/oracles.py).  The stepper samples the scan as it steps
+(t_eval), so the scan's memory does not grow with the pump's step count.
 """
 
 from __future__ import annotations
@@ -40,13 +38,10 @@ from .errors import NumericError
 from .twoport import FrequencyGrid, network_matrix  # noqa: F401
 
 __all__ = [
-    "ModeState",
     "IntegrationOptions",
     "GainProfile",
     "HarmonicScan",
     "kerr_coefficient",
-    "propagate_modes",
-    "analytic_gain_undepleted",
     "PumpedLine",
     "signal_frequencies",
     "prepare_line",
@@ -72,72 +67,6 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
     return k_cell / (2.0 * i_star**2 * z0)
 
 
-@dataclass
-class ModeState:
-    """Complex amplitudes of the pump, signal and idler, |a|^2 in watts, at
-    the pump and signal frequencies f_p and f_s (Hz)."""
-
-    a_p: complex
-    a_s: complex
-    a_i: complex
-    f_p: float
-    f_s: float
-
-    @property
-    def f_i(self) -> float:
-        return 2.0 * self.f_p - self.f_s
-
-
-def propagate_modes(state: ModeState, gamma: float, delta_k: float,
-                    length: float, options: IntegrationOptions | None = None,
-                    undepleted: bool = False) -> ModeState:
-    """Integrate one lossless pump/signal/idler system over ``length``
-    cells.
-
-    ``gamma`` is the pump's Kerr coefficient (kerr_coefficient); a mode at
-    frequency f has gamma * f / f_p.  The linear mismatch ``delta_k`` =
-    k_s + k_i - 2 k_p (rad/cell) is taken as given, which makes this the
-    direct integration counterpart of analytic_gain_undepleted.  With
-    ``undepleted`` only the pump drives the signal and idler, and the pump
-    evolves by its own self-phase modulation alone: the small-signal limit
-    that analytic_gain_undepleted and solve_gain take.  Raises ValueError
-    for options with include_third_harmonic, which third_harmonic_scan
-    alone carries.
-    """
-    options = options or IntegrationOptions()
-    _refuse_third_harmonic(options, "propagate_modes")
-    f_p, f_s, f_i = state.f_p, state.f_s, state.f_i
-    gammas = (gamma, gamma * f_s / f_p, gamma * f_i / f_p)
-    # plain floats: Python complex arithmetic on numpy scalars is slow
-    prop = _Propagator(tuple(map(float, gammas)), (0.0, 0.0, 0.0), options,
-                       float(length), dk=float(delta_k),
-                       undepleted=undepleted)
-    y = prop.run(np.array([state.a_p, state.a_s, state.a_i], dtype=complex))
-    return ModeState(a_p=complex(y[0]), a_s=complex(y[1]),
-                     a_i=complex(y[2]), f_p=f_p, f_s=f_s)
-
-
-def analytic_gain_undepleted(gamma_pp: float, delta_k_total: float,
-                             length: float) -> float:
-    """Closed-form undepleted signal power gain (ratio, not dB).
-
-    G = 1 + (gamma*P_p / g)^2 sinh^2(g L) with
-    g^2 = (gamma*P_p)^2 - (delta_k_total / 2)^2; for g^2 < 0 the sinh turns
-    into an oscillatory sin, and g = 0 degenerates to G = 1 + (gamma*P_p*L)^2.
-    The idler photon-flux gain is G - 1 exactly.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    g2 = complex(gamma_pp**2 - (delta_k_total / 2.0) ** 2)
-    g = np.sqrt(g2)
-    gl = g * length
-    if abs(gl) < 1e-8:
-        sh_over_g = length * (1.0 + gl * gl / 6.0)
-    else:
-        sh_over_g = np.sinh(gl) / g
-    return float(1.0 + (gamma_pp * abs(sh_over_g)) ** 2)
-
-
 # --------------------------------------------------------------------------
 # device-level propagation
 
@@ -146,9 +75,9 @@ class IntegrationOptions:
     """Coupled-mode settings: the DOP853 rtol and atol (atol in sqrt(W),
     the mode amplitudes' unit), the line impedance z0 (ohm) that maps power
     to current, and include_third_harmonic, a flag nothing integrates with:
-    the harmonic scan always carries the third harmonic and ignores it, and
-    the small-signal gain and propagate_modes, which carry none, refuse
-    it."""
+    third_harmonic_scan always carries the third harmonic and ignores it,
+    and solve_gain (so integrate_gain), whose small-signal gain carries
+    none, refuses it."""
 
     include_third_harmonic: bool = False
     rtol: float = 1e-9
@@ -210,23 +139,20 @@ def _smooth_background(network: LadderNetwork) -> tuple:
 
 
 class _Propagator:
-    """One coupled-mode system along the line, with lumped block corrections.
+    """The pump and its third harmonic along the line, with lumped block
+    corrections: the harmonic scan's one coupled-mode system.
 
-    The state holds the amplitudes of the modes the system carries: the
-    pump and its third harmonic [a_p, a_3] for the harmonic scan, or the
-    pump, signal and idler [a_p, a_s, a_i] for propagate_modes.
-    ``gammas``, ``alphas`` and ``block_factors`` hold one entry per carried
-    mode, in that order; ``dk`` is the mismatch of the process the system
-    carries, k_3 - 3 k_p or k_s + k_i - 2 k_p.  The RHS is Python complex
-    arithmetic: on a few entries a numpy RHS costs its per-call overhead
-    many times over.
+    The state is [a_p, a_3].  ``gammas``, ``alphas`` and ``block_factors``
+    hold one entry per mode, in that order; ``dk`` is the mismatch
+    k_3 - 3 k_p.  The scan injects no signal, so the zero signal and idler
+    drop out of every term.  The RHS is Python complex arithmetic: on two
+    entries a numpy RHS costs its per-call overhead many times over.
     """
 
     n = 1   # systems in one state vector; bench/tracing.py reads it
 
     def __init__(self, gammas, alphas, options, total_cells=0.0, blocks=(),
-                 block_factors=None, dk=0.0, undepleted=False):
-        self.pair = len(gammas) > 2          # the signal and idler
+                 block_factors=None, dk=0.0):
         # factors of the RHS that do not change along the line, formed once;
         # each is the leading sub-expression of its term (1j * g * ...,
         # -1j * dk * z), so forming it here changes no rounding
@@ -236,51 +162,22 @@ class _Propagator:
         self.total_cells = total_cells
         self.blocks = blocks
         self.block_factors = block_factors  # None: no blocks
-        self.undepleted = undepleted
         self.rtol = options.rtol
         self.atol = options.atol
 
     def _rhs(self, z, y):
-        if not self.pair:
-            # the scan: the zero signal and idler drop out of every term
-            ap, a3 = y.tolist()
-            (jgp, jg3), (ap_al, a3_al) = self.jg, self.alphas
-            pp = ap.real * ap.real + ap.imag * ap.imag
-            p3 = a3.real * a3.real + a3.imag * a3.imag
-            apap = ap * ap
-            e3 = cmath.exp(self.mjdk * z)
-            dap = (jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
-                   + jgp * apap.conjugate() * a3 * e3.conjugate())
-            # a product with 1/3, as numpy divides a complex by 3
-            da3 = (jg3 * ((p3 + 2.0 * pp) * a3 + apap * ap * e3 * (1.0 / 3.0))
-                   - a3_al * a3)
-            return np.array([dap, da3])
-
-        ap, as_, ai = y.tolist()
-        (jgp, jgs, jgi), (ap_al, as_al, ai_al) = self.jg, self.alphas
+        ap, a3 = y.tolist()
+        (jgp, jg3), (ap_al, a3_al) = self.jg, self.alphas
         pp = ap.real * ap.real + ap.imag * ap.imag
+        p3 = a3.real * a3.real + a3.imag * a3.imag
         apap = ap * ap
-        e = cmath.exp(self.mjdk * z)
-        if self.undepleted:
-            # the pump alone drives the signal and idler, and evolves by its
-            # own self-phase modulation
-            pp2 = 2.0 * pp
-            return np.array([
-                (jgp * pp - ap_al) * ap,
-                jgs * (pp2 * as_ + apap * ai.conjugate() * e) - as_al * as_,
-                jgi * (pp2 * ai + apap * as_.conjugate() * e) - ai_al * ai])
-
-        ps = as_.real * as_.real + as_.imag * as_.imag
-        pi_ = ai.real * ai.real + ai.imag * ai.imag
-        # cross-phase sums: a mode's own power plus twice every other's
-        sp = pp + 2.0 * ps + 2.0 * pi_
-        ss = ps + 2.0 * pp + 2.0 * pi_
-        si = pi_ + 2.0 * pp + 2.0 * ps
-        return np.array([
-            jgp * (sp * ap + 2.0 * as_ * ai * ap.conjugate() * e.conjugate())
-            - ap_al * ap,
-            jgs * (ss * as_ + apap * ai.conjugate() * e) - as_al * as_,
-            jgi * (si * ai + apap * as_.conjugate() * e) - ai_al * ai])
+        e3 = cmath.exp(self.mjdk * z)
+        dap = (jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
+               + jgp * apap.conjugate() * a3 * e3.conjugate())
+        # a product with 1/3, as numpy divides a complex by 3
+        da3 = (jg3 * ((p3 + 2.0 * pp) * a3 + apap * ap * e3 * (1.0 / 3.0))
+               - a3_al * a3)
+        return np.array([dap, da3])
 
     def _apply_block(self, y):
         return y * self.block_factors
@@ -349,15 +246,6 @@ class PumpedLine:
     blocks: tuple                    # cell positions of the block corrections
     block_factors: tuple | None      # pump, signals, idlers; None: no blocks
     options: IntegrationOptions
-
-
-def _refuse_third_harmonic(options: IntegrationOptions, what: str):
-    """ValueError if ``options`` ask for the third harmonic, which only
-    third_harmonic_scan carries."""
-    if options.include_third_harmonic:
-        raise ValueError(f"include_third_harmonic applies to "
-                         f"third_harmonic_scan only; {what} has no third "
-                         "harmonic")
 
 
 def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
@@ -486,9 +374,9 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
 def _transfer(line: PumpedLine, g_p: float, p_p: float):
     """Output signal and conjugate idler per unit input signal, (T00, T10).
 
-    The undepleted small-signal limit of the coupled-mode equations
-    (Chaudhuri, Gao & Irwin, arXiv:1506.00646), exact on each segment
-    between block corrections.  There the lossless pump is
+    The small-signal limit of the coupled-mode equations, whose pump does
+    not deplete (Chaudhuri, Gao & Irwin, arXiv:1506.00646), exact on each
+    segment between block corrections.  There the lossless pump is
     a0 exp(i g_p P (z - z0)), and the pair (a_s, conj a_i) obeys
     d/dz (A, B) = M (A, B) in a frame rotating at kappa/2,
     kappa = 2 g_p P - dk, with the constant
@@ -630,7 +518,7 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
 
     ``integrate_gain(network, ...)`` is ``solve_gain(prepare_line(network,
     ...), network.i_star, pump_power)``.  The gain is 20 log10 |T00| of the
-    undepleted signal-idler transfer (_transfer), so it needs no seed and
+    small-signal signal-idler transfer (_transfer), so it needs no seed and
     no integrator tolerance.  Raises ValueError for a negative pump power
     or a line prepared with include_third_harmonic, and NumericError for an
     attenuated pump or a gain past the float range.  The profile's arrays
@@ -639,7 +527,10 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
     p_p = pump_power
     if p_p < 0:
         raise ValueError("pump power must be >= 0")
-    _refuse_third_harmonic(line.options, "the small-signal gain")
+    if line.options.include_third_harmonic:
+        raise ValueError("include_third_harmonic applies to "
+                         "third_harmonic_scan only; the small-signal gain has "
+                         "no third harmonic")
     alpha_p = line.alphas[0]
     if alpha_p != 0.0:
         raise NumericError(

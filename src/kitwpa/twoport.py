@@ -554,8 +554,10 @@ def read_touchstone(path) -> SParameterSet:
         try:
             z_ref = float(opts[at + 1])
         except (IndexError, ValueError):
+            z_ref = math.nan   # refused below, as a non-positive one is
+        if not 0.0 < z_ref < math.inf:
             raise ValueError(f"{path}:{raw[0][0]}: the option line needs a "
-                             "reference impedance after R") from None
+                             "positive, finite reference impedance after R")
         del opts[at:at + 2]
     if sorted(opts) != ["HZ", "RI", "S"]:
         raise ValueError(f"{path}: only 'HZ S RI' Touchstone data is supported")

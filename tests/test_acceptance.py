@@ -33,10 +33,9 @@ from kitwpa.dispersion import (
 )
 from kitwpa.fwm import (
     IntegrationOptions,
-    ModeState,
-    analytic_gain_undepleted,
+    PumpedLine,
     integrate_gain,
-    propagate_modes,
+    solve_gain,
     third_harmonic_scan,
 )
 from kitwpa.runner import run
@@ -46,6 +45,7 @@ from kitwpa.twoport import (
     to_s_parameters,
     write_touchstone,
 )
+from oracles import StackedPropagator, analytic_gain_undepleted, run_triplet
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
@@ -184,43 +184,54 @@ def test_criterion_5_out_of_scope_shapes():
 
 
 def test_criterion_6_oracle_parity():
-    length = 2000.0
-    p_p = 100e-6
+    # each row of the grid is one degenerate line (f_s = f_p, lossless, no
+    # blocks) with 20 mismatches, whose k_pump gives the row's gamma; the
+    # oracle integrates the row's 20 triplets in one stacked solve
+    length, p_p, f_p, i_star, n = 2000.0, 100e-6, 6e9, 10e-3, 20
     seed = math.sqrt(p_p * 1e-6)
-    worst = 0.0
+    y0 = np.repeat([math.sqrt(p_p), seed, 0.0], n).astype(complex)
+    worst_ode = worst_cf = 0.0
     for gpl in np.linspace(0.1, 3.0, 20):
         gamma_pp = gpl / length
         gamma = gamma_pp / p_p
-        for ratio in np.linspace(-10, 10, 20):
-            dk_total = ratio * gamma_pp
-            mism = dk_total - 2 * gamma_pp
-            state = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
-                              f_p=6e9, f_s=6e9)
-            out = propagate_modes(state, gamma, mism, length, undepleted=True)
-            got = 10 * np.log10(abs(out.a_s) ** 2 / seed**2)
-            want = 10 * np.log10(analytic_gain_undepleted(gamma_pp, dk_total,
-                                                          length))
-            worst = max(worst, abs(got - want))
-    report(6, worst < 0.01,
-           f"undepleted integrator vs closed form: worst |delta| = "
-           f"{worst * 1e3:.3f} mdB over the 20x20 grid (< 10 mdB)")
+        dk_total = np.linspace(-10, 10, n) * gamma_pp
+        line = PumpedLine(
+            pump_frequency=f_p, signal_frequencies=np.full(n, f_p),
+            k_pump=gamma * 2 * i_star**2 * 50.0,
+            delta_k=dk_total - 2 * gamma_pp,
+            alphas=(0.0, np.zeros(n), np.zeros(n)),
+            in_stopband=np.zeros(n, dtype=bool), total_cells=length,
+            blocks=(), block_factors=None, options=IntegrationOptions())
+        want = 10 * np.log10([analytic_gain_undepleted(gamma_pp, dk, length)
+                              for dk in dk_total])
+        ode = StackedPropagator(n, (gamma,) * 4, line.delta_k, 0.0,
+                                (0.0,) * 4, line.options, length,
+                                undepleted=True).run(y0)
+        got = 20 * np.log10(np.abs(ode[n:2 * n]) / seed)
+        closed = solve_gain(line, i_star, p_p).gain_db
+        worst_ode = max(worst_ode, float(np.max(np.abs(got - want))))
+        worst_cf = max(worst_cf, float(np.max(np.abs(closed - want))))
+    report(6, worst_ode < 0.01 and worst_cf < 0.01,
+           f"vs closed form over the 20x20 grid: undepleted oracle ODE worst "
+           f"|delta| = {worst_ode * 1e3:.3g} mdB, solve_gain "
+           f"{worst_cf * 1e3:.3g} mdB (< 10 mdB)")
 
 
 def test_criterion_7_conservation():
     p_p, length = 100e-6, 3000.0
+    f_p = 6e9
     worst = 0.0
     for f_s, gpl, seed_db in ((6.6e9, 2.2, -25.0), (5.1e9, 1.4, -18.0),
                               (6.05e9, 2.8, -30.0)):
         gamma_pp = gpl / length
         gamma = gamma_pp / p_p
         seed = math.sqrt(p_p * 10 ** (seed_db / 10))
-        s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
-                       f_p=6e9, f_s=f_s)
-        out = propagate_modes(s0, gamma, -2 * gamma_pp, length,
-                              IntegrationOptions(rtol=1e-10, atol=1e-16))
-        dn_s = (abs(out.a_s) ** 2 - seed**2) / s0.f_s
-        dn_i = abs(out.a_i) ** 2 / s0.f_i
-        dn_p = (p_p - abs(out.a_p) ** 2) / (2 * s0.f_p)
+        out = run_triplet(math.sqrt(p_p), seed, f_p, f_s, gamma,
+                          -2 * gamma_pp, length,
+                          IntegrationOptions(rtol=1e-10, atol=1e-16))
+        dn_s = (abs(out[1]) ** 2 - seed**2) / f_s
+        dn_i = abs(out[2]) ** 2 / (2 * f_p - f_s)
+        dn_p = (p_p - abs(out[0]) ** 2) / (2 * f_p)
         scale = max(abs(dn_s), abs(dn_i), abs(dn_p))
         worst = max(worst, abs(dn_s - dn_i) / scale, abs(dn_s - dn_p) / scale)
 

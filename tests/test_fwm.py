@@ -29,13 +29,17 @@ from kitwpa.config import load_config
 from kitwpa.errors import NumericError
 from kitwpa.fwm import (
     IntegrationOptions,
-    ModeState,
-    analytic_gain_undepleted,
     integrate_gain,
     kerr_coefficient,
-    propagate_modes,
     signal_frequencies,
     third_harmonic_scan,
+)
+from oracles import (
+    StackedPropagator,
+    analytic_gain_undepleted,
+    reference_rhs,
+    run_triplet,
+    undepleted_ode_gain,
 )
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
@@ -88,34 +92,15 @@ class TestAnalyticGain:
         assert g - 1 == pytest.approx((gpp * length) ** 2, rel=1e-4)
 
 
-def symmetric_state(p_p, seed_db=-60.0, f_p=6e9):
-    """Degenerate triplet (f_s = f_p) so all mode Kerr coefficients agree."""
+def degenerate_triplet(p_p, gamma, mism, length, seed_db=-60.0, **kwargs):
+    """Output [a_p, a_s, a_i] of the oracle's degenerate triplet (f_s = f_p,
+    so all mode Kerr coefficients agree), seeded seed_db below the pump."""
     seed = math.sqrt(p_p * 10 ** (seed_db / 10))
-    return ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
-                     f_p=f_p, f_s=f_p)
+    return run_triplet(math.sqrt(p_p), seed, 6e9, 6e9, gamma, mism, length,
+                       **kwargs)
 
 
 class TestIntegratorOracleParity:
-    def test_20x20_grid_within_0p01_db(self):
-        # undepleted integrator vs closed form over gamma*Pp*L in [0.1, 3]
-        # and dk_total in [-10, 10]*gamma*Pp
-        length = 2000.0
-        p_p = 100e-6
-        worst = 0.0
-        for gpl in np.linspace(0.1, 3.0, 20):
-            gamma_pp = gpl / length
-            gamma = gamma_pp / p_p
-            for ratio in np.linspace(-10, 10, 20):
-                dk_total = ratio * gamma_pp
-                dk_lin = dk_total - 2 * gamma_pp
-                mism = dk_lin
-                out = propagate_modes(symmetric_state(p_p), gamma, mism,
-                                      length, undepleted=True)
-                got = db(abs(out.a_s) ** 2 / (p_p * 1e-6))
-                want = db(analytic_gain_undepleted(gamma_pp, dk_total, length))
-                worst = max(worst, abs(got - want))
-        assert worst < 0.01
-
     def test_depletion_off_vs_on_at_tiny_seed(self):
         # with a -90 dB seed the depleted equations agree with the
         # undepleted limit
@@ -123,10 +108,10 @@ class TestIntegratorOracleParity:
         gamma_pp = 2.0 / length
         gamma = gamma_pp / p_p
         mism = -2 * gamma_pp
-        s0 = symmetric_state(p_p, seed_db=-90.0)
-        a = propagate_modes(s0, gamma, mism, length, undepleted=True)
-        b = propagate_modes(s0, gamma, mism, length)
-        assert db(abs(a.a_s) ** 2) == pytest.approx(db(abs(b.a_s) ** 2), abs=1e-3)
+        a = degenerate_triplet(p_p, gamma, mism, length, seed_db=-90.0,
+                               undepleted=True)
+        b = degenerate_triplet(p_p, gamma, mism, length, seed_db=-90.0)
+        assert db(abs(a[1]) ** 2) == pytest.approx(db(abs(b[1]) ** 2), abs=1e-3)
 
     def test_idler_photon_flux_gain(self):
         # |a_i(L)|^2 / f_i = (G - 1) * |a_s(0)|^2 / f_s
@@ -134,124 +119,48 @@ class TestIntegratorOracleParity:
         gamma_pp = 1.7 / length
         gamma = gamma_pp / p_p
         mism = -2 * gamma_pp
-        s0 = symmetric_state(p_p)
-        out = propagate_modes(s0, gamma, mism, length, undepleted=True)
+        out = degenerate_triplet(p_p, gamma, mism, length, undepleted=True)
         g = analytic_gain_undepleted(gamma_pp, 0.0, length)
-        assert abs(out.a_i) ** 2 == pytest.approx((g - 1) * abs(s0.a_s) ** 2,
-                                                  rel=1e-4)
+        assert abs(out[2]) ** 2 == pytest.approx((g - 1) * p_p * 1e-6,
+                                                 rel=1e-4)
 
 
 class TestConservation:
-    def run_depleted(self, f_s_offset=0.7e9, seed_db=-25.0):
-        f_p = 6e9
-        p_p, length = 100e-6, 3000.0
+    F_P, F_S, P_P = 6e9, 6.7e9, 100e-6
+    SEED = math.sqrt(P_P * 10 ** (-25.0 / 10))
+
+    def run_depleted(self):
+        length = 3000.0
         gamma_pp = 2.2 / length
-        gamma = gamma_pp / p_p
-        mism = -2 * gamma_pp
-        seed = math.sqrt(p_p * 10 ** (seed_db / 10))
-        s0 = ModeState(a_p=math.sqrt(p_p), a_s=seed, a_i=0.0,
-                       f_p=f_p, f_s=f_p + f_s_offset)
-        opts = IntegrationOptions(rtol=1e-10, atol=1e-16)
-        out = propagate_modes(s0, gamma, mism, length, opts)
-        return s0, out
+        return run_triplet(math.sqrt(self.P_P), self.SEED, self.F_P, self.F_S,
+                           gamma_pp / self.P_P, -2 * gamma_pp, length,
+                           IntegrationOptions(rtol=1e-10, atol=1e-16))
 
     def test_manley_rowe_triplet(self):
-        s0, out = self.run_depleted()
-        f_s, f_i, f_p = s0.f_s, s0.f_i, s0.f_p
-        dn_s = (abs(out.a_s) ** 2 - abs(s0.a_s) ** 2) / f_s
-        dn_i = (abs(out.a_i) ** 2 - abs(s0.a_i) ** 2) / f_i
-        dn_p = (abs(s0.a_p) ** 2 - abs(out.a_p) ** 2) / (2 * f_p)
+        f_p, f_s = self.F_P, self.F_S
+        out = self.run_depleted()
+        dn_s = (abs(out[1]) ** 2 - self.SEED ** 2) / f_s
+        dn_i = abs(out[2]) ** 2 / (2 * f_p - f_s)
+        dn_p = (self.P_P - abs(out[0]) ** 2) / (2 * f_p)
         scale = max(abs(dn_s), abs(dn_i), abs(dn_p))
         assert scale > 0  # the pump really depleted
         assert abs(dn_s - dn_i) / scale < 1e-6
         assert abs(dn_s - dn_p) / scale < 1e-6
 
     def test_depletion_is_significant_in_the_fixture(self):
-        s0, out = self.run_depleted()
-        assert abs(out.a_p) ** 2 < 0.97 * abs(s0.a_p) ** 2
+        out = self.run_depleted()
+        assert abs(out[0]) ** 2 < 0.97 * self.P_P
 
     def test_pump_alone_only_self_phase_modulates(self):
         p_p, length = 100e-6, 5000.0
         gamma = kerr_coefficient(0.04, 10e-3)
-        s0 = ModeState(a_p=math.sqrt(p_p), a_s=0.0, a_i=0.0,
-                       f_p=6e9, f_s=6.5e9)
-        out = propagate_modes(s0, gamma, 0.0, length)
-        assert abs(out.a_p) == pytest.approx(math.sqrt(p_p), rel=1e-9)
-        assert out.a_s == 0.0 and out.a_i == 0.0
+        out = run_triplet(math.sqrt(p_p), 0.0, 6e9, 6.5e9, gamma, 0.0, length)
+        assert abs(out[0]) == pytest.approx(math.sqrt(p_p), rel=1e-9)
+        assert out[1] == 0.0 and out[2] == 0.0
         # SPM phase: gamma * P * L
         expected = gamma * p_p * length
-        assert np.angle(out.a_p) == pytest.approx(
+        assert np.angle(out[0]) == pytest.approx(
             (expected + np.pi) % (2 * np.pi) - np.pi, abs=1e-6)
-
-
-def reference_rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al,
-                  a3_al, undepleted, thg):
-    """The coupled-mode RHS written out term by term, as the propagator's
-    RHS must evaluate it (same operations, same order)."""
-    ap = y[0 * n:1 * n]
-    as_ = y[1 * n:2 * n]
-    ai = y[2 * n:3 * n]
-    a3 = y[3 * n:4 * n] if thg else None
-
-    pp = ap.real**2 + ap.imag**2
-    ps = as_.real**2 + as_.imag**2
-    pi_ = ai.real**2 + ai.imag**2
-    p3 = (a3.real**2 + a3.imag**2) if thg else 0.0
-
-    e = np.exp(-1j * dk * z)
-    if undepleted:
-        dap = (1j * gp * pp - ap_al) * ap
-        das = 1j * gs * (2.0 * pp * as_ + ap * ap * np.conj(ai) * e) - as_al * as_
-        dai = 1j * gi * (2.0 * pp * ai + ap * ap * np.conj(as_) * e) - ai_al * ai
-        if thg:
-            e3 = np.exp(-1j * dk3 * z)
-            da3 = (1j * g3 * (2.0 * pp) - a3_al) * a3 \
-                + 1j * (g3 / 3.0) * ap**3 * e3
-            return np.concatenate([dap, das, dai, da3])
-        return np.concatenate([dap, das, dai])
-
-    dap = 1j * gp * ((pp + 2.0 * ps + 2.0 * pi_ + 2.0 * p3) * ap
-                     + 2.0 * as_ * ai * np.conj(ap) * np.conj(e)) - ap_al * ap
-    das = 1j * gs * ((ps + 2.0 * pp + 2.0 * pi_ + 2.0 * p3) * as_
-                     + ap * ap * np.conj(ai) * e) - as_al * as_
-    dai = 1j * gi * ((pi_ + 2.0 * pp + 2.0 * ps + 2.0 * p3) * ai
-                     + ap * ap * np.conj(as_) * e) - ai_al * ai
-    if thg:
-        e3 = np.exp(-1j * dk3 * z)
-        dap = dap + 1j * gp * np.conj(ap)**2 * a3 * np.conj(e3)
-        da3 = 1j * g3 * ((p3 + 2.0 * pp + 2.0 * ps + 2.0 * pi_) * a3
-                         + ap**3 * e3 / 3.0) - a3_al * a3
-        return np.concatenate([dap, das, dai, da3])
-    return np.concatenate([dap, das, dai])
-
-
-class StackedPropagator(kitwpa.fwm._Propagator):
-    """n independent systems in one state vector, [pump | signals | idlers
-    (| third harmonics)] with n entries each, on the package's segment loop:
-    the ensemble engine the package integrated with before it took one
-    system at a time, kept as the oracle of the closed form and of the
-    scan.  Its RHS is reference_rhs.  ``gammas``, ``alphas`` and
-    ``block_factors`` hold (pump, signal, idler, third) entries, those of
-    the signal and idler arrays of n like ``dk``; the options say whether
-    the third harmonic is carried."""
-
-    def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
-                 blocks=(), block_factors=None, undepleted=False):
-        super().__init__(gammas, alphas, options, total_cells, blocks,
-                         block_factors, dk, undepleted)
-        self.n = n
-        thg = options.include_third_harmonic
-        self.modes = 4 if thg else 3
-        self.args = (n, *gammas, dk, dk3, *alphas, undepleted, thg)
-
-    def _rhs(self, z, y):
-        return reference_rhs(z, y, *self.args)
-
-    def _apply_block(self, y):
-        n = self.n
-        for k, fac in enumerate(self.block_factors[:self.modes]):
-            y[k * n:(k + 1) * n] *= fac
-        return y
 
 
 def reference_harmonic_scan(network, dispersion, pump, options=None):
@@ -281,23 +190,22 @@ def reference_harmonic_scan(network, dispersion, pump, options=None):
     return z, np.abs(y[0]) ** 2, np.abs(y[3]) ** 2
 
 
-def rhs_defect(modes, undepleted, draws):
+def rhs_defect(draws):
     """Worst difference between the propagator's scalar RHS and
     reference_rhs at n = 1, over random draws, relative to the sum of the
     moduli of the terms of each component.
 
-    ``modes`` is the carried set, "p3" (the scan) or "psi".  For the
-    scan the reference holds the signal and idler at zero and gives the pump
+    The reference holds the signal and idler at zero and gives the pump
     and third-harmonic rows.  numpy fuses its complex products and Python
     does not, so the two differ at the rounding level.  Where terms cancel,
     that difference is large against the result (measured up to 5.2e-15 of
-    |reference| for the scan) but not against the terms.  Their sum of
-    moduli is reference_rhs on |y| with no phase and the attenuations times
-    -1j: every term then points along +i."""
+    |reference|) but not against the terms.  Their sum of moduli is
+    reference_rhs on |y| with no phase and the attenuations times -1j:
+    every term then points along +i."""
     from kitwpa.fwm import _Propagator
 
     rng = np.random.default_rng(3)
-    thg = modes == "p3"
+    rows = [0, 3]
     worst = 0.0
     for _ in range(draws):
         g = 1e3 * rng.uniform(0.5, 2.0)
@@ -308,22 +216,16 @@ def rhs_defect(modes, undepleted, draws):
                   rng.uniform(0, 1e-5), rng.uniform(0, 1e-4))
         y = rng.normal(0, 1e-2, 4) + 1j * rng.normal(0, 1e-2, 4)
         z = float(rng.uniform(0, 5000))
-        if modes == "p3":
-            y[1:3] = 0.0
-            rows = [0, 3]
-        else:
-            rows = [0, 1, 2]
+        y[1:3] = 0.0
         prop = _Propagator(tuple(gammas[k] for k in rows),
                            tuple(alphas[k] for k in rows),
-                           IntegrationOptions(), dk=dk3 if thg else dk,
-                           undepleted=undepleted)
+                           IntegrationOptions(), dk=dk3)
         got = prop._rhs(z, y[rows])
-        y = y if thg else y[:3]
-        want = reference_rhs(z, y, 1, *gammas, dk, dk3, *alphas, undepleted,
-                             thg)[rows]
+        want = reference_rhs(z, y, 1, *gammas, dk, dk3, *alphas, False,
+                             True)[rows]
         terms = np.abs(reference_rhs(
             z, np.abs(y), 1, *gammas, 0.0, 0.0,
-            *(-1j * a for a in alphas), undepleted, thg))[rows]
+            *(-1j * a for a in alphas), False, True))[rows]
         worst = max(worst, np.max(np.abs(got - want) / terms))
     return worst
 
@@ -331,27 +233,19 @@ def rhs_defect(modes, undepleted, draws):
 class TestPropagatorRhs:
     def test_two_mode_rhs_matches_reference_at_zero_signal(self):
         # the scan's pump and third harmonic: measured worst 2.4e-16
-        assert rhs_defect("p3", False, 3000) <= 1e-15
-
-    @pytest.mark.parametrize("undepleted", [False, True],
-                             ids=["depleted", "undepleted"])
-    @pytest.mark.parametrize("modes", ["psi"])
-    def test_signal_rhs_matches_reference(self, modes, undepleted):
-        # propagate_modes' pump, signal and idler, under the same bound:
-        # measured worst 2.7e-16 to 3.3e-16
-        assert rhs_defect(modes, undepleted, 1000) <= 1e-15
+        assert rhs_defect(3000) <= 1e-15
 
     def test_solves_leave_no_garbage_cycles(self, small_fishbone, small_leaf):
         # the stepper is plain local state, so a solve leaves nothing for the
         # cyclic collector, also when a line is solved in several segments
         # (leaf): with the collector off, a collection afterwards finds no
-        # unreachable object
+        # unreachable object.  The oracle's triplet runs on the same
+        # segment loop and stepper
         p_p = 100e-6
         for solve, args in (
                 (third_harmonic_scan, (*small_fishbone, PUMPS["small_fishbone"])),
                 (third_harmonic_scan, (*small_leaf, PUMPS["small_leaf"])),
-                (propagate_modes, (symmetric_state(p_p),
-                                   1.5 / 2000.0 / p_p, 0.0, 2000.0))):
+                (degenerate_triplet, (p_p, 1.5 / 2000.0 / p_p, 0.0, 2000.0))):
             gc.collect()
             enabled = gc.isenabled()
             gc.disable()
@@ -396,27 +290,6 @@ def small_leaf():
 
 # a pump (frequency, power) in a passband of each small device
 PUMPS = {"small_fishbone": (6.22e9, 100e-6), "small_leaf": (5.92e9, 60e-6)}
-
-
-def undepleted_ode_gain(line, i_star, p_p, rtol=1e-12):
-    """The closed form's oracle: gain in dB of the undepleted coupled-mode
-    ODE on a prepared line, every signal stacked in one solve.  The
-    undepleted signal and idler are linear, so any seed gives the gain; one
-    as large as the pump keeps the error norm balanced."""
-    f_p, f_s = line.pump_frequency, line.signal_frequencies
-    n = f_s.size
-    g = kerr_coefficient(line.k_pump, i_star)
-    # the line has no third harmonic: its dk3, attenuation and block factor
-    # are those of a mode that stays zero
-    factors = (None if line.block_factors is None
-               else (*line.block_factors, 1.0))
-    prop = StackedPropagator(
-        n, (g, g * f_s / f_p, g * (2 * f_p - f_s) / f_p, 3 * g), line.delta_k,
-        0.0, (*line.alphas, 0.0), IntegrationOptions(rtol=rtol),
-        line.total_cells, line.blocks, factors, undepleted=True)
-    a = np.full(n, math.sqrt(p_p), dtype=complex)
-    y = prop.run(np.concatenate([a, a, np.zeros(n, dtype=complex)]))
-    return 20 * np.log10(np.abs(y[n:2 * n]) / math.sqrt(p_p))
 
 
 def preset(name):
@@ -734,7 +607,7 @@ class TestStepperParity:
         gamma = 1.5 / length / p_p
 
         def modes(scale):
-            propagate_modes(symmetric_state(scale * p_p), gamma, 0.0, length)
+            degenerate_triplet(scale * p_p, gamma, 0.0, length)
 
         # 79, 292 and 1 129 steps: while the stepper kept every step's
         # dense output, the scan's peak grew from 0.144 to 0.304 MB at 4x;
@@ -843,20 +716,20 @@ class TestIntegrateGain:
         new = kitwpa.fwm.solve_gain(line, i_star, p_p).gain_db
         assert np.max(np.abs(new - old)) < 2e-5
 
-    @pytest.mark.parametrize("solve", ["integrate_gain", "propagate_modes"])
+    @pytest.mark.parametrize("solve", ["integrate_gain", "solve_gain"])
     def test_third_harmonic_flag_refused(self, small_fishbone, solve):
-        # the small-signal gain and propagate_modes carry no third harmonic;
-        # the harmonic scan integrates it
+        # the small-signal gain carries no third harmonic; the harmonic scan
+        # integrates it.  prepare_line takes the options, solve_gain refuses
         net, curve = small_fishbone
+        (f_p, p_p), f = PUMPS["small_fishbone"], np.array([5.6e9, 6.8e9])
         options = IntegrationOptions(include_third_harmonic=True)
         with pytest.raises(ValueError,
                            match="include_third_harmonic.*third_harmonic_scan"):
             if solve == "integrate_gain":
-                integrate_gain(net, curve, PUMPS["small_fishbone"],
-                               np.array([5.6e9, 6.8e9]), options)
+                integrate_gain(net, curve, (f_p, p_p), f, options)
             else:
-                propagate_modes(symmetric_state(100e-6), 1.0, 0.0, 100.0,
-                                options)
+                line = kitwpa.fwm.prepare_line(net, curve, f_p, f, options)
+                kitwpa.fwm.solve_gain(line, net.i_star, p_p)
 
     def test_pump_within_a_grid_step_of_a_stopband_rejected(self,
                                                             small_fishbone):

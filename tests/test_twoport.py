@@ -806,7 +806,9 @@ class TestTouchstone:
             read_touchstone(p)
         assert "bad.s2p" in str(err.value)
 
-    @pytest.mark.parametrize("option", ["# HZ S RI R", "# HZ S RI R fifty"])
+    @pytest.mark.parametrize("option", [
+        "# HZ S RI R", "# HZ S RI R fifty", "# HZ S RI R nan",
+        "# HZ S RI R inf", "# HZ S RI R 0", "# HZ S RI R -5"])
     def test_rejects_a_reference_impedance_that_is_not_a_number(
             self, tmp_path, option):
         p = tmp_path / "bad.s2p"
