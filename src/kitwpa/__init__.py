@@ -49,8 +49,8 @@ from .fwm import (
 )
 from .analysis import (
     CalibrationResult,
+    CalibrationSpec,
     GainMetrics,
-    OperatingPoint,
     SweepAxis,
     calibrate_istar,
     gain_metrics,

@@ -37,6 +37,7 @@ from .fwm import (
     prepare_line,
     solve_gain,
 )
+from .twoport import Z0
 
 __all__ = [
     "GainMetrics",
@@ -44,7 +45,6 @@ __all__ = [
     "CalibrationResult",
     "SweepAxis",
     "SweepResult",
-    "OperatingPoint",
     "gain_metrics",
     "calibrate_istar",
     "sweep",
@@ -335,33 +335,28 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float,
     raise NumericError(f"root finding did not converge in {maxiter} steps")
 
 
-def calibrate_istar(design, pump: tuple, target_peak_db: float, signal_grid,
+def calibrate_istar(network, pump: tuple, spec: CalibrationSpec, signal_grid,
                     dispersion_grid: FrequencyGrid = DEFAULT_GRID,
-                    options: IntegrationOptions | None = None,
-                    bracket: tuple = (CalibrationSpec.bracket_low,
-                                      CalibrationSpec.bracket_high),
-                    tol_db: float = CalibrationSpec.tolerance_db
+                    options: IntegrationOptions | None = None
                     ) -> CalibrationResult:
-    """Root-find the nonlinearity scale so the peak gain of gain_metrics
-    hits the target.
+    """Root-find the nonlinearity scale of an expanded network so the peak
+    gain of gain_metrics hits the spec's target.
 
-    Peak gain decreases monotonically in i_star (gamma ~ 1/i_star^2), so a
-    bracketed scalar solve is exact and deterministic.  The lower bracket is
-    clipped so gamma*P_p*L never exceeds GAMMA_PPL_CAP, which keeps the
-    probes near gains a realistic target can have.  Raises ValueError for a
-    tolerance or bracket that CalibrationSpec refuses.
+    The network's own I* is not read: every probe sets one.  Peak gain
+    decreases monotonically in i_star (gamma ~ 1/i_star^2), so a bracketed
+    scalar solve is exact and deterministic.  The lower bracket is clipped
+    so gamma*P_p*L never exceeds GAMMA_PPL_CAP, which keeps the probes near
+    gains a realistic target can have.
     """
-    spec = CalibrationSpec(target_peak_db, tol_db, *bracket)
-    options = options or IntegrationOptions()
+    target_peak_db = spec.target_peak_db
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("calibration requires nonzero pump power")
-    network = expand_design(design)
     pipeline = _GainPipeline(network, dispersion_grid, signal_grid, options)
 
     k_p = float(pipeline.curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
-                          (2.0 * options.z0 * GAMMA_PPL_CAP))
+                          (2.0 * Z0 * GAMMA_PPL_CAP))
     lo = max(spec.bracket_low, i_min_cap)
     hi = spec.bracket_high
     if lo >= hi:
@@ -522,30 +517,4 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     }
     return SweepResult(parameter=axis.parameter, values=tuple(values),
                        metrics=metrics, failures=tuple(failures))
-
-
-# --------------------------------------------------------------------------
-# operating point
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Pump drive of a device: pump_frequency (Hz), pump_power (W), i_star
-    (A), total_cells, the Bloch wavenumber k_cell_at_pump (rad/cell) and
-    the line impedance z0 (ohm)."""
-
-    pump_frequency: float
-    pump_power: float
-    i_star: float
-    total_cells: int
-    k_cell_at_pump: float    # rad/cell
-    z0: float = 50.0
-
-    @property
-    def electrical_length_wavelengths(self) -> float:
-        return self.total_cells * self.k_cell_at_pump / (2.0 * math.pi)
-
-    @property
-    def nonlinearity_level(self) -> float:
-        """Time-averaged I_rms^2 / I*^2 at the pump drive."""
-        return self.pump_power / (self.z0 * self.i_star**2)
 

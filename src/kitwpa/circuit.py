@@ -37,6 +37,12 @@ __all__ = [
 NETLIST_HEADER = "# ki-twpa netlist v1"
 
 
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless 0 < value < inf, which NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NonlinearInductorSpec:
     """Current-dependent series inductor, L(I) = l0 * (1 + I^2 / i_star^2)."""
@@ -45,10 +51,8 @@ class NonlinearInductorSpec:
     i_star: float
 
     def __post_init__(self):
-        if self.l0 <= 0:
-            raise ValueError(f"l0 must be positive, got {self.l0}")
-        if self.i_star <= 0:
-            raise ValueError(f"i_star must be positive, got {self.i_star}")
+        _require_positive("l0", self.l0)
+        _require_positive("i_star", self.i_star)
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,7 @@ class UnitCellSpec:
     shunt_capacitance: float
 
     def __post_init__(self):
-        if self.shunt_capacitance <= 0:
-            raise ValueError(
-                f"shunt_capacitance must be positive, got {self.shunt_capacitance}"
-            )
+        _require_positive("shunt_capacitance", self.shunt_capacitance)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,10 @@ class FishboneSpec:
             raise ValueError("loaded_cells must satisfy 0 <= loaded_cells < cells_per_period")
         if not 0 <= self.loaded_cells_every_third <= self.cells_per_period:
             raise ValueError("loaded_cells_every_third must be <= cells_per_period")
-        if self.capacitance_reduction_factor <= 1.0:
-            raise ValueError("capacitance_reduction_factor must exceed 1")
+        if not 1.0 < self.capacitance_reduction_factor < math.inf:
+            raise ValueError("capacitance_reduction_factor must exceed 1 and "
+                             "be finite, got "
+                             f"{self.capacitance_reduction_factor}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,8 @@ class ResonatorSpec:
     pair_separation_cells: int = 6
 
     def __post_init__(self):
-        if self.resonant_frequency <= 0:
-            raise ValueError("resonant_frequency must be positive")
-        if self.loaded_q <= 0:
-            raise ValueError("loaded_q must be positive")
+        _require_positive("resonant_frequency", self.resonant_frequency)
+        _require_positive("loaded_q", self.loaded_q)
         if not 0 <= self.pairs_per_block <= 2:
             raise ValueError(
                 f"pairs_per_block must be 0, 1 or 2, got {self.pairs_per_block}")
@@ -148,12 +149,19 @@ class SeriesInductor:
     l0: float
     i_star: float
 
+    def __post_init__(self):
+        _require_positive("l0", self.l0)
+        _require_positive("i_star", self.i_star)
+
 
 @dataclass(frozen=True)
 class ShuntCapacitor:
     """Shunt capacitor to ground of capacitance c (F)."""
 
     c: float
+
+    def __post_init__(self):
+        _require_positive("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,13 @@ class ShuntResonator:
     f_r: float
     q: float
     multiplicity: int = 1
+
+    def __post_init__(self):
+        _require_positive("f_r", self.f_r)
+        _require_positive("q", self.q)
+        if self.multiplicity < 1:
+            raise ValueError(
+                f"multiplicity must be >= 1, got {self.multiplicity}")
 
 
 Element = SeriesInductor | ShuntCapacitor | ShuntResonator
@@ -457,7 +472,10 @@ def read_netlist(path) -> LadderNetwork:
     one the chain has.  A netlist written from a design whose period is its
     shortest (every preset's is) reads back to the design's own period,
     repeat count and tail.  Raises ValueError naming the file for text that
-    is not UTF-8, a missing header, a malformed line or no elements.
+    is not UTF-8, a missing header or no elements, and naming the line too
+    for a malformed line or an element the element classes refuse (an L,
+    I*, C, f_r or Q that is not positive and finite, a multiplicity below
+    1).
     """
     try:
         with open(path, encoding="utf-8") as fh:

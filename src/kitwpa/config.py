@@ -64,7 +64,6 @@ _KEYS = {"l0": "l_henries",
          "resonant_frequency": "resonant_frequency_hz",
          "bracket_low": "bracket_low_amperes",
          "bracket_high": "bracket_high_amperes",
-         "z0": "z0_ohms",
          "start": "start_hz",
          "stop": "stop_hz"}
 _FIELD_NAME = re.compile(r"\b(" + "|".join(_KEYS) + r")\b")

@@ -232,16 +232,16 @@ def find_stopbands(curve: DispersionCurve, min_depth: float = 0.0) -> tuple:
         if p >= min_depth)
 
 
-def s21_over_bare(block: LadderNetwork, f, z_ref: float = 50.0) -> np.ndarray:
+def s21_over_bare(block: LadderNetwork, f) -> np.ndarray:
     """s21 of a block over s21 of the equal-length ladder with its
     resonators removed, at each frequency of ``f``."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    loaded = to_s_parameters(network_matrix(block, f), f, z_ref).s21
-    plain = to_s_parameters(network_matrix(bare_ladder(block), f), f, z_ref).s21
+    loaded = to_s_parameters(network_matrix(block, f), f).s21
+    plain = to_s_parameters(network_matrix(bare_ladder(block), f), f).s21
     return loaded / plain
 
 
-def resonator_phase_shift(block: LadderNetwork, f, z_ref: float = 50.0):
+def resonator_phase_shift(block: LadderNetwork, f):
     """Extra pump phase and insertion loss of one resonator block.
 
     Compares s21 of the block against an equal-length ladder with the
@@ -261,7 +261,7 @@ def resonator_phase_shift(block: LadderNetwork, f, z_ref: float = 50.0):
             f"phase shifter operated at or above resonance ({f_r:.4g} Hz); "
             "outside the operating region"
         )
-    ratio = s21_over_bare(block, f_arr, z_ref)
+    ratio = s21_over_bare(block, f_arr)
     dphi = (np.angle(ratio) + np.pi) % TWO_PI - np.pi
     shift = -dphi  # extra delay counted positive
     loss_db = -20.0 * np.log10(np.abs(ratio))

@@ -35,7 +35,7 @@ from .dop853 import MIN_RTOL, solve_ivp
 from .errors import NumericError
 # network_matrix is not called in this module; it is imported into it because
 # bench/tracing.py rebinds it here to record spans
-from .twoport import FrequencyGrid, network_matrix  # noqa: F401
+from .twoport import Z0, FrequencyGrid, network_matrix  # noqa: F401
 
 __all__ = [
     "IntegrationOptions",
@@ -54,17 +54,17 @@ GAIN_FLOOR_DB = -300.0
 HARMONIC_SAMPLES = 1024   # about this many points along a harmonic scan
 
 
-def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
-    """gamma = k_cell / (2 * i_star^2 * z0), the nonlinear phase per cell per
+def kerr_coefficient(k_cell: float, i_star: float) -> float:
+    """gamma = k_cell / (2 * i_star^2 * Z0), the nonlinear phase per cell per
     watt at the pump frequency, in rad / (cell * W).
 
     Follows from L(I) = L0 (1 + I^2/I*^2): the wavenumber scales as sqrt(L),
     so dk/k = I_rms^2 / (2 I*^2), and P = I_rms^2 Z0 converts current to
-    power.
+    power on the Z0 line.
     """
-    if k_cell <= 0 or i_star <= 0 or z0 <= 0:
-        raise ValueError("k_cell, i_star and z0 must be positive")
-    return k_cell / (2.0 * i_star**2 * z0)
+    if k_cell <= 0 or i_star <= 0:
+        raise ValueError("k_cell and i_star must be positive")
+    return k_cell / (2.0 * i_star**2 * Z0)
 
 
 # --------------------------------------------------------------------------
@@ -73,16 +73,14 @@ def kerr_coefficient(k_cell: float, i_star: float, z0: float = 50.0) -> float:
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Coupled-mode settings: the DOP853 rtol and atol (atol in sqrt(W),
-    the mode amplitudes' unit), the line impedance z0 (ohm) that maps power
-    to current, and include_third_harmonic, a flag nothing integrates with:
-    third_harmonic_scan always carries the third harmonic and ignores it,
-    and solve_gain (so integrate_gain), whose small-signal gain carries
-    none, refuses it."""
+    the mode amplitudes' unit), and include_third_harmonic, a flag nothing
+    integrates with: third_harmonic_scan always carries the third harmonic
+    and ignores it, and solve_gain (so integrate_gain), whose small-signal
+    gain carries none, refuses it."""
 
     include_third_harmonic: bool = False
     rtol: float = 1e-9
     atol: float = 1e-14
-    z0: float = 50.0               # line impedance for the power-current map
 
     def __post_init__(self):
         # below MIN_RTOL the step error estimate is rounding noise; refused
@@ -93,8 +91,6 @@ class IntegrationOptions:
         # need atol > 0 for a finite step error estimate
         if not self.atol > 0:
             raise ValueError(f"atol must be positive, got {self.atol}")
-        if not self.z0 > 0:
-            raise ValueError(f"z0 must be positive, got {self.z0}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +283,7 @@ def _require_on_grid(what: str, f: np.ndarray, curve: DispersionCurve):
             "analysis.frequency_grid")
 
 
-def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
-                       z0: float) -> tuple:
+def _block_corrections(network: LadderNetwork, frequencies: np.ndarray) -> tuple:
     """(cell positions of the resonator blocks, factor of one block at each
     frequency); ((), None) for a network without resonators."""
     if not network.has_resonators():
@@ -299,12 +294,11 @@ def _block_corrections(network: LadderNetwork, frequencies: np.ndarray,
     # the conjugate of s21(block) / s21(bare ladder) because the amplitudes
     # use the physics phasor convention, where extra delay is a positive
     # phase
-    return blocks, np.conj(s21_over_bare(network.one_period(), frequencies, z0))
+    return blocks, np.conj(s21_over_bare(network.one_period(), frequencies))
 
 
 def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
-                modes: np.ndarray, what: str, z0: float,
-                on_device_grid: bool) -> tuple:
+                modes: np.ndarray, what: str, on_device_grid: bool) -> tuple:
     """(k in rad/cell, alpha in nepers/cell, block positions, block factors)
     at the modes of a line pumped at modes[0].
 
@@ -333,7 +327,7 @@ def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
         k, alpha, _ = _uniform_cell_bloch(*_smooth_background(network), modes)
     else:
         k, alpha = dispersion.k_cell(modes), dispersion.alpha_cell(modes)
-    return (k, alpha, *_block_corrections(network, modes, z0))
+    return (k, alpha, *_block_corrections(network, modes))
 
 
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
@@ -358,7 +352,7 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
     modes = np.concatenate([[f_p], f_s, f_i])
     k, alpha, blocks, fac = _pump_modes(network, dispersion, modes,
                                         "pump, signals and idlers",
-                                        options.z0, on_device_grid=True)
+                                        on_device_grid=True)
     k_p = float(k[0])
     block_factors = None if fac is None else (fac[0], fac[1:n + 1], fac[n + 1:])
     stop_flags = (np.asarray(dispersion.stopband_at(f_s))
@@ -537,7 +531,7 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
             f"pump at {line.pump_frequency / 1e9:.4f} GHz lies within one grid "
             f"step of a stopband (attenuation {alpha_p:.3g} nepers/cell); "
             "move it into a passband below the band edge")
-    gamma = kerr_coefficient(line.k_pump, i_star, line.options.z0)
+    gamma = kerr_coefficient(line.k_pump, i_star)
     f_s, dk = line.signal_frequencies, line.delta_k
     if p_p == 0.0:
         return GainProfile(f_s.copy(), np.zeros(f_s.size), line.pump_frequency,
@@ -597,9 +591,9 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
         raise ValueError("harmonic scan requires a nonzero pump")
     k, alpha, blocks, block_factors = _pump_modes(
         network, dispersion, np.array([f_p, 3.0 * f_p]),
-        "pump and third harmonic", options.z0, on_device_grid=False)
+        "pump and third harmonic", on_device_grid=False)
     k_p = float(k[0])
-    gamma = kerr_coefficient(k_p, network.i_star, options.z0)
+    gamma = kerr_coefficient(k_p, network.i_star)
     prop = _Propagator(
         (gamma, 3.0 * gamma), (float(alpha[0]), float(alpha[1])),
         options, float(network.total_cells), blocks, block_factors,

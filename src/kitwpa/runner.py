@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dispersion
-from .analysis import OperatingPoint, _GainPipeline, calibrate_istar, sweep
+from .analysis import _GainPipeline, calibrate_istar, sweep
 from .circuit import read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import device_dispersion, find_stopbands
@@ -33,7 +34,7 @@ from .fwm import signal_frequencies, third_harmonic_scan
 from .analysis import gain_metrics  # noqa: F401
 from .fwm import integrate_gain  # noqa: F401
 from .twoport import network_matrix  # noqa: F401
-from .twoport import (cascade_periods, table_lines, to_s_parameters,
+from .twoport import (Z0, cascade_periods, table_lines, to_s_parameters,
                       walk_period, write_touchstone)
 
 __all__ = ["run", "SUBCOMMANDS"]
@@ -154,9 +155,9 @@ def _sweep_rows(result):
                        [result.values, *result.metrics.values()])
 
 
-def _metrics_rows(metrics, op: OperatingPoint | None = None) -> tuple:
-    """(metrics.txt, metrics.csv): the gain metrics, and the operating
-    point when given, as key = value lines and as a one-row table."""
+def _metrics_report(metrics, pump_lines=()) -> list:
+    """metrics.txt: the gain metrics, then the pump_lines (key, value)
+    pairs, as key = value lines."""
     kv = [
         ("peak_gain_db", metrics.peak_gain_db),
         ("peak_frequency_hz", metrics.peak_frequency_hz),
@@ -166,39 +167,35 @@ def _metrics_rows(metrics, op: OperatingPoint | None = None) -> tuple:
     ]
     for i, fd in enumerate(metrics.dip_frequencies_hz):
         kv.append((f"dip_{i}_hz", fd))
-    if op is not None:
-        kv += [
-            ("pump_frequency_hz", op.pump_frequency),
-            ("pump_power_w", op.pump_power),
-            ("i_star_a", op.i_star),
-            ("electrical_length_wavelengths", op.electrical_length_wavelengths),
-            ("nonlinearity_level", op.nonlinearity_level),
-        ]
-    return _report(kv), table_lines(",".join(k for k, _ in kv),
-                                    [[v] for _, v in kv])
+    return _report([*kv, *pump_lines])
 
 
-def _write_gain(emit: _Emitter, profile, metrics, op=None):
-    """gain.csv, metrics.txt and metrics.csv."""
+def _write_gain(emit: _Emitter, profile, metrics, pump_lines=()):
+    """gain.csv and metrics.txt."""
     emit.write("gain.csv", table_lines(
         "freq_hz,gain_db,delta_k_linear,delta_k_total,in_stopband",
         [profile.frequencies, profile.gain_db, profile.delta_k_linear,
          profile.delta_k_total, profile.in_stopband]))
-    text, csv = _metrics_rows(metrics, op)
-    emit.write("metrics.txt", text)
-    emit.write("metrics.csv", csv)
+    emit.write("metrics.txt", _metrics_report(metrics, pump_lines))
 
 
-def _operating_point(config, pipeline: _GainPipeline) -> OperatingPoint:
-    f_p, p_p = config.pump
-    return OperatingPoint(
-        pump_frequency=f_p,
-        pump_power=p_p,
-        i_star=pipeline.network.i_star,
-        total_cells=pipeline.network.total_cells,
-        k_cell_at_pump=float(pipeline.curve.k_cell(f_p)),
-        z0=config.integrator.z0,
-    )
+def _pump_lines(pump: tuple, pipeline: _GainPipeline) -> list:
+    """metrics.txt's lines on the pump drive of a gain run: its frequency
+    (Hz) and power (W), the network's I* (A), the line's electrical length
+    at the pump in wavelengths, and the nonlinearity level, the
+    time-averaged I_rms^2 / I*^2 on the Z0 line."""
+    f_p, p_p = pump
+    network = pipeline.network
+    i_star = network.i_star
+    k_cell = float(pipeline.curve.k_cell(f_p))
+    return [
+        ("pump_frequency_hz", f_p),
+        ("pump_power_w", p_p),
+        ("i_star_a", i_star),
+        ("electrical_length_wavelengths",
+         network.total_cells * k_cell / (2.0 * math.pi)),
+        ("nonlinearity_level", p_p / (Z0 * i_star**2)),
+    ]
 
 
 def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
@@ -233,9 +230,8 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
             raise ConfigError(f"analysis.signal_grid: {exc}") from None
         _require(f_s.size >= 3, "analysis.signal_grid: metrics need at least "
                  "3 points besides the pump frequency")
-    # sweep and calibrate expand the design themselves
-    network = (None if subcommand in ("sweep", "calibrate")
-               else _expand(config))
+    # a sweep expands the design at each point it changes
+    network = None if subcommand == "sweep" else _expand(config)
 
     if subcommand == "design":
         path = out / "device.net"
@@ -263,7 +259,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         pipeline = _GainPipeline(network, config.frequency_grid,
                                  config.signal_grid, config.integrator)
         profile, metrics = pipeline(network.i_star, config.pump)
-        _write_gain(emit, profile, metrics, _operating_point(config, pipeline))
+        _write_gain(emit, profile, metrics, _pump_lines(config.pump, pipeline))
 
     elif subcommand == "harmonics":
         _require_bloch_period(config, network)
@@ -289,18 +285,14 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     elif subcommand == "calibrate":
         _require(config.calibration is not None,
                  "'calibrate' requires an analysis.calibration section")
-        _require(config.design_kind != "netlist",
-                 "'calibrate' needs a parametric design, not a raw netlist")
-        cal = config.calibration
-        result = calibrate_istar(
-            config.design, config.pump, cal.target_peak_db,
-            config.signal_grid, config.frequency_grid, config.integrator,
-            bracket=(cal.bracket_low, cal.bracket_high),
-            tol_db=cal.tolerance_db)
+        _require_bloch_period(config, network)
+        result = calibrate_istar(network, config.pump, config.calibration,
+                                 config.signal_grid, config.frequency_grid,
+                                 config.integrator)
         emit.write("calibration.txt", _report([
             ("i_star_amperes", result.i_star),
             ("residual_db", result.residual_db),
-            ("target_peak_db", cal.target_peak_db),
+            ("target_peak_db", config.calibration.target_peak_db),
             ("pump_frequency_hz", config.pump[0]),
             ("pump_power_w", config.pump[1]),
         ]))

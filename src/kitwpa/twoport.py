@@ -29,6 +29,7 @@ from .circuit import (
 )
 
 __all__ = [
+    "Z0",
     "TwoPortMatrix",
     "FrequencyGrid",
     "SParameterSet",
@@ -41,7 +42,8 @@ __all__ = [
     "read_touchstone",
 ]
 
-RESONATOR_ENVIRONMENT_OHMS = 25.0  # 50 ohm line seen both ways from a shunt node
+Z0 = 50.0   # ohm: the line and port impedance of every device modelled
+RESONATOR_ENVIRONMENT_OHMS = Z0 / 2   # the line seen both ways from a shunt node
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class TwoPortMatrix:
 
 def resonator_elements(f_r: float, q: float) -> tuple[float, float]:
     """(L_r, C_r) of the series-LC shunt realizing resonance f_r at loaded
-    quality factor q against the 25 ohm environment."""
+    quality factor q against the RESONATOR_ENVIRONMENT_OHMS environment."""
     w0 = 2.0 * np.pi * f_r
     l_r = q * RESONATOR_ENVIRONMENT_OHMS / w0
     return l_r, 1.0 / (w0 * w0 * l_r)
@@ -330,31 +332,34 @@ def network_matrix(network: LadderNetwork, f: np.ndarray) -> TwoPortMatrix:
 
 @dataclass(frozen=True)
 class SParameterSet:
-    """Two-port scattering data on a frequency grid at a real reference."""
+    """Two-port scattering data on a frequency grid at a real reference:
+    frequencies (Hz), the four S-parameters, and the reference_impedance
+    (ohm), Z0 unless a Touchstone file read back names another."""
 
     frequencies: np.ndarray
     s11: np.ndarray
     s21: np.ndarray
     s12: np.ndarray
     s22: np.ndarray
-    reference_impedance: float = 50.0
+    reference_impedance: float = Z0
+
+    def __post_init__(self):
+        if not 0.0 < self.reference_impedance < math.inf:
+            raise ValueError("reference_impedance must be positive and "
+                             f"finite, got {self.reference_impedance}")
 
 
-def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
-                    z_ref: float = 50.0) -> SParameterSet:
-    """Convert a chain matrix to S-parameters at a real reference impedance.
+def to_s_parameters(m: TwoPortMatrix, f: np.ndarray) -> SParameterSet:
+    """Convert a chain matrix to S-parameters at the reference Z0.
 
     The two-port is taken as reciprocal, as every series/shunt ladder is:
     S12 is S21.
     """
-    if z_ref <= 0:
-        raise ValueError("z_ref must be positive")
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    # i*b / z_ref as numpy divides a complex array by a real number: as a
-    # product with the reciprocal, which b / z_ref differs from in the last
-    # bit
-    b = m.b * (1.0 / z_ref)
-    c = m.c * z_ref
+    # i*b / Z0 as numpy divides a complex array by a real number: as a
+    # product with the reciprocal, which b / Z0 differs from in the last bit
+    b = m.b * (1.0 / Z0)
+    c = m.c * Z0
     den, n11, n22 = (np.empty(len(b), complex) for _ in range(3))
     den.real, den.imag = m.a + m.d, b + c
     n11.real, n11.imag = m.a - m.d, b - c
@@ -368,7 +373,7 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray,
         s21 = 2.0 / den
         for part in (s21.real, s21.imag):
             np.ldexp(part, -m.exponent, out=part)
-    return SParameterSet(f, n11 / den, s21, s21, n22 / den, z_ref)
+    return SParameterSet(f, n11 / den, s21, s21, n22 / den)
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +525,9 @@ def _table_chunks(header: str, columns: list, arrays: list, n: int,
 
 def write_touchstone(sp: SParameterSet, path) -> str:
     """Write a two-port Touchstone file, real/imaginary format, frequency in
-    Hz, chunk by chunk; returns the sha256 hex digest of the bytes written."""
+    Hz, chunk by chunk; returns the sha256 hex digest of the bytes written.
+    The reference impedance is printed with %.17g, so a read-back
+    reproduces it exactly ("R 50" at Z0)."""
     columns = [sp.frequencies]
     parts: dict = {}
     for s in (sp.s11, sp.s21, sp.s12, sp.s22):
@@ -528,7 +535,7 @@ def write_touchstone(sp: SParameterSet, path) -> str:
         # objects let table_lines format them once
         columns += parts.setdefault(id(s), [s.real, s.imag])
     return write_chunks(path, table_lines(
-        f"# HZ S RI R {sp.reference_impedance:g}", columns, sep=" "))
+        f"# HZ S RI R {sp.reference_impedance:.17g}", columns, sep=" "))
 
 
 def read_touchstone(path) -> SParameterSet:
@@ -548,7 +555,7 @@ def read_touchstone(path) -> SParameterSet:
     if not raw or not raw[0][1].startswith("#"):
         raise ValueError(f"{path}: missing Touchstone option line")
     opts = raw[0][1][1:].upper().split()
-    z_ref = 50.0
+    z_ref = Z0
     if "R" in opts:
         at = opts.index("R")
         try:

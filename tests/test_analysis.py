@@ -7,10 +7,10 @@ import pytest
 
 import kitwpa.analysis
 from kitwpa.analysis import (
+    CalibrationSpec,
     GainMetrics,
     _median_step,
     _smooth,
-    OperatingPoint,
     SweepAxis,
     _GainPipeline,
     brentq,
@@ -35,10 +35,11 @@ from kitwpa.dispersion import (
 )
 from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile, integrate_gain, signal_frequencies
-from kitwpa.runner import _metrics_rows, _sweep_rows
+from kitwpa.runner import _metrics_report, _pump_lines, _sweep_rows
 
 FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
 SMALL_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=90)
+SMALL_NETWORK = expand_design(SMALL_FISHBONE)
 DISP_GRID = FrequencyGrid(0.1e9, 26e9, 8001)
 PARITY_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=30)
 PARITY_LEAF = LeafSpec(
@@ -228,8 +229,8 @@ class TestCalibration:
 
     def test_calibration_hits_target(self):
         grid = np.linspace(5.7e9, 6.7e9, 41)
-        res = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
-                              DISP_GRID)
+        res = calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                              CalibrationSpec(6.0), grid, DISP_GRID)
         assert res.residual_db < 0.1
         assert res.metrics.peak_gain_db == pytest.approx(6.0, abs=0.1)
         assert 1e-3 < res.i_star < 100e-3
@@ -243,34 +244,35 @@ class TestCalibration:
 
     def test_calibration_deterministic(self):
         grid = np.linspace(5.7e9, 6.7e9, 41)
-        a = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
-                            DISP_GRID)
-        b = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
-                            DISP_GRID)
+        a = calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                            CalibrationSpec(6.0), grid, DISP_GRID)
+        b = calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                            CalibrationSpec(6.0), grid, DISP_GRID)
         assert a.i_star == b.i_star  # bit-identical
 
     def test_degenerate_zero_target_rejected(self):
         grid = np.linspace(5.7e9, 6.7e9, 21)
         with pytest.raises(NumericError, match="achievable range"):
-            calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 0.0, grid,
-                            DISP_GRID)
+            calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                            CalibrationSpec(0.0), grid, DISP_GRID)
 
     def test_zero_pump_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_istar(SMALL_FISHBONE, (6.22e9, 0.0), 15.0,
+            calibrate_istar(SMALL_NETWORK, (6.22e9, 0.0),
+                            CalibrationSpec(15.0),
                             np.linspace(5.7e9, 6.7e9, 21), DISP_GRID)
 
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(tol_db=0.0), "tolerance_db"),
-        (dict(bracket=(0.2, 0.1)), "bracket_low"),
-        (dict(bracket=(-1.0, 0.1)), "bracket_low"),
+        (dict(tolerance_db=0.0), "tolerance_db"),
+        (dict(bracket_low=0.2, bracket_high=0.1), "bracket_low"),
+        (dict(bracket_low=-1.0, bracket_high=0.1), "bracket_low"),
     ], ids=["zero-tolerance", "bracket-low-above-high", "negative-bracket"])
     def test_spec_checks_the_arguments(self, kwargs, message):
-        # the same check as a config's calibration section, before any solve
+        # calibrate_istar takes its tolerance and bracket as one spec, which
+        # a config's calibration section builds when it loads, before any
+        # solve
         with pytest.raises(ValueError, match=message):
-            calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0,
-                            np.linspace(5.7e9, 6.7e9, 21), DISP_GRID,
-                            **kwargs)
+            CalibrationSpec(6.0, **kwargs)
 
 
 class TestBrentq:
@@ -293,11 +295,11 @@ class TestBrentq:
         from scipy.optimize import brentq as reference
 
         grid = np.linspace(5.7e9, 6.7e9, 41)
-        ours = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
-                               DISP_GRID)
+        ours = calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                               CalibrationSpec(6.0), grid, DISP_GRID)
         monkeypatch.setattr(kitwpa.analysis, "brentq", reference)
-        ref = calibrate_istar(SMALL_FISHBONE, (6.22e9, 100e-6), 6.0, grid,
-                              DISP_GRID)
+        ref = calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                              CalibrationSpec(6.0), grid, DISP_GRID)
         assert ours.i_star.hex() == ref.i_star.hex()
 
     def test_nan_and_no_convergence_are_numeric_errors(self):
@@ -516,10 +518,11 @@ class TestSweep:
 
 
 class TestCompareDesigns:
-    def op(self):
-        return OperatingPoint(pump_frequency=6.22e9, pump_power=100e-6,
-                              i_star=13e-3, total_cells=24992,
-                              k_cell_at_pump=0.0391)
+    PUMP = (6.22e9, 100e-6)
+
+    def pipeline(self):
+        return _GainPipeline(SMALL_NETWORK, DISP_GRID,
+                             np.linspace(5.7e9, 6.7e9, 11), None)
 
     def metrics(self, **kw):
         defaults = dict(peak_gain_db=15.0, peak_frequency_hz=6.2e9,
@@ -529,53 +532,62 @@ class TestCompareDesigns:
         return GainMetrics(**defaults)
 
     def test_derived_quantities(self):
-        op = self.op()
-        assert op.electrical_length_wavelengths == pytest.approx(
-            24992 * 0.0391 / (2 * np.pi))
-        assert op.nonlinearity_level == pytest.approx(
-            100e-6 / (50.0 * (13e-3) ** 2))
+        # a gain run's pump lines: the line's electrical length at the pump
+        # and the nonlinearity level P / (Z0 I*^2) on the 50 ohm line
+        pipeline = self.pipeline()
+        lines = dict(_pump_lines(self.PUMP, pipeline))
+        k_p = float(pipeline.curve.k_cell(6.22e9))
+        assert lines["i_star_a"] == 10e-3
+        assert lines["electrical_length_wavelengths"] == pytest.approx(
+            90 * 22 * k_p / (2 * np.pi), rel=1e-15)
+        assert lines["nonlinearity_level"] == pytest.approx(
+            100e-6 / (50.0 * (10e-3) ** 2), rel=1e-15)
 
     def test_metrics_report_rows(self):
-        text, csv = (b"".join(chunks).decode().splitlines()
-                     for chunks in _metrics_rows(self.metrics(), self.op()))
-        assert any(line.startswith("peak_gain_db") for line in text)
-        assert csv[0].split(",")[0] == "peak_gain_db"
-        assert len(csv) == 2
+        pump_lines = _pump_lines(self.PUMP, self.pipeline())
+        (text,) = _metrics_report(self.metrics(), pump_lines)
+        keys = [line.partition(" = ")[0] for line in text.decode().splitlines()]
+        assert keys == ["peak_gain_db", "peak_frequency_hz",
+                        "double_sided_bw_3db_hz", "ripple_db", "num_dips",
+                        "dip_0_hz", "dip_1_hz",
+                        *(key for key, _ in pump_lines)]
 
     def test_artificial_line_vs_cpw_parameter_model(self):
-        # CPW-parameter stand-in: 200 ohm uniform line, ~400 wavelengths at
-        # 6 GHz, operated at its published 200 uW; the 50 ohm loaded line is
-        # operated at 100 uW.  At matched 15 dB the pump-power ratio lands
-        # in the 2-3x range and the artificial line runs at a higher
-        # nonlinearity level.
+        # CPW-parameter stand-in: a 200 ohm uniform line, ~400 wavelengths
+        # at 6 GHz, operated at its published 200 uW; the 50 ohm loaded line
+        # is operated at 100 uW.  At matched 15 dB the artificial line runs
+        # at a higher nonlinearity level.  The package models 50 ohm lines
+        # (twoport.Z0): it calibrates the stand-in's I* with the 50 ohm
+        # power-current map, so the stand-in's electrical length and
+        # nonlinearity level P / (Z I*^2) are formed here, at its own 200 ohm
         cpw_cell = UnitCellSpec(NonlinearInductorSpec(400e-12, 10e-3), 10e-15)
         k_cpw = 2 * np.pi * 6e9 * np.sqrt(400e-12 * 10e-15)
         n_cells = int(round(400 * 2 * np.pi / k_cpw))
         cpw = FishboneSpec(base_cell=cpw_cell, cells_per_period=2,
                            loaded_cells=0, loaded_cells_every_third=0,
                            num_periods=n_cells // 2)
-        grid = np.linspace(5.0e9, 7.0e9, 51)
-        cal_cpw = calibrate_istar(cpw, (6e9, 200e-6), 15.0, grid,
-                                  FrequencyGrid(0.1e9, 20e9, 2001))
+        cpw_grid = FrequencyGrid(0.1e9, 20e9, 2001)
+        net_cpw = expand_design(cpw)
+        cal_cpw = calibrate_istar(net_cpw, (6e9, 200e-6),
+                                  CalibrationSpec(15.0),
+                                  np.linspace(5.0e9, 7.0e9, 51), cpw_grid)
 
         fishbone = FishboneSpec(base_cell=FISH_CELL, num_periods=1136)
-        cal_fb = calibrate_istar(fishbone, (6.22e9, 100e-6), 15.0,
+        net_fb = expand_design(fishbone)
+        cal_fb = calibrate_istar(net_fb, (6.22e9, 100e-6),
+                                 CalibrationSpec(15.0),
                                  np.linspace(5.5e9, 7.0e9, 51), DISP_GRID)
 
-        ratio = 200e-6 / 100e-6
-        assert 2.0 <= ratio <= 3.0
+        def length_and_level(net, grid, pump, i_star, z):
+            k_p = float(device_dispersion(net, grid).k_cell(pump[0]))
+            return (net.total_cells * k_p / (2 * np.pi),
+                    pump[1] / (z * i_star**2))
 
-        net_fb = expand_design(fishbone)
-        net_cpw = expand_design(cpw)
-        curve_fb = device_dispersion(net_fb, DISP_GRID)
-        curve_cpw = device_dispersion(net_cpw, FrequencyGrid(0.1e9, 20e9, 2001))
-        op_fb = OperatingPoint(6.22e9, 100e-6, cal_fb.i_star,
-                               net_fb.total_cells,
-                               float(curve_fb.k_cell(6.22e9)))
-        op_cpw = OperatingPoint(6e9, 200e-6, cal_cpw.i_star,
-                                net_cpw.total_cells,
-                                float(curve_cpw.k_cell(6e9)), z0=200.0)
-        assert op_cpw.electrical_length_wavelengths == pytest.approx(400, rel=0.02)
-        assert op_fb.electrical_length_wavelengths == pytest.approx(150, rel=0.05)
+        length_cpw, level_cpw = length_and_level(
+            net_cpw, cpw_grid, (6e9, 200e-6), cal_cpw.i_star, 200.0)
+        length_fb, level_fb = length_and_level(
+            net_fb, DISP_GRID, (6.22e9, 100e-6), cal_fb.i_star, 50.0)
+        assert length_cpw == pytest.approx(400, rel=0.02)
+        assert length_fb == pytest.approx(150, rel=0.05)
         # shorter phase length at equal gain -> higher drive nonlinearity
-        assert op_fb.nonlinearity_level > 1.5 * op_cpw.nonlinearity_level
+        assert level_fb > 1.5 * level_cpw

@@ -95,6 +95,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="pairs_per_block"):
             ResonatorSpec(pairs_per_block=pairs)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda x: NonlinearInductorSpec(x, 1e-2), "l0"),
+        (lambda x: NonlinearInductorSpec(50e-12, x), "i_star"),
+        (lambda x: UnitCellSpec(NonlinearInductorSpec(50e-12, 1e-2), x),
+         "shunt_capacitance"),
+        (lambda x: ResonatorSpec(x), "resonant_frequency"),
+        (lambda x: ResonatorSpec(6e9, x), "loaded_q"),
+        (lambda x: FishboneSpec(base_cell=fishbone_cell(),
+                                capacitance_reduction_factor=x),
+         "capacitance_reduction_factor"),
+    ], ids=["l0", "i_star", "shunt_capacitance", "resonant_frequency",
+            "loaded_q", "capacitance_reduction_factor"])
+    def test_rejects_a_value_that_is_not_finite(self, make, field):
+        # NaN fails every comparison, so a `value <= 0` test lets it through
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must .* finite"):
+                make(value)
+
     def test_rejects_separation_beyond_block(self):
         res = ResonatorSpec(pair_separation_cells=400)
         with pytest.raises(ValueError):

@@ -53,7 +53,8 @@ def db(x):
 
 class TestKerrCoefficient:
     def test_value_and_invariant(self):
-        g = kerr_coefficient(k_cell=0.04, i_star=10e-3, z0=50.0)
+        # the power-current map is that of the Z0 = 50 ohm line
+        g = kerr_coefficient(k_cell=0.04, i_star=10e-3)
         assert g == pytest.approx(0.04 / (2 * (10e-3) ** 2 * 50.0), rel=1e-12)
 
     def test_positivity_enforced(self):
@@ -175,13 +176,13 @@ def reference_harmonic_scan(network, dispersion, pump, options=None):
     f_i = 2.0 * f_p - f_s
     k, alpha, blocks, fac = kitwpa.fwm._pump_modes(
         network, dispersion, np.concatenate([[f_p], f_s, f_i, [3.0 * f_p]]),
-        "modes", options.z0, on_device_grid=False)
+        "modes", on_device_grid=False)
     k_p = float(k[0])
     dk = k[1:2] + k[2:3] - 2.0 * k_p
     dk3 = float(k[3] - 3.0 * k_p)
     alphas = (float(alpha[0]), alpha[1:2], alpha[2:3], float(alpha[3]))
     factors = None if fac is None else (fac[0], fac[1:2], fac[2:3], fac[3])
-    g = kerr_coefficient(k_p, network.i_star, options.z0)
+    g = kerr_coefficient(k_p, network.i_star)
     prop = StackedPropagator(1, (g, g * f_s / f_p, g * f_i / f_p, 3.0 * g),
                              dk, dk3, alphas, options,
                              float(network.total_cells), blocks, factors)
@@ -453,7 +454,7 @@ class TestIntegrator:
         gamma = kerr_coefficient(whole_line.k_pump, net.i_star)
         whole = fwm._transfer(whole_line, gamma, 4 * p_p)
 
-        def cut(network, frequencies, z0):
+        def cut(network, frequencies):
             cells = float(network.total_cells)
             return (tuple(b * cells / 8 for b in range(8)),
                     np.ones(frequencies.size))
@@ -492,7 +493,7 @@ class TestIntegrator:
                 nfev.append(sol.nfev)
                 return sol
 
-            def cut(network, frequencies, z0):
+            def cut(network, frequencies):
                 cells = float(network.total_cells)
                 return (tuple(b * cells / segments for b in range(segments)),
                         np.ones(frequencies.size))

@@ -1,5 +1,4 @@
 import importlib.util
-import inspect
 import json
 import os
 import re
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from kitwpa.analysis import CalibrationSpec, calibrate_istar, expand_design
+from kitwpa.analysis import CalibrationSpec, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
@@ -273,11 +272,6 @@ analysis:
             tmp_path, design + "  calibration: {target_peak_db: 15.0, "
             "tolerance_db: 0.5}\n", "partial.cfg"))
         assert partial.calibration == CalibrationSpec(15.0, tolerance_db=0.5)
-        defaults = inspect.signature(calibrate_istar).parameters
-        spec = CalibrationSpec(15.0)
-        assert defaults["bracket"].default == (spec.bracket_low,
-                                               spec.bracket_high)
-        assert defaults["tol_db"].default == spec.tolerance_db
 
     def test_removed_design_key_rejected_in_strict_mode(self, tmp_path):
         p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
@@ -365,6 +359,31 @@ class TestRunner:
                 header = fh.readline().rstrip("\n")
             assert listed[name].split(", ") == header.split(","), name
 
+    def test_readme_lists_the_files_each_subcommand_writes(self, tmp_path):
+        # the README's `| subcommand | files |` table names every file a
+        # subcommand writes besides run_manifest.json; this sweep has a
+        # failing point, so it writes sweep_failures.txt too
+        readme = (ROOT / "README.md").read_text()
+        table = readme[readme.index("| subcommand | files |"):]
+        listed = {}
+        for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+            subcommand, files = row.strip("|").split("|")
+            listed[subcommand.strip().strip("`")] = set(
+                re.findall(r"`([\w.]+)`", files))
+        cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "points: 41", "points: 11").replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n"
+            "  sweep: {parameter: pump_power, values: [1.0e-4, -1.0e-4]}\n"
+            "  calibration: {target_peak_db: 3.0, tolerance_db: 0.5}")))
+        written = {}
+        for subcommand in SUBCOMMANDS:
+            out = tmp_path / subcommand
+            run(subcommand, cfg, out_dir=out)
+            written[subcommand] = {p.name for p in out.iterdir()
+                                   if p.name != "run_manifest.json"}
+        assert listed == written
+
     def test_dispersion_outputs_and_stopbands(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
         run("dispersion", cfg, out_dir=tmp_path / "out")
@@ -426,8 +445,14 @@ class TestRunner:
         run(subcommand, cfg, out_dir=tmp_path / "out")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("subcommand", ["sweep", "calibrate"])
-    def test_sweep_and_calibrate_refuse_a_netlist(self, tmp_path, subcommand):
+    @pytest.mark.parametrize("subcommand, message", [
+        ("sweep", "'sweep' needs a parametric design, not a raw netlist"),
+        # calibrate takes a netlist as gain does, so one whose period
+        # occurs only once has no Bloch curve
+        ("calibrate", "netlist has no repeating period"),
+    ], ids=["sweep", "calibrate"])
+    def test_sweep_and_calibrate_refuse_a_netlist(self, tmp_path, subcommand,
+                                                  message):
         (tmp_path / "hand.net").write_text(
             "# ki-twpa netlist v1\nL 5e-11 1e-2\nC 2e-14\n")
         cfg = load_config(write_cfg(tmp_path, netlist_cfg("hand.net").replace(
@@ -435,15 +460,14 @@ class TestRunner:
             "  integrator: {rtol: 1.0e-8}\n"
             "  sweep: {parameter: pump_power, values: [1.0e-4]}\n"
             "  calibration: {target_peak_db: 3.0}"), "net.cfg"))
-        with pytest.raises(ConfigError, match=f"'{subcommand}' needs a "
-                           "parametric design, not a raw netlist"):
+        with pytest.raises(ConfigError, match=message):
             run(subcommand, cfg, out_dir=tmp_path / "out")
 
     def test_gain_run_and_manifest_digests(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG))
         manifest = run("gain", cfg, out_dir=tmp_path / "out")
         names = {f["name"] for f in manifest["files"]}
-        assert {"gain.csv", "metrics.txt", "metrics.csv"} <= names
+        assert names == {"gain.csv", "metrics.txt"}
         # every listed digest matches the file on disk
         import hashlib
         for entry in manifest["files"]:
@@ -476,7 +500,7 @@ class TestRunner:
         cfg2 = load_config(write_cfg(tmp_path, SMALL_FISHBONE_CFG, "b.cfg"))
         m1 = run("gain", cfg1, out_dir=tmp_path / "o1")
         m2 = run("gain", cfg2, out_dir=tmp_path / "o2")
-        for name in ("gain.csv", "metrics.csv"):
+        for name in ("gain.csv", "metrics.txt"):
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()
         d1 = {f["name"]: f["sha256"] for f in m1["files"]}
@@ -591,6 +615,22 @@ analysis:
             a = run(sub, spec, out_dir=tmp_path / f"spec-{sub}")
             b = run(sub, net, out_dir=tmp_path / f"net-{sub}")
             assert a["files"] == b["files"]   # names and sha256 digests
+
+    @pytest.mark.parametrize("preset", ["fishbone-paper", "leaf-paper-gain"])
+    def test_calibrate_on_the_design_netlist_writes_the_spec_bytes(
+            self, tmp_path, preset):
+        # calibrate takes the expanded network, a spec's or a netlist's, and
+        # the netlist design writes reads back to the spec's network
+        spec = load_config(PRESETS / f"{preset}.cfg")
+        run("design", spec, out_dir=tmp_path / "made")
+        doc = yaml.safe_load((PRESETS / f"{preset}.cfg").read_text())
+        doc["design"] = {"netlist": "made/device.net"}
+        net = load_config(write_cfg(tmp_path, yaml.safe_dump(doc), "net.cfg"))
+        a = run("calibrate", spec, out_dir=tmp_path / "spec")
+        b = run("calibrate", net, out_dir=tmp_path / "net")
+        assert [f["name"] for f in a["files"]] == [
+            "calibration.txt", "gain.csv", "metrics.txt"]
+        assert a["files"] == b["files"]   # names and sha256 digests
 
     def test_no_subcommand_imports_a_module(self, tmp_path):
         # every subcommand's first run in a fresh process: a module imported
@@ -946,8 +986,9 @@ output:
         ("gain", "analysis.signal_grid", {"start_hz": np.nan}, "start_hz"),
         ("gain", "analysis.integrator", {"atol": -1}, "atol"),
         ("harmonics", "analysis.integrator", {"atol": 0}, "atol"),
-        ("gain", "analysis.integrator", {"z0_ohms": 0}, "z0"),
-        ("gain", "analysis.integrator", {"z0_ohms": -50}, "z0"),
+        # the line impedance is twoport.Z0, not a setting
+        ("gain", "analysis.integrator", {"z0_ohms": 0},
+         "unknown key(s) ['z0_ohms']"),
         ("gain", "analysis.integrator", {"rtol": 0}, "rtol"),
         ("gain", "analysis.integrator", {"rtol": -1}, "rtol"),
         ("design", "design.leaf", {"pair_separation_cells": 0},
@@ -988,7 +1029,7 @@ output:
         ("gain", "analysis.signal_grid", {"points": 2.5}, "points"),
         ("linear", "analysis.frequency_grid", {"points": 2.5}, "points"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
-            "negative-atol", "zero-atol", "zero-z0", "negative-z0", "zero-rtol",
+            "negative-atol", "zero-atol", "zero-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
             "zero-block-period", "scalar-sweep-values", "empty-sweep-values",
             "unknown-sweep-parameter", "numeric-sweep-parameter",
@@ -1017,13 +1058,31 @@ output:
         err = capsys.readouterr().err
         assert section in err and key in err
 
+    @pytest.mark.parametrize("line", [
+        "L -50e-12 0.01", "L 0 0.01", "L nan 0.01", "L 5e-11 inf",
+        "C -2e-14", "C inf", "RES nan 70 2", "RES 6e9 0 2", "RES 6e9 70 0",
+    ], ids=["negative-l", "zero-l", "nan-l", "inf-istar", "negative-c",
+            "inf-c", "nan-fr", "zero-q", "zero-multiplicity"])
+    def test_cli_netlist_element_value_exit_2(self, tmp_path, capsys, line):
+        # a netlist's element values are checked as a design's are: one
+        # that is not positive and finite names the file and line, before
+        # any frequency is evaluated
+        (tmp_path / "bad.net").write_text(
+            "# ki-twpa netlist v1\nL 5e-11 1e-2\nC 2e-14\n" + line
+            + "\nC 2e-14\n" + "L 5e-11 1e-2\nC 2e-14\n" * 4)
+        p = write_cfg(tmp_path, netlist_cfg("bad.net"))
+        rc = main(["linear", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.net:4: " in err and repr(line) in err
+        assert "frequency_grid" not in err
+
     @pytest.mark.parametrize("section, values, named, field", [
         ("design.fishbone", {"l_henries": -50e-12}, ("l_henries",), "l0"),
-        ("analysis.integrator", {"z0_ohms": 0}, ("z0_ohms",), "z0"),
         ("design.leaf", {"cells_per_block_period": 20,
                          "pair_separation_cells": 20},
          ("cells_per_block_period", "pair_separation_cells"), None),
-    ], ids=["negative-inductance", "zero-z0", "separation-at-block-period"])
+    ], ids=["negative-inductance", "separation-at-block-period"])
     def test_cli_rejected_value_names_the_config_key(
             self, tmp_path, capsys, section, values, named, field):
         # a value a spec rejects is reported under the key the config sets,

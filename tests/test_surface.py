@@ -6,12 +6,15 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import kitwpa
+import kitwpa.twoport
 
 MODULES = sorted(f"kitwpa.{m.name}"
                  for m in pkgutil.iter_modules(kitwpa.__path__))
@@ -82,3 +85,27 @@ def test_every_dataclass_says_what_its_fields_are():
             and value.__module__ == name
             and (value.__doc__ or "").startswith(f"{value.__name__}(")]
     assert not bare, f"dataclasses without a docstring: {bare}"
+
+
+def test_the_line_impedance_is_one_constant():
+    # twoport.Z0 is the line and port impedance of every device; no
+    # function or dataclass takes one, apart from the R a Touchstone file
+    # names, which read_touchstone returns in its SParameterSet
+    impedance = re.compile(r"^z(\d+|_ref)?$|ohm|impedance")
+    takes = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr, value in vars(module).items():
+            if getattr(value, "__module__", None) != name:
+                continue
+            if dataclasses.is_dataclass(value) and isinstance(value, type):
+                params = [f.name for f in dataclasses.fields(value)]
+            elif inspect.isfunction(value):
+                params = list(inspect.signature(value).parameters)
+            else:
+                continue
+            takes += [f"{name}.{attr}({p})" for p in params
+                      if impedance.search(p)]
+    assert takes == ["kitwpa.twoport.SParameterSet(reference_impedance)"]
+    assert kitwpa.twoport.Z0 == 50.0
+    assert kitwpa.twoport.RESONATOR_ENVIRONMENT_OHMS == kitwpa.twoport.Z0 / 2

@@ -32,6 +32,7 @@ from kitwpa.twoport import (
     FrequencyGrid,
     SParameterSet,
     TwoPortMatrix,
+    Z0,
     cascade_periods,
     network_matrix,
     read_touchstone,
@@ -149,11 +150,11 @@ def as_complex(m):
                          m.d.astype(complex), m.exponent)
 
 
-def complex_s_parameters(m, z_ref=50.0):
-    """(s11, s21, s22) of a ComplexMatrix by the complex formula."""
-    den = m.a + m.b / z_ref + m.c * z_ref + m.d
-    s11 = (m.a + m.b / z_ref - m.c * z_ref - m.d) / den
-    s22 = (-m.a + m.b / z_ref - m.c * z_ref + m.d) / den
+def complex_s_parameters(m):
+    """(s11, s21, s22) of a ComplexMatrix by the complex formula at Z0."""
+    den = m.a + m.b / Z0 + m.c * Z0 + m.d
+    s11 = (m.a + m.b / Z0 - m.c * Z0 - m.d) / den
+    s22 = (-m.a + m.b / Z0 - m.c * Z0 + m.d) / den
     return s11, complex_ldexp(2.0 / den, -m.exponent), s22
 
 
@@ -314,10 +315,10 @@ def longdouble_walk(chain, f):
     return a, b, c, d
 
 
-def longdouble_s21(walk, z_ref=50.0):
-    """S21 of a longdouble_walk result."""
+def longdouble_s21(walk):
+    """S21 of a longdouble_walk result at Z0."""
     a, b, c, d = walk
-    z = np.longdouble(z_ref)
+    z = np.longdouble(Z0)
     return 2 / ((a + d) + 1j * (b / z + c * z)).astype(np.clongdouble)
 
 
@@ -679,8 +680,13 @@ class TestSParameters:
         assert np.median(p[in_band]) < np.median(p[passband]) - 10
 
     def test_rejects_bad_reference(self):
-        with pytest.raises(ValueError):
-            to_s_parameters(identity(1), np.array([1e9]), z_ref=0.0)
+        # S-parameters are formed at Z0 only; a set with a reference that is
+        # not positive and finite cannot be made, so none is written to a
+        # Touchstone file that read_touchstone would refuse
+        one = np.ones(1, complex)
+        for z in (0.0, -50.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="reference_impedance"):
+                SParameterSet(np.array([1e9]), one, one, one, one, z)
 
 
 class TestFrequencyGrid:
@@ -728,9 +734,21 @@ class TestTouchstone:
 
     def test_header_format(self, tmp_path):
         sp = to_s_parameters(identity(3), np.array([1e9, 2e9, 3e9]))
+        assert sp.reference_impedance == Z0 == 50.0
         p = tmp_path / "dev.s2p"
         write_touchstone(sp, p)
         assert p.read_text().splitlines()[0] == "# HZ S RI R 50"
+
+    def test_reference_impedance_round_trips_exactly(self, tmp_path):
+        # the reference is printed with %.17g, as the netlist's values are;
+        # six significant digits read 50.123456789 back as 50.1235
+        s = np.array([0.1 + 0.2j, 0.9 - 0.3j])
+        sp = SParameterSet(np.array([1e9, 2e9]), s, s, s, s, 50.123456789)
+        p = tmp_path / "dev.s2p"
+        write_touchstone(sp, p)
+        assert p.read_text().splitlines()[0] == \
+            "# HZ S RI R 50.123456789000002"
+        assert read_touchstone(p).reference_impedance == 50.123456789
 
     def test_emission_memory_does_not_grow_with_the_rows(self, tmp_path):
         # the table is written chunk by chunk and digested as written; held
@@ -858,8 +876,8 @@ class TestTableLines:
 
     @pytest.mark.parametrize("rows, cols", [(1, 15), (40, 4)])
     def test_short_wide_tables_match_per_row_formula(self, rows, cols):
-        # the shapes of metrics.csv and stopbands.csv; every float column,
-        # the repeated one included, goes through one kernel call
+        # a one-row wide table and the shape of stopbands.csv; every float
+        # column, the repeated one included, goes through one kernel call
         rng = np.random.default_rng(rows * cols)
         columns = [rng.normal(0, 1e9, rows)
                    * 10.0 ** rng.integers(-300, 290, rows)
