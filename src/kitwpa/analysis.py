@@ -32,7 +32,6 @@ from .dispersion import (
 from .errors import KitwpaError, NumericError
 from .fwm import (
     GainProfile,
-    IntegrationOptions,
     integrate_gain,  # noqa: F401
     prepare_line,
     solve_gain,
@@ -219,12 +218,11 @@ class _GainPipeline:
     numbers a fresh one would.
     """
 
-    def __init__(self, network, dispersion_grid, signal_grid, options):
+    def __init__(self, network, dispersion_grid, signal_grid):
         self.network = network
         self.curve = device_dispersion(network, dispersion_grid)
         self.stopbands = find_stopbands(self.curve)
         self.signal_grid = signal_grid
-        self.options = options
         self._line = None
 
     def __call__(self, i_star: float, pump: tuple) -> tuple:
@@ -232,7 +230,7 @@ class _GainPipeline:
         f_p, p_p = pump
         if self._line is None or self._line.pump_frequency != f_p:
             self._line = prepare_line(self.network, self.curve, f_p,
-                                      self.signal_grid, self.options)
+                                      self.signal_grid)
         profile = solve_gain(self._line, i_star, p_p)
         return profile, gain_metrics(profile, self.stopbands)
 
@@ -249,10 +247,14 @@ class CalibrationSpec:
     bracket_high: float = 100e-3
 
     def __post_init__(self):
-        if not self.tolerance_db > 0:
-            raise ValueError(f"tolerance_db must be positive, got {self.tolerance_db}")
-        if not 0 < self.bracket_low < self.bracket_high:
-            raise ValueError(f"need 0 < bracket_low < bracket_high, got "
+        if not math.isfinite(self.target_peak_db):
+            raise ValueError(f"target_peak_db must be finite, got "
+                             f"{self.target_peak_db}")
+        if not 0 < self.tolerance_db < math.inf:
+            raise ValueError(f"tolerance_db must be positive and finite, got "
+                             f"{self.tolerance_db}")
+        if not 0 < self.bracket_low < self.bracket_high < math.inf:
+            raise ValueError(f"need 0 < bracket_low < bracket_high < inf, got "
                              f"{self.bracket_low} and {self.bracket_high}")
 
 
@@ -336,8 +338,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float,
 
 
 def calibrate_istar(network, pump: tuple, spec: CalibrationSpec, signal_grid,
-                    dispersion_grid: FrequencyGrid = DEFAULT_GRID,
-                    options: IntegrationOptions | None = None
+                    dispersion_grid: FrequencyGrid = DEFAULT_GRID
                     ) -> CalibrationResult:
     """Root-find the nonlinearity scale of an expanded network so the peak
     gain of gain_metrics hits the spec's target.
@@ -352,7 +353,7 @@ def calibrate_istar(network, pump: tuple, spec: CalibrationSpec, signal_grid,
     f_p, p_p = pump
     if p_p <= 0:
         raise ValueError("calibration requires nonzero pump power")
-    pipeline = _GainPipeline(network, dispersion_grid, signal_grid, options)
+    pipeline = _GainPipeline(network, dispersion_grid, signal_grid)
 
     k_p = float(pipeline.curve.k_cell(f_p))
     i_min_cap = math.sqrt(k_p * p_p * network.total_cells /
@@ -415,13 +416,11 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of sweep: the parameter and its values as given, the peak
-    gain and bandwidth as metric name -> one value per point (each in its
-    GainMetrics unit, NaN where the point failed), and one (index, exception
-    class name, message) per failed point."""
+    """Outcome of sweep: the peak gain and bandwidth as metric name -> one
+    value per point of the axis (each in its GainMetrics unit, NaN where the
+    point failed), and one (index, exception class name, message) per
+    failed point."""
 
-    parameter: str
-    values: tuple
     metrics: dict          # metric name -> tuple of values (nan on failure)
     failures: tuple        # (index, exception class name, message)
 
@@ -474,8 +473,7 @@ def _apply_parameter(design, pump, name, value):
 
 
 def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
-          dispersion_grid: FrequencyGrid = DEFAULT_GRID,
-          options: IntegrationOptions | None = None) -> SweepResult:
+          dispersion_grid: FrequencyGrid = DEFAULT_GRID) -> SweepResult:
     """Peak gain and double-sided bandwidth (gain_metrics) across one
     axis, point by point in axis order.  A point that fails with a toolkit,
     value or arithmetic error is recorded with its exception class and the
@@ -490,12 +488,11 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
     point's numbers are those of a fresh pipeline at that point.
     """
     check_sweep_parameter(design, axis.parameter)
-    values = list(axis.values)
     key = None
 
-    results: list = [None] * len(values)
+    results: list = [None] * len(axis.values)
     failures = []
-    for i, v in enumerate(values):
+    for i, v in enumerate(axis.values):
         try:
             d, p = _apply_parameter(design, pump, axis.parameter, v)
             # the linear model never reads I*, so a design that differs at
@@ -503,7 +500,7 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
             unit = design_with_istar(d, 1.0)
             if unit != key:
                 pipeline = _GainPipeline(expand_design(d), dispersion_grid,
-                                         signal_grid, options)
+                                         signal_grid)
                 key = unit
             _, results[i] = pipeline(d.base_cell.inductor.i_star, p)
         except (KitwpaError, ValueError, ArithmeticError) as exc:
@@ -515,6 +512,5 @@ def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,
             for r in results)
         for name in _SWEEP_METRICS
     }
-    return SweepResult(parameter=axis.parameter, values=tuple(values),
-                       metrics=metrics, failures=tuple(failures))
+    return SweepResult(metrics=metrics, failures=tuple(failures))
 

@@ -34,6 +34,9 @@ __all__ = ["RunConfig", "load_config"]
 
 
 def _as_float(value, path: str) -> float:
+    # YAML reads true/yes/on as a bool, which float() would take as 1.0
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):

@@ -73,10 +73,10 @@ def kerr_coefficient(k_cell: float, i_star: float) -> float:
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Coupled-mode settings: the DOP853 rtol and atol (atol in sqrt(W),
-    the mode amplitudes' unit), and include_third_harmonic, a flag nothing
-    integrates with: third_harmonic_scan always carries the third harmonic
-    and ignores it, and solve_gain (so integrate_gain), whose small-signal
-    gain carries none, refuses it."""
+    the mode amplitudes' unit), which only third_harmonic_scan reads, and
+    include_third_harmonic, a flag nothing integrates with:
+    third_harmonic_scan always carries the third harmonic and ignores it,
+    and integrate_gain, whose small-signal gain carries none, refuses it."""
 
     include_third_harmonic: bool = False
     rtol: float = 1e-9
@@ -85,12 +85,13 @@ class IntegrationOptions:
     def __post_init__(self):
         # below MIN_RTOL the step error estimate is rounding noise; refused
         # here rather than raised to the floor, as scipy would do silently
-        if not self.rtol >= MIN_RTOL:
-            raise ValueError(f"rtol must be >= {MIN_RTOL:.3g}, got {self.rtol}")
+        if not MIN_RTOL <= self.rtol < math.inf:
+            raise ValueError(f"rtol must be finite and >= {MIN_RTOL:.3g}, "
+                             f"got {self.rtol}")
         # modes that start at exactly zero (the idler, the third harmonic)
         # need atol > 0 for a finite step error estimate
-        if not self.atol > 0:
-            raise ValueError(f"atol must be positive, got {self.atol}")
+        if not 0 < self.atol < math.inf:
+            raise ValueError(f"atol must be positive and finite, got {self.atol}")
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ class PumpedLine:
     """The linear part of a device pumped at one frequency.
 
     Everything the small-signal gain needs that depends only on the network,
-    the dispersion, the pump frequency, the signal grid and the options.
+    the dispersion, the pump frequency and the signal grid.
     None of it depends on I*, which the linear model never reads (I* enters
     only the Kerr coefficient), or on the pump power, so one line serves
     every operating point at its pump frequency; see solve_gain.
@@ -241,7 +242,6 @@ class PumpedLine:
     total_cells: float
     blocks: tuple                    # cell positions of the block corrections
     block_factors: tuple | None      # pump, signals, idlers; None: no blocks
-    options: IntegrationOptions
 
 
 def signal_frequencies(signal_grid, pump_frequency: float) -> np.ndarray:
@@ -331,8 +331,7 @@ def _pump_modes(network: LadderNetwork, dispersion: DispersionCurve,
 
 
 def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
-                 pump_frequency: float, signal_grid,
-                 options: IntegrationOptions | None = None) -> PumpedLine:
+                 pump_frequency: float, signal_grid) -> PumpedLine:
     """The linear setup of integrate_gain for one pump frequency.
 
     The arguments mean what they mean for integrate_gain; any signal point
@@ -341,7 +340,6 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
     resonator design without uniform base cells, and ValueError for a
     signal grid signal_frequencies refuses or leaves empty.
     """
-    options = options or IntegrationOptions()
     f_p = pump_frequency
     f_s = signal_frequencies(signal_grid, f_p)
     if f_s.size == 0:
@@ -362,7 +360,7 @@ def prepare_line(network: LadderNetwork, dispersion: DispersionCurve,
         delta_k=k[1:n + 1] + k[n + 1:] - 2.0 * k_p,
         alphas=(float(alpha[0]), alpha[1:n + 1], alpha[n + 1:]),
         in_stopband=stop_flags, total_cells=float(network.total_cells),
-        blocks=blocks, block_factors=block_factors, options=options)
+        blocks=blocks, block_factors=block_factors)
 
 
 def _transfer(line: PumpedLine, g_p: float, p_p: float):
@@ -513,18 +511,13 @@ def solve_gain(line: PumpedLine, i_star: float, pump_power: float) -> GainProfil
     ``integrate_gain(network, ...)`` is ``solve_gain(prepare_line(network,
     ...), network.i_star, pump_power)``.  The gain is 20 log10 |T00| of the
     small-signal signal-idler transfer (_transfer), so it needs no seed and
-    no integrator tolerance.  Raises ValueError for a negative pump power
-    or a line prepared with include_third_harmonic, and NumericError for an
-    attenuated pump or a gain past the float range.  The profile's arrays
-    are its own.
+    no integrator tolerance.  Raises ValueError for a negative pump power,
+    and NumericError for an attenuated pump or a gain past the float range.
+    The profile's arrays are its own.
     """
     p_p = pump_power
     if p_p < 0:
         raise ValueError("pump power must be >= 0")
-    if line.options.include_third_harmonic:
-        raise ValueError("include_third_harmonic applies to "
-                         "third_harmonic_scan only; the small-signal gain has "
-                         "no third harmonic")
     alpha_p = line.alphas[0]
     if alpha_p != 0.0:
         raise NumericError(
@@ -561,7 +554,9 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     enter as lumped per-block corrections instead, computed from the
     network, and the modes propagate on the bare ladder's closed-form curve
     instead.  ``stopband_curve`` may only be ``dispersion`` itself
-    (ValueError otherwise).
+    (ValueError otherwise).  Of ``options`` only include_third_harmonic
+    is read, to refuse it (ValueError): the small-signal gain takes no
+    integrator settings.
 
     Gain is the small-signal 20*log10 |a_s(L)/a_s(0)| with Bloch
     attenuation folded in, from solve_gain; a zero-power pump short-circuits
@@ -569,8 +564,12 @@ def integrate_gain(network: LadderNetwork, dispersion: DispersionCurve,
     """
     if stopband_curve is not None and stopband_curve is not dispersion:
         raise ValueError("stopband_curve must be the dispersion curve itself")
+    if options is not None and options.include_third_harmonic:
+        raise ValueError("include_third_harmonic applies to "
+                         "third_harmonic_scan only; the small-signal gain has "
+                         "no third harmonic")
     f_p, p_p = pump
-    line = prepare_line(network, dispersion, f_p, signal_grid, options)
+    line = prepare_line(network, dispersion, f_p, signal_grid)
     return solve_gain(line, network.i_star, p_p)
 
 

@@ -150,9 +150,9 @@ def _harmonic_rows(scan):
         "z_cells,p_pump_w,p_third_w", [scan.z_cells, scan.p_pump, scan.p_third])
 
 
-def _sweep_rows(result):
-    return table_lines(",".join([result.parameter, *result.metrics]),
-                       [result.values, *result.metrics.values()])
+def _sweep_rows(axis, result):
+    return table_lines(",".join([axis.parameter, *result.metrics]),
+                       [axis.values, *result.metrics.values()])
 
 
 def _metrics_report(metrics, pump_lines=()) -> list:
@@ -257,7 +257,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
     elif subcommand == "gain":
         _require_bloch_period(config, network)
         pipeline = _GainPipeline(network, config.frequency_grid,
-                                 config.signal_grid, config.integrator)
+                                 config.signal_grid)
         profile, metrics = pipeline(network.i_star, config.pump)
         _write_gain(emit, profile, metrics, _pump_lines(config.pump, pipeline))
 
@@ -274,9 +274,8 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         _require(config.design_kind != "netlist",
                  "'sweep' needs a parametric design, not a raw netlist")
         result = sweep(config.design, config.pump, config.sweep,
-                       config.signal_grid, config.frequency_grid,
-                       config.integrator)
-        emit.write("sweep.csv", _sweep_rows(result))
+                       config.signal_grid, config.frequency_grid)
+        emit.write("sweep.csv", _sweep_rows(config.sweep, result))
         if result.failures:
             emit.write("sweep_failures.txt", ["".join(
                 f"index {i}: {kind}: {msg}\n"
@@ -287,8 +286,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
                  "'calibrate' requires an analysis.calibration section")
         _require_bloch_period(config, network)
         result = calibrate_istar(network, config.pump, config.calibration,
-                                 config.signal_grid, config.frequency_grid,
-                                 config.integrator)
+                                 config.signal_grid, config.frequency_grid)
         emit.write("calibration.txt", _report([
             ("i_star_amperes", result.i_star),
             ("residual_db", result.residual_db),

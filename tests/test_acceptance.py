@@ -75,7 +75,7 @@ def fishbone_calibration(fishbone_config):
     cfg = fishbone_config
     return calibrate_istar(expand_design(cfg.design), cfg.pump,
                            CalibrationSpec(15.0, tolerance_db=0.1),
-                           cfg.signal_grid, cfg.frequency_grid, cfg.integrator)
+                           cfg.signal_grid, cfg.frequency_grid)
 
 
 def test_criterion_1_closed_form_relations():
@@ -159,8 +159,7 @@ def test_criterion_4_gain_reproduction(fishbone_config, fishbone_calibration):
     leaf_cfg = load_config(PRESETS / "leaf-paper-gain.cfg")
     leaf_cal = calibrate_istar(expand_design(leaf_cfg.design), leaf_cfg.pump,
                                CalibrationSpec(15.0, tolerance_db=0.1),
-                               leaf_cfg.signal_grid, leaf_cfg.frequency_grid,
-                               leaf_cfg.integrator)
+                               leaf_cfg.signal_grid, leaf_cfg.frequency_grid)
     lm = leaf_cal.metrics
     leaf_peak_ok = abs(lm.peak_gain_db - 15.0) <= 1.0
     leaf_istar_ok = 5e-3 <= leaf_cal.i_star <= 40e-3
@@ -202,11 +201,11 @@ def test_criterion_6_oracle_parity():
             delta_k=dk_total - 2 * gamma_pp,
             alphas=(0.0, np.zeros(n), np.zeros(n)),
             in_stopband=np.zeros(n, dtype=bool), total_cells=length,
-            blocks=(), block_factors=None, options=IntegrationOptions())
+            blocks=(), block_factors=None)
         want = 10 * np.log10([analytic_gain_undepleted(gamma_pp, dk, length)
                               for dk in dk_total])
         ode = StackedPropagator(n, (gamma,) * 4, line.delta_k, 0.0,
-                                (0.0,) * 4, line.options, length,
+                                (0.0,) * 4, IntegrationOptions(), length,
                                 undepleted=True).run(y0)
         got = 20 * np.log10(np.abs(ode[n:2 * n]) / seed)
         closed = solve_gain(line, i_star, p_p).gain_db

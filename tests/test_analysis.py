@@ -49,10 +49,10 @@ PARITY_LEAF = LeafSpec(
 PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
 
 
-def pipeline_gain(design, pump, signal_grid, dispersion_grid, options=None):
+def pipeline_gain(design, pump, signal_grid, dispersion_grid):
     """(profile, metrics, stopbands) of a design through one gain pipeline."""
     pipeline = _GainPipeline(expand_design(design), dispersion_grid,
-                             signal_grid, options)
+                             signal_grid)
     profile, metrics = pipeline(design.base_cell.inductor.i_star, pump)
     return profile, metrics, pipeline.stopbands
 
@@ -209,8 +209,7 @@ class TestGainPipeline:
         # per merged zone leaves no repeat and none out of order
         cfg = load_config(PRESETS / "leaf-paper-gain.cfg")
         _, metrics, stopbands = pipeline_gain(
-            cfg.design, cfg.pump, cfg.signal_grid, cfg.frequency_grid,
-            cfg.integrator)
+            cfg.design, cfg.pump, cfg.signal_grid, cfg.frequency_grid)
         dips = np.array(metrics.dip_frequencies_hz)
         assert len(stopbands) > dips.size > 1
         assert np.all(np.diff(dips) > 0)
@@ -266,13 +265,17 @@ class TestCalibration:
         (dict(tolerance_db=0.0), "tolerance_db"),
         (dict(bracket_low=0.2, bracket_high=0.1), "bracket_low"),
         (dict(bracket_low=-1.0, bracket_high=0.1), "bracket_low"),
-    ], ids=["zero-tolerance", "bracket-low-above-high", "negative-bracket"])
+        (dict(target_peak_db=math.nan), "target_peak_db"),
+        (dict(tolerance_db=math.inf), "tolerance_db"),
+        (dict(bracket_high=math.inf), "bracket_high"),
+    ], ids=["zero-tolerance", "bracket-low-above-high", "negative-bracket",
+            "nan-target", "inf-tolerance", "inf-bracket-high"])
     def test_spec_checks_the_arguments(self, kwargs, message):
-        # calibrate_istar takes its tolerance and bracket as one spec, which
-        # a config's calibration section builds when it loads, before any
-        # solve
+        # calibrate_istar takes its target, tolerance and bracket as one
+        # spec, which a config's calibration section builds when it loads,
+        # before any solve; a non-finite value would reach the root finder
         with pytest.raises(ValueError, match=message):
-            CalibrationSpec(6.0, **kwargs)
+            CalibrationSpec(**{"target_peak_db": 6.0, **kwargs})
 
 
 class TestBrentq:
@@ -386,9 +389,9 @@ class TestSweep:
 
     def test_istar_axis_and_csv(self):
         grid = np.linspace(5.9e9, 6.5e9, 21)
-        res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6),
-                    SweepAxis("i_star", (10e-3, 14e-3)), grid, DISP_GRID)
-        rows = b"".join(_sweep_rows(res)).decode().splitlines()
+        axis = SweepAxis("i_star", (10e-3, 14e-3))
+        res = sweep(SMALL_FISHBONE, (6.22e9, 100e-6), axis, grid, DISP_GRID)
+        rows = b"".join(_sweep_rows(axis, res)).decode().splitlines()
         assert rows[0].startswith("i_star,peak_gain_db")
         assert len(rows) == 3
 
@@ -522,7 +525,7 @@ class TestCompareDesigns:
 
     def pipeline(self):
         return _GainPipeline(SMALL_NETWORK, DISP_GRID,
-                             np.linspace(5.7e9, 6.7e9, 11), None)
+                             np.linspace(5.7e9, 6.7e9, 11))
 
     def metrics(self, **kw):
         defaults = dict(peak_gain_db=15.0, peak_frequency_hz=6.2e9,

@@ -303,8 +303,7 @@ def preset(name):
 def preset_line(name):
     """(line, I*, pump power) of a shipped preset's gain run."""
     cfg, net, curve = preset(name)
-    line = kitwpa.fwm.prepare_line(net, curve, cfg.pump[0], cfg.signal_grid,
-                                   cfg.integrator)
+    line = kitwpa.fwm.prepare_line(net, curve, cfg.pump[0], cfg.signal_grid)
     return line, net.i_star, cfg.pump[1]
 
 
@@ -717,20 +716,17 @@ class TestIntegrateGain:
         new = kitwpa.fwm.solve_gain(line, i_star, p_p).gain_db
         assert np.max(np.abs(new - old)) < 2e-5
 
-    @pytest.mark.parametrize("solve", ["integrate_gain", "solve_gain"])
+    @pytest.mark.parametrize("solve", [integrate_gain], ids=["integrate_gain"])
     def test_third_harmonic_flag_refused(self, small_fishbone, solve):
         # the small-signal gain carries no third harmonic; the harmonic scan
-        # integrates it.  prepare_line takes the options, solve_gain refuses
+        # integrates it.  integrate_gain still takes options, and refuses
+        # the flag; the rest of the gain path takes no integrator settings
         net, curve = small_fishbone
-        (f_p, p_p), f = PUMPS["small_fishbone"], np.array([5.6e9, 6.8e9])
+        pump, f = PUMPS["small_fishbone"], np.array([5.6e9, 6.8e9])
         options = IntegrationOptions(include_third_harmonic=True)
         with pytest.raises(ValueError,
                            match="include_third_harmonic.*third_harmonic_scan"):
-            if solve == "integrate_gain":
-                integrate_gain(net, curve, (f_p, p_p), f, options)
-            else:
-                line = kitwpa.fwm.prepare_line(net, curve, f_p, f, options)
-                kitwpa.fwm.solve_gain(line, net.i_star, p_p)
+            solve(net, curve, pump, f, options)
 
     def test_pump_within_a_grid_step_of_a_stopband_rejected(self,
                                                             small_fishbone):
@@ -773,6 +769,16 @@ class TestIntegrateGain:
 
 
 class TestThirdHarmonicScan:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(rtol=math.inf), "rtol"),
+        (dict(atol=math.inf), "atol"),
+    ], ids=["inf-rtol", "inf-atol"])
+    def test_options_refuse_bad_tolerances(self, kwargs, message):
+        # an infinite tolerance would reach the stepper, whose NaN step
+        # error names a zero atol
+        with pytest.raises(ValueError, match=message):
+            IntegrationOptions(**kwargs)
+
     def test_dispersionless_reference_grows_most(self):
         # leaf's intrinsic low-pass dispersion suppresses harmonic conversion
         # by >= 10 dB against an equal dispersionless line

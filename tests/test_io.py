@@ -508,6 +508,26 @@ class TestRunner:
         assert d1 == d2
         assert m1["config_digest"] == m2["config_digest"]
 
+    @pytest.mark.parametrize("subcommand", ["gain", "calibrate", "sweep"])
+    def test_integrator_settings_move_no_gain_byte(self, tmp_path, subcommand):
+        # the small-signal gain is a closed form; rtol and atol are the
+        # harmonic scan's alone
+        text = SMALL_FISHBONE_CFG.replace("points: 41", "points: 11").replace(
+            "  integrator: {rtol: 1.0e-8}\n",
+            "  sweep: {parameter: pump_power, values: [5.0e-5, 1.0e-4]}\n"
+            "  calibration: {target_peak_db: 3.0, tolerance_db: 0.5}\n")
+        loose = "  integrator: {rtol: 1.0e-6, atol: 1.0e-10}\noutput:"
+        written = {}
+        for name, cfg_text in (("defaults", text),
+                               ("loose", text.replace("output:", loose))):
+            cfg = load_config(write_cfg(tmp_path, cfg_text, f"{name}.cfg"))
+            run(subcommand, cfg, out_dir=tmp_path / name)
+            written[name] = {p.name: p.read_bytes()
+                             for p in (tmp_path / name).iterdir()
+                             if p.name != "run_manifest.json"}
+        assert written["defaults"]
+        assert written["loose"] == written["defaults"]
+
     def test_harmonics_needs_no_flag(self, tmp_path):
         text = SMALL_FISHBONE_CFG.replace("frequency_hz: 6.22e9",
                                           "frequency_hz: 7.7e9")
@@ -1028,6 +1048,11 @@ output:
         ("gain", "analysis.signal_grid", {"stop_hz": np.inf}, "stop_hz"),
         ("gain", "analysis.signal_grid", {"points": 2.5}, "points"),
         ("linear", "analysis.frequency_grid", {"points": 2.5}, "points"),
+        # YAML reads true, yes and on as a bool, not as the number 1
+        ("linear", "design.fishbone", {"num_periods": True}, "num_periods"),
+        ("gain", "analysis.pump", {"power_watts": True}, "power_watts"),
+        ("sweep", "analysis.sweep",
+         {"parameter": "pump_power", "values": [True]}, "values"),
     ], ids=["inf-stop", "inf-power", "inf-periods", "nan-start",
             "negative-atol", "zero-atol", "zero-z0", "zero-rtol",
             "negative-rtol", "zero-separation", "negative-separation",
@@ -1038,7 +1063,8 @@ output:
             "negative-calibration-tolerance", "zero-bracket-high",
             "bracket-low-above-high", "negative-bracket-low",
             "nan-signal-start", "inf-signal-stop", "fractional-signal-points",
-            "fractional-grid-points"])
+            "fractional-grid-points", "bool-periods", "bool-power",
+            "bool-sweep-values"])
     def test_cli_out_of_range_value_exit_2(self, tmp_path, capsys, subcommand,
                                            section, values, key):
         doc = yaml.safe_load(SMALL_FISHBONE_CFG)

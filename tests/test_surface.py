@@ -87,25 +87,52 @@ def test_every_dataclass_says_what_its_fields_are():
     assert not bare, f"dataclasses without a docstring: {bare}"
 
 
-def test_the_line_impedance_is_one_constant():
-    # twoport.Z0 is the line and port impedance of every device; no
-    # function or dataclass takes one, apart from the R a Touchstone file
-    # names, which read_touchstone returns in its SParameterSet
-    impedance = re.compile(r"^z(\d+|_ref)?$|ohm|impedance")
-    takes = []
+def _parameters() -> list:
+    """(module.name, parameter, annotation) of each parameter of every
+    function and class constructor a module defines, and of each field of
+    its dataclasses; annotations are strings, or inspect's empty marker."""
+    found = []
     for name in MODULES:
         module = importlib.import_module(name)
         for attr, value in vars(module).items():
             if getattr(value, "__module__", None) != name:
                 continue
             if dataclasses.is_dataclass(value) and isinstance(value, type):
-                params = [f.name for f in dataclasses.fields(value)]
-            elif inspect.isfunction(value):
-                params = list(inspect.signature(value).parameters)
+                params = [(f.name, f.type) for f in dataclasses.fields(value)]
             else:
-                continue
-            takes += [f"{name}.{attr}({p})" for p in params
-                      if impedance.search(p)]
+                init = (vars(value).get("__init__")
+                        if isinstance(value, type) else value)
+                if not inspect.isfunction(init):
+                    continue
+                params = [(p.name, p.annotation) for p in
+                          inspect.signature(init).parameters.values()
+                          if p.name != "self"]
+            found += [(f"{name}.{attr}", p, a) for p, a in params]
+    return found
+
+
+def test_the_line_impedance_is_one_constant():
+    # twoport.Z0 is the line and port impedance of every device; no
+    # function, class or dataclass takes one, apart from the R a Touchstone
+    # file names, which read_touchstone returns in its SParameterSet
+    impedance = re.compile(r"^z(\d+|_ref)?$|ohm|impedance")
+    takes = [f"{owner}({p})" for owner, p, _ in _parameters()
+             if impedance.search(p)]
     assert takes == ["kitwpa.twoport.SParameterSet(reference_impedance)"]
     assert kitwpa.twoport.Z0 == 50.0
     assert kitwpa.twoport.RESONATOR_ENVIRONMENT_OHMS == kitwpa.twoport.Z0 / 2
+
+
+def test_only_the_harmonic_scan_takes_integrator_settings():
+    # the small-signal gain is a closed form: prepare_line, PumpedLine, the
+    # gain pipeline, calibrate_istar and sweep take no IntegrationOptions.
+    # integrate_gain keeps its options parameter because the benchmark's
+    # gain check (bench/checks.py) passes one; it reads only the
+    # include_third_harmonic flag, to refuse it.  A config still carries
+    # the integrator section, which harmonics reads
+    takes = sorted(f"{owner}({p})" for owner, p, annotation in _parameters()
+                   if p == "options" or "IntegrationOptions" in str(annotation))
+    assert takes == ["kitwpa.config.RunConfig(integrator)",
+                     "kitwpa.fwm._Propagator(options)",
+                     "kitwpa.fwm.integrate_gain(options)",
+                     "kitwpa.fwm.third_harmonic_scan(options)"]
