@@ -181,9 +181,6 @@ class ShuntResonator:
                 f"multiplicity must be >= 1, got {self.multiplicity}")
 
 
-Element = SeriesInductor | ShuntCapacitor | ShuntResonator
-
-
 @dataclass(frozen=True)
 class PeriodAnnotation:
     """Shape of a network's periodic structure (a read-only summary)."""

@@ -13,11 +13,12 @@ phase, insertion magnitude) to every mode at its position along the line.
 The small-signal gain (solve_gain) is the limit of a pump that does not
 deplete, in closed form: a product of 2x2 signal-idler transfer matrices,
 one per segment between blocks.  The coupled-mode ODE serves the
-third-harmonic scan alone: _Propagator integrates the pump and its
-harmonic with a scalar RHS in Python complex arithmetic.  The
-pump/signal/idler ODE and the stacked numpy RHS over many systems are the
-tests' oracle (tests/oracles.py).  The stepper samples the scan as it steps
-(t_eval), so the scan's memory does not grow with the pump's step count.
+third-harmonic scan alone: third_harmonic_scan integrates the pump and its
+harmonic, segment by segment, with a scalar RHS in Python complex
+arithmetic (_scan_rhs).  The pump/signal/idler ODE, the stacked numpy RHS
+over many systems and their own segment loop are the tests' oracle
+(tests/oracles.py).  The stepper samples the scan as it steps (t_eval), so
+the scan's memory does not grow with the pump's step count.
 """
 
 from __future__ import annotations
@@ -135,91 +136,32 @@ def _smooth_background(network: LadderNetwork) -> tuple:
     return (l0.pop(), cs.pop())
 
 
-class _Propagator:
-    """The pump and its third harmonic along the line, with lumped block
-    corrections: the harmonic scan's one coupled-mode system.
+def _scan_rhs(gamma: float, alpha_p: float, alpha_3: float, dk: float):
+    """The RHS of the scan's state [a_p, a_3] at Kerr coefficient gamma,
+    attenuations alpha_p and alpha_3 and mismatch dk = k_3 - 3 k_p.
 
-    The state is [a_p, a_3].  ``gammas``, ``alphas`` and ``block_factors``
-    hold one entry per mode, in that order; ``dk`` is the mismatch
-    k_3 - 3 k_p.  The scan injects no signal, so the zero signal and idler
-    drop out of every term.  The RHS is Python complex arithmetic: on two
-    entries a numpy RHS costs its per-call overhead many times over.
+    The scan injects no signal, so the zero signal and idler drop out of
+    every term.  The RHS is Python complex arithmetic: on two entries a
+    numpy RHS costs its per-call overhead many times over.
     """
+    # factors that do not change along the line, formed once; each is the
+    # leading sub-expression of its term (1j * g * ..., -1j * dk * z), so
+    # forming it here changes no rounding
+    jgp, jg3, mjdk = 1j * gamma, 1j * (3.0 * gamma), -1j * dk
 
-    n = 1   # systems in one state vector; bench/tracing.py reads it
-
-    def __init__(self, gammas, alphas, options, total_cells=0.0, blocks=(),
-                 block_factors=None, dk=0.0):
-        # factors of the RHS that do not change along the line, formed once;
-        # each is the leading sub-expression of its term (1j * g * ...,
-        # -1j * dk * z), so forming it here changes no rounding
-        self.jg = tuple(1j * g for g in gammas)
-        self.mjdk = -1j * dk
-        self.alphas = alphas
-        self.total_cells = total_cells
-        self.blocks = blocks
-        self.block_factors = block_factors  # None: no blocks
-        self.rtol = options.rtol
-        self.atol = options.atol
-
-    def _rhs(self, z, y):
+    def rhs(z, y):
         ap, a3 = y.tolist()
-        (jgp, jg3), (ap_al, a3_al) = self.jg, self.alphas
         pp = ap.real * ap.real + ap.imag * ap.imag
         p3 = a3.real * a3.real + a3.imag * a3.imag
         apap = ap * ap
-        e3 = cmath.exp(self.mjdk * z)
-        dap = (jgp * ((pp + 2.0 * p3) * ap) - ap_al * ap
+        e3 = cmath.exp(mjdk * z)
+        dap = (jgp * ((pp + 2.0 * p3) * ap) - alpha_p * ap
                + jgp * apap.conjugate() * a3 * e3.conjugate())
         # a product with 1/3, as numpy divides a complex by 3
         da3 = (jg3 * ((p3 + 2.0 * pp) * a3 + apap * ap * e3 * (1.0 / 3.0))
-               - a3_al * a3)
+               - alpha_3 * a3)
         return np.array([dap, da3])
-
-    def _apply_block(self, y):
-        return y * self.block_factors
-
-    def run(self, y0, n_samples=None):
-        """Integrate over the whole line, applying each block correction at
-        its position.  Returns the output state; with ``n_samples``, the
-        trajectory (z, y) sampled on about that many points instead, each
-        segment's points sampled by the stepper as it steps.
-
-        Each segment between blocks starts from the step size the previous
-        one had reached: a block correction is a jump in the amplitudes, not
-        in the smoothness of the RHS, and error control still rejects a
-        carried step that is too large."""
-        y = y0.copy()
-        z = 0.0
-        h = None
-        zs, ys = [], []
-        stops = [*self.blocks, self.total_cells]
-        for i, z1 in enumerate(stops):
-            if z1 > z:
-                if n_samples is not None:
-                    pts = max(2, int(round(n_samples * (z1 - z) / self.total_cells)))
-                    zs.append(np.linspace(z, z1, pts))
-                sol = solve_ivp(self._rhs, (z, z1), y, method="DOP853",
-                                rtol=self.rtol, atol=self.atol,
-                                first_step=None if h is None else min(h, z1 - z),
-                                t_eval=None if n_samples is None else zs[-1])
-                if not sol.success:
-                    raise NumericError(
-                        f"coupled-mode integration failed on z in [{z:g}, "
-                        f"{z1:g}] cells: {sol.message}"
-                    )
-                # the last step may be clipped at z1; carry the one before it
-                if sol.steps > 1 or h is None:
-                    h = sol.h_carry
-                if n_samples is not None:
-                    ys.append(sol.y_eval)
-                y = sol.y_end
-                z = z1
-            if i < len(self.blocks):
-                y = self._apply_block(y)
-        if n_samples is None:
-            return y
-        return np.concatenate(zs), np.concatenate(ys, axis=1)
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -583,6 +525,13 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
     a pump that is not positive, NumericError as prepare_line does for the
     pump and, for a design without resonators, for a third harmonic off the
     grid of ``dispersion``.  The include_third_harmonic option is not read.
+
+    The line is integrated segment by segment between the block
+    corrections, each applied at its position, and sampled on about
+    HARMONIC_SAMPLES points by the stepper as it steps.  Each segment
+    starts from the step size the previous one had reached: a block
+    correction is a jump in the amplitudes, not in the smoothness of the
+    RHS, and error control still rejects a carried step that is too large.
     """
     options = options or IntegrationOptions()
     f_p, p_p = pump
@@ -592,17 +541,38 @@ def third_harmonic_scan(network: LadderNetwork, dispersion: DispersionCurve,
         network, dispersion, np.array([f_p, 3.0 * f_p]),
         "pump and third harmonic", on_device_grid=False)
     k_p = float(k[0])
-    gamma = kerr_coefficient(k_p, network.i_star)
-    prop = _Propagator(
-        (gamma, 3.0 * gamma), (float(alpha[0]), float(alpha[1])),
-        options, float(network.total_cells), blocks, block_factors,
-        dk=float(k[1] - 3.0 * k_p))
-    z, y = prop.run(np.array([math.sqrt(p_p), 0.0], dtype=complex),
-                    HARMONIC_SAMPLES)
+    rhs = _scan_rhs(kerr_coefficient(k_p, network.i_star), float(alpha[0]),
+                    float(alpha[1]), float(k[1] - 3.0 * k_p))
+    total = float(network.total_cells)
+    y = np.array([math.sqrt(p_p), 0.0], dtype=complex)
+    z, h = 0.0, None
+    zs, powers = [], []
+    for i, z1 in enumerate([*blocks, total]):
+        if z1 > z:
+            pts = max(2, int(round(HARMONIC_SAMPLES * (z1 - z) / total)))
+            zs.append(np.linspace(z, z1, pts))
+            sol = solve_ivp(rhs, (z, z1), y, method="DOP853",
+                            rtol=options.rtol, atol=options.atol,
+                            first_step=None if h is None else min(h, z1 - z),
+                            t_eval=zs[-1])
+            if not sol.success:
+                raise NumericError(
+                    f"coupled-mode integration failed on z in [{z:g}, "
+                    f"{z1:g}] cells: {sol.message}"
+                )
+            # the last step may be clipped at z1; carry the one before it
+            if sol.steps > 1 or h is None:
+                h = sol.h_carry
+            powers.append(np.abs(sol.y_eval) ** 2)
+            y = sol.y_end
+            z = z1
+        if i < len(blocks):
+            y = y * block_factors
+    p_pump, p_third = np.concatenate(powers, axis=1)
     return HarmonicScan(
-        z_cells=z,
-        p_pump=np.abs(y[0]) ** 2,
-        p_third=np.abs(y[1]) ** 2,
+        z_cells=np.concatenate(zs),
+        p_pump=p_pump,
+        p_third=p_third,
         pump_power=p_p,
     )
 

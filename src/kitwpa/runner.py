@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, dispersion
 from .analysis import _GainPipeline, calibrate_istar, sweep
-from .circuit import read_netlist, write_chunks, write_netlist
+from .circuit import SeriesInductor, read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import device_dispersion, find_stopbands
 from .errors import ConfigError, nonfinite_error
@@ -101,6 +101,19 @@ def _require_bloch_period(config, network):
     _require(config.design_kind != "netlist" or network.repeats > 1,
              "netlist has no repeating period (its shortest period occurs "
              "only once); Bloch dispersion is unavailable")
+
+
+def _require_kerr_inductors(network, subcommand):
+    # only a netlist can fail these: the gain path's Kerr coefficient comes
+    # from the series inductors, and gain and harmonics read their common
+    # I*, which calibrate finds instead
+    istars = sorted({e.i_star for e in network.period
+                     if isinstance(e, SeriesInductor)})
+    _require(istars, f"'{subcommand}' needs series inductors (L lines); "
+             "the netlist has none")
+    _require(len(istars) == 1 or subcommand == "calibrate",
+             f"'{subcommand}' needs one I* shared by every series inductor; "
+             f"the netlist's are {', '.join(f'{i:g}' for i in istars)} A")
 
 
 def _cascade(network, f):
@@ -256,6 +269,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
 
     elif subcommand == "gain":
         _require_bloch_period(config, network)
+        _require_kerr_inductors(network, subcommand)
         pipeline = _GainPipeline(network, config.frequency_grid,
                                  config.signal_grid)
         profile, metrics = pipeline(network.i_star, config.pump)
@@ -263,6 +277,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
 
     elif subcommand == "harmonics":
         _require_bloch_period(config, network)
+        _require_kerr_inductors(network, subcommand)
         curve = device_dispersion(network, config.frequency_grid)
         scan = third_harmonic_scan(network, curve, config.pump,
                                    config.integrator)
@@ -285,6 +300,7 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         _require(config.calibration is not None,
                  "'calibrate' requires an analysis.calibration section")
         _require_bloch_period(config, network)
+        _require_kerr_inductors(network, subcommand)
         result = calibrate_istar(network, config.pump, config.calibration,
                                  config.signal_grid, config.frequency_grid)
         emit.write("calibration.txt", _report([

@@ -3,19 +3,23 @@ are checked against.
 
 reference_rhs is the coupled-mode RHS of the pump, signal, idler and,
 optionally, third harmonic, written out term by term in numpy over n
-stacked systems.  StackedPropagator integrates it on the package's segment
-loop, and run_triplet runs one pump/signal/idler system on it, with or
-without the pump's depletion.  analytic_gain_undepleted is the textbook
-closed form of the small-signal gain of a uniform lossless line, and
-undepleted_ode_gain the small-signal gain of a prepared line by
-integration.  Nothing in the package runs any of them.
+stacked systems.  StackedPropagator integrates it on a segment loop of its
+own, by the rules of the package's harmonic scan, and run_triplet runs one
+pump/signal/idler system on it, with or without the pump's depletion.
+analytic_gain_undepleted is the textbook closed form of the small-signal
+gain of a uniform lossless line, and undepleted_ode_gain the small-signal
+gain of a prepared line by integration.  Nothing in the package runs any
+of them, and none reads a private name of the package
+(tests/test_surface.py checks it), so a fault in the package's own loop
+or RHS cannot hide in its oracle.
 """
 
 import math
 
 import numpy as np
 
-import kitwpa.fwm
+from kitwpa.dop853 import solve_ivp
+from kitwpa.errors import NumericError
 from kitwpa.fwm import IntegrationOptions, kerr_coefficient
 
 
@@ -81,35 +85,71 @@ def reference_rhs(z, y, n, gp, gs, gi, g3, dk, dk3, ap_al, as_al, ai_al,
     return np.concatenate([dap, das, dai])
 
 
-class StackedPropagator(kitwpa.fwm._Propagator):
+class StackedPropagator:
     """n independent systems in one state vector, [pump | signals | idlers
-    (| third harmonics)] with n entries each, on the package's segment loop:
-    the ensemble engine the package integrated with before it took one
-    system at a time, kept as the oracle of the closed form and of the
-    scan.  Its RHS is reference_rhs.  ``gammas``, ``alphas`` and
-    ``block_factors`` hold (pump, signal, idler, third) entries, those of
-    the signal and idler arrays of n like ``dk``; the options say whether
-    the third harmonic is carried, and ``undepleted`` whether the pump
-    alone drives the signal and idler and evolves by its own self-phase
-    modulation."""
+    (| third harmonics)] with n entries each: the ensemble engine the
+    package integrated with before it took one system at a time, kept as
+    the oracle of the closed form and of the scan.  Its RHS is
+    reference_rhs.  ``gammas``, ``alphas`` and ``block_factors`` hold
+    (pump, signal, idler, third) entries, those of the signal and idler
+    arrays of n like ``dk``; the options give the tolerances and say
+    whether the third harmonic is carried, and ``undepleted`` whether the
+    pump alone drives the signal and idler and evolves by its own
+    self-phase modulation.  ``blocks`` are the cell positions of the block
+    corrections (none when ``block_factors`` is None)."""
 
     def __init__(self, n, gammas, dk, dk3, alphas, options, total_cells=0.0,
                  blocks=(), block_factors=None, undepleted=False):
-        super().__init__(gammas, alphas, options, total_cells, blocks,
-                         block_factors, dk)
         self.n = n
         thg = options.include_third_harmonic
         self.modes = 4 if thg else 3
         self.args = (n, *gammas, dk, dk3, *alphas, undepleted, thg)
+        self.options = options
+        self.total_cells = total_cells
+        self.blocks = blocks
+        self.block_factors = block_factors
 
     def _rhs(self, z, y):
         return reference_rhs(z, y, *self.args)
 
-    def _apply_block(self, y):
+    def run(self, y0, n_samples=None):
+        """Integrate over the whole line, applying each block correction at
+        its position.  Returns the output state; with ``n_samples``, the
+        trajectory (z, y) sampled on about that many points instead, each
+        segment's points sampled by the stepper as it steps.  Each segment
+        starts from the step size the previous one had reached, and a
+        segment's last step, which may be clipped at its end, is not
+        carried: the rules of fwm.third_harmonic_scan."""
         n = self.n
-        for k, fac in enumerate(self.block_factors[:self.modes]):
-            y[k * n:(k + 1) * n] *= fac
-        return y
+        y = y0.copy()
+        z = 0.0
+        h = None
+        zs, ys = [], []
+        for i, z1 in enumerate([*self.blocks, self.total_cells]):
+            if z1 > z:
+                if n_samples is not None:
+                    pts = max(2, int(round(n_samples * (z1 - z)
+                                           / self.total_cells)))
+                    zs.append(np.linspace(z, z1, pts))
+                sol = solve_ivp(self._rhs, (z, z1), y, method="DOP853",
+                                rtol=self.options.rtol, atol=self.options.atol,
+                                first_step=None if h is None else min(h, z1 - z),
+                                t_eval=None if n_samples is None else zs[-1])
+                if not sol.success:
+                    raise NumericError(f"oracle integration failed on z in "
+                                       f"[{z:g}, {z1:g}]: {sol.message}")
+                if sol.steps > 1 or h is None:
+                    h = sol.h_carry
+                if n_samples is not None:
+                    ys.append(sol.y_eval)
+                y = sol.y_end
+                z = z1
+            if i < len(self.blocks):
+                for k, fac in enumerate(self.block_factors[:self.modes]):
+                    y[k * n:(k + 1) * n] *= fac
+        if n_samples is None:
+            return y
+        return np.concatenate(zs), np.concatenate(ys, axis=1)
 
 
 def run_triplet(a_p, a_s, f_p, f_s, gamma, delta_k, length, options=None,

@@ -192,7 +192,7 @@ def reference_harmonic_scan(network, dispersion, pump, options=None):
 
 
 def rhs_defect(draws):
-    """Worst difference between the propagator's scalar RHS and
+    """Worst difference between the scan's scalar RHS (_scan_rhs) and
     reference_rhs at n = 1, over random draws, relative to the sum of the
     moduli of the terms of each component.
 
@@ -203,7 +203,7 @@ def rhs_defect(draws):
     |reference|) but not against the terms.  Their sum of moduli is
     reference_rhs on |y| with no phase and the attenuations times -1j:
     every term then points along +i."""
-    from kitwpa.fwm import _Propagator
+    from kitwpa.fwm import _scan_rhs
 
     rng = np.random.default_rng(3)
     rows = [0, 3]
@@ -218,10 +218,7 @@ def rhs_defect(draws):
         y = rng.normal(0, 1e-2, 4) + 1j * rng.normal(0, 1e-2, 4)
         z = float(rng.uniform(0, 5000))
         y[1:3] = 0.0
-        prop = _Propagator(tuple(gammas[k] for k in rows),
-                           tuple(alphas[k] for k in rows),
-                           IntegrationOptions(), dk=dk3)
-        got = prop._rhs(z, y[rows])
+        got = _scan_rhs(g, alphas[0], alphas[3], dk3)(z, y[rows])
         want = reference_rhs(z, y, 1, *gammas, dk, dk3, *alphas, False,
                              True)[rows]
         terms = np.abs(reference_rhs(
@@ -240,8 +237,8 @@ class TestPropagatorRhs:
         # the stepper is plain local state, so a solve leaves nothing for the
         # cyclic collector, also when a line is solved in several segments
         # (leaf): with the collector off, a collection afterwards finds no
-        # unreachable object.  The oracle's triplet runs on the same
-        # segment loop and stepper
+        # unreachable object.  The oracle's triplet runs on a segment loop
+        # of its own and the same stepper
         p_p = 100e-6
         for solve, args in (
                 (third_harmonic_scan, (*small_fishbone, PUMPS["small_fishbone"])),

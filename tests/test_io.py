@@ -62,6 +62,12 @@ SMALL_LEAF = ("  leaf:\n    l_henries: 290.0e-12\n    c_farads: 116.0e-15\n"
               "    i_star_amperes: 11.5e-3\n    num_blocks: 3\n")
 
 
+# netlist chains the gain path cannot run: 200 cells whose I* alternates
+# between two values, and 200 shunt capacitors alone
+TWO_ISTARS = "L 50e-12 0.01\nC 20e-15\nL 50e-12 0.012\nC 20e-15\n" * 100
+CAPACITORS = "C 20e-15\n" * 200
+
+
 def netlist_cfg(netlist, text=SMALL_FISHBONE_CFG):
     """Config text with the design replaced by a netlist file."""
     analysis = text[text.index("analysis:"):]
@@ -557,8 +563,6 @@ class TestRunner:
             run("sweep", cfg, out_dir=tmp_path / "out")
 
     def test_sweep_runs(self, tmp_path):
-        text = SMALL_FISHBONE_CFG + (
-            "    # appended below via python\n")
         cfg_text = SMALL_FISHBONE_CFG.replace(
             "  integrator: {rtol: 1.0e-8}",
             "  integrator: {rtol: 1.0e-8}\n"
@@ -897,6 +901,30 @@ output:
         rc = main(["gain", "--config", str(netcfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "repeating period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chain, subcommand, cause", [
+        (TWO_ISTARS, "gain", "'gain' needs one I* shared by every series "
+         "inductor; the netlist's are 0.01, 0.012 A"),
+        (TWO_ISTARS, "harmonics", "'harmonics' needs one I* shared"),
+        (CAPACITORS, "gain", "'gain' needs series inductors"),
+        (CAPACITORS, "harmonics", "'harmonics' needs series inductors"),
+        (CAPACITORS, "calibrate", "'calibrate' needs series inductors"),
+    ], ids=["two-istars-gain", "two-istars-harmonics", "capacitors-gain",
+            "capacitors-harmonics", "capacitors-calibrate"])
+    def test_cli_netlist_without_one_istar_exit_2(self, tmp_path, capsys,
+                                                  chain, subcommand, cause):
+        # before the check, gain and harmonics exited 1 on "network has no
+        # unique i_star", and calibrate 3 on an attenuation of nan
+        (tmp_path / "hand.net").write_text("# ki-twpa netlist v1\n" + chain)
+        netcfg = write_cfg(tmp_path, netlist_cfg("hand.net").replace(
+            "  integrator: {rtol: 1.0e-8}",
+            "  integrator: {rtol: 1.0e-8}\n"
+            "  calibration: {target_peak_db: 3.0}"), "net.cfg")
+        rc = main([subcommand, "--config", str(netcfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
 
     def test_cli_gain_on_grid_narrower_than_smoothing_window(self, tmp_path):
         # 100 points over 50 MHz: the 100 MHz smoothing window would span 199

@@ -133,6 +133,30 @@ def test_only_the_harmonic_scan_takes_integrator_settings():
     takes = sorted(f"{owner}({p})" for owner, p, annotation in _parameters()
                    if p == "options" or "IntegrationOptions" in str(annotation))
     assert takes == ["kitwpa.config.RunConfig(integrator)",
-                     "kitwpa.fwm._Propagator(options)",
                      "kitwpa.fwm.integrate_gain(options)",
                      "kitwpa.fwm.third_harmonic_scan(options)"]
+
+
+def test_the_oracle_reads_no_private_name_of_the_package():
+    # tests/oracles.py is what the package's solvers are checked against; a
+    # private helper it shared with them (a segment loop, an RHS) would let
+    # a fault in that helper pass unseen.  Every name it imports from
+    # kitwpa, and every attribute it reads off one, is public
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    roots, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kitwpa":
+                    names.append(alias.name)
+                    roots.add(alias.asname or "kitwpa")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "kitwpa"):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+            roots |= {alias.asname or alias.name for alias in node.names}
+    names += [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and ast.unparse(node).split(".")[0] in roots]
+    private = [name for name in names
+               if any(part.startswith("_") for part in name.split("."))]
+    assert names and not private, f"the oracle reads {private}"
