@@ -12,8 +12,8 @@ from .circuit import (
     FishboneSpec,
     LadderNetwork,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
     characteristic_impedance,
     cutoff_frequency,

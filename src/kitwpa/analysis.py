@@ -383,7 +383,7 @@ def calibrate_istar(network, pump: tuple, spec: CalibrationSpec, signal_grid,
     if f_lo * f_hi > 0:
         raise NumericError(
             f"target {target_peak_db:g} dB outside the achievable range "
-            f"[{f_hi + target_peak_db:.2f}, {f_lo + target_peak_db:.2f}] dB "
+            f"[{peak_at(hi):.2f}, {peak_at(lo):.2f}] dB "
             f"over i_star in [{lo:g}, {hi:g}] A")
 
     i_star = brentq(lambda i: peak_at(i) - target_peak_db, lo, hi,

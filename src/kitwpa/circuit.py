@@ -13,14 +13,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 __all__ = [
-    "NonlinearInductorSpec",
+    "SeriesInductor",
+    "ShuntCapacitor",
+    "ShuntResonator",
     "UnitCellSpec",
     "FishboneSpec",
     "ResonatorSpec",
     "LeafSpec",
-    "SeriesInductor",
-    "ShuntCapacitor",
-    "ShuntResonator",
     "PeriodAnnotation",
     "LadderNetwork",
     "characteristic_impedance",
@@ -43,9 +42,13 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+# --------------------------------------------------------------------------
+# network elements and design specs
+
 @dataclass(frozen=True)
-class NonlinearInductorSpec:
-    """Current-dependent series inductor, L(I) = l0 * (1 + I^2 / i_star^2)."""
+class SeriesInductor:
+    """Series kinetic inductor, L(I) = l0 * (1 + I^2 / i_star^2), of linear
+    inductance l0 (H) and nonlinearity scale i_star (A)."""
 
     l0: float
     i_star: float
@@ -56,10 +59,37 @@ class NonlinearInductorSpec:
 
 
 @dataclass(frozen=True)
+class ShuntCapacitor:
+    """Shunt capacitor to ground of capacitance c (F)."""
+
+    c: float
+
+    def __post_init__(self):
+        _require_positive("c", self.c)
+
+
+@dataclass(frozen=True)
+class ShuntResonator:
+    """Series-LC branch to ground realizing (f_r, loaded Q); ``multiplicity``
+    counts parallel copies combined at one node (a symmetric pair gives 2)."""
+
+    f_r: float
+    q: float
+    multiplicity: int = 1
+
+    def __post_init__(self):
+        _require_positive("f_r", self.f_r)
+        _require_positive("q", self.q)
+        if self.multiplicity < 1:
+            raise ValueError(
+                f"multiplicity must be >= 1, got {self.multiplicity}")
+
+
+@dataclass(frozen=True)
 class UnitCellSpec:
     """One LC cell of the artificial line: series inductor, shunt capacitor."""
 
-    inductor: NonlinearInductorSpec
+    inductor: SeriesInductor
     shunt_capacitance: float
 
     def __post_init__(self):
@@ -136,49 +166,6 @@ class LeafSpec:
         if self.cells_per_block_period <= self.resonator.pair_separation_cells:
             raise ValueError("cells_per_block_period must exceed "
                              "pair_separation_cells")
-
-
-# --------------------------------------------------------------------------
-# network elements
-
-@dataclass(frozen=True)
-class SeriesInductor:
-    """Series kinetic inductor of linear inductance l0 (H) and nonlinearity
-    scale i_star (A)."""
-
-    l0: float
-    i_star: float
-
-    def __post_init__(self):
-        _require_positive("l0", self.l0)
-        _require_positive("i_star", self.i_star)
-
-
-@dataclass(frozen=True)
-class ShuntCapacitor:
-    """Shunt capacitor to ground of capacitance c (F)."""
-
-    c: float
-
-    def __post_init__(self):
-        _require_positive("c", self.c)
-
-
-@dataclass(frozen=True)
-class ShuntResonator:
-    """Series-LC branch to ground realizing (f_r, loaded Q); ``multiplicity``
-    counts parallel copies combined at one node (a symmetric pair gives 2)."""
-
-    f_r: float
-    q: float
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        _require_positive("f_r", self.f_r)
-        _require_positive("q", self.q)
-        if self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be >= 1, got {self.multiplicity}")
 
 
 @dataclass(frozen=True)
@@ -295,8 +282,7 @@ def _cell_elements(cell: UnitCellSpec) -> tuple:
     """The series inductor and shunt capacitor of one cell.  The expanders
     call it once and repeat the pair, so equal elements of a chain are one
     object (see _element_ids)."""
-    return (SeriesInductor(cell.inductor.l0, cell.inductor.i_star),
-            ShuntCapacitor(cell.shunt_capacitance))
+    return cell.inductor, ShuntCapacitor(cell.shunt_capacitance)
 
 
 def _element_ids(chain) -> list:

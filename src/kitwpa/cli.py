@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/simulation error,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric/simulation error
+or memory exhausted, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:   # numpy refuses an oversized array up front
+        print(f"numeric error: memory ran out: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ from .analysis import CalibrationSpec, SweepAxis, check_sweep_parameter
 from .circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
 )
 from .dispersion import DEFAULT_GRID
@@ -177,7 +177,7 @@ def _parse_design(sec: _Section, base_dir: Path):
         return path, kind
     sub = sec.child(kind, required=True)
     cell = _parse_options(sub, UnitCellSpec, required=("shunt_capacitance",),
-                          inductor=_parse_options(sub, NonlinearInductorSpec,
+                          inductor=_parse_options(sub, SeriesInductor,
                                                   required=("l0", "i_star")))
     if kind == "fishbone":
         return _parse_options(sub, FishboneSpec, required=("num_periods",),

@@ -61,11 +61,19 @@ def kerr_coefficient(k_cell: float, i_star: float) -> float:
 
     Follows from L(I) = L0 (1 + I^2/I*^2): the wavenumber scales as sqrt(L),
     so dk/k = I_rms^2 / (2 I*^2), and P = I_rms^2 Z0 converts current to
-    power on the Z0 line.
+    power on the Z0 line.  Raises NumericError unless i_star and gamma are
+    positive and finite (a k_cell of 0, an i_star^2 past the float range).
     """
-    if k_cell <= 0 or i_star <= 0:
-        raise ValueError("k_cell and i_star must be positive")
-    return k_cell / (2.0 * i_star**2 * Z0)
+    try:
+        gamma = k_cell / (2.0 * i_star**2 * Z0)
+    except (OverflowError, ZeroDivisionError):   # i_star^2 past the floats
+        gamma = math.inf if i_star < 1.0 else 0.0
+    if not (i_star > 0 and 0 < gamma < math.inf):
+        raise NumericError(
+            f"Kerr coefficient gamma = k_p / (2 I*^2 Z0) = {gamma:g} "
+            f"rad/(cell W) at k_p = {k_cell:g} rad/cell and I* = {i_star:g} "
+            "A; gamma and I* must be positive and finite")
+    return gamma
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from kitwpa.analysis import CalibrationSpec, calibrate_istar, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -49,8 +49,8 @@ from oracles import StackedPropagator, analytic_gain_undepleted, run_triplet
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
-FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
 
 
 def report(criterion, ok, detail):

@@ -22,8 +22,8 @@ from kitwpa.analysis import (
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
 )
 from kitwpa.config import load_config
@@ -37,13 +37,13 @@ from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile, integrate_gain, signal_frequencies
 from kitwpa.runner import _metrics_report, _pump_lines, _sweep_rows
 
-FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
 SMALL_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=90)
 SMALL_NETWORK = expand_design(SMALL_FISHBONE)
 DISP_GRID = FrequencyGrid(0.1e9, 26e9, 8001)
 PARITY_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=30)
 PARITY_LEAF = LeafSpec(
-    base_cell=UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15),
+    base_cell=UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15),
     cells_per_block_period=60, resonator=ResonatorSpec(6.2e9, 70.0),
     num_blocks=3)
 PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
@@ -254,6 +254,24 @@ class TestCalibration:
         with pytest.raises(NumericError, match="achievable range"):
             calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
                             CalibrationSpec(0.0), grid, DISP_GRID)
+
+    def test_unreachable_target_names_the_probed_peaks(self):
+        # the range is the peaks the two bracket probes read; printed as
+        # (peak - target) + target, a 1e300 dB target cancelled both to 0
+        from kitwpa.analysis import design_with_istar
+        grid = np.linspace(5.7e9, 6.7e9, 21)
+        peaks = [fresh_gain(design_with_istar(SMALL_FISHBONE, istar),
+                            (6.22e9, 100e-6), grid, DISP_GRID)[1].peak_gain_db
+                 for istar in (12e-3, 8e-3)]
+        assert peaks[1] > peaks[0] > 1.0
+        with pytest.raises(NumericError) as exc:
+            calibrate_istar(SMALL_NETWORK, (6.22e9, 100e-6),
+                            CalibrationSpec(1e300, bracket_low=8e-3,
+                                            bracket_high=12e-3),
+                            grid, DISP_GRID)
+        assert (f"outside the achievable range [{peaks[0]:.2f}, "
+                f"{peaks[1]:.2f}] dB over i_star in [0.008, 0.012] A"
+                in str(exc.value))
 
     def test_zero_pump_rejected(self):
         with pytest.raises(ValueError):
@@ -486,7 +504,7 @@ class TestSweep:
             expected |= scalars(design.resonator)
         names = expected | {f.name for spec in (FishboneSpec, LeafSpec,
                                                 ResonatorSpec, UnitCellSpec,
-                                                NonlinearInductorSpec)
+                                                SeriesInductor)
                             for f in fields(spec)}
         accepted = set()
         for name in names:
@@ -509,7 +527,7 @@ class TestSweep:
     def test_resonator_field_sweep_on_leaf(self):
         from kitwpa.circuit import LeafSpec, ResonatorSpec
         leaf = LeafSpec(
-            base_cell=UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3),
+            base_cell=UnitCellSpec(SeriesInductor(290e-12, 10e-3),
                                    116e-15),
             resonator=ResonatorSpec(6.2e9, 70.0), num_blocks=4)
         grid = np.linspace(4.6e9, 5.6e9, 17)
@@ -563,7 +581,7 @@ class TestCompareDesigns:
         # (twoport.Z0): it calibrates the stand-in's I* with the 50 ohm
         # power-current map, so the stand-in's electrical length and
         # nonlinearity level P / (Z I*^2) are formed here, at its own 200 ohm
-        cpw_cell = UnitCellSpec(NonlinearInductorSpec(400e-12, 10e-3), 10e-15)
+        cpw_cell = UnitCellSpec(SeriesInductor(400e-12, 10e-3), 10e-15)
         k_cpw = 2 * np.pi * 6e9 * np.sqrt(400e-12 * 10e-15)
         n_cells = int(round(400 * 2 * np.pi / k_cpw))
         cpw = FishboneSpec(base_cell=cpw_cell, cells_per_period=2,

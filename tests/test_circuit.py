@@ -7,7 +7,6 @@ from kitwpa.circuit import (
     FishboneSpec,
     LadderNetwork,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
     SeriesInductor,
     ShuntCapacitor,
@@ -27,11 +26,11 @@ from kitwpa.circuit import _shortest_period
 
 
 def fishbone_cell(i_star=10e-3):
-    return UnitCellSpec(NonlinearInductorSpec(50e-12, i_star), 20e-15)
+    return UnitCellSpec(SeriesInductor(50e-12, i_star), 20e-15)
 
 
 def leaf_cell(i_star=10e-3):
-    return UnitCellSpec(NonlinearInductorSpec(290e-12, i_star), 116e-15)
+    return UnitCellSpec(SeriesInductor(290e-12, i_star), 116e-15)
 
 
 class TestClosedFormRelations:
@@ -50,7 +49,7 @@ class TestClosedFormRelations:
     def test_impedance_scale_invariance(self):
         cell = fishbone_cell()
         scaled = UnitCellSpec(
-            NonlinearInductorSpec(4 * 50e-12, 10e-3), 4 * 20e-15
+            SeriesInductor(4 * 50e-12, 10e-3), 4 * 20e-15
         )
         assert characteristic_impedance(scaled) == pytest.approx(
             characteristic_impedance(cell), rel=1e-12
@@ -58,26 +57,18 @@ class TestClosedFormRelations:
 
     def test_cutoff_halves_when_l_and_c_double(self):
         cell = fishbone_cell()
-        doubled = UnitCellSpec(NonlinearInductorSpec(100e-12, 10e-3), 40e-15)
+        doubled = UnitCellSpec(SeriesInductor(100e-12, 10e-3), 40e-15)
         assert cutoff_frequency(doubled) == pytest.approx(
             cutoff_frequency(cell) / 2, rel=1e-12
         )
 
     def test_loaded_cell_impedance_112_ohm(self):
         # reduced capacitance C/5 raises the impedance to sqrt(5)*50 ~ 111.8
-        loaded = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15 / 5)
+        loaded = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15 / 5)
         assert characteristic_impedance(loaded) == pytest.approx(111.80, rel=1e-3)
 
 
 class TestSpecValidation:
-    def test_rejects_nonpositive_l0(self):
-        with pytest.raises(ValueError):
-            NonlinearInductorSpec(0.0, 10e-3)
-
-    def test_rejects_nonpositive_istar(self):
-        with pytest.raises(ValueError):
-            NonlinearInductorSpec(50e-12, -1e-3)
-
     def test_rejects_zero_periods(self):
         with pytest.raises(ValueError):
             FishboneSpec(base_cell=fishbone_cell(), num_periods=0)
@@ -96,9 +87,9 @@ class TestSpecValidation:
             ResonatorSpec(pairs_per_block=pairs)
 
     @pytest.mark.parametrize("make, field", [
-        (lambda x: NonlinearInductorSpec(x, 1e-2), "l0"),
-        (lambda x: NonlinearInductorSpec(50e-12, x), "i_star"),
-        (lambda x: UnitCellSpec(NonlinearInductorSpec(50e-12, 1e-2), x),
+        (lambda x: SeriesInductor(x, 1e-2), "l0"),
+        (lambda x: SeriesInductor(50e-12, x), "i_star"),
+        (lambda x: UnitCellSpec(SeriesInductor(50e-12, 1e-2), x),
          "shunt_capacitance"),
         (lambda x: ResonatorSpec(x), "resonant_frequency"),
         (lambda x: ResonatorSpec(6e9, x), "loaded_q"),
@@ -108,8 +99,9 @@ class TestSpecValidation:
     ], ids=["l0", "i_star", "shunt_capacitance", "resonant_frequency",
             "loaded_q", "capacitance_reduction_factor"])
     def test_rejects_a_value_that_is_not_finite(self, make, field):
-        # NaN fails every comparison, so a `value <= 0` test lets it through
-        for value in (math.nan, math.inf):
+        # zero and negative values fail too; NaN fails every comparison,
+        # so a `value <= 0` test lets it through
+        for value in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{field} must .* finite"):
                 make(value)
 
@@ -293,6 +285,12 @@ class TestLadderNetwork:
         # the same period as a search comparing the elements themselves
         assert _shortest_period(net.period * 2 + net.tail) == len(net.period)
 
+    def test_expansion_holds_the_specs_own_inductor(self):
+        fish = FishboneSpec(base_cell=fishbone_cell(), num_periods=4)
+        leaf = LeafSpec(base_cell=leaf_cell(), num_blocks=2)
+        assert expand_fishbone(fish).period[0] is fish.base_cell.inductor
+        assert expand_leaf(leaf).period[0] is leaf.base_cell.inductor
+
 
 class TestNetlistRoundTrip:
     def test_round_trip_exact(self, tmp_path):
@@ -353,7 +351,7 @@ class TestNetlistRoundTrip:
             read_netlist(p)
 
     def test_round_trip_awkward_floats(self, tmp_path):
-        cell = UnitCellSpec(NonlinearInductorSpec(1 / 3 * 1e-12, math.pi * 1e-3),
+        cell = UnitCellSpec(SeriesInductor(1 / 3 * 1e-12, math.pi * 1e-3),
                             2 / 7 * 1e-15)
         net = uniform_line(cell, 3)
         p = tmp_path / "device.net"

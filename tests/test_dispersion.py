@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -34,8 +34,8 @@ from kitwpa.errors import NumericError
 from kitwpa.twoport import (TwoPortMatrix, network_matrix, to_s_parameters,
                             walk_period)
 
-FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
 

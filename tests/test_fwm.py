@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import kitwpa.fwm
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -43,8 +44,8 @@ from oracles import (
 )
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
-FISH_CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(NonlinearInductorSpec(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
 
 
 def db(x):
@@ -58,8 +59,16 @@ class TestKerrCoefficient:
         assert g == pytest.approx(0.04 / (2 * (10e-3) ** 2 * 50.0), rel=1e-12)
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            kerr_coefficient(0.0, 10e-3)
+        # a gamma that is not positive and finite is a numeric failure, as
+        # is a negative I*; an I* whose square leaves the float range raised
+        # ZeroDivisionError or OverflowError
+        for k_cell, i_star, gamma in ((0.0, 10e-3, "0"), (0.04, -1e-3, "400"),
+                                      (0.04, 1e-300, "inf"),
+                                      (0.04, 1e300, "0")):
+            with pytest.raises(NumericError, match=re.escape(
+                    f"gamma = k_p / (2 I*^2 Z0) = {gamma} rad/(cell W) at "
+                    f"k_p = {k_cell:g} rad/cell and I* = {i_star:g} A")):
+                kerr_coefficient(k_cell, i_star)
 
 
 class TestAnalyticGain:

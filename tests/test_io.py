@@ -14,8 +14,8 @@ from kitwpa.analysis import CalibrationSpec, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    NonlinearInductorSpec,
     ResonatorSpec,
+    SeriesInductor,
     UnitCellSpec,
     read_netlist,
 )
@@ -245,7 +245,7 @@ design:
 
     def test_design_defaults_are_the_spec_defaults(self, tmp_path):
         cell = "{l_henries: 5e-11, c_farads: 2e-14, i_star_amperes: 1e-2"
-        base = UnitCellSpec(NonlinearInductorSpec(5e-11, 1e-2), 2e-14)
+        base = UnitCellSpec(SeriesInductor(5e-11, 1e-2), 2e-14)
 
         def design(text, name):
             return load_config(write_cfg(
@@ -742,6 +742,39 @@ class TestCli:
         assert "dip exclusions removed the whole profile" in err
         assert "pump at 6.22e+09 Hz" in err
         assert not (tmp_path / "o" / "gain.csv").exists()
+
+    @pytest.mark.parametrize("subcommand, old, new, message", [
+        # I*^2 underflows to 0: ZeroDivisionError, exit 1
+        ("gain", "i_star_amperes: 10.0e-3", "i_star_amperes: 1.0e-300",
+         "Kerr coefficient gamma = k_p / (2 I*^2 Z0) = inf rad/(cell W) at "
+         "k_p = 0.0371616 rad/cell and I* = 1e-300 A"),
+        # I*^2 overflows: OverflowError, exit 1
+        ("harmonics", "i_star_amperes: 10.0e-3", "i_star_amperes: 1.0e300",
+         "= 0 rad/(cell W) at k_p = 0.0371616 rad/cell and I* = 1e+300 A"),
+        # the upper bracket probe's I*^2 overflows: OverflowError, exit 1
+        ("calibrate", "  integrator:", "  calibration: {target_peak_db: 3.0, "
+         "bracket_high_amperes: 1.0e300}\n  integrator:",
+         "= 0 rad/(cell W) at k_p = 0.0371616 rad/cell and I* = 1e+300 A"),
+        # cos(k) of the pump rounds to 1, so k_p = 0: ValueError, exit 1
+        ("gain", "l_henries: 50.0e-12", "l_henries: 1.0e-300",
+         "= 0 rad/(cell W) at k_p = 0 rad/cell and I* = 0.01 A"),
+        # 1e15 float64 points is 7.11 PiB: numpy refuses the array before
+        # it allocates any of it.  Its MemoryError exited 1
+        ("linear", "points: 4001", "points: 1.0e15", "memory ran out: "
+         "Unable to allocate 7.11 PiB for an array with shape "
+         "(1000000000000000,)"),
+        ("sweep", "  integrator:", "  sweep: {parameter: pump_power, "
+         "start: 1.0e-5, stop: 1.0e-4, points: 1.0e15}\n  integrator:",
+         "memory ran out: Unable to allocate 7.11 PiB"),
+    ], ids=["tiny-istar", "huge-istar", "huge-bracket", "tiny-inductance",
+            "huge-frequency-grid", "huge-sweep"])
+    def test_cli_kerr_coefficient_or_memory_out_of_range_exit_3(
+            self, tmp_path, capsys, subcommand, old, new, message):
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(old, new))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.*"))
 
     def test_cli_linear_needs_no_bloch_period(self, tmp_path, capsys):
         # one supercell: the netlist's shortest period occurs only once

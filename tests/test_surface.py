@@ -87,6 +87,20 @@ def test_every_dataclass_says_what_its_fields_are():
     assert not bare, f"dataclasses without a docstring: {bare}"
 
 
+def test_no_two_dataclasses_declare_the_same_fields():
+    # two records with one set of fields are one concept held twice, and
+    # code that copies one into the other field by field
+    owners: dict = {}
+    for name in MODULES:
+        for attr, value in vars(importlib.import_module(name)).items():
+            if (dataclasses.is_dataclass(value) and isinstance(value, type)
+                    and value.__module__ == name):
+                key = frozenset(f.name for f in dataclasses.fields(value))
+                owners.setdefault(key, []).append(f"{name}.{attr}")
+    twins = [sorted(names) for names in owners.values() if len(names) > 1]
+    assert not twins, f"dataclasses with the same field names: {twins}"
+
+
 def _parameters() -> list:
     """(module.name, parameter, annotation) of each parameter of every
     function and class constructor a module defines, and of each field of

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from kitwpa.analysis import expand_design
 from kitwpa.circuit import (
     LadderNetwork,
-    NonlinearInductorSpec,
     SeriesInductor,
     ShuntCapacitor,
     ShuntResonator,
@@ -42,7 +41,7 @@ from kitwpa.twoport import (
     write_touchstone,
 )
 
-CELL = UnitCellSpec(NonlinearInductorSpec(50e-12, 10e-3), 20e-15)
+CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 PRESET_NAMES = ("fishbone-paper", "leaf-paper-gain", "leaf-paper")
 
