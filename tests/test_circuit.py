@@ -69,6 +69,14 @@ class TestClosedFormRelations:
 
 
 class TestSpecValidation:
+    def test_rejects_nonpositive_l0(self):
+        with pytest.raises(ValueError, match="l0"):
+            SeriesInductor(0.0, 10e-3)
+
+    def test_rejects_nonpositive_istar(self):
+        with pytest.raises(ValueError, match="i_star"):
+            SeriesInductor(50e-12, -1e-3)
+
     def test_rejects_zero_periods(self):
         with pytest.raises(ValueError):
             FishboneSpec(base_cell=fishbone_cell(), num_periods=0)
