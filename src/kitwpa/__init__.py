@@ -12,8 +12,8 @@ from .circuit import (
     FishboneSpec,
     LadderNetwork,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
     characteristic_impedance,
     cutoff_frequency,

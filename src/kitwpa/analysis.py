@@ -432,11 +432,8 @@ def _scalar_fields(spec) -> dict:
 
 def _sweep_parameters(design) -> set:
     """The pump's frequency and power, I*, and every scalar field of the
-    design spec and of its resonator."""
-    names = {"pump_frequency", "pump_power", "i_star", *_scalar_fields(design)}
-    if isinstance(design, LeafSpec):
-        names.update(_scalar_fields(design.resonator))
-    return names
+    design spec."""
+    return {"pump_frequency", "pump_power", "i_star", *_scalar_fields(design)}
 
 
 def check_sweep_parameter(design, name) -> None:
@@ -466,10 +463,7 @@ def _apply_parameter(design, pump, name, value):
         return design, (pump[0], value)
     if name == "i_star":
         return design_with_istar(design, value), pump
-    if name in _scalar_fields(design):
-        return _with_field(design, name, value), pump
-    return replace(design, resonator=_with_field(design.resonator,
-                                                 name, value)), pump
+    return _with_field(design, name, value), pump
 
 
 def sweep(design, pump: tuple, axis: SweepAxis, signal_grid,

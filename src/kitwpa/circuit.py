@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ShuntResonator",
     "UnitCellSpec",
     "FishboneSpec",
-    "ResonatorSpec",
     "LeafSpec",
     "PeriodAnnotation",
     "LadderNetwork",
@@ -87,13 +86,12 @@ class ShuntResonator:
 
 @dataclass(frozen=True)
 class UnitCellSpec:
-    """One LC cell of the artificial line: series inductor, shunt capacitor."""
+    """One LC cell of the artificial line: series inductor, shunt capacitor.
+    The expanders repeat these two objects, so every unloaded cell of a
+    network holds them."""
 
     inductor: SeriesInductor
-    shunt_capacitance: float
-
-    def __post_init__(self):
-        _require_positive("shunt_capacitance", self.shunt_capacitance)
+    capacitor: ShuntCapacitor
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,23 @@ class FishboneSpec:
 
 
 @dataclass(frozen=True)
-class ResonatorSpec:
-    """Shunt resonator used as a pump phase shifter.
+class LeafSpec:
+    """Resonator-embedded line: one phase-shifter block every block period.
 
-    ``loaded_q`` is defined against the 25 ohm environment a shunt branch
-    sees on a 50 ohm line (source and load in parallel).
+    Each block carries ``pairs_per_block`` pairs of shunt resonators used as
+    pump phase shifters, ``pair_separation_cells`` cells apart, at
+    ``resonant_frequency`` (Hz) and ``loaded_q``, which is defined against
+    the 25 ohm environment a shunt branch sees on a 50 ohm line (source and
+    load in parallel).
     """
 
+    base_cell: UnitCellSpec
     resonant_frequency: float = 6e9
     loaded_q: float = 70.0
     pairs_per_block: int = 2
     pair_separation_cells: int = 6
+    cells_per_block_period: int = 340
+    num_blocks: int = 1
 
     def __post_init__(self):
         _require_positive("resonant_frequency", self.resonant_frequency)
@@ -149,21 +153,9 @@ class ResonatorSpec:
         if self.pair_separation_cells < 1:
             raise ValueError("pair_separation_cells must be >= 1, got "
                              f"{self.pair_separation_cells}")
-
-
-@dataclass(frozen=True)
-class LeafSpec:
-    """Resonator-embedded line: one phase-shifter block every block period."""
-
-    base_cell: UnitCellSpec
-    cells_per_block_period: int = 340
-    resonator: ResonatorSpec = field(default_factory=ResonatorSpec)
-    num_blocks: int = 1
-
-    def __post_init__(self):
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
-        if self.cells_per_block_period <= self.resonator.pair_separation_cells:
+        if self.cells_per_block_period <= self.pair_separation_cells:
             raise ValueError("cells_per_block_period must exceed "
                              "pair_separation_cells")
 
@@ -267,23 +259,16 @@ class LadderNetwork:
 
 def characteristic_impedance(cell: UnitCellSpec) -> float:
     """Line impedance sqrt(L/C) of the unloaded artificial line, in ohms."""
-    return math.sqrt(cell.inductor.l0 / cell.shunt_capacitance)
+    return math.sqrt(cell.inductor.l0 / cell.capacitor.c)
 
 
 def cutoff_frequency(cell: UnitCellSpec) -> float:
     """Low-pass cutoff 1 / (pi * sqrt(L*C)) of the LC ladder, in Hz."""
-    return 1.0 / (math.pi * math.sqrt(cell.inductor.l0 * cell.shunt_capacitance))
+    return 1.0 / (math.pi * math.sqrt(cell.inductor.l0 * cell.capacitor.c))
 
 
 # --------------------------------------------------------------------------
 # design expansion
-
-def _cell_elements(cell: UnitCellSpec) -> tuple:
-    """The series inductor and shunt capacitor of one cell.  The expanders
-    call it once and repeat the pair, so equal elements of a chain are one
-    object (see _element_ids)."""
-    return cell.inductor, ShuntCapacitor(cell.shunt_capacitance)
-
 
 def _element_ids(chain) -> list:
     """A small-integer id per element of ``chain``, equal for equal
@@ -326,10 +311,10 @@ def expand_fishbone(spec: FishboneSpec) -> LadderNetwork:
     is loaded).  With fewer than three supercells the chain is reduced the
     same way.
     """
-    c_loaded = spec.base_cell.shunt_capacitance / spec.capacitance_reduction_factor
-
-    base = _cell_elements(spec.base_cell)
-    loaded = (base[0], ShuntCapacitor(c_loaded))
+    cell = spec.base_cell
+    base = (cell.inductor, cell.capacitor)
+    loaded = (cell.inductor, ShuntCapacitor(
+        cell.capacitor.c / spec.capacitance_reduction_factor))
 
     def supercell(idx: int) -> tuple:
         n_loaded = spec.loaded_cells_every_third if idx % 3 == 2 else spec.loaded_cells
@@ -352,15 +337,11 @@ def expand_leaf(spec: LeafSpec) -> LadderNetwork:
     the result is a uniform ladder, stored with one cell as its period; in
     general the stored period is the chain's shortest.
     """
-    res = spec.resonator
-    pair = ShuntResonator(res.resonant_frequency, res.loaded_q, multiplicity=2)
-    pair_cells = []
-    if res.pairs_per_block >= 1:
-        pair_cells.append(0)
-    if res.pairs_per_block >= 2:
-        pair_cells.append(res.pair_separation_cells)
+    pair = ShuntResonator(spec.resonant_frequency, spec.loaded_q,
+                          multiplicity=2)
+    pair_cells = [0, spec.pair_separation_cells][: spec.pairs_per_block]
 
-    cell = _cell_elements(spec.base_cell)
+    cell = (spec.base_cell.inductor, spec.base_cell.capacitor)
     block = []
     for i in range(spec.cells_per_block_period):
         block += cell
@@ -374,7 +355,7 @@ def uniform_line(cell: UnitCellSpec, n_cells: int) -> LadderNetwork:
     """Uniform ladder of n identical cells (no loading, no resonators)."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    return LadderNetwork(_cell_elements(cell), n_cells)
+    return LadderNetwork((cell.inductor, cell.capacitor), n_cells)
 
 
 def bare_ladder(network: LadderNetwork) -> LadderNetwork:
@@ -467,21 +448,27 @@ def read_netlist(path) -> LadderNetwork:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not raw or raw[0].strip() != NETLIST_HEADER:
         raise ValueError(f"{path}: missing netlist header '{NETLIST_HEADER}'")
-    parsed: dict = {}   # line text -> element
-    elements = []
+    # the period search runs on value ids, one given to each distinct line
+    line_ids: dict = {}   # line text -> value id
+    value_ids: dict = {}  # element -> value id, in order of first appearance
+    ids = []
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line not in parsed:
+        if line not in line_ids:
             try:
-                parsed[line] = _parse_element(line)
+                element = _parse_element(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}: {line!r}") from None
-        elements.append(parsed[line])
-    if not elements:
+            line_ids[line] = value_ids.setdefault(element, len(value_ids))
+        ids.append(line_ids[line])
+    if not ids:
         raise ValueError(f"{path}: netlist has no elements")
-    return _primitive(tuple(elements), 1)
+    distinct = tuple(value_ids)
+    p = _shortest_period(ids)
+    period = tuple(distinct[i] for i in ids[:p])
+    return LadderNetwork(period, len(ids) // p, period[: len(ids) % p])
 
 
 def with_i_star(network: LadderNetwork, i_star: float) -> LadderNetwork:

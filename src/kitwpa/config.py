@@ -21,8 +21,8 @@ from .analysis import CalibrationSpec, SweepAxis, check_sweep_parameter
 from .circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
 )
 from .dispersion import DEFAULT_GRID
@@ -63,7 +63,7 @@ _CONVERT = {"int": _as_int, "float": _as_float, "bool": _as_bool}
 # config keys that carry their unit; every other field is its own key
 _KEYS = {"l0": "l_henries",
          "i_star": "i_star_amperes",
-         "shunt_capacitance": "c_farads",
+         "c": "c_farads",
          "resonant_frequency": "resonant_frequency_hz",
          "bracket_low": "bracket_low_amperes",
          "bracket_high": "bracket_high_amperes",
@@ -176,15 +176,14 @@ def _parse_design(sec: _Section, base_dir: Path):
             raise ConfigError(f"{sec.path}.netlist: file not found: {path}")
         return path, kind
     sub = sec.child(kind, required=True)
-    cell = _parse_options(sub, UnitCellSpec, required=("shunt_capacitance",),
-                          inductor=_parse_options(sub, SeriesInductor,
-                                                  required=("l0", "i_star")))
+    cell = UnitCellSpec(
+        _parse_options(sub, SeriesInductor, required=("l0", "i_star")),
+        _parse_options(sub, ShuntCapacitor, required=("c",)))
     if kind == "fishbone":
         return _parse_options(sub, FishboneSpec, required=("num_periods",),
                               base_cell=cell), kind
     return _parse_options(sub, LeafSpec, required=("num_blocks",),
-                          base_cell=cell,
-                          resonator=_parse_options(sub, ResonatorSpec)), kind
+                          base_cell=cell), kind
 
 
 def _parse_options(sec: _Section | None, cls, required=(), **nested):

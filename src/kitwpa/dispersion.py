@@ -131,19 +131,19 @@ class DispersionCurve:
 
 
 def bloch_dispersion(period_matrix: TwoPortMatrix, grid: FrequencyGrid,
-                     cells_per_period: int) -> DispersionCurve:
+                     cells_per_period: int, elements) -> DispersionCurve:
     """Dispersion curve from the chain matrix of one full period.
 
     A point lies in a stopband where |t| > 1, t = (a + d)/2.  Raises
     NumericError where t is not finite: deep above the cell cutoff the
-    period's chain matrix leaves the float range.
+    period's chain matrix leaves the float range (see nonfinite_error).
     """
     f = grid.frequencies()
     with np.errstate(invalid="ignore"):   # inf - inf, refused below
         t = period_matrix.trace_half()
     bad = ~np.isfinite(t)
     if bad.any():
-        raise nonfinite_error("the Bloch curve is", bad, f)
+        raise nonfinite_error("the Bloch curve is", bad, f, elements)
     mag = np.abs(t)
     return DispersionCurve(
         frequencies=f,
@@ -159,7 +159,8 @@ def device_dispersion(network: LadderNetwork,
     """Bloch curve of the network's period; raises NumericError where it
     is not finite (bloch_dispersion)."""
     period, _ = walk_period(network.one_period(), grid.frequencies())
-    return bloch_dispersion(period, grid, network.cells_per_period)
+    return bloch_dispersion(period, grid, network.cells_per_period,
+                            network.period_index[0])
 
 
 def _uniform_cell_bloch(l0: float, c: float, f) -> tuple:

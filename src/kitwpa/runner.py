@@ -26,7 +26,7 @@ from .analysis import _GainPipeline, calibrate_istar, sweep
 from .circuit import SeriesInductor, read_netlist, write_chunks, write_netlist
 from .config import RunConfig, effective_config
 from .dispersion import device_dispersion, find_stopbands
-from .errors import ConfigError, nonfinite_error
+from .errors import ConfigError, NumericError, nonfinite_error
 from .fwm import signal_frequencies, third_harmonic_scan
 # gain_metrics, integrate_gain and network_matrix are not called in this
 # module; they are imported into it because bench/tracing.py rebinds them
@@ -119,8 +119,10 @@ def _require_kerr_inductors(network, subcommand):
 def _cascade(network, f):
     """The period's walk and the full cascade's S-parameters at f.
 
-    Raises NumericError where an S-parameter is not finite: deep above the
-    cell cutoff the chain matrix of one period leaves the float range.
+    Raises NumericError where an S-parameter is not finite (deep above the
+    cell cutoff the chain matrix of one period leaves the float range), or
+    where | |S11|^2 + |S21|^2 - 1 | of the lossless network passes 1e-6: the
+    cascade's rounding adds ~6e-16 a repeat, 5e-6 at 1e10 periods.
     """
     period, tail = walk_period(network, f)
     # the infinite entries of such a period spread through the cascade;
@@ -129,7 +131,14 @@ def _cascade(network, f):
         sp = to_s_parameters(cascade_periods(period, network.repeats, tail), f)
     bad = ~(np.isfinite(sp.s11) & np.isfinite(sp.s21) & np.isfinite(sp.s22))
     if bad.any():
-        raise nonfinite_error("S-parameters are", bad, f)
+        raise nonfinite_error("S-parameters are", bad, f,
+                              network.period_index[0])
+    defect = np.max(np.abs(np.abs(sp.s11)**2 + np.abs(sp.s21)**2 - 1.0))
+    if defect > 1e-6:
+        raise NumericError(
+            f"S-parameters of {network.repeats} repeats of the period are off "
+            f"the lossless power balance by {defect:.3g} (limit 1e-06): the "
+            "cascade's rounding grows with the repeats")
     return period, sp
 
 
@@ -258,7 +267,8 @@ def run(subcommand: str, config: RunConfig, out_dir=None) -> dict:
         # rebinds it
         period, sp = _cascade(network, grid.frequencies())
         curve = dispersion.bloch_dispersion(period, grid,
-                                            network.cells_per_period)
+                                            network.cells_per_period,
+                                            network.period_index[0])
         emit.write("dispersion.csv", _dispersion_rows(sp, curve))
         emit.write("stopbands.csv", _stopband_rows(find_stopbands(curve)))
 

@@ -160,7 +160,7 @@ def _rescaled(m: TwoPortMatrix) -> TwoPortMatrix:
     if not shift.any():
         return m
     return TwoPortMatrix(*(np.ldexp(v, -shift) for v in (m.a, m.b, m.c, m.d)),
-                         m.exponent + shift)
+                         np.add(m.exponent, shift, dtype=np.int64))
 
 
 # A run of at least this many identical consecutive element pairs is raised
@@ -276,16 +276,16 @@ def walk_period(network: LadderNetwork, f: np.ndarray) -> tuple:
     f = _positive(f)
     n = len(f)
     distinct, ids = network.period_index
-    terms = [_element_term(e, f) for e in distinct]
     tail_len = len(network.tail)
     runs = _runs(ids, tail_len)
     m = [np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)]
     buffers = [np.empty(n) for _ in range(6 if runs else 1)]
     tail = None
     i = 0
-    # deep above the cell cutoff the entries grow past the float range; the
-    # caller decides what an infinite entry means
+    # deep above the cell cutoff, or at huge element values, the entries leave
+    # the float range; the caller decides what an infinite entry means
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = [_element_term(e, f) for e in distinct]
         while i < len(ids):
             if i == tail_len and tail_len:
                 tail = TwoPortMatrix(*(v.copy() for v in m))
@@ -365,14 +365,17 @@ def to_s_parameters(m: TwoPortMatrix, f: np.ndarray) -> SParameterSet:
     n11.real, n11.imag = m.a - m.d, b - c
     n22.real, n22.imag = m.d - m.a, b - c
     # the entries' common scale 2**exponent cancels from the ratios s11 and
-    # s22; s21 is scaled by it afterwards, exactly
+    # s22; s21 is scaled by it afterwards, exactly.  The exponent is an int64
+    # sum (~1e10 periods pass 2**31), saturated to int32, where np.ldexp is
+    # ~20x faster and past 2**31 gives 0 or inf either way
+    exponent = np.clip(m.exponent, 1 - 2**31, 2**31 - 1).astype(np.int32)
     with np.errstate(over="ignore"):
-        if np.any(np.ldexp(np.abs(den), m.exponent) < 1e-300):
+        if np.any(np.ldexp(np.abs(den), exponent) < 1e-300):
             raise ArithmeticError(
                 "singular ABCD-to-S denominator (pathological network)")
         s21 = 2.0 / den
         for part in (s21.real, s21.imag):
-            np.ldexp(part, -m.exponent, out=part)
+            np.ldexp(part, -exponent, out=part)
     return SParameterSet(f, n11 / den, s21, s21, n22 / den)
 
 

@@ -14,8 +14,8 @@ from kitwpa.analysis import CalibrationSpec, calibrate_istar, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -49,8 +49,10 @@ from oracles import StackedPropagator, analytic_gain_undepleted, run_triplet
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
-FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                         ShuntCapacitor(20e-15))
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3),
+                         ShuntCapacitor(116e-15))
 
 
 def report(criterion, ok, detail):
@@ -110,7 +112,7 @@ def test_criterion_2_dispersion_engineering(fishbone_curve):
 
 def test_criterion_3_resonator_phase_shifter():
     block = expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=1,
-                                 resonator=ResonatorSpec(6e9, 70.0)))
+                                 resonant_frequency=6e9, loaded_q=70.0))
     f = np.linspace(5.2e9, 5.95e9, 151)
     shift, loss = resonator_phase_shift(block, f)
     deg = np.degrees(shift)
@@ -123,7 +125,7 @@ def test_criterion_3_resonator_phase_shifter():
     cumulative = []
     for n in range(1, 7):
         net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=n,
-                                   resonator=ResonatorSpec(6e9, 70.0)))
+                                   resonant_frequency=6e9, loaded_q=70.0))
         plain = uniform_line(LEAF_CELL, net.total_cells)
         fa = np.array([f_op])
         s_l = to_s_parameters(network_matrix(net, fa), fa).s21[0]
@@ -251,7 +253,7 @@ def test_criterion_8_harmonic_suppression():
     f_p, p_p = 5.92e9, 60e-6
     net = expand_leaf(LeafSpec(
         base_cell=LEAF_CELL, cells_per_block_period=340,
-        resonator=ResonatorSpec(6.2e9, 70.0, pairs_per_block=0),
+        resonant_frequency=6.2e9, loaded_q=70.0, pairs_per_block=0,
         num_blocks=12))
     grid = FrequencyGrid(0.1e9, 20e9, 2001)
     from kitwpa.dispersion import uniform_cell_dispersion
@@ -322,8 +324,8 @@ def test_criterion_10_io_round_trips(tmp_path):
     # netlist round trip: exact element values
     net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=2,
                                cells_per_block_period=37,
-                               resonator=ResonatorSpec(6.123e9, 71.5,
-                                                       pair_separation_cells=5)))
+                               resonant_frequency=6.123e9, loaded_q=71.5,
+                               pair_separation_cells=5))
     write_netlist(net, tmp_path / "d.net")
     netlist_ok = read_netlist(tmp_path / "d.net").elements == net.elements
 

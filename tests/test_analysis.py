@@ -13,6 +13,7 @@ from kitwpa.analysis import (
     _smooth,
     SweepAxis,
     _GainPipeline,
+    _sweep_parameters,
     brentq,
     calibrate_istar,
     expand_design,
@@ -22,8 +23,8 @@ from kitwpa.analysis import (
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
 )
 from kitwpa.config import load_config
@@ -37,14 +38,16 @@ from kitwpa.errors import NumericError
 from kitwpa.fwm import GainProfile, integrate_gain, signal_frequencies
 from kitwpa.runner import _metrics_report, _pump_lines, _sweep_rows
 
-FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                         ShuntCapacitor(20e-15))
 SMALL_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=90)
 SMALL_NETWORK = expand_design(SMALL_FISHBONE)
 DISP_GRID = FrequencyGrid(0.1e9, 26e9, 8001)
 PARITY_FISHBONE = FishboneSpec(base_cell=FISH_CELL, num_periods=30)
 PARITY_LEAF = LeafSpec(
-    base_cell=UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15),
-    cells_per_block_period=60, resonator=ResonatorSpec(6.2e9, 70.0),
+    base_cell=UnitCellSpec(SeriesInductor(290e-12, 10e-3),
+                           ShuntCapacitor(116e-15)),
+    cells_per_block_period=60, resonant_frequency=6.2e9, loaded_q=70.0,
     num_blocks=3)
 PRESETS = Path(kitwpa.analysis.__file__).parent / "presets"
 
@@ -492,6 +495,21 @@ class TestSweep:
             for name in res.metrics:
                 assert res.metrics[name][i] == getattr(fresh, name)
 
+    @pytest.mark.parametrize("preset, fields", [
+        ("fishbone-paper", {"cells_per_period", "loaded_cells",
+                            "loaded_cells_every_third",
+                            "capacitance_reduction_factor", "num_periods"}),
+        ("leaf-paper", {"resonant_frequency", "loaded_q", "pairs_per_block",
+                        "pair_separation_cells", "cells_per_block_period",
+                        "num_blocks"}),
+    ])
+    def test_sweep_parameters_of_the_presets(self, preset, fields):
+        # the names a sweep takes, spelled out: a spec whose fields move
+        # into a nested record, or out of one, must keep them
+        design = load_config(PRESETS / f"{preset}.cfg").design
+        assert _sweep_parameters(design) == {
+            "pump_frequency", "pump_power", "i_star", *fields}
+
     @pytest.mark.parametrize("design", [SMALL_FISHBONE, PARITY_LEAF],
                              ids=["fishbone", "leaf"])
     def test_accepts_the_pump_i_star_and_the_spec_scalar_fields(self, design):
@@ -500,11 +518,9 @@ class TestSweep:
                     if not is_dataclass(getattr(spec, f.name))}
 
         expected = {"pump_frequency", "pump_power", "i_star"} | scalars(design)
-        if isinstance(design, LeafSpec):
-            expected |= scalars(design.resonator)
         names = expected | {f.name for spec in (FishboneSpec, LeafSpec,
-                                                ResonatorSpec, UnitCellSpec,
-                                                SeriesInductor)
+                                                UnitCellSpec, SeriesInductor,
+                                                ShuntCapacitor)
                             for f in fields(spec)}
         accepted = set()
         for name in names:
@@ -525,11 +541,10 @@ class TestSweep:
                   DISP_GRID)
 
     def test_resonator_field_sweep_on_leaf(self):
-        from kitwpa.circuit import LeafSpec, ResonatorSpec
         leaf = LeafSpec(
             base_cell=UnitCellSpec(SeriesInductor(290e-12, 10e-3),
-                                   116e-15),
-            resonator=ResonatorSpec(6.2e9, 70.0), num_blocks=4)
+                                   ShuntCapacitor(116e-15)),
+            resonant_frequency=6.2e9, loaded_q=70.0, num_blocks=4)
         grid = np.linspace(4.6e9, 5.6e9, 17)
         res = sweep(leaf, (5.92e9, 60e-6),
                     SweepAxis("resonant_frequency", (6.2e9, 6.35e9)),
@@ -581,7 +596,8 @@ class TestCompareDesigns:
         # (twoport.Z0): it calibrates the stand-in's I* with the 50 ohm
         # power-current map, so the stand-in's electrical length and
         # nonlinearity level P / (Z I*^2) are formed here, at its own 200 ohm
-        cpw_cell = UnitCellSpec(SeriesInductor(400e-12, 10e-3), 10e-15)
+        cpw_cell = UnitCellSpec(SeriesInductor(400e-12, 10e-3),
+                                ShuntCapacitor(10e-15))
         k_cpw = 2 * np.pi * 6e9 * np.sqrt(400e-12 * 10e-15)
         n_cells = int(round(400 * 2 * np.pi / k_cpw))
         cpw = FishboneSpec(base_cell=cpw_cell, cells_per_period=2,

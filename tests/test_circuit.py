@@ -7,7 +7,6 @@ from kitwpa.circuit import (
     FishboneSpec,
     LadderNetwork,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
     ShuntCapacitor,
     ShuntResonator,
@@ -26,11 +25,13 @@ from kitwpa.circuit import _shortest_period
 
 
 def fishbone_cell(i_star=10e-3):
-    return UnitCellSpec(SeriesInductor(50e-12, i_star), 20e-15)
+    return UnitCellSpec(SeriesInductor(50e-12, i_star),
+                        ShuntCapacitor(20e-15))
 
 
 def leaf_cell(i_star=10e-3):
-    return UnitCellSpec(SeriesInductor(290e-12, i_star), 116e-15)
+    return UnitCellSpec(SeriesInductor(290e-12, i_star),
+                        ShuntCapacitor(116e-15))
 
 
 class TestClosedFormRelations:
@@ -49,7 +50,7 @@ class TestClosedFormRelations:
     def test_impedance_scale_invariance(self):
         cell = fishbone_cell()
         scaled = UnitCellSpec(
-            SeriesInductor(4 * 50e-12, 10e-3), 4 * 20e-15
+            SeriesInductor(4 * 50e-12, 10e-3), ShuntCapacitor(4 * 20e-15)
         )
         assert characteristic_impedance(scaled) == pytest.approx(
             characteristic_impedance(cell), rel=1e-12
@@ -57,14 +58,16 @@ class TestClosedFormRelations:
 
     def test_cutoff_halves_when_l_and_c_double(self):
         cell = fishbone_cell()
-        doubled = UnitCellSpec(SeriesInductor(100e-12, 10e-3), 40e-15)
+        doubled = UnitCellSpec(SeriesInductor(100e-12, 10e-3),
+                               ShuntCapacitor(40e-15))
         assert cutoff_frequency(doubled) == pytest.approx(
             cutoff_frequency(cell) / 2, rel=1e-12
         )
 
     def test_loaded_cell_impedance_112_ohm(self):
         # reduced capacitance C/5 raises the impedance to sqrt(5)*50 ~ 111.8
-        loaded = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15 / 5)
+        loaded = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                              ShuntCapacitor(20e-15 / 5))
         assert characteristic_impedance(loaded) == pytest.approx(111.80, rel=1e-3)
 
 
@@ -92,19 +95,19 @@ class TestSpecValidation:
     @pytest.mark.parametrize("pairs", [-1, 3])
     def test_rejects_pairs_per_block_outside_0_to_2(self, pairs):
         with pytest.raises(ValueError, match="pairs_per_block"):
-            ResonatorSpec(pairs_per_block=pairs)
+            LeafSpec(base_cell=leaf_cell(), pairs_per_block=pairs)
 
     @pytest.mark.parametrize("make, field", [
         (lambda x: SeriesInductor(x, 1e-2), "l0"),
         (lambda x: SeriesInductor(50e-12, x), "i_star"),
-        (lambda x: UnitCellSpec(SeriesInductor(50e-12, 1e-2), x),
-         "shunt_capacitance"),
-        (lambda x: ResonatorSpec(x), "resonant_frequency"),
-        (lambda x: ResonatorSpec(6e9, x), "loaded_q"),
+        (lambda x: ShuntCapacitor(x), "c"),
+        (lambda x: LeafSpec(base_cell=leaf_cell(), resonant_frequency=x),
+         "resonant_frequency"),
+        (lambda x: LeafSpec(base_cell=leaf_cell(), loaded_q=x), "loaded_q"),
         (lambda x: FishboneSpec(base_cell=fishbone_cell(),
                                 capacitance_reduction_factor=x),
          "capacitance_reduction_factor"),
-    ], ids=["l0", "i_star", "shunt_capacitance", "resonant_frequency",
+    ], ids=["l0", "i_star", "c", "resonant_frequency",
             "loaded_q", "capacitance_reduction_factor"])
     def test_rejects_a_value_that_is_not_finite(self, make, field):
         # zero and negative values fail too; NaN fails every comparison,
@@ -114,9 +117,9 @@ class TestSpecValidation:
                 make(value)
 
     def test_rejects_separation_beyond_block(self):
-        res = ResonatorSpec(pair_separation_cells=400)
         with pytest.raises(ValueError):
-            LeafSpec(base_cell=leaf_cell(), cells_per_block_period=340, resonator=res)
+            LeafSpec(base_cell=leaf_cell(), cells_per_block_period=340,
+                     pair_separation_cells=400)
 
 
 class TestFishboneExpansion:
@@ -166,7 +169,7 @@ class TestFishboneExpansion:
 class TestLeafExpansion:
     def reference_spec(self, num_blocks=6):
         return LeafSpec(base_cell=leaf_cell(), cells_per_block_period=340,
-                        resonator=ResonatorSpec(6e9, 70.0), num_blocks=num_blocks)
+                        resonant_frequency=6e9, loaded_q=70.0, num_blocks=num_blocks)
 
     def test_reference_total_cells(self):
         assert expand_leaf(self.reference_spec()).total_cells == 2040
@@ -192,7 +195,8 @@ class TestLeafExpansion:
     def test_no_resonators_gives_uniform_ladder(self):
         spec = LeafSpec(
             base_cell=leaf_cell(), cells_per_block_period=340,
-            resonator=ResonatorSpec(6e9, 70.0, pairs_per_block=0), num_blocks=1,
+            resonant_frequency=6e9, loaded_q=70.0, pairs_per_block=0,
+            num_blocks=1,
         )
         net = expand_leaf(spec)
         assert not net.has_resonators()
@@ -294,18 +298,22 @@ class TestLadderNetwork:
         assert _shortest_period(net.period * 2 + net.tail) == len(net.period)
 
     def test_expansion_holds_the_specs_own_inductor(self):
+        # and its own capacitor: a network holds the spec's elements, not
+        # copies built from them
         fish = FishboneSpec(base_cell=fishbone_cell(), num_periods=4)
         leaf = LeafSpec(base_cell=leaf_cell(), num_blocks=2)
-        assert expand_fishbone(fish).period[0] is fish.base_cell.inductor
-        assert expand_leaf(leaf).period[0] is leaf.base_cell.inductor
+        for period, cell in ((expand_fishbone(fish).period, fish.base_cell),
+                             (expand_leaf(leaf).period, leaf.base_cell)):
+            assert period[0] is cell.inductor
+            assert period[1] is cell.capacitor
 
 
 class TestNetlistRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         spec = LeafSpec(base_cell=leaf_cell(i_star=13.37e-3),
                         cells_per_block_period=17, num_blocks=2,
-                        resonator=ResonatorSpec(6.123456789012e9, 71.5,
-                                                pair_separation_cells=3))
+                        resonant_frequency=6.123456789012e9, loaded_q=71.5,
+                        pair_separation_cells=3)
         net = expand_leaf(spec)
         p = tmp_path / "device.net"
         write_netlist(net, p)
@@ -360,7 +368,7 @@ class TestNetlistRoundTrip:
 
     def test_round_trip_awkward_floats(self, tmp_path):
         cell = UnitCellSpec(SeriesInductor(1 / 3 * 1e-12, math.pi * 1e-3),
-                            2 / 7 * 1e-15)
+                            ShuntCapacitor(2 / 7 * 1e-15))
         net = uniform_line(cell, 3)
         p = tmp_path / "device.net"
         write_netlist(net, p)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -34,8 +34,10 @@ from kitwpa.errors import NumericError
 from kitwpa.twoport import (TwoPortMatrix, network_matrix, to_s_parameters,
                             walk_period)
 
-FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                         ShuntCapacitor(20e-15))
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3),
+                         ShuntCapacitor(116e-15))
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 
 
@@ -206,7 +208,7 @@ class TestRealRoute:
         unfold = dispersion._unfold_bloch_phase
         monkeypatch.setattr(dispersion, "_unfold_bloch_phase",
                             lambda f: folds.append(f) or unfold(f))
-        curve = dispersion.bloch_dispersion(period, grid, 1)
+        curve = dispersion.bloch_dispersion(period, grid, 1, ())
         fold, atten = complex_route(t)
         assert np.max(np.abs(folds[0] - fold)) <= 4.5e-16
         got = curve.attenuation_per_period
@@ -230,7 +232,7 @@ class TestRealRoute:
                     r"the Bloch curve is not finite at 2 of 3 frequencies, "
                     r"the first at 2\.0000 GHz")):
                 dispersion.bloch_dispersion(
-                    period, FrequencyGrid(1e9, 3e9, 3), 1)
+                    period, FrequencyGrid(1e9, 3e9, 3), 1, ())
 
 
 class TestBlochProperties:
@@ -361,7 +363,7 @@ class TestFindStopbandsReference:
 class TestLeafStopband:
     def test_resonator_band_width_order_300_mhz(self):
         net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=1,
-                                   resonator=ResonatorSpec(6e9, 70.0)))
+                                   resonant_frequency=6e9, loaded_q=70.0))
         grid = FrequencyGrid(5.5e9, 6.6e9, 8001)
         curve = device_dispersion(net, grid)
         report = find_stopbands(curve, min_depth=0.05)
@@ -375,7 +377,7 @@ class TestLeafStopband:
 class TestResonatorPhaseShift:
     def block(self, fr=6e9):
         return expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=1,
-                                    resonator=ResonatorSpec(fr, 70.0)))
+                                    resonant_frequency=fr, loaded_q=70.0))
 
     def test_far_below_resonance_negligible(self):
         shift, loss = resonator_phase_shift(self.block(), 2.4e9)
@@ -405,7 +407,7 @@ class TestResonatorPhaseShift:
         shifts = []
         for n in range(1, 7):
             net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, num_blocks=n,
-                                       resonator=ResonatorSpec(6e9, 70.0)))
+                                       resonant_frequency=6e9, loaded_q=70.0))
             plain = uniform_line(LEAF_CELL, net.total_cells)
             f = np.array([f_op])
             sp_l = to_s_parameters(network_matrix(net, f), f)

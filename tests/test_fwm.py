@@ -11,8 +11,8 @@ import kitwpa.fwm
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
     expand_fishbone,
     expand_leaf,
@@ -44,8 +44,10 @@ from oracles import (
 )
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
-FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
-LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3), 116e-15)
+FISH_CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                         ShuntCapacitor(20e-15))
+LEAF_CELL = UnitCellSpec(SeriesInductor(290e-12, 10e-3),
+                         ShuntCapacitor(116e-15))
 
 
 def db(x):
@@ -289,7 +291,7 @@ def small_fishbone():
 def small_leaf():
     # 4 resonator blocks of 340 cells: the line is solved in 4 segments
     net = expand_leaf(LeafSpec(base_cell=LEAF_CELL, cells_per_block_period=340,
-                               resonator=ResonatorSpec(6.2e9, 70.0),
+                               resonant_frequency=6.2e9, loaded_q=70.0,
                                num_blocks=4))
     grid = FrequencyGrid(0.1e9, 20e9, 3001)
     return net, device_dispersion(net, grid)
@@ -678,7 +680,7 @@ class TestIntegrateGain:
         # mismatch
         net = expand_leaf(LeafSpec(base_cell=LEAF_CELL,
                                    cells_per_block_period=340,
-                                   resonator=ResonatorSpec(6.2e9, 70.0),
+                                   resonant_frequency=6.2e9, loaded_q=70.0,
                                    num_blocks=12))
         grid = FrequencyGrid(0.1e9, 20e9, 6001)
         curve = device_dispersion(net, grid)
@@ -686,8 +688,8 @@ class TestIntegrateGain:
         prof = integrate_gain(net, curve, (5.92e9, 60e-6), f)
         bare = expand_leaf(LeafSpec(base_cell=LEAF_CELL,
                                     cells_per_block_period=340,
-                                    resonator=ResonatorSpec(
-                                        6.2e9, 70.0, pairs_per_block=0),
+                                    resonant_frequency=6.2e9, loaded_q=70.0,
+                                    pairs_per_block=0,
                                     num_blocks=12))
         bare_curve = device_dispersion(bare, grid)
         prof0 = integrate_gain(bare, bare_curve, (5.92e9, 60e-6), f)
@@ -791,7 +793,7 @@ class TestThirdHarmonicScan:
         f_p, p_p = 5.92e9, 60e-6
         net = expand_leaf(LeafSpec(
             base_cell=LEAF_CELL, cells_per_block_period=340,
-            resonator=ResonatorSpec(6.2e9, 70.0, pairs_per_block=0),
+            resonant_frequency=6.2e9, loaded_q=70.0, pairs_per_block=0,
             num_blocks=12))
         grid = FrequencyGrid(0.1e9, 20e9, 2001)
         curve = uniform_cell_dispersion(290e-12, 116e-15, grid)
@@ -821,7 +823,7 @@ class TestThirdHarmonicScan:
         # contiguous and keep the pump healthy below resonance
         net = expand_leaf(LeafSpec(base_cell=LEAF_CELL,
                                    cells_per_block_period=340,
-                                   resonator=ResonatorSpec(6.2e9, 70.0),
+                                   resonant_frequency=6.2e9, loaded_q=70.0,
                                    num_blocks=4))
         grid = FrequencyGrid(0.1e9, 20e9, 3001)
         curve = device_dispersion(net, grid)

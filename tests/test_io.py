@@ -14,8 +14,8 @@ from kitwpa.analysis import CalibrationSpec, expand_design
 from kitwpa.circuit import (
     FishboneSpec,
     LeafSpec,
-    ResonatorSpec,
     SeriesInductor,
+    ShuntCapacitor,
     UnitCellSpec,
     read_netlist,
 )
@@ -80,7 +80,7 @@ class TestLoadConfig:
         d = cfg.design
         assert isinstance(d, FishboneSpec)
         assert d.base_cell.inductor.l0 == 50e-12
-        assert d.base_cell.shunt_capacitance == 20e-15
+        assert d.base_cell.capacitor.c == 20e-15
         assert d.cells_per_period == 22
         assert d.capacitance_reduction_factor == 5
         assert cfg.pump == (6.22e9, 100e-6)
@@ -90,10 +90,10 @@ class TestLoadConfig:
         d = cfg.design
         assert isinstance(d, LeafSpec)
         assert d.base_cell.inductor.l0 == 290e-12
-        assert d.base_cell.shunt_capacitance == 116e-15
+        assert d.base_cell.capacitor.c == 116e-15
         assert d.cells_per_block_period == 340
-        assert d.resonator.resonant_frequency == 6e9
-        assert d.resonator.loaded_q == 70
+        assert d.resonant_frequency == 6e9
+        assert d.loaded_q == 70
 
     @pytest.mark.parametrize("preset", sorted(p.name for p in PRESETS.glob("*.cfg")))
     def test_every_preset_loads_strictly(self, preset):
@@ -245,7 +245,8 @@ design:
 
     def test_design_defaults_are_the_spec_defaults(self, tmp_path):
         cell = "{l_henries: 5e-11, c_farads: 2e-14, i_star_amperes: 1e-2"
-        base = UnitCellSpec(SeriesInductor(5e-11, 1e-2), 2e-14)
+        base = UnitCellSpec(SeriesInductor(5e-11, 1e-2),
+                            ShuntCapacitor(2e-14))
 
         def design(text, name):
             return load_config(write_cfg(
@@ -261,7 +262,7 @@ design:
                                                 num_periods=3)
         assert design(f"leaf: {cell}, num_blocks: 2, loaded_q: 50",
                       "lp.cfg") == LeafSpec(
-            base, resonator=ResonatorSpec(loaded_q=50.0), num_blocks=2)
+            base, loaded_q=50.0, num_blocks=2)
 
     def test_calibration_defaults_are_the_spec_defaults(self, tmp_path):
         design = """
@@ -830,6 +831,54 @@ class TestCli:
                          r"at \d+\.\d{4} GHz", err)
         assert not any((tmp_path / "o").glob("*.s2p"))
         assert not any((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("subcommand",
+                             ["linear", "dispersion", "gain", "harmonics"])
+    def test_cli_nonfinite_from_the_first_frequency_names_the_elements(
+            self, tmp_path, capsys, subcommand):
+        # an inductance of 1e300 H puts one period past the float range at
+        # every frequency; the message advised a lower stop frequency, which
+        # cures nothing here
+        p = write_cfg(tmp_path, SMALL_FISHBONE_CFG.replace(
+            "num_periods: 45", "num_periods: 30").replace(
+            "l_henries: 50.0e-12", "l_henries: 1.0e300"))
+        rc = main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not finite at 4001 of 4001 frequencies" in err
+        assert "stop frequency of" not in err
+        assert "SeriesInductor(l0=1e+300, i_star=0.01)" in err
+
+    @pytest.mark.parametrize("subcommand", ["linear", "dispersion"])
+    @pytest.mark.parametrize("num_periods, expected_rc", [("1e8", 0),
+                                                          ("1e10", 3)])
+    def test_cli_long_cascade_is_finite_or_refused(
+            self, tmp_path, capsys, subcommand, num_periods, expected_rc):
+        # the cascade's power-of-two exponent grows by ~0.226 a period: at
+        # 1e10 periods it wrapped past 2**31 and the run exited 1 with a
+        # singular ABCD-to-S denominator.  Summed without wrapping, the
+        # S-parameters stay finite, but their power balance drifts by ~6e-16
+        # a repeat, which is refused past 1e-6
+        text = (PRESETS / "fishbone-paper.cfg").read_text()
+        assert "num_periods: 1136" in text and text.count("points: 10001") == 1
+        p = write_cfg(tmp_path, text.replace(
+            "num_periods: 1136", f"num_periods: {num_periods}").replace(
+            "points: 10001", "points: 401"))
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == expected_rc, err
+        if expected_rc == 3:
+            assert "3333333333 repeats of the period" in err
+            assert "power balance" in err
+            assert not any(out.glob("*.s2p")) and not any(out.glob("*.csv"))
+        elif subcommand == "linear":
+            sp = read_touchstone(out / "sparams.s2p")
+            assert all(np.all(np.isfinite(v)) for v in (sp.s11, sp.s21))
+        else:
+            table = np.loadtxt(out / "dispersion.csv", delimiter=",",
+                               skiprows=1)
+            assert table.shape == (401, 8) and np.all(np.isfinite(table))
 
     @pytest.mark.parametrize("preset, subcommand, grid, needed", [
         # signals and idlers reach 8.02 GHz: 37.85 dB at 5.365 GHz was

@@ -12,9 +12,12 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 import kitwpa
 import kitwpa.twoport
+from kitwpa import config
+from kitwpa.circuit import FishboneSpec, UnitCellSpec
 
 MODULES = sorted(f"kitwpa.{m.name}"
                  for m in pkgutil.iter_modules(kitwpa.__path__))
@@ -99,6 +102,38 @@ def test_no_two_dataclasses_declare_the_same_fields():
                 owners.setdefault(key, []).append(f"{name}.{attr}")
     twins = [sorted(names) for names in owners.values() if len(names) > 1]
     assert not twins, f"dataclasses with the same field names: {twins}"
+
+
+# what a design spec's field may be: a number read under a config key, or
+# one of the records the expanded network itself holds
+SPEC_FIELD_TYPES = {"int", "float", "bool",
+                    "SeriesInductor", "ShuntCapacitor", "UnitCellSpec"}
+
+
+@pytest.mark.parametrize("preset", ["fishbone-paper", "leaf-paper"])
+def test_design_specs_are_flat(preset, tmp_path):
+    # a record that only groups some keys of a config section is unpacked
+    # by every reader of the spec: the expanders, the sweep and the parser
+    design = config.load_config(
+        Path(config.__file__).parent / "presets" / f"{preset}.cfg").design
+    nested = [f"{spec.__name__}.{f.name}: {f.type}"
+              for spec in (type(design), UnitCellSpec)
+              for f in dataclasses.fields(spec)
+              if f.type not in SPEC_FIELD_TYPES]
+    assert not nested, f"design spec fields that are not flat: {nested}"
+    # every number is read under its key: a section that sets each key to
+    # the spec's value loads the same spec
+    cell = design.base_cell
+    values = {**dataclasses.asdict(cell.inductor),
+              **dataclasses.asdict(cell.capacitor),
+              **{f.name: getattr(design, f.name)
+                 for f in dataclasses.fields(design)
+                 if f.type in ("int", "float", "bool")}}
+    kind = "fishbone" if isinstance(design, FishboneSpec) else "leaf"
+    path = tmp_path / "run.cfg"
+    path.write_text(yaml.safe_dump({"design": {kind: {
+        config._KEYS.get(name, name): v for name, v in values.items()}}}))
+    assert config.load_config(path).design == design
 
 
 def _parameters() -> list:

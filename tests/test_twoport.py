@@ -41,7 +41,8 @@ from kitwpa.twoport import (
     write_touchstone,
 )
 
-CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3), 20e-15)
+CELL = UnitCellSpec(SeriesInductor(50e-12, 10e-3),
+                    ShuntCapacitor(20e-15))
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "kitwpa" / "presets"
 PRESET_NAMES = ("fishbone-paper", "leaf-paper-gain", "leaf-paper")
 
